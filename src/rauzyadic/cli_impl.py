@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from .errors import UnsupportedCase
-from .morphism import compose
 from .sadic import DirectiveWord
-from .schemas import GPRIME_EDGES, match_rows
-from .validator import MAX_BLOCK, RoutedStep
+from .validator import RoutedStep, routed_steps, start_vertex
 
 
 def route_prefix(dw: DirectiveWord) -> list[RoutedStep]:
@@ -14,37 +12,18 @@ def route_prefix(dw: DirectiveWord) -> list[RoutedStep]:
 
     Depth-first over block decompositions; returns the first complete
     routing whose final step lands in the two-loop or no-loop region."""
-    ms = list(dw.preperiod) + list(dw.period)
-    start = "2" if dw.alphabet_size == 3 else "1"
-
-    def matches_from(vertex, label):
-        out = []
-        for (a, b), rows in GPRIME_EDGES.items():
-            if a != vertex:
-                continue
-            for m in match_rows(rows, label):
-                out.append((b, m))
-        return out
-
-    best: list[RoutedStep] | None = None
+    end = dw.known_levels()
 
     def dfs(vertex, pos, acc):
-        nonlocal best
-        if best is not None:
-            return
-        if pos == len(ms):
-            if acc and acc[-1].dst in ("7/8", "5/6"):
-                best = list(acc)
-            return
-        block = None
-        for j in range(1, MAX_BLOCK + 1):
-            if pos + j > len(ms):
-                break
-            block = ms[pos + j - 1] if block is None else compose(block, ms[pos + j - 1])
-            for dst, m in matches_from(vertex, block):
-                dfs(dst, pos + j, acc + [RoutedStep(vertex, dst, block, m)])
+        if pos == end:
+            return acc if acc[-1].dst in ("7/8", "5/6") else None
+        for step in routed_steps(dw, vertex, pos, end):
+            found = dfs(step.dst, pos + step.blocks, acc + [step])
+            if found is not None:
+                return found
+        return None
 
-    dfs(start, 0, [])
+    best = dfs(start_vertex(dw), 0, [])
     if best is None:
         raise UnsupportedCase("prefix does not route to the two-loop or no-loop region")
     return best

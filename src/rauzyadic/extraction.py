@@ -15,8 +15,8 @@ from .errors import NoSchemaMatch, OrderingViolation, RuleViolation
 from .morphism import Morphism, bracket, compose, compose_all, identity
 from .rauzy import (Circuit, GraphShape, RauzyGraph, build_graph, circuits_from,
                     classify_shape, reduce_graph, right_special_chain)
-from .schemas import (EvolutionRow, Match, evolution_rows, match_rows, Row,
-                      unique_row_match)
+from .schemas import (_ASSIGNMENTS, GPRIME_EDGES, EvolutionRow, Match, Row,
+                      evolution_rows, match_rows, unique_row_match)
 from .words import FactorOracle, Word
 
 
@@ -108,6 +108,8 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
             if t == 9 and k - laps > 1:
                 raise RuleViolation(f"type 9 at {shape.order}: k-l = {k - laps} > 1")
             return ThetaAssignment(shape.order, (th0, th1, th2), tuple(notes))
+        if len(circuits) != 2:
+            raise RuleViolation(f"type {t} at {shape.order} with {len(circuits)} circuits")
         a, bb = circuits
         ka, kb = _loop_count(a, b), _loop_count(bb, b)
         if ka < kb:
@@ -154,6 +156,8 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
                 return next(c for c, tr in traces.items() if tr[0] == f and tr[1] == s)
             return ThetaAssignment(shape.order, (find(of, ms), find(mf, os_), find(of, os_)),
                                    tuple(notes))
+        if len(circuits) != 2:
+            raise RuleViolation(f"type {t} at {shape.order} with {len(circuits)} circuits")
         a, bb = circuits
         if traces[a][0] == traces[bb][0] or traces[a][1] == traces[bb][1]:
             raise RuleViolation(f"type {t} at {shape.order}: circuits share a segment")
@@ -353,10 +357,7 @@ def _divide_left(m: Morphism, factor: Morphism) -> Morphism | None:
             else:
                 return None
         imgs.append("".join(out))
-    try:
-        return bracket(*imgs, codomain=factor.domain)
-    except Exception:
-        return None
+    return bracket(*imgs, codomain=factor.domain)
 
 
 def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> ExtractionReport:
@@ -402,7 +403,6 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
 
 def _emit(path: list[PathStep], src: str, dst: str, label: Morphism, order: int,
           entry_order: int = -1):
-    from .schemas import GPRIME_EDGES
     rows = GPRIME_EDGES.get((src, dst), ())
     got = unique_row_match(rows, label, f"on extracted edge {src} -> {dst}")
     path.append(PathStep(src, dst, label, got, order, entry_order))
@@ -486,7 +486,6 @@ def _loop_morphism(m: Morphism) -> Morphism:
 
 
 def _matches_edge(src, dst, m) -> bool:
-    from .schemas import GPRIME_EDGES
     return bool(match_rows(GPRIME_EDGES.get((src, dst), ()), m))
 
 
@@ -543,17 +542,11 @@ def _divide_left_flexible(m, factor):
 
 
 def _instances(row: Row, pmax: int):
-    from .schemas import _ASSIGNMENTS
-    uses = row.uses
-    ks = range(pmax + 1) if "k" in uses else (0,)
-    ls = range(pmax + 1) if "l" in uses else (0,)
+    grid = row.grid(pmax)
     thirds = (True, False) if row.opt3 else (True,)
     for assign in _ASSIGNMENTS[row.vars]:
-        for k in ks:
-            for l in ls:
-                if row.cond is not None and not row.cond(k, l):
-                    continue
-                for w3 in thirds:
-                    m = row.instantiate(dict(assign), k, l, with_third=w3)
-                    if m is not None:
-                        yield m, k, l
+        for k, l in grid:
+            for w3 in thirds:
+                m = row.instantiate(dict(assign), k, l, with_third=w3)
+                if m is not None:
+                    yield m, k, l

@@ -8,6 +8,7 @@ periodicity is the only infinite-directive encoding, which makes every
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, NoStabilization, NonGrowing,
@@ -80,19 +81,14 @@ class DirectiveWord:
         return f"DirectiveWord({pre} | ({per})^w)" if per else f"DirectiveWord({pre})"
 
 
-def _level_images(dw: DirectiveWord, upto: int) -> list[dict[str, Word]]:
-    """imgs[n][a] = m_0 ... m_n (a) for letters a of level n+1."""
-    out = []
-    cur = None
-    for n in range(upto):
-        m = dw.morphism(n)
-        if cur is None:
-            cur = {chr(ord("0") + a): m.images[a] for a in range(m.domain)}
-        else:
-            cur = {chr(ord("0") + a): "".join(cur[c] for c in m.images[a])
-                   for a in range(m.domain)}
-        out.append(cur)
-    return out
+def _letter_images(dw: DirectiveWord):
+    """Yields, for n = 0, 1, ..., imgs[a] = m_0 ... m_n (a) for the letters a
+    of level n+1."""
+    imgs = None
+    for n in itertools.count():
+        imgs = {str(a): w if imgs is None else "".join(imgs[c] for c in w)
+                for a, w in enumerate(dw.morphism(n).images)}
+        yield imgs
 
 
 @dataclass(frozen=True)
@@ -109,14 +105,7 @@ def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
     window = 2 * max(4, dw.known_levels())
     prev = None
     prev_len_hist: list[int] = []
-    imgs = None
-    for n in range(max_levels):
-        m = dw.morphism(n)
-        if imgs is None:
-            imgs = {chr(ord("0") + a): m.images[a] for a in range(m.domain)}
-        else:
-            imgs = {chr(ord("0") + a): "".join(imgs[c] for c in m.images[a])
-                    for a in range(m.domain)}
+    for n, imgs in zip(range(max_levels), _letter_images(dw)):
         u = imgs[seed]
         prev_len_hist.append(len(u))
         if len(prev_len_hist) > window and prev_len_hist[-1] <= prev_len_hist[-1 - window]:
@@ -150,15 +139,8 @@ def language_horizon(dw: DirectiveWord, n: int, max_levels: int | None = None,
     """
     if max_levels is None:
         max_levels = max(64, 4 * dw.known_levels())
-    imgs: dict[str, Word] | None = None
     history: list[frozenset[Word]] = []
-    for lev in range(max_levels):
-        m = dw.morphism(lev)
-        if imgs is None:
-            imgs = {chr(ord("0") + a): m.images[a] for a in range(m.domain)}
-        else:
-            imgs = {chr(ord("0") + a): "".join(imgs[c] for c in m.images[a])
-                    for a in range(m.domain)}
+    for lev, imgs in zip(range(max_levels), _letter_images(dw)):
         if sum(len(w) for w in imgs.values()) > max_total:
             raise NoStabilization(f"image budget {max_total} exhausted at level {lev}")
         cur: frozenset[Word] | None = None
@@ -215,29 +197,24 @@ def _occ(m: Morphism):
     return tuple(tuple(r) for r in m.occurrence_matrix())
 
 
-def used_letters(dw: DirectiveWord, upto: int | None = None) -> list[frozenset[int]]:
+def used_letters(dw: DirectiveWord) -> list[frozenset[int]]:
     """Letters of each level that later levels keep producing.
 
     An optional circuit letter may exist at one level and never occur in
     any image afterwards; such dead components are ignored throughout
     (they carry no part of the language).  Computed as a greatest fixed
-    point over the period."""
+    point over the period: each level's set depends only on the next
+    one, so one backward sweep from a full alphabet several periods
+    ahead reaches it."""
     p, T = len(dw.preperiod), len(dw.period)
-    n = upto if upto is not None else p + max(T, 1)
+    n = p + max(T, 1)
     total = n + 4 * max(T, 1) + 4 if T else p
-    sets = [frozenset(range(dw.morphism(i).codomain)) for i in range(total)] \
-        + [frozenset(range(dw.morphism(total - 1).domain))]
-    for _ in range(3 * max(T, 1) + 3):
-        changed = False
-        for i in range(total - 1, -1, -1):
-            m = dw.morphism(i)
-            new = frozenset(int(c) for b in sets[i + 1] if b < m.domain
-                            for c in m.images[b])
-            if new != sets[i]:
-                sets[i] = new
-                changed = True
-        if not changed:
-            break
+    sets = [frozenset(range(dw.morphism(total - 1).domain))]
+    for i in range(total - 1, -1, -1):
+        m = dw.morphism(i)
+        sets.append(frozenset(int(c) for b in sets[-1] if b < m.domain
+                              for c in m.images[b]))
+    sets.reverse()
     return sets[: n + 2]
 
 
@@ -253,8 +230,7 @@ def weak_primitivity_check(dw: DirectiveWord, window: int = 4096) -> Primitivity
     """
     p, T = len(dw.preperiod), len(dw.period)
     starts = range(p + T) if T else range(p)
-    horizon = p + (window + 2) * max(T, 1) + 2
-    used = used_letters(dw, upto=horizon) if T else used_letters(dw, upto=p)
+    used = used_letters(dw)
 
     def u(level):
         if level < len(used):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import AmbiguousMatch, NoSchemaMatch
 from .morphism import Morphism, bracket
@@ -65,7 +65,8 @@ def _image(atoms: tuple[Atom, ...], assign: dict[str, str], k: int, l: int) -> s
     return "".join(out)
 
 
-def _image_len(atoms, assign, k, l):
+def _image_len(atoms: tuple[Atom, ...], k: int, l: int) -> int | None:
+    """Length of the image; it does not depend on the letter assignment."""
     n = 0
     for a in atoms:
         e = a.off if a.var is None else (k if a.var == "k" else l) + a.off
@@ -116,11 +117,11 @@ class Row:
     Kfun: object = None            # callable (k, l) -> loop count of the entry
     d_factors: tuple[str, ...] = ()
 
-    @property
-    def atoms(self):
+    @cached_property
+    def atoms(self) -> tuple[tuple[Atom, ...], ...]:
         return tuple(parse_pattern(t) for t in self.imgs)
 
-    @property
+    @cached_property
     def uses(self) -> frozenset[str]:
         return frozenset(a.var for p in self.atoms for a in p if a.var)
 
@@ -137,29 +138,31 @@ class Row:
             imgs.append(w)
         return bracket(*imgs)
 
+    def grid(self, pmax: int, lens: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+        """(k, l) pairs up to pmax that satisfy cond and whose leading
+        images have the lengths lens; an unused exponent stays 0."""
+        atoms, uses = self.atoms, self.uses
+        ks = range(pmax + 1) if "k" in uses else (0,)
+        ls = range(pmax + 1) if "l" in uses else (0,)
+        return [(k, l) for k in ks for l in ls
+                if (self.cond is None or self.cond(k, l))
+                and all(_image_len(p, k, l) == n for p, n in zip(atoms, lens))]
+
     def matches(self, m: Morphism) -> list[Match]:
         atoms = self.atoms
         need_third = len(m.images) == len(atoms)
         if not need_third and not (self.opt3 and len(m.images) == len(atoms) - 1):
             return []
-        pats = atoms if need_third else atoms[:-1]
+        lens = tuple(len(w) for w in m.images)
+        grid = self.grid(max(lens) + 2, lens)
         uses = self.uses
-        kmax = max(len(w) for w in m.images) + 2
-        ks = range(kmax + 1) if "k" in uses else (0,)
-        ls = range(kmax + 1) if "l" in uses else (0,)
         out = []
         for assign in _ASSIGNMENTS[self.vars]:
-            for k in ks:
-                for l in ls:
-                    if self.cond is not None and not self.cond(k, l):
-                        continue
-                    if any(_image_len(p, assign, k, l) != len(w)
-                           for p, w in zip(pats, m.images)):
-                        continue
-                    if all(_image(p, assign, k, l) == w for p, w in zip(pats, m.images)):
-                        out.append(Match(self, tuple(sorted(assign.items())),
-                                         k if "k" in uses else None,
-                                         l if "l" in uses else None, need_third))
+            for k, l in grid:
+                if all(_image(p, assign, k, l) == w for p, w in zip(atoms, m.images)):
+                    out.append(Match(self, tuple(sorted(assign.items())),
+                                     k if "k" in uses else None,
+                                     l if "l" in uses else None, need_third))
         return out
 
 
@@ -695,9 +698,10 @@ for _r in GPRIME_ROWS:
     GPRIME_EDGES.setdefault((_r.src, _r.dst), ())
     GPRIME_EDGES[(_r.src, _r.dst)] += (_r,)
 
-
-def rows_from(src: str) -> list[Row]:
-    return [r for r in GPRIME_ROWS if r.src == src]
+# the out-edges of each vertex as (dst, rows), in GPRIME_EDGES order
+GPRIME_OUT: dict[str, tuple[tuple[str, tuple[Row, ...]], ...]] = {}
+for (_src, _dst), _rows in GPRIME_EDGES.items():
+    GPRIME_OUT[_src] = GPRIME_OUT.get(_src, ()) + ((_dst, _rows),)
 
 
 def match_schema(m: Morphism, src: str, dst: str) -> Match:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import Mismatch, NotInCatalog, UnsupportedCase
 from .lengths import compute_length_state
-from .morphism import Morphism, classify, compose, decompose, identity
+from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, weak_primitivity_check
-from .schemas import GPRIME_EDGES, GPRIME_VERTICES, Match, match_rows
+from .schemas import GPRIME_OUT, GPRIME_VERTICES, Match, Row, match_rows
 
 MAX_BLOCK = 4
 TRAVERSALS = 6
@@ -32,6 +32,7 @@ class RoutedStep:
     dst: str
     label: Morphism
     match: Match
+    blocks: int = 1                  # directive levels composed into the label
 
 
 @dataclass(frozen=True)
@@ -73,27 +74,32 @@ class ValidityVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _edge_matches(src: str, label: Morphism):
-    out = []
-    for (a, b), rows in GPRIME_EDGES.items():
-        if a != src:
-            continue
-        for m in match_rows(rows, label):
-            out.append((b, m))
-    return out
+def start_vertex(dw: DirectiveWord) -> str:
+    return "2" if dw.alphabet_size == 3 else "1"
 
 
-def _enumerate_routings(dw: DirectiveWord, limit: int = 64,
-                        start: str | None = None) -> list[Routing]:
-    """Lassos through the refined graph whose labels read the directive.
+def routed_steps(dw: DirectiveWord, vertex: str, pos: int, end: int | None = None):
+    """Steps out of vertex whose label composes the levels pos, pos+1, ...
+    of the directive, up to MAX_BLOCK of them and none at or past end."""
+    label = None
+    for j in range(1, MAX_BLOCK + 1):
+        if end is not None and pos + j > end:
+            return
+        m = dw.morphism(pos + j - 1)
+        label = m if label is None else compose(label, m)
+        for dst, rows in GPRIME_OUT.get(vertex, ()):
+            for match in match_rows(rows, label):
+                yield RoutedStep(vertex, dst, label, match, j)
 
-    Blocks of up to MAX_BLOCK consecutive morphisms are composed to match
-    one edge; the cycle part must consume whole periods so that verdict
-    conditions are read off one loop of it.
+
+def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[Routing]:
+    """Lassos from start through the refined graph whose labels read the
+    directive.
+
+    The cycle part must consume whole periods so that verdict conditions
+    are read off one loop of it.
     """
     p, T = len(dw.preperiod), len(dw.period)
-    if start is None:
-        start = "2" if dw.alphabet_size == 3 else "1"
     if T == 0:
         return []
     out: list[Routing] = []
@@ -104,13 +110,6 @@ def _enumerate_routings(dw: DirectiveWord, limit: int = 64,
     # states: (vertex, pos) with pos absolute until it exceeds the preperiod,
     # then phases repeat; search depth-first with a visited set on
     # (vertex, phase, in_cycle_anchor)
-    def blocks_from(pos):
-        acc = None
-        for j in range(1, MAX_BLOCK + 1):
-            m = dw.morphism(pos + j - 1)
-            acc = m if acc is None else compose(acc, m)
-            yield j, acc
-
     def dfs(vertex, pos, steps, seen, anchors):
         if len(out) >= limit:
             return
@@ -120,31 +119,35 @@ def _enumerate_routings(dw: DirectiveWord, limit: int = 64,
             if key in anchors:
                 first = anchors[key]
                 cyc = steps[first:]
-                consumed = sum(_blocklen(s) for s in cyc)
-                if consumed % T == 0 and cyc:
+                if cyc and sum(s.blocks for s in cyc) % T == 0:
                     out.append(Routing(start, tuple(steps[:first]), tuple(cyc)))
                 return
             anchors = dict(anchors)
             anchors[key] = len(steps)
-        for j, label in blocks_from(pos):
-            for dst, m in _edge_matches(vertex, label):
-                step = RoutedStep(vertex, dst, label, m)
-                skey = (vertex, dst, pos if ph is None else ("c", ph), j, m.row.rid)
-                if skey in seen:
-                    continue
-                dfs(dst, pos + j, steps + [_with_len(step, j)], seen | {skey}, anchors)
-
-    def _with_len(step, j):
-        object.__setattr__(step, "_consumed", j)
-        return step
-
-    def _blocklen(step):
-        return getattr(step, "_consumed", 1)
+        for step in routed_steps(dw, vertex, pos):
+            skey = (vertex, step.dst, pos if ph is None else ("c", ph), step.blocks,
+                    step.match.row.rid)
+            if skey in seen:
+                continue
+            dfs(step.dst, pos + step.blocks, steps + [step], seen | {skey}, anchors)
 
     dfs(start, 0, [], frozenset(), {})
     # prefer routings with short cycles and short prefixes
     out.sort(key=lambda r: (len(r.cycle), len(r.prefix)))
     return out
+
+
+def _route(dw: DirectiveWord) -> tuple[list[Routing], tuple[str, ...]]:
+    """Routings from the start vertex; failing those, the word may be the
+    suffix of a valid path, so the first entry vertex that routes it is
+    admitted and named in the returned note."""
+    start = start_vertex(dw)
+    for entry in (start, *(v for v in GPRIME_VERTICES if v != start)):
+        routings = _enumerate_routings(dw, entry)
+        if routings:
+            return routings, (() if entry == start else
+                              (f"validated as a suffix entered at vertex {entry}",))
+    return [], ()
 
 
 def _window_right_proper(cycle_labels: list[Morphism]) -> bool:
@@ -176,11 +179,29 @@ def _products_fix_zero(cycle_labels: list[Morphism]) -> bool:
     return False
 
 
-def _conforms(step: RoutedStep, allowed: dict[tuple[str, str], object]) -> bool:
-    key = (step.src, step.dst)
-    if key not in allowed:
-        return True  # the configuration does not constrain this edge
-    return allowed[key](step)
+# the labels each edge may carry in the first excluded configuration of
+# component C4 condition iv; edges not listed are unconstrained
+_CFG_B_LABELS = {
+    ("5/6", "5/6"): {("02", "12", "2"), ("102", "2", "12")},
+    ("5/6", "7/8"): {("1", "02", "2")},
+    ("5/6", "10B"): {("1", "01", "2")},
+    ("7/8", "5/6"): {("1", "02", "2"), ("01", "2", "02")},
+    ("10B", "10B"): {("0", "20", "1"), ("02", "12", "2")},
+    ("10B", "5/6"): {("21", "01", "1"), ("021", "1", "01")},
+}
+
+# the label families of the second excluded configuration, likewise
+_CFG_C_ROWS = {
+    edge: tuple(Row(f"cfg-c.{i}", *edge, pat) for i, pat in enumerate(pats))
+    for edge, pats in {
+        ("5/6", "5/6"): (("0^k 2", "1 0^k-1 2", "0^k-1 2"), ("0^k-1 2", "1 0^k 2", "0^k 2")),
+        ("10B", "10B"): (("1 2^k 0", "2^k+1 0", "2^k 0"),),
+        ("5/6", "7/8"): (("1", "0^k 2", "0^k-1 2"), ("1 2^k 0", "2^l 0", "2^l-1 0")),
+        ("7/8", "5/6"): (("1", "0 2", "2"), ("2", "0 1", "1")),
+        ("10B", "5/6"): (("2^k 1", "0 2^k-1 1", "2^k-1 1"), ("2^k-1 1", "0 2^k 1", "2^k 1")),
+        ("10B", "7/8"): (("0", "2^k 1", "2^k-1 1"),),
+    }.items()
+}
 
 
 def _cfg_a(cycle) -> bool:
@@ -194,15 +215,8 @@ def _cfg_b(cycle) -> bool:
         return False
     if ("7/8", "7/8") in used:
         return False
-    allowed = {
-        ("5/6", "5/6"): lambda s: s.label.images in (("02", "12", "2"), ("102", "2", "12")),
-        ("5/6", "7/8"): lambda s: s.label.images == ("1", "02", "2"),
-        ("5/6", "10B"): lambda s: s.label.images == ("1", "01", "2"),
-        ("7/8", "5/6"): lambda s: s.label.images in (("1", "02", "2"), ("01", "2", "02")),
-        ("10B", "10B"): lambda s: s.label.images in (("0", "20", "1"), ("02", "12", "2")),
-        ("10B", "5/6"): lambda s: s.label.images in (("21", "01", "1"), ("021", "1", "01")),
-    }
-    return all(_conforms(s, allowed) for s in cycle)
+    return all(s.label.images in _CFG_B_LABELS[(s.src, s.dst)]
+               for s in cycle if (s.src, s.dst) in _CFG_B_LABELS)
 
 
 def _cfg_c(cycle) -> bool:
@@ -212,27 +226,8 @@ def _cfg_c(cycle) -> bool:
     if not used <= {("5/6", "5/6"), ("5/6", "7/8"), ("10B", "10B"), ("7/8", "5/6"),
                     ("10B", "5/6"), ("10B", "7/8"), ("5/6", "10B")}:
         return False
-
-    def k_family(images, pats):
-        from .schemas import Row
-        for pat in pats:
-            row = Row("tmp", "", "", pat, cond=lambda k, l: k >= 0)
-            if row.matches(Morphism(images, max(int(c) for w in images for c in w) + 1)):
-                return True
-        return False
-
-    allowed = {
-        ("5/6", "5/6"): lambda s: k_family(s.label.images, [("0^k 2", "1 0^k-1 2", "0^k-1 2"),
-                                                            ("0^k-1 2", "1 0^k 2", "0^k 2")]),
-        ("10B", "10B"): lambda s: k_family(s.label.images, [("1 2^k 0", "2^k+1 0", "2^k 0")]),
-        ("5/6", "7/8"): lambda s: k_family(s.label.images, [("1", "0^k 2", "0^k-1 2"),
-                                                            ("1 2^k 0", "2^l 0", "2^l-1 0")]),
-        ("7/8", "5/6"): lambda s: s.label.images in (("1", "02", "2"), ("2", "01", "1")),
-        ("10B", "5/6"): lambda s: k_family(s.label.images, [("2^k 1", "0 2^k-1 1", "2^k-1 1"),
-                                                            ("2^k-1 1", "0 2^k 1", "2^k 1")]),
-        ("10B", "7/8"): lambda s: k_family(s.label.images, [("0", "2^k 1", "2^k-1 1")]),
-    }
-    return all(_conforms(s, allowed) for s in cycle)
+    return all(match_rows(_CFG_C_ROWS[(s.src, s.dst)], s.label)
+               for s in cycle if (s.src, s.dst) in _CFG_C_ROWS)
 
 
 def _check_c1(routing: Routing):
@@ -268,11 +263,8 @@ def _check_c3(routing: Routing):
     return "valid", None
 
 
-def _gate_steps(dw: DirectiveWord, routing: Routing, traversals: int):
-    steps = list(routing.prefix)
-    for _ in range(traversals):
-        steps += list(routing.cycle)
-    return steps
+def _gate_steps(routing: Routing, traversals: int):
+    return list(routing.prefix) + list(routing.cycle) * traversals
 
 
 def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
@@ -314,7 +306,7 @@ def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
                                "conforms to the second excluded label configuration", notes)
 
     # length-gated exit conditions (A) and (B)
-    steps = _gate_steps(dw, routing, TRAVERSALS)
+    steps = _gate_steps(routing, TRAVERSALS)
     margins_b: dict[int, list[int]] = {}
     for i, step in enumerate(steps):
         nxt = steps[i + 1] if i + 1 < len(steps) else None
@@ -398,6 +390,13 @@ def validate_directive(dw: DirectiveWord, strict2: bool = False) -> ValidityVerd
     component's conditions and the length-gated exits; Invalid verdicts
     cite the violated clause.
     """
+    return _validate(dw, strict2, every=False)[0]
+
+
+def _validate(dw: DirectiveWord, strict2: bool,
+              every: bool) -> tuple[ValidityVerdict, list[Routing]]:
+    """The verdict and the valid routings, judged in routing order; unless
+    every is set, judging stops at the first valid routing."""
     for i in range(dw.known_levels()):
         try:
             decompose(dw.morphism(i))
@@ -405,30 +404,29 @@ def validate_directive(dw: DirectiveWord, strict2: bool = False) -> ValidityVerd
             raise NotInCatalog(f"directive level {i}: {exc}") from exc
     if not dw.eventually_periodic:
         return ValidityVerdict("undetermined",
-                               "finite directive prefix: validity is only semi-decidable")
-    routings = _enumerate_routings(dw)
-    suffix_note = ()
-    if not routings:
-        # the word may be the suffix of a valid path: admit any entry vertex
-        for entry in GPRIME_VERTICES:
-            routings = _enumerate_routings(dw, start=entry)
-            if routings:
-                suffix_note = (f"validated as a suffix entered at vertex {entry}",)
-                break
-    if not routings:
-        return ValidityVerdict(
-            "invalid", "no path in the refined graph of graphs reads this directive "
-                       "(local validity condition fails)")
-    last_failure = None
+                               "finite directive prefix: validity is only semi-decidable"), []
+    routings, suffix_note = _route(dw)
+    first_valid, last_failure, valid = None, None, []
     for routing in routings:
         status, clause, notes = _routing_verdict(dw, routing, strict2)
         if status == "valid":
-            return ValidityVerdict("valid", routing=routing,
-                                   notes=tuple(notes) + suffix_note)
-        if last_failure is None or (last_failure.status == "invalid" and status == "undetermined"):
+            valid.append(routing)
+            if first_valid is None:
+                first_valid = ValidityVerdict("valid", routing=routing,
+                                              notes=tuple(notes) + suffix_note)
+            if not every:
+                break
+        elif last_failure is None or (last_failure.status == "invalid"
+                                      and status == "undetermined"):
             last_failure = ValidityVerdict(status, clause=clause, routing=routing,
                                            notes=tuple(notes))
-    return last_failure
+    if first_valid is not None:
+        return first_valid, valid
+    if last_failure is not None:
+        return last_failure, valid
+    return ValidityVerdict(
+        "invalid", "no path in the refined graph of graphs reads this directive "
+                   "(local validity condition fails)"), valid
 
 
 def _routing_verdict(dw: DirectiveWord, routing: Routing, strict2: bool):
@@ -452,12 +450,7 @@ def _routing_verdict(dw: DirectiveWord, routing: Routing, strict2: bool):
 
 
 def valid_routings(dw: DirectiveWord, strict2: bool = False) -> list[Routing]:
-    routings = _enumerate_routings(dw)
-    if not routings:
-        for entry in GPRIME_VERTICES:
-            routings = _enumerate_routings(dw, start=entry)
-            if routings:
-                break
+    routings, _ = _route(dw)
     return [r for r in routings if _routing_verdict(dw, r, strict2)[0] == "valid"]
 
 
@@ -525,7 +518,7 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     from .extraction import extract_directive
     from .words import complexity_profile
 
-    verdict = validate_directive(dw)
+    verdict, valid = _validate(dw, strict2=False, every=True)
     if verdict.status != "valid":
         raise Mismatch(f"directive is not valid: {verdict.clause}")
     oracle = language_horizon(dw, max(3 * horizon + 12, 40))
@@ -539,7 +532,7 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     rotation = -1
     witness = ()
     chosen = verdict.routing
-    for routing in valid_routings(dw):
+    for routing in valid:
         cyc_r = [s.label for s in routing.cycle]
         rv = [(s.src, s.dst) for s in routing.cycle]
         L = len(cyc_r)

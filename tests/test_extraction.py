@@ -1,5 +1,7 @@
 import pytest
 
+from rauzyadic.cli import main
+from rauzyadic.errors import RuleViolation
 from rauzyadic.extraction import bispecial_orders, extract_directive, split_eta
 from rauzyadic.morphism import bracket, compose
 from rauzyadic.sadic import DirectiveWord, language_horizon
@@ -121,3 +123,12 @@ def test_split_eta_genuine_type_6():
     sched = split_eta(rep.records)
     assert len(sched.etas) == len(rep.records) + len(
         [r for r in rep.records if r.shape_before.type_id in (6, 8)])
+
+
+def test_extract_out_of_class_language_is_refused(tm, capsys):
+    # Thue-Morse has four circuits at its first type-6 order; the two-circuit
+    # rules refuse it with a typed error instead of failing to unpack
+    with pytest.raises(RuleViolation, match="4 circuits"):
+        extract_directive(tm, 16)
+    assert main(["extract", "--source", "thue-morse", "--horizon", "60"]) == 3
+    assert "RuleViolation" in capsys.readouterr().err

@@ -3,8 +3,8 @@ import pytest
 from rauzyadic.errors import NoSchemaMatch
 from rauzyadic.morphism import bracket, compose_generators, decompose, identity
 from rauzyadic.schemas import (
-    _ASSIGNMENTS, EVOLUTION_TABLE, GOG_EDGES, GPRIME_EDGES, GPRIME_ROWS,
-    evolution_rows, gog_from_tables, match_schema, unique_row_match,
+    _ASSIGNMENTS, EVOLUTION_TABLE, GOG_EDGES, GPRIME_EDGES, GPRIME_OUT, GPRIME_ROWS,
+    Match, Row, _image, evolution_rows, gog_from_tables, match_schema, unique_row_match,
 )
 
 # Figure "graph of graphs", transcribed independently of the tables:
@@ -58,6 +58,74 @@ def test_schema_soundness_decompose_and_rematch():
             assert got.row.rid == row.rid, (row.rid, got.row.rid, m)
             count += 1
     assert count > 800
+
+
+def brute_matches(row, m):
+    """Reference matcher: build the images of every (assignment, k, l) in
+    turn and compare them with the label."""
+    n = len(m.images)
+    if n != len(row.imgs) and not (row.opt3 and n == len(row.imgs) - 1):
+        return []
+    pats = row.atoms[:n]
+    uses = row.uses
+    pmax = max(len(w) for w in m.images) + 2
+    ks = range(pmax + 1) if "k" in uses else (0,)
+    ls = range(pmax + 1) if "l" in uses else (0,)
+    out = []
+    for assign in _ASSIGNMENTS[row.vars]:
+        for k in ks:
+            for l in ls:
+                if row.cond is not None and not row.cond(k, l):
+                    continue
+                if all(_image(p, assign, k, l) == w for p, w in zip(pats, m.images)):
+                    out.append(Match(row, tuple(sorted(assign.items())),
+                                     k if "k" in uses else None,
+                                     l if "l" in uses else None, n == len(row.imgs)))
+    return out
+
+
+def one_letter_off(m):
+    """Labels that differ from m in one letter of one image: the last
+    letter replaced, or the first letter doubled (which can move a match
+    to other parameters)."""
+    for i, w in enumerate(m.images):
+        for new in (w[:-1] + str((int(w[-1]) + 1) % 3), w[0] + w):
+            yield bracket(*m.images[:i], new, *m.images[i + 1:])
+
+
+def test_matcher_agrees_with_brute_force():
+    rows = list(GPRIME_ROWS) + [er.row for er in EVOLUTION_TABLE]
+    counts = {True: 0, False: 0}
+    for row in rows:
+        for m, _, _ in row_instances(row, pmax=3):
+            assert row.matches(m) == brute_matches(row, m) != [], (row.rid, m)
+            for off in one_letter_off(m):
+                want = brute_matches(row, off)
+                assert row.matches(off) == want, (row.rid, off)
+                counts[bool(want)] += 1
+    # both outcomes are exercised on the off labels
+    assert counts[True] > 400 and counts[False] > 10000
+
+
+def test_matcher_order_on_ambiguous_rows():
+    # no table row matches a label twice, so pin the order (assignment,
+    # then k, then l) on rows that do
+    swap = Row("amb.xy", "", "", ("x^k y^l",), vars="xy01")
+    got = swap.matches(bracket("0"))
+    assert got == brute_matches(swap, bracket("0"))
+    assert [(m.sub, m.k, m.l) for m in got] == [({"x": "0", "y": "1"}, 1, 0),
+                                                ({"x": "1", "y": "0"}, 0, 1)]
+    split = Row("amb.kl", "", "", ("0^k 0^l", "1"), cond=lambda k, l: k != 1)
+    got = split.matches(bracket("000", "1"))
+    assert got == brute_matches(split, bracket("000", "1"))
+    assert [(m.k, m.l) for m in got] == [(0, 3), (2, 1), (3, 0)]
+
+
+def test_out_edges_index_the_edge_table():
+    flat = [((src, dst), rows) for src, out in GPRIME_OUT.items() for dst, rows in out]
+    assert sorted(flat) == sorted(GPRIME_EDGES.items())
+    for src, out in GPRIME_OUT.items():
+        assert [dst for dst, _ in out] == [d for s, d in GPRIME_EDGES if s == src]
 
 
 def test_evolution_table_instances_decompose():

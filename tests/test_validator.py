@@ -90,6 +90,17 @@ def test_strict2_mode():
     assert v.status == "invalid" and "exact-slope" in v.clause
 
 
+def test_suffix_entry_fallback():
+    # no routing starts at vertex 2, so the word is judged as the suffix of
+    # a path entering the refined graph elsewhere, and the verdict says so
+    dw = DirectiveWord((), (B("02", "1", "01"), B("1002", "02", "102"),
+                            B("220", "12220", "1220")))
+    v = validate_directive(dw)
+    assert v.status == "valid", v.clause
+    assert v.routing.start == "7/8"
+    assert v.notes == ("validated as a suffix entered at vertex 7/8",)
+
+
 def test_undecidable_finite_prefix():
     v = validate_directive(DirectiveWord((B("0", "10"), B("01", "1"))))
     assert v.status == "undetermined"

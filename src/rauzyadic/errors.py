@@ -38,7 +38,8 @@ class NonGrowing(RauzyadicError):
 
 
 class NoStabilization(RauzyadicError):
-    """Factor sets failed to stabilize within the configured window."""
+    """No exact language certificate: the substitution is not primitive on
+    its letters, or the directive word is finite."""
 
 
 class EnumerationBudgetExceeded(RauzyadicError):

@@ -63,13 +63,6 @@ class Morphism:
     def is_letter_to_letter(self) -> bool:
         return all(len(w) == 1 for w in self.images)
 
-    def is_permutation(self) -> bool:
-        return (self.is_letter_to_letter() and self.domain == self.codomain
-                and len(set(self.images)) == self.domain)
-
-    def letters_used(self) -> frozenset[str]:
-        return frozenset(c for w in self.images for c in w)
-
     def occurrence_matrix(self) -> list[list[bool]]:
         """occ[a][b] iff letter a occurs in the image of letter b."""
         return [[LETTERS[a] in self.images[b] for b in range(self.domain)]

@@ -15,7 +15,7 @@ from .errors import (AlphabetMismatch, NoStabilization, NonGrowing,
                      NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived,
                        left_conjugate, classify, parse_rules)
-from .words import Alphabet, FactorOracle, Word, factors_of
+from .words import Alphabet, FactorOracle, Word, factors_of, substitutive_language
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,8 @@ def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
                        max_levels: int = 200) -> GenerationResult:
     """Prefix of the limit word m_0 m_1 ... m_n(seed^omega), truncated once
     two consecutive levels agree on it."""
+    if not dw.period:
+        raise NonGrowing("a finite directive word has no limit word")
     window = 2 * max(4, dw.known_levels())
     prev = None
     prev_len_hist: list[int] = []
@@ -126,53 +128,20 @@ def _certified_factor_horizon(prefix: Word, longer: Word) -> int:
     return h
 
 
-def language_horizon(dw: DirectiveWord, n: int, max_levels: int | None = None,
-                     max_total: int = 20_000_000) -> FactorOracle:
-    """Exact factor oracle of the directive's language up to length n.
-
-    Intersects the factor sets of the composed letter images over all
-    letters at each level, and stops once the intersection is unchanged
-    over three consecutive levels with all images longer than 2n.  For a
-    weakly primitive directive this limit is the language; stabilization
-    failure (window or budget) raises NoStabilization, which signals a
-    non-minimal directive.
-    """
-    if max_levels is None:
-        max_levels = max(64, 4 * dw.known_levels())
-    history: list[frozenset[Word]] = []
-    for lev, imgs in zip(range(max_levels), _letter_images(dw)):
-        if sum(len(w) for w in imgs.values()) > max_total:
-            raise NoStabilization(f"image budget {max_total} exhausted at level {lev}")
-        cur: frozenset[Word] | None = None
-        for w in imgs.values():
-            fs = frozenset(x for k in range(n + 1) for x in factors_of(w, k))
-            cur = fs if cur is None else (cur & fs)
-        history.append(cur)
-        long_enough = min(len(w) for w in imgs.values()) >= 2 * n + 2
-        if long_enough and len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return _oracle_from_set(dw, n, cur, imgs)
-    raise NoStabilization(f"factor sets did not stabilize within {max_levels} levels")
-
-
-def _oracle_from_set(dw: DirectiveWord, n: int, fs: frozenset[Word],
-                     imgs: dict[str, Word]) -> FactorOracle:
-    sets = {k: frozenset(w for w in fs if len(w) == k) for k in range(n + 1)}
-    size = dw.alphabet_size
-    alphabet = Alphabet(size)
-    for k in range(n):
-        for w in sets[k]:
-            if not any(w + a in sets[k + 1] for a in alphabet.letters):
-                raise NoStabilization(f"intersection not right prolongable at {w!r}")
-            if not any(a + w in sets[k + 1] for a in alphabet.letters):
-                raise NoStabilization(f"intersection not left prolongable at {w!r}")
-    for k in range(1, n + 1):
-        for w in sets[k]:
-            if w[1:] not in sets[k - 1] or w[:-1] not in sets[k - 1]:
-                raise NoStabilization(f"intersection not factorial at {w!r}")
-    witness = imgs["0"]
-    if any(factors_of(witness, k) != sets[k] for k in range(min(n, len(witness) // 4) + 1)):
-        witness = None
-    return FactorOracle(alphabet, sets, n, f"directive {dw!r}", witness=witness)
+def language_horizon(dw: DirectiveWord, n: int) -> FactorOracle:
+    """Exact factor oracle of the directive's language up to length n: the
+    language mu(X_tau) of :func:`substitutive_language`, where tau is the
+    period product on the letters that level p keeps using and mu is the
+    preperiod product."""
+    if not dw.period:
+        raise NoStabilization("a finite directive word has no limit language")
+    letters = sorted(used_letters(dw)[len(dw.preperiod)])
+    tau = compose_all(dw.period).images
+    mu = compose_all(dw.preperiod, dw.period[0].codomain).images
+    sets, cert, witness = substitutive_language(
+        {str(a): tau[a] for a in letters}, n, {str(a): mu[a] for a in letters})
+    return FactorOracle(Alphabet(dw.alphabet_size), sets, n, f"directive {dw!r}",
+                        witness=witness, certificate=cert)
 
 
 # -- weak primitivity -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HorizonExceeded, IdentityViolation
+from .errors import HorizonExceeded, IdentityViolation, NoStabilization
 
 Word = str
 
@@ -51,17 +51,20 @@ class FactorOracle:
 
     ``factors(n)`` is guaranteed exact for ``n <= horizon``; queries past
     the horizon raise :class:`HorizonExceeded` instead of silently
-    truncating.  The certificate backing the guarantee depends on the
-    constructor (see ``source``).
+    truncating.  The guarantee depends on the constructor (see ``source``);
+    a substitutive language records its :class:`LanguageCertificate` in
+    ``certificate``.
     """
 
     def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
-                 horizon: int, source: str, witness: Word | None = None):
+                 horizon: int, source: str, witness: Word | None = None,
+                 certificate: LanguageCertificate | None = None):
         self.alphabet = alphabet
         self._factors = factor_sets
         self.horizon = horizon
         self.source = source
         self.witness = witness
+        self.certificate = certificate
 
     def __repr__(self):
         return f"FactorOracle({self.source!r}, horizon={self.horizon})"
@@ -125,46 +128,78 @@ class FactorOracle:
 
     @classmethod
     def from_substitution(cls, images: dict[str, Word], horizon: int,
-                          seed: str = "0", source: str | None = None,
-                          max_len: int = 4_000_000) -> "FactorOracle":
-        """Oracle for the one-sided fixed point of a prolongable substitution.
+                          seed: str = "0", source: str | None = None) -> "FactorOracle":
+        """Oracle for the one-sided fixed point of a primitive substitution.
 
-        The prefix is grown by iterating the substitution and doubling the
-        kept length until the factor sets at every order up to the horizon
-        agree across two consecutive doublings.  Failure to stabilize within
-        ``max_len`` raises HorizonExceeded: the certificate could not be
-        produced, so no exactness is claimed.
+        The fixed point's language is the substitution's language, so the
+        factor sets come from :func:`substitutive_language`, which is exact
+        and raises NoStabilization unless the substitution is primitive.
         """
         if not images[seed].startswith(seed):
             raise ValueError(f"substitution not prolongable at seed {seed!r}")
         size = max(int(c) for w in images.values() for c in w) + 1
-        alphabet = Alphabet(size)
+        sets, cert, witness = substitutive_language(images, horizon)
+        return cls(Alphabet(size), sets, horizon, source or f"substitution fixed point {images}",
+                   witness=witness, certificate=cert)
 
-        def grow(target: int) -> Word:
-            w = seed
-            while len(w) < target:
-                nxt = "".join(images[c] for c in w)
-                if len(nxt) <= len(w):
-                    raise HorizonExceeded("substitution does not grow from seed")
-                w = nxt
-            return w[:target]
 
-        length = max(64, 8 * horizon)
-        prev_sets = None
-        stable_runs = 0
-        while length <= max_len:
-            w = grow(length)
-            sets = {n: factors_of(w, n) for n in range(horizon + 1)}
-            if sets == prev_sets:
-                stable_runs += 1
-                if stable_runs >= 2:
-                    name = source or f"substitution fixed point {images}"
-                    return cls(alphabet, sets, horizon, name, witness=w)
-            else:
-                stable_runs = 0
-            prev_sets = sets
-            length *= 2
-        raise HorizonExceeded(f"factor sets did not stabilize below {max_len} letters")
+@dataclass(frozen=True)
+class LanguageCertificate:
+    """tau is primitive on ``letters``, its 2-letter language has ``pairs``
+    words after ``rounds`` closure rounds, and each mu tau^k(a) has length
+    at least n-1."""
+
+    letters: str
+    pairs: int
+    rounds: int
+    k: int
+
+
+def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | None = None
+                          ) -> tuple[dict[int, frozenset[Word]], LanguageCertificate, Word]:
+    """Exact factor sets L_0..L_n of mu(X_tau) for a primitive substitution
+    tau and a non-erasing lift mu (identity if None), after Queffelec (LNM
+    1294) and Pytheas Fogg (LNM 1794, ch. 1).
+
+    L_2 is the closure of the 2-letter factors of the tau(a) under ab ->
+    2-letter factors of tau(ab).  Once every mu tau^k(a) is n-1 letters or
+    longer, a length-n factor spans at most two blocks: L_n is the union of
+    ``factors_of(mu tau^k(ab), n)`` over ab in L_2, and L_{m-1} is the
+    prefixes of L_m.  Returns the sets, the certificate and a witness word
+    of the language holding all of L_n.  Raises NoStabilization unless tau
+    maps its letters into themselves, grows, and the power (d-1)^2+1 of its
+    occurrence matrix is positive (Wielandt's bound for d letters).
+    """
+    letters = "".join(sorted(tau))
+    rows = {a: set(tau[a]) for a in letters}
+    reach = rows
+    if set().union(*rows.values()) <= set(letters):
+        for _ in range((len(letters) - 1) ** 2):
+            reach = {a: {c for b in reach[a] for c in rows[b]} for a in letters}
+    # a one-letter tau must also grow
+    if any(r != set(letters) for r in reach.values()) or len("".join(tau.values())) < 2:
+        raise NoStabilization(f"substitution {tau} is not primitive on the letters {letters}")
+    pairs = frozenset(x for w in tau.values() for x in factors_of(w, 2))
+    frontier, rounds = pairs, 0
+    while frontier:
+        rounds += 1
+        frontier = frozenset(x for ab in frontier
+                             for x in factors_of(tau[ab[0]] + tau[ab[1]], 2)) - pairs
+        pairs |= frontier
+    imgs = {a: lift[a] if lift else a for a in letters}
+    k = 0
+    while min(len(w) for w in imgs.values()) < n - 1:
+        imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
+        k += 1
+    sets = {n: frozenset().union(*(factors_of(imgs[ab[0]] + imgs[ab[1]], n) for ab in pairs))}
+    for m in range(n, 0, -1):
+        sets[m - 1] = frozenset(w[:-1] for w in sets[m])
+    # some tau^r(a) holds every word of L_2, so its lift holds all of L_n
+    w = letters[0]
+    while not pairs <= factors_of(w, 2):
+        w = "".join(tau[c] for c in w)
+    witness = "".join(imgs[c] for c in w)
+    return sets, LanguageCertificate(letters, len(pairs), rounds, k), witness
 
 
 # Built-in named substitutions.

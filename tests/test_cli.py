@@ -95,6 +95,23 @@ def test_error_exit_code(capsys):
     assert code == 3
 
 
+FINITE_DW = "preperiod:\n[01,0]\n[0,10]\nperiod:\n"
+
+
+def test_complexity_finite_directive_refused(tmp_path, capsys):
+    f = tmp_path / "finite.dw"
+    f.write_text(FINITE_DW)
+    code, _, err = run(["complexity", "--directive-file", str(f), "--horizon", "10"], capsys)
+    assert code == 3 and "NoStabilization" in err
+
+
+def test_generate_finite_directive_refused(tmp_path, capsys):
+    f = tmp_path / "finite.dw"
+    f.write_text(FINITE_DW)
+    code, out, err = run(["generate", str(f), "--length", "3"], capsys)
+    assert code == 3 and out == "" and "NonGrowing" in err
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "rauzyadic.cli", "--help"],
                          capture_output=True, text=True)

@@ -106,7 +106,7 @@ def test_extraction_report_serializes(fib):
 def test_letter_to_letter_exits_move_the_vertex():
     # the two-loop exit [0,1] is the identity morphism but a real transition
     dw = DirectiveWord((), (bracket("0", "110", "10"), bracket("1", "0")))
-    o = language_horizon(dw, 64, max_levels=48)
+    o = language_horizon(dw, 64)
     rep = extract_directive(o, 18)
     moves = [(s.src, s.dst) for s in rep.path]
     assert ("7/8", "1") in moves and ("1", "7/8") in moves
@@ -116,7 +116,7 @@ def test_letter_to_letter_exits_move_the_vertex():
 
 def test_split_eta_genuine_type_6():
     dw = DirectiveWord((), (bracket("01", "2", "02"), bracket("1", "022", "02")))
-    o = language_horizon(dw, 64, max_levels=48)
+    o = language_horizon(dw, 64)
     rep = extract_directive(o, 18)
     sixes = [r for r in rep.records if r.shape_before.type_id == 6]
     assert sixes

@@ -1,13 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rauzyadic.errors import NonGrowing, NoStabilization, NotContractible
-from rauzyadic.morphism import bracket, classify, compose_all, identity
+from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
 from rauzyadic.sadic import (
     DirectiveWord, format_directive, generate_one_sided, language_horizon,
     parse_directive, parse_morphism_spec, proper_contraction,
     weak_primitivity_check,
 )
-from rauzyadic.words import complexity_profile, named_oracle
+from rauzyadic.words import LETTERS, complexity_profile, factors_of, named_oracle
 
 STURMIAN_ALT = DirectiveWord((), (bracket("0", "10"), bracket("01", "1")))
 AR_CYCLE = DirectiveWord((), (bracket("0", "10", "20"), bracket("01", "1", "21"),
@@ -159,3 +160,101 @@ def test_proper_contraction_with_preperiod():
     o2 = language_horizon(t, 8)
     for n in range(9):
         assert o1.factors(n) == o2.factors(n)
+
+
+def _long_word(dw, letter, length):
+    """m_0 m_1 ... m_{p+jT-1}(letter) for the least j that reaches the length,
+    by plain level-by-level substitution."""
+    p, T = len(dw.preperiod), len(dw.period)
+    j = 0
+    while True:
+        w = letter
+        for i in reversed(range(p + j * T)):
+            w = dw.morphism(i)(w)
+        if len(w) >= length:
+            return w
+        j += 1
+
+
+def _live_period(dw):
+    """Letters of level p that occur in deep images, and whether the period
+    product is primitive and growing on them (brute force, no matrices)."""
+    p, T = len(dw.preperiod), len(dw.period)
+
+    def tau(w):
+        for m in reversed(dw.period):
+            w = m(w)
+        return w
+
+    live = set(LETTERS[:dw.period[-1].domain])
+    for _ in range(4):
+        live = {c for a in live for c in tau(a)}
+    words = {a: a for a in live}
+    for _ in range(9):
+        words = {a: tau(w) for a, w in words.items()}
+        if all(len(w) >= 2 and set(w) == live for w in words.values()):
+            return min(live), True
+    return min(live), False
+
+
+@st.composite
+def directives(draw):
+    d = draw(st.integers(2, 3))
+    word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=3)
+    level = st.builds(lambda ims: Morphism(tuple(ims), d), st.lists(word, min_size=d, max_size=d))
+    return DirectiveWord(tuple(draw(st.lists(level, max_size=1))),
+                         tuple(draw(st.lists(level, min_size=1, max_size=2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(directives(), st.integers(2, 9))
+def test_language_matches_long_word(dw, n):
+    letter, primitive = _live_period(dw)
+    if not primitive:
+        with pytest.raises(NoStabilization):
+            language_horizon(dw, n)
+        return
+    o = language_horizon(dw, n)
+    w = _long_word(dw, letter, 20_000)
+    for m in range(n + 1):
+        assert o.factors(m) == factors_of(w, m)
+    # factorial and bi-prolongable
+    letters = o.alphabet.letters
+    for m in range(1, n + 1):
+        for u in o.factors(m):
+            assert u[1:] in o.factors(m - 1) and u[:-1] in o.factors(m - 1)
+    for m in range(n):
+        for u in o.factors(m):
+            assert any(u + a in o.factors(m + 1) for a in letters)
+            assert any(a + u in o.factors(m + 1) for a in letters)
+
+
+POOL_CERTIFIED = parse_directive("preperiod:\n[0,10,120]\nperiod:\n[1,021,01]\n[0,10,20]\n[0,10,20]\n")
+POOL_NOT_PRIMITIVE = parse_directive("preperiod:\n[0,10,120]\nperiod:\n[1,01,021]\n")
+
+
+def test_pool_directive_certifies_at_crosscheck_horizon():
+    # cross_validate at window 16 asks for n = 60; the old level-intersection
+    # certificate refused this directive
+    o = language_horizon(POOL_CERTIFIED, 60)
+    assert o.certificate.letters == "012" and o.certificate.k >= 1
+    w = _long_word(POOL_CERTIFIED, "0", 2_800_000)
+    top = factors_of(w, 60)
+    assert o.factors(60) == top
+    for m in range(60):
+        # every length-m factor starts a length-60 factor or sits in the tail
+        assert o.factors(m) == {x[:m] for x in top} | factors_of(w[-59:], m)
+
+
+def test_pool_directive_not_weakly_primitive_refuses():
+    assert weak_primitivity_check(POOL_NOT_PRIMITIVE).status == "fails"
+    with pytest.raises(NoStabilization):
+        language_horizon(POOL_NOT_PRIMITIVE, 60)
+
+
+def test_finite_directive_is_refused():
+    dw = DirectiveWord((bracket("01", "0"), bracket("0", "10")))
+    with pytest.raises(NoStabilization):
+        language_horizon(dw, 6)
+    with pytest.raises(NonGrowing):
+        generate_one_sided(dw, 3)

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rauzyadic.errors import HorizonExceeded, IdentityViolation
+from rauzyadic.errors import HorizonExceeded, IdentityViolation, NoStabilization
 from rauzyadic.words import (
-    Alphabet, FactorOracle, complexity_profile, extension_profile, factors_of,
-    factors_text, named_oracle, return_words, return_words_by_scan,
+    LETTERS, Alphabet, FactorOracle, complexity_profile, extension_profile,
+    factors_of, factors_text, named_oracle, return_words, return_words_by_scan,
+    substitutive_language,
 )
 
 
@@ -138,3 +139,55 @@ def test_extension_profile_horizon_refusal(fib):
 def test_substitution_requires_prolongable_seed():
     with pytest.raises(ValueError):
         FactorOracle.from_substitution({"0": "10", "1": "0"}, horizon=6)
+
+
+def _apply(tau, w):
+    return "".join(tau[c] for c in w)
+
+
+def _brute_primitive(tau):
+    """Some power tau^e, e <= 8, maps every letter to a word of length >= 2
+    holding every letter (for at most 3 letters Wielandt's bound is 5)."""
+    words = dict(tau)
+    for _ in range(8):
+        if all(len(w) >= 2 and set(w) == set(tau) for w in words.values()):
+            return True
+        words = {a: _apply(tau, w) for a, w in words.items()}
+    return False
+
+
+@st.composite
+def substitutions(draw):
+    d = draw(st.integers(1, 3))
+    word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=3)
+    return {LETTERS[a]: draw(word) for a in range(d)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(), st.integers(0, 9))
+def test_kernel_matches_long_word(tau, n):
+    if not _brute_primitive(tau):
+        with pytest.raises(NoStabilization):
+            substitutive_language(tau, n)
+        return
+    sets, cert, witness = substitutive_language(tau, n)
+    w = "0"
+    while len(w) < 20_000:
+        w = _apply(tau, w)
+    for m in range(n + 1):
+        assert sets[m] == factors_of(w, m)
+    assert factors_of(witness, n) == sets[n]
+    assert cert.letters == "".join(sorted(tau)) and cert.pairs == len(factors_of(w, 2))
+
+
+def test_named_oracle_certificate(fib, trib):
+    assert (fib.certificate.letters, fib.certificate.pairs) == ("01", 3)
+    assert (trib.certificate.letters, trib.certificate.pairs) == ("012", 5)
+    for o in (fib, trib):
+        assert factors_of(o.witness, o.horizon) == o.factors(o.horizon)
+
+
+def test_kernel_refuses_non_primitive():
+    for tau in ({"0": "01", "1": "1"}, {"0": "0"}, {"0": "1", "1": "0"}, {"0": "02", "1": "1"}):
+        with pytest.raises(NoStabilization):
+            substitutive_language(tau, 5)

@@ -187,15 +187,17 @@ def used_letters(dw: DirectiveWord) -> list[frozenset[int]]:
     return sets[: n + 2]
 
 
-def weak_primitivity_check(dw: DirectiveWord, window: int = 4096) -> PrimitivityVerdict:
+def weak_primitivity_check(dw: DirectiveWord) -> PrimitivityVerdict:
     """Exact for eventually periodic directive words.
 
     Products of occurrence matrices, restricted to the letters that stay
     in use, are tracked per start level; an all-positive product is
     absorbing, and a product with a dead used-row can never recover, so
     either outcome decides the start level.  For an eventually periodic
-    word a repeated (product, phase) pair decides failure; finite prefixes
-    come back undetermined unless a row dies.
+    word a repeated (product, phase) pair decides failure, and there are
+    at most 2^(d*d) * T such pairs, so every start level is decided; only
+    finite prefixes come back undetermined, unless a row dies.  The first
+    failing start level is reported as ``fails_at``.
     """
     p, T = len(dw.preperiod), len(dw.period)
     starts = range(p + T) if T else range(p)
@@ -216,22 +218,12 @@ def weak_primitivity_check(dw: DirectiveWord, window: int = 4096) -> Primitivity
 
     undetermined = False
     for r in starts:
-        P = _occ(dw.morphism(r))
-        seen = set()
-        s = r
-        decided = None
-        while True:
-            decided = decided_for(P, r, s)
-            if decided is not None:
-                break
+        P, s, seen = _occ(dw.morphism(r)), r, set()
+        while (decided := decided_for(P, r, s)) is None:
             s += 1
-            if T == 0 and s >= p:
-                undetermined = True
-                break
-            if s > r + window:
-                undetermined = True
-                break
-            if T and s >= p:
+            if s >= p:
+                if not T:
+                    break               # a finite prefix runs out undecided
                 key = (P, (s - p) % T)
                 if key in seen:
                     decided = False
@@ -240,8 +232,7 @@ def weak_primitivity_check(dw: DirectiveWord, window: int = 4096) -> Primitivity
             P = _bool_mul(P, _occ(dw.morphism(s)))
         if decided is False:
             return PrimitivityVerdict("fails", fails_at=r)
-        if decided is None:
-            undetermined = True
+        undetermined |= decided is None
     return PrimitivityVerdict("undetermined" if undetermined else "holds")
 
 

@@ -151,32 +151,19 @@ def _route(dw: DirectiveWord) -> tuple[list[Routing], tuple[str, ...]]:
 
 
 def _window_right_proper(cycle_labels: list[Morphism]) -> bool:
-    n = len(cycle_labels)
-    doubled = cycle_labels * 2
-    for i in range(n):
-        acc = None
-        for j in range(i, min(i + 2 * n, len(doubled))):
-            acc = doubled[j] if acc is None else compose(acc, doubled[j])
-            if classify(acc).right_proper:
-                return True
-    return False
+    """Some product of consecutive labels, at most two traversals long, is
+    right proper.  A product stays right proper when more non-erasing
+    labels are composed on either side, so the running product from the
+    first label decides it."""
+    return any(classify(acc).right_proper
+               for acc in itertools.accumulate(cycle_labels * 2, compose))
 
 
 def _products_fix_zero(cycle_labels: list[Morphism]) -> bool:
     """Some rotation has every prefix product mapping letter 0 to "0"."""
-    n = len(cycle_labels)
-    doubled = cycle_labels * 2
-    for r in range(n):
-        acc = None
-        ok = True
-        for j in range(r, r + n):
-            acc = doubled[j] if acc is None else compose(acc, doubled[j])
-            if acc.images[0] != "0":
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(all(acc.images[0] == "0" for acc in
+                   itertools.accumulate(cycle_labels[r:] + cycle_labels[:r], compose))
+               for r in range(len(cycle_labels)))
 
 
 # the labels each edge may carry in the first excluded configuration of
@@ -252,105 +239,101 @@ def _check_c2(routing: Routing):
     return "valid", None
 
 
-def _check_c3(routing: Routing):
-    rids = [s.match.row.rid for s in routing.cycle]
-    if set(rids) <= {"C3.a", "C3.b"}:
+def _weak_primitivity_clause(dw: DirectiveWord) -> str | None:
+    wp = weak_primitivity_check(dw)
+    if wp.status == "fails":
+        return (f"weak primitivity fails at level {wp.fails_at} "
+                "(occurrence products never become positive)")
+    return None
+
+
+def _check_c3(dw: DirectiveWord, routing: Routing):
+    rids = {s.match.row.rid for s in routing.cycle}
+    if rids <= {"C3.a", "C3.b"}:
         return ("invalid", "weak primitivity (component C3 condition 2): only the two "
                            "letter-fixing loop morphisms occur")
-    if set(rids) <= {"C3.e", "C3.f"}:
+    if rids <= {"C3.e", "C3.f"}:
         return ("invalid", "weak primitivity (component C3 condition 2): only the "
                            "second excluded loop family occurs")
-    return "valid", None
+    clause = _weak_primitivity_clause(dw)
+    return ("invalid", clause) if clause else ("valid", None)
 
 
-def _gate_steps(routing: Routing, traversals: int):
-    return list(routing.prefix) + list(routing.cycle) * traversals
+# the exit gates: (vertex a step enters, row id of the next step) -> gate
+_EXIT_GATES = {("7/8", "C4.78.1c"): "B",     # letter-to-letter exit to vertex 1
+               ("5/6", "C4.56.78b"): "A"}    # strong self-exit from the no-loop vertex
 
 
 def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
-    notes = []
     cyc = routing.cycle
     labels = [s.label for s in cyc]
     verts = routing.vertices
 
     if not _window_right_proper(labels):
-        return ("invalid", "component C4 condition 1: no right proper contraction", notes)
+        return "invalid", "component C4 condition 1: no right proper contraction"
 
-    wp = weak_primitivity_check(dw)
-    if wp.status == "fails":
-        return ("invalid", f"weak primitivity fails at level {wp.fails_at} "
-                           "(occurrence products never become positive)", notes)
+    clause = _weak_primitivity_clause(dw)
+    if clause:
+        return "invalid", clause
 
     if verts == {"1"}:
         rids = {s.match.row.rid for s in cyc}
         if rids != {"C4.1.loopa", "C4.1.loopb"}:
             return ("invalid", "weak primitivity (component C4 condition i): both "
-                               "Sturmian elementary morphisms must occur infinitely often", notes)
+                               "Sturmian elementary morphisms must occur infinitely often")
     elif verts <= {"1", "7/8"}:
         # the optional third circuit never recurs here; drop it entirely
         two_letter = [Morphism(s.label.images[:2], 2) for s in cyc]
         if _products_fix_zero(two_letter):
             return ("invalid", "weak primitivity (component C4 condition ii): products "
-                               "along the cycle fix the letter 0", notes)
+                               "along the cycle fix the letter 0")
     elif any(s.src == "1" for s in cyc) and any(s.dst == "5/6" for s in cyc):
         pass  # condition (iii): subpaths from 1 reaching 5/6 occur infinitely often
     else:
         if _cfg_a(cyc):
             return ("invalid", "weak primitivity (component C4 condition iv, "
-                               "configuration a): the path stays in the two-loop vertex", notes)
+                               "configuration a): the path stays in the two-loop vertex")
         if _cfg_b(cyc):
             return ("invalid", "component C4 condition iv, configuration b: the cycle "
-                               "conforms to the first excluded label configuration", notes)
+                               "conforms to the first excluded label configuration")
         if _cfg_c(cyc):
             return ("invalid", "component C4 condition iv, configuration c: the cycle "
-                               "conforms to the second excluded label configuration", notes)
+                               "conforms to the second excluded label configuration")
 
     # length-gated exit conditions (A) and (B)
-    steps = _gate_steps(routing, TRAVERSALS)
+    steps = list(routing.prefix) + list(cyc) * TRAVERSALS
     margins_b: dict[int, list[int]] = {}
-    for i, step in enumerate(steps):
-        nxt = steps[i + 1] if i + 1 < len(steps) else None
-        if nxt is None:
-            break
-        idx_in_cycle = (i - len(routing.prefix)) % len(cyc) if i >= len(routing.prefix) else -1 - i
-        if step.dst == "7/8" and nxt.match.row.rid == "C4.78.1c":
-            # gate (B): letter-to-letter exit to vertex 1
-            try:
-                st = compute_length_state(steps[: i + 1])
-            except UnsupportedCase as exc:
-                return ("undetermined", f"length state unsupported at step {i}: {exc}", notes)
-            entry_case = _entry_case(steps[: i + 1])
-            if entry_case in APPROX_CASES:
-                return ("undetermined", f"exit gate depends on unverified length case "
-                                        f"{entry_case} at step {i}", notes)
-            margin = (st.u1 + st.h * (st.u1 + st.v1)) - (st.u2 + (st.K - 1) * (st.u2 + st.v2))
-            ok = margin == 0 if strict2 else margin >= 0
-            if not ok:
-                which = "equality (exact-slope mode)" if strict2 else "inequality"
-                return ("invalid", f"two-loop exit gate {which} fails at step {i}: "
-                                   f"margin {margin} (condition B)", notes)
-            margins_b.setdefault(idx_in_cycle, []).append(margin)
-        if step.dst == "5/6" and nxt.match.row.rid == "C4.56.78b":
-            # gate (A): strong self-exit from the no-loop vertex
-            try:
-                st = compute_length_state(steps[: i + 1])
-            except UnsupportedCase as exc:
-                return ("undetermined", f"length state unsupported at step {i}: {exc}", notes)
-            entry_case = _entry_case(steps[: i + 1])
-            if entry_case in APPROX_CASES:
-                return ("undetermined", f"exit gate depends on unverified length case "
-                                        f"{entry_case} at step {i}", notes)
-            ok = st.p1 == st.p2 if strict2 else st.p1 >= st.p2
-            if not ok:
+    for i, (step, nxt) in enumerate(zip(steps, steps[1:])):
+        gate = _EXIT_GATES.get((step.dst, nxt.match.row.rid))
+        if gate is None:
+            continue
+        try:
+            st = compute_length_state(steps[: i + 1])
+        except UnsupportedCase as exc:
+            return "undetermined", f"length state unsupported at step {i}: {exc}"
+        entry_case = _entry_case(steps[: i + 1])
+        if entry_case in APPROX_CASES:
+            return "undetermined", (f"exit gate depends on unverified length case "
+                                    f"{entry_case} at step {i}")
+        if gate == "A":
+            if not (st.p1 == st.p2 if strict2 else st.p1 >= st.p2):
                 which = "|p1| = |p2| (exact-slope mode)" if strict2 else "|p1| >= |p2|"
                 return ("invalid", f"no-loop exit gate {which} fails at step {i}: "
-                                   f"p1={st.p1} p2={st.p2} (condition A)", notes)
-    for idx, ms in margins_b.items():
-        if idx >= 0 and len(ms) >= 3:
-            if not (ms[-1] >= ms[-2] >= ms[-3] or strict2):
-                return ("undetermined", "exit-gate margin not monotone over cycle "
-                                        "traversals; cannot certify all repetitions", notes)
-    return ("valid", None, notes)
+                                   f"p1={st.p1} p2={st.p2} (condition A)")
+            continue
+        margin = (st.u1 + st.h * (st.u1 + st.v1)) - (st.u2 + (st.K - 1) * (st.u2 + st.v2))
+        if not (margin == 0 if strict2 else margin >= 0):
+            which = "equality (exact-slope mode)" if strict2 else "inequality"
+            return ("invalid", f"two-loop exit gate {which} fails at step {i}: "
+                               f"margin {margin} (condition B)")
+        if i >= len(routing.prefix):
+            margins_b.setdefault((i - len(routing.prefix)) % len(cyc), []).append(margin)
+    # exact-slope mode has already pinned every margin to 0
+    if not strict2 and any(len(ms) >= 3 and not ms[-1] >= ms[-2] >= ms[-3]
+                           for ms in margins_b.values()):
+        return ("undetermined", "exit-gate margin not monotone over cycle "
+                                "traversals; cannot certify all repetitions")
+    return "valid", None
 
 
 def _entry_case(steps) -> str | None:
@@ -371,13 +354,8 @@ def _check_strict2_shape(dw: DirectiveWord, routing: Routing):
             return ("invalid", "exact-slope mode: a two-letter path must leave "
                                "vertex 1 immediately (first difference would be 1)")
     steps = list(routing.prefix) + list(routing.cycle) * 2
-    for i, step in enumerate(steps):
-        if step.dst != "1":
-            continue
-        if i == len(steps) - 1:
-            continue
-        nxt = steps[i + 1]
-        if step.src == "1" or nxt.dst != "7/8":
+    for step, nxt in zip(steps, steps[1:]):
+        if step.dst == "1" and (step.src == "1" or nxt.dst != "7/8"):
             return ("invalid", "exact-slope mode: the path dwells at vertex 1, so the "
                                "first difference drops to 1 (Rauzy graph of shape 1)")
     return ("valid", None)
@@ -408,18 +386,16 @@ def _validate(dw: DirectiveWord, strict2: bool,
     routings, suffix_note = _route(dw)
     first_valid, last_failure, valid = None, None, []
     for routing in routings:
-        status, clause, notes = _routing_verdict(dw, routing, strict2)
+        status, clause = _routing_verdict(dw, routing, strict2)
         if status == "valid":
             valid.append(routing)
             if first_valid is None:
-                first_valid = ValidityVerdict("valid", routing=routing,
-                                              notes=tuple(notes) + suffix_note)
+                first_valid = ValidityVerdict("valid", routing=routing, notes=suffix_note)
             if not every:
                 break
         elif last_failure is None or (last_failure.status == "invalid"
                                       and status == "undetermined"):
-            last_failure = ValidityVerdict(status, clause=clause, routing=routing,
-                                           notes=tuple(notes))
+            last_failure = ValidityVerdict(status, clause=clause, routing=routing)
     if first_valid is not None:
         return first_valid, valid
     if last_failure is not None:
@@ -433,25 +409,21 @@ def _routing_verdict(dw: DirectiveWord, routing: Routing, strict2: bool):
     verts = routing.vertices
     if verts <= {"2"}:
         status, clause = _check_c1(routing)
-        notes = ()
     elif verts <= {"V0", "V1", "V2"}:
         status, clause = _check_c2(routing)
-        notes = ()
     elif verts <= {"4B"}:
-        status, clause = _check_c3(routing)
-        notes = ()
+        status, clause = _check_c3(dw, routing)
     elif verts <= {"1", "5/6", "7/8", "10B"}:
-        status, clause, notes = _check_c4(dw, routing, strict2)
+        status, clause = _check_c4(dw, routing, strict2)
     else:
-        status, clause, notes = "invalid", f"cycle spans several components: {sorted(verts)}", ()
+        status, clause = "invalid", f"cycle spans several components: {sorted(verts)}"
     if status == "valid" and strict2:
         status, clause = _check_strict2_shape(dw, routing)
-    return status, clause, notes
+    return status, clause
 
 
 def valid_routings(dw: DirectiveWord, strict2: bool = False) -> list[Routing]:
-    routings, _ = _route(dw)
-    return [r for r in routings if _routing_verdict(dw, r, strict2)[0] == "valid"]
+    return _validate(dw, strict2, every=True)[1]
 
 
 # -- cross validation ----------------------------------------------------
@@ -512,6 +484,28 @@ class CrossReport:
         return "\n".join(self.lines) + "\n"
 
 
+def _alignments(ext: list[RoutedStep], valid: list[Routing]):
+    """(routing, start, rotation, witness) for every rotation of a valid
+    routed cycle that equals the extracted steps from start on modulo
+    exchanges, moving between the same vertices; the split vertices V0-V2
+    count as one."""
+    def kinds(steps):
+        return [tuple("V" if v[0] == "V" else v for v in (s.src, s.dst)) for s in steps]
+
+    ext_kinds = kinds(ext)
+    for routing in valid:
+        cyc, cyc_kinds = routing.cycle, kinds(routing.cycle)
+        L = len(cyc)
+        for start in range(len(ext) - L + 1):
+            for rot in range(L):
+                if ext_kinds[start:start + L] != cyc_kinds[rot:] + cyc_kinds[:rot]:
+                    continue
+                w = sequences_equal_mod_exchange([s.label for s in ext[start:start + L]],
+                                                 [s.label for s in cyc[rot:] + cyc[:rot]])
+                if w is not None:
+                    yield routing, start, rot, w
+
+
 def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     """Close the loop: generate the language, extract its directive, and
     compare the extracted path against the routed one modulo exchanges."""
@@ -523,54 +517,19 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
         raise Mismatch(f"directive is not valid: {verdict.clause}")
     oracle = language_horizon(dw, max(3 * horizon + 12, 40))
     prof = complexity_profile(oracle, horizon)
-    complexity_ok = all(1 <= s <= 2 for s in prof.s)
     rep = extract_directive(oracle, horizon)
 
     ext = list(rep.path)
-    lines = [f"extracted path: {[s.match.row.rid for s in ext]}"]
-    matched = False
-    rotation = -1
-    witness = ()
-    chosen = verdict.routing
-    for routing in valid:
-        cyc_r = [s.label for s in routing.cycle]
-        rv = [(s.src, s.dst) for s in routing.cycle]
-        L = len(cyc_r)
-        for start in range(len(ext)):
-            span = L
-            if len(ext) - start < span:
-                break
-            window = [s.label for s in ext[start:start + span]]
-            vs = [(s.src, s.dst) for s in ext[start:start + span]]
-            for rot in range(L):
-                rotated = [cyc_r[(rot + i) % L] for i in range(span)]
-                rverts = [rv[(rot + i) % L] for i in range(span)]
-                if [_vkind(a) for a in vs] != [_vkind(b) for b in rverts]:
-                    continue
-                w = sequences_equal_mod_exchange(window, rotated)
-                if w is not None:
-                    matched = True
-                    rotation = rot
-                    witness = tuple(w)
-                    chosen = routing
-                    lines.append(f"cycle matched at extracted step {start}, rotation {rot}")
-                    break
-            if matched:
-                break
-        if matched:
-            break
-    lines.insert(0, f"routing cycle: {[s.match.row.rid for s in chosen.cycle]}")
-    if not matched:
+    found = next(_alignments(ext, valid), None)
+    if found is None:
         raise Mismatch("extracted path never aligns with any valid routed cycle; first "
                        f"extracted steps: {[s.match.row.rid for s in ext[:6]]}")
-    if not complexity_ok:
+    chosen, start, rot, witness = found
+    if not all(1 <= s <= 2 for s in prof.s):
         raise Mismatch(f"first complexity difference leaves [1,2]: {prof.s}")
-    lines.append(f"complexity differences: {sorted(set(prof.s))}")
+    lines = (f"routing cycle: {[s.match.row.rid for s in chosen.cycle]}",
+             f"extracted path: {[s.match.row.rid for s in ext]}",
+             f"cycle matched at extracted step {start}, rotation {rot}",
+             f"complexity differences: {sorted(set(prof.s))}")
     verdict = ValidityVerdict(verdict.status, routing=chosen, notes=verdict.notes)
-    return CrossReport(verdict, matched, rotation, witness, complexity_ok, tuple(lines))
-
-
-def _vkind(pair):
-    a, b = pair
-    k = lambda v: "V" if v.startswith("V") else v
-    return (k(a), k(b))
+    return CrossReport(verdict, True, rot, tuple(witness), True, lines)

@@ -9,6 +9,7 @@ everything downstream is a pure function of factor sets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import HorizonExceeded, IdentityViolation, NoStabilization
@@ -278,25 +279,25 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
     """p(0..N) and s(n)=p(n+1)-p(n), with the special-factor identities asserted.
 
     Raises IdentityViolation if either first-difference identity or the
-    second-difference bilateral-order identity fails: that means the oracle's
-    factor sets are inconsistent (insufficient horizon).
-    """
+    second-difference bilateral-order identity fails, that is if the oracle's
+    factor sets are inconsistent (insufficient horizon)."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
-    p = tuple(len(oracle.factors(n)) for n in range(N + 1))
+    L = [oracle.factors(n) for n in range(N + 1)]
+    p = tuple(map(len, L))
     s = tuple(p[n + 1] - p[n] for n in range(N))
+    degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)
     for n in range(N):
-        rs = sum(len(oracle.right_extensions(u)) - 1 for u in oracle.right_specials(n))
-        ls = sum(len(oracle.left_extensions(u)) - 1 for u in oracle.left_specials(n))
+        right = Counter(w[:-1] for w in L[n + 1] if w[:-1] in L[n])
+        left = Counter(w[1:] for w in L[n + 1] if w[1:] in L[n])
+        rs, ls = right.total() - len(right), left.total() - len(left)
         if not rs == ls == s[n]:
             raise IdentityViolation(f"first-difference identity fails at n={n}: s={s[n]} right={rs} left={ls}")
+        degrees.append(right.total() + left.total())
     for n in range(N - 1):
-        if n + 2 > oracle.horizon:
-            break
-        total_m = sum(extension_profile(oracle, u).m for u in oracle.factors(n))
-        if s[n + 1] - s[n] != total_m:
-            raise IdentityViolation(f"second-difference identity fails at n={n}: "
-                                    f"ds={s[n + 1] - s[n]} sum m={total_m}")
+        biext = sum(w[1:-1] in L[n] and w[:-1] in L[n + 1] and w[1:] in L[n + 1] for w in L[n + 2])
+        if s[n + 1] - s[n] != (total_m := biext - degrees[n] + p[n]):
+            raise IdentityViolation(f"second-difference identity fails at n={n}: ds={s[n + 1] - s[n]} sum m={total_m}")
     return ComplexityProfile(p, s)
 
 

@@ -5,10 +5,12 @@ from rauzyadic.errors import NonGrowing, NoStabilization, NotContractible
 from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
 from rauzyadic.sadic import (
     DirectiveWord, format_directive, generate_one_sided, language_horizon,
-    parse_directive, parse_morphism_spec, proper_contraction,
+    parse_directive, parse_morphism_spec, proper_contraction, used_letters,
     weak_primitivity_check,
 )
-from rauzyadic.words import LETTERS, complexity_profile, factors_of, named_oracle
+from rauzyadic.words import (
+    LETTERS, complexity_profile, factors_of, named_oracle, substitutive_language,
+)
 
 STURMIAN_ALT = DirectiveWord((), (bracket("0", "10"), bracket("01", "1")))
 AR_CYCLE = DirectiveWord((), (bracket("0", "10", "20"), bracket("01", "1", "21"),
@@ -258,3 +260,36 @@ def test_finite_directive_is_refused():
         language_horizon(dw, 6)
     with pytest.raises(NonGrowing):
         generate_one_sided(dw, 3)
+
+
+@st.composite
+def long_period_directives(draw):
+    """Periods of up to 16 levels: a block repeated, then up to one more level."""
+    d = draw(st.integers(2, 3))
+    word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=3)
+    level = st.builds(lambda ims: Morphism(tuple(ims), d), st.lists(word, min_size=d, max_size=d))
+    period = draw(st.lists(level, min_size=1, max_size=5)) * draw(st.integers(1, 3))
+    return DirectiveWord(tuple(draw(st.lists(level, max_size=2))),
+                         tuple(period + draw(st.lists(level, max_size=1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_period_directives())
+def test_weak_primitivity_agrees_with_language_kernel(dw):
+    # weak primitivity fails exactly when the kernel refuses the period
+    # product on the letters level p keeps using; the one exception is a
+    # single used letter that the period fixes, where the products are
+    # positive but the kernel refuses a substitution that does not grow
+    wp = weak_primitivity_check(dw)
+    assert wp.status in ("holds", "fails")
+    letters = sorted(used_letters(dw)[len(dw.preperiod)])
+    tau = compose_all(dw.period).images
+    try:
+        substitutive_language({str(a): tau[a] for a in letters}, 2)
+        refused = False
+    except NoStabilization:
+        refused = True
+    if len(letters) == 1 and tau[letters[0]] == str(letters[0]):
+        assert wp.holds and refused
+    else:
+        assert (wp.status == "fails") == refused

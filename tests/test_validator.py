@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rauzyadic.errors import NotInCatalog
-from rauzyadic.morphism import bracket
+from rauzyadic.errors import NotInCatalog, RauzyadicError
+from rauzyadic.morphism import Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, weak_primitivity_check
+from rauzyadic.schemas import GPRIME_OUT, _ASSIGNMENTS
 from rauzyadic.validator import (
-    cross_validate, sequences_equal_mod_exchange, validate_directive,
+    _window_right_proper, cross_validate, sequences_equal_mod_exchange, validate_directive,
 )
 
 B = bracket
@@ -205,3 +207,78 @@ def test_c2_tables_match_successor_lemma():
         assert singles == {(f"D{x}{z}",)}
         paired = [r for r in GPRIME_EDGES[(f"V{x}", f"V{y}")] if len(r.d_factors) == 2]
         assert all(classify(r.instantiate({})).right_proper for r in paired)
+
+
+def test_c3_requires_weak_primitivity():
+    # the loop rows are not the two excluded families, but the occurrence
+    # products from level 1 on never become positive
+    dw = DirectiveWord((B("0", "10", "120"),), (B("0", "10", "20"), B("02", "12", "2")))
+    v = validate_directive(dw)
+    assert v.status == "invalid"
+    assert v.clause.startswith("weak primitivity fails at level 1"), v.clause
+    assert weak_primitivity_check(dw).fails_at == 1
+
+
+# instantiated labels of every refined-graph edge, parameters up to 3, with
+# the optional third image, as scripts/explore_directives.py draws them
+EDGE_LABELS = {
+    (src, dst): [m for row in rows for assign in _ASSIGNMENTS[row.vars]
+                 for k in range(4) for l in range(4)
+                 if row.cond is None or row.cond(k, l)
+                 if (m := row.instantiate(dict(assign), k, l, with_third=True)) is not None]
+    for src, outs in GPRIME_OUT.items() for dst, rows in outs
+}
+COMPONENT_VERTICES = (("2",), ("V0", "V1", "V2"), ("4B",), ("1", "5/6", "7/8", "10B"))
+
+
+@st.composite
+def label_cycles(draw, max_length=6):
+    """The labels of a random cycle within one component, as a period; half
+    the cycles use only labels that are not right proper themselves."""
+    vertices = draw(st.sampled_from(COMPONENT_VERTICES))
+    improper = draw(st.booleans())
+    v0 = v = draw(st.sampled_from(vertices))
+    length = draw(st.integers(1, max_length))
+    labels = []
+    for i in range(length):
+        pools = {dst: [m for m in EDGE_LABELS[(v, dst)]
+                       if not (improper and classify(m).right_proper)]
+                 for dst, _ in GPRIME_OUT.get(v, ()) if dst in vertices}
+        targets = [dst for dst, pool in pools.items() if pool and (i < length - 1 or dst == v0)]
+        assume(targets)
+        dst = draw(st.sampled_from(targets))
+        labels.append(draw(st.sampled_from(pools[dst])))
+        v = dst
+    try:
+        return list(DirectiveWord((), tuple(labels)).period)
+    except (ValueError, RauzyadicError):
+        assume(False)
+
+
+def _window_right_proper_all_offsets(labels):
+    """Every window of at most two traversals, from every start offset."""
+    n = len(labels)
+    doubled = labels * 2
+    for i in range(n):
+        acc = None
+        for j in range(i, min(i + 2 * n, len(doubled))):
+            acc = doubled[j] if acc is None else compose(acc, doubled[j])
+            if classify(acc).right_proper:
+                return True
+    return False
+
+
+@st.composite
+def morphism_cycles(draw):
+    """Random non-erasing morphisms over one alphabet: unlike the refined
+    graph's cycles, these often have no right proper window at all."""
+    d = draw(st.integers(2, 3))
+    word = st.text(alphabet="012"[:d], min_size=1, max_size=3)
+    level = st.builds(lambda ims: Morphism(tuple(ims), d), st.lists(word, min_size=d, max_size=d))
+    return draw(st.lists(level, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(label_cycles(), morphism_cycles()))
+def test_window_right_proper_matches_all_offsets(labels):
+    assert _window_right_proper(labels) == _window_right_proper_all_offsets(labels)

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rauzyadic.errors import HorizonExceeded, IdentityViolation, NoStabilization
 from rauzyadic.words import (
-    LETTERS, Alphabet, FactorOracle, complexity_profile, extension_profile,
-    factors_of, factors_text, named_oracle, return_words, return_words_by_scan,
-    substitutive_language,
+    LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
+    extension_profile, factors_of, factors_text, named_oracle, return_words,
+    return_words_by_scan, substitutive_language,
 )
 
 
@@ -191,3 +191,76 @@ def test_kernel_refuses_non_primitive():
     for tau in ({"0": "01", "1": "1"}, {"0": "0"}, {"0": "1", "1": "0"}, {"0": "02", "1": "1"}):
         with pytest.raises(NoStabilization):
             substitutive_language(tau, 5)
+
+
+def _profile_per_factor(oracle, N):
+    """The complexity profile from one extension profile per factor."""
+    p = tuple(len(oracle.factors(n)) for n in range(N + 1))
+    s = tuple(p[n + 1] - p[n] for n in range(N))
+    for n in range(N):
+        rs = sum(len(oracle.right_extensions(u)) - 1 for u in oracle.right_specials(n))
+        ls = sum(len(oracle.left_extensions(u)) - 1 for u in oracle.left_specials(n))
+        if not rs == ls == s[n]:
+            raise IdentityViolation(f"first-difference identity fails at n={n}: s={s[n]} right={rs} left={ls}")
+    for n in range(N - 1):
+        total_m = sum(extension_profile(oracle, u).m for u in oracle.factors(n))
+        if s[n + 1] - s[n] != total_m:
+            raise IdentityViolation(f"second-difference identity fails at n={n}: "
+                                    f"ds={s[n + 1] - s[n]} sum m={total_m}")
+    return ComplexityProfile(p, s)
+
+
+def _fixed_point(tau, length):
+    w = "0"
+    while len(w) < length:
+        w = _apply(tau, w)
+    return w
+
+
+_FIXED_POINTS = [_fixed_point(tau, 200) for tau in NAMED_SOURCES.values()]
+
+
+@st.composite
+def prefix_oracles(draw):
+    """Factor sets of a random word, a repeated root or a piece of a named
+    fixed point, with up to three words of some lengths toggled."""
+    d = draw(st.integers(1, 3))
+    text = st.text(alphabet=LETTERS[:d], min_size=1, max_size=40)
+    word = draw(st.one_of(
+        text,
+        st.builds(lambda root, k: root * k, st.text(alphabet=LETTERS[:d], min_size=1, max_size=6),
+                  st.integers(1, 12)),
+        st.builds(lambda w, i, k: w[i:i + k], st.sampled_from(_FIXED_POINTS),
+                  st.integers(0, 60), st.integers(1, 120))))
+    horizon = draw(st.integers(0, min(len(word), 14)))
+    oracle = FactorOracle.from_prefix(word, horizon)
+    # the factor sets of a finite word are factorial, and factorial sets
+    # always satisfy the second-difference identity; toggled words break that
+    sets = {n: set(oracle.factors(n)) for n in range(horizon + 1)}
+    for _ in range(draw(st.integers(0, 3)) if horizon else 0):
+        n = draw(st.integers(1, horizon))
+        sets[n] ^= {draw(st.text(alphabet=oracle.alphabet.letters, min_size=n, max_size=n))}
+    sets = {n: frozenset(f) for n, f in sets.items()}
+    return FactorOracle(oracle.alphabet, sets, horizon, "toggled"), draw(st.integers(0, horizon))
+
+
+def _toy_oracle(size, *sets):
+    return FactorOracle(Alphabet(size), dict(enumerate(map(frozenset, ({""}, *sets)))),
+                        len(sets), "toy"), len(sets)
+
+
+def _outcome(profile, oracle, N):
+    try:
+        return profile(oracle, N)
+    except IdentityViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_oracles())
+# both first differences hold, and the second fails on a missing prefix or suffix
+@example(_toy_oracle(2, {"0"}, {"10"}))
+@example(_toy_oracle(3, {"2"}, {"21"}))
+def test_complexity_profile_matches_per_factor_sums(drawn):
+    oracle, N = drawn
+    assert _outcome(complexity_profile, oracle, N) == _outcome(_profile_per_factor, oracle, N)

@@ -48,7 +48,7 @@ def _directive(args) -> DirectiveWord:
     return parse_directive(Path(args.directive).read_text())
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rauzyadic", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -90,8 +90,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("crosscheck", help="directive -> generate, extract and compare")
     p.add_argument("directive")
     p.add_argument("--window", type=int, default=16)
+    return ap
 
-    args = ap.parse_args(argv)
+
+# built once: parse_args leaves the parser unchanged
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except RauzyadicError as exc:

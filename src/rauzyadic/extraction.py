@@ -9,6 +9,7 @@ tables, and the step sequence is contracted onto the refined graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NoSchemaMatch, OrderingViolation, RuleViolation
@@ -16,7 +17,7 @@ from .morphism import Morphism, bracket, compose, compose_all, identity
 from .rauzy import (Circuit, GraphShape, RauzyGraph, build_graph, circuits_from,
                     classify_shape, reduce_graph, right_special_chain)
 from .schemas import (_ASSIGNMENTS, GPRIME_EDGES, EvolutionRow, Match, Row,
-                      evolution_rows, match_rows, unique_row_match)
+                      evolution_rows, match_rows, match_schema, unique_row_match)
 from .words import FactorOracle, Word
 
 
@@ -403,15 +404,12 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
 
 def _emit(path: list[PathStep], src: str, dst: str, label: Morphism, order: int,
           entry_order: int = -1):
-    rows = GPRIME_EDGES.get((src, dst), ())
-    got = unique_row_match(rows, label, f"on extracted edge {src} -> {dst}")
-    path.append(PathStep(src, dst, label, got, order, entry_order))
+    path.append(PathStep(src, dst, label, match_schema(label, src, dst), order, entry_order))
 
 
 def _perms_of(n: int):
-    import itertools as _it
     out = []
-    for per in _it.permutations(range(n)):
+    for per in itertools.permutations(range(n)):
         out.append(Morphism(tuple(str(c) for c in per), n))
     return out
 
@@ -542,7 +540,9 @@ def _divide_left_flexible(m, factor):
 
 
 def _instances(row: Row, pmax: int):
-    grid = row.grid(pmax)
+    ks = range(pmax + 1) if "k" in row.uses else (0,)
+    ls = range(pmax + 1) if "l" in row.uses else (0,)
+    grid = [(k, l) for k in ks for l in ls if row.cond is None or row.cond(k, l)]
     thirds = (True, False) if row.opt3 else (True,)
     for assign in _ASSIGNMENTS[row.vars]:
         for k, l in grid:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import AmbiguousMatch, NoSchemaMatch
-from .morphism import Morphism, bracket
+from .morphism import D, Morphism, bracket, compose
 
 # -- pattern language -------------------------------------------------
 
@@ -63,17 +63,6 @@ def _image(atoms: tuple[Atom, ...], assign: dict[str, str], k: int, l: int) -> s
             return None
         out.append(base * e)
     return "".join(out)
-
-
-def _image_len(atoms: tuple[Atom, ...], k: int, l: int) -> int | None:
-    """Length of the image; it does not depend on the letter assignment."""
-    n = 0
-    for a in atoms:
-        e = a.off if a.var is None else (k if a.var == "k" else l) + a.off
-        if e < 0:
-            return None
-        n += len(a.sym) * e
-    return n
 
 
 _ASSIGNMENTS = {
@@ -138,32 +127,42 @@ class Row:
             imgs.append(w)
         return bracket(*imgs)
 
-    def grid(self, pmax: int, lens: tuple[int, ...] = ()) -> list[tuple[int, int]]:
-        """(k, l) pairs up to pmax that satisfy cond and whose leading
-        images have the lengths lens; an unused exponent stays 0."""
-        atoms, uses = self.atoms, self.uses
-        ks = range(pmax + 1) if "k" in uses else (0,)
-        ls = range(pmax + 1) if "l" in uses else (0,)
-        return [(k, l) for k in ks for l in ls
-                if (self.cond is None or self.cond(k, l))
-                and all(_image_len(p, k, l) == n for p, n in zip(atoms, lens))]
+    @cached_property
+    def lengths(self) -> tuple[tuple[str | None, int, int], ...]:
+        """Per image (variable, fixed, step): the image has fixed + step * e
+        letters when its variable is e.  An image holds at most one variable
+        (the unpacking fails otherwise); a constant image has None and 0."""
+        out = []
+        for p in self.atoms:
+            (var,) = {a.var for a in p if a.var} or {None}
+            out.append((var, sum(len(a.sym) * a.off for a in p),
+                        sum(len(a.sym) for a in p if a.var)))
+        return tuple(out)
 
     def matches(self, m: Morphism) -> list[Match]:
+        """The (assignment, k, l) under which the row's images are m's, in
+        assignment order.
+
+        Each image of a row holds at most one exponent variable, and every
+        variable the row uses occurs in an image before the optional third,
+        so the label's image lengths fix k and l; an unused exponent is 0."""
         atoms = self.atoms
         need_third = len(m.images) == len(atoms)
         if not need_third and not (self.opt3 and len(m.images) == len(atoms) - 1):
             return []
-        lens = tuple(len(w) for w in m.images)
-        grid = self.grid(max(lens) + 2, lens)
+        vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
+        for (var, fixed, step), w in zip(self.lengths, m.images):
+            e, r = divmod(len(w) - fixed, step or 1)
+            if r or e < 0 or vals.setdefault(var, e) != e:
+                return []
+        k, l = vals.get("k", 0), vals.get("l", 0)
+        if self.cond is not None and not self.cond(k, l):
+            return []
         uses = self.uses
-        out = []
-        for assign in _ASSIGNMENTS[self.vars]:
-            for k, l in grid:
-                if all(_image(p, assign, k, l) == w for p, w in zip(atoms, m.images)):
-                    out.append(Match(self, tuple(sorted(assign.items())),
-                                     k if "k" in uses else None,
-                                     l if "l" in uses else None, need_third))
-        return out
+        return [Match(self, tuple(sorted(assign.items())),
+                      k if "k" in uses else None, l if "l" in uses else None, need_third)
+                for assign in _ASSIGNMENTS[self.vars]
+                if all(_image(p, assign, k, l) == w for p, w in zip(atoms, m.images))]
 
 
 def match_rows(rows, m: Morphism) -> list[Match]:
@@ -422,7 +421,6 @@ def _c2_rows() -> list[Row]:
     F_x  = { D(y,x) D(z,x),  D(x,y) D(z,y) both orders }
     F_xy = { D(x,z),  D(x,y) D(z,x) }   with z the third letter.
     """
-    from .morphism import D, compose
     rows = []
     for x in range(3):
         y, z = sorted(set(range(3)) - {x})
@@ -436,7 +434,6 @@ def _c2_rows() -> list[Row]:
                              tuple(" ".join(w) for w in m.images), d_factors=facs))
     for x, yv in itertools.permutations(range(3), 2):
         z = next(iter(set(range(3)) - {x, yv}))
-        from .morphism import D, compose
         single = D(x, z)
         paired = compose(D(x, yv), D(z, x))
         rows.append(_row(f"C2.V{x}{yv}.a", f"V{x}", f"V{yv}",

@@ -13,10 +13,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import Mismatch, NotInCatalog, UnsupportedCase
+from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, weak_primitivity_check
-from .schemas import GPRIME_OUT, GPRIME_VERTICES, Match, Row, match_rows
+from .schemas import GPRIME_EDGES, GPRIME_OUT, GPRIME_VERTICES, Match, Row, match_rows
+from .words import complexity_profile
 
 MAX_BLOCK = 4
 TRAVERSALS = 6
@@ -166,55 +168,51 @@ def _products_fix_zero(cycle_labels: list[Morphism]) -> bool:
                for r in range(len(cycle_labels)))
 
 
-# the labels each edge may carry in the first excluded configuration of
-# component C4 condition iv; edges not listed are unconstrained
-_CFG_B_LABELS = {
-    ("5/6", "5/6"): {("02", "12", "2"), ("102", "2", "12")},
-    ("5/6", "7/8"): {("1", "02", "2")},
-    ("5/6", "10B"): {("1", "01", "2")},
-    ("7/8", "5/6"): {("1", "02", "2"), ("01", "2", "02")},
-    ("10B", "10B"): {("0", "20", "1"), ("02", "12", "2")},
-    ("10B", "5/6"): {("21", "01", "1"), ("021", "1", "01")},
-}
-
-# the label families of the second excluded configuration, likewise
-_CFG_C_ROWS = {
-    edge: tuple(Row(f"cfg-c.{i}", *edge, pat) for i, pat in enumerate(pats))
-    for edge, pats in {
-        ("5/6", "5/6"): (("0^k 2", "1 0^k-1 2", "0^k-1 2"), ("0^k-1 2", "1 0^k 2", "0^k 2")),
-        ("10B", "10B"): (("1 2^k 0", "2^k+1 0", "2^k 0"),),
-        ("5/6", "7/8"): (("1", "0^k 2", "0^k-1 2"), ("1 2^k 0", "2^l 0", "2^l-1 0")),
-        ("7/8", "5/6"): (("1", "0 2", "2"), ("2", "0 1", "1")),
-        ("10B", "5/6"): (("2^k 1", "0 2^k-1 1", "2^k-1 1"), ("2^k-1 1", "0 2^k 1", "2^k 1")),
-        ("10B", "7/8"): (("0", "2^k 1", "2^k-1 1"),),
-    }.items()
-}
+def _cfg_rows(name: str, pats: dict) -> dict[tuple[str, str], tuple[Row, ...]]:
+    return {edge: tuple(Row(f"{name}.{i}", *edge, imgs) for i, imgs in enumerate(ps))
+            for edge, ps in pats.items()}
 
 
-def _cfg_a(cycle) -> bool:
-    return all(s.src == "7/8" and s.dst == "7/8" for s in cycle)
+# the edges, and the labels on them, that a cycle may use in the first
+# excluded configuration of component C4 condition iv; each literal label is
+# a pattern of one-atom images
+_CFG_B_ROWS = _cfg_rows("cfg-b", {
+    ("5/6", "5/6"): (("02", "12", "2"), ("102", "2", "12")),
+    ("5/6", "7/8"): (("1", "02", "2"),),
+    ("5/6", "10B"): (("1", "01", "2"),),
+    ("7/8", "5/6"): (("1", "02", "2"), ("01", "2", "02")),
+    ("10B", "10B"): (("0", "20", "1"), ("02", "12", "2")),
+    ("10B", "5/6"): (("21", "01", "1"), ("021", "1", "01")),
+})
+
+# the label families of the second excluded configuration, likewise; the
+# edge 5/6 -> 10B takes any of its labels
+_CFG_C_ROWS = {**_cfg_rows("cfg-c", {
+    ("5/6", "5/6"): (("0^k 2", "1 0^k-1 2", "0^k-1 2"), ("0^k-1 2", "1 0^k 2", "0^k 2")),
+    ("10B", "10B"): (("1 2^k 0", "2^k+1 0", "2^k 0"),),
+    ("5/6", "7/8"): (("1", "0^k 2", "0^k-1 2"), ("1 2^k 0", "2^l 0", "2^l-1 0")),
+    ("7/8", "5/6"): (("1", "0 2", "2"), ("2", "0 1", "1")),
+    ("10B", "5/6"): (("2^k 1", "0 2^k-1 1", "2^k-1 1"), ("2^k-1 1", "0 2^k 1", "2^k 1")),
+    ("10B", "7/8"): (("0", "2^k 1", "2^k-1 1"),),
+}), ("5/6", "10B"): GPRIME_EDGES[("5/6", "10B")]}
+
+# the configurations in the order they are checked, the path that stays on
+# the two-loop vertex first
+_EXCLUDED_CONFIGS = (
+    ({("7/8", "7/8"): GPRIME_EDGES[("7/8", "7/8")]},
+     "weak primitivity (component C4 condition iv, configuration a): the path stays "
+     "in the two-loop vertex"),
+    (_CFG_B_ROWS, "component C4 condition iv, configuration b: the cycle conforms to "
+                  "the first excluded label configuration"),
+    (_CFG_C_ROWS, "component C4 condition iv, configuration c: the cycle conforms to "
+                  "the second excluded label configuration"),
+)
 
 
-def _cfg_b(cycle) -> bool:
-    used = {(s.src, s.dst) for s in cycle}
-    if not used <= {("5/6", "5/6"), ("5/6", "7/8"), ("5/6", "10B"), ("7/8", "5/6"),
-                    ("10B", "10B"), ("10B", "5/6"), ("7/8", "7/8")}:
-        return False
-    if ("7/8", "7/8") in used:
-        return False
-    return all(s.label.images in _CFG_B_LABELS[(s.src, s.dst)]
-               for s in cycle if (s.src, s.dst) in _CFG_B_LABELS)
-
-
-def _cfg_c(cycle) -> bool:
-    used = {(s.src, s.dst) for s in cycle}
-    if ("7/8", "7/8") in used:
-        return False
-    if not used <= {("5/6", "5/6"), ("5/6", "7/8"), ("10B", "10B"), ("7/8", "5/6"),
-                    ("10B", "5/6"), ("10B", "7/8"), ("5/6", "10B")}:
-        return False
-    return all(match_rows(_CFG_C_ROWS[(s.src, s.dst)], s.label)
-               for s in cycle if (s.src, s.dst) in _CFG_C_ROWS)
+def _conforms(cycle, table) -> bool:
+    """Every step runs on an edge of the table with a label one of its rows matches."""
+    return all((s.src, s.dst) in table and match_rows(table[(s.src, s.dst)], s.label)
+               for s in cycle)
 
 
 def _check_c1(routing: Routing):
@@ -290,15 +288,9 @@ def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
     elif any(s.src == "1" for s in cyc) and any(s.dst == "5/6" for s in cyc):
         pass  # condition (iii): subpaths from 1 reaching 5/6 occur infinitely often
     else:
-        if _cfg_a(cyc):
-            return ("invalid", "weak primitivity (component C4 condition iv, "
-                               "configuration a): the path stays in the two-loop vertex")
-        if _cfg_b(cyc):
-            return ("invalid", "component C4 condition iv, configuration b: the cycle "
-                               "conforms to the first excluded label configuration")
-        if _cfg_c(cyc):
-            return ("invalid", "component C4 condition iv, configuration c: the cycle "
-                               "conforms to the second excluded label configuration")
+        for table, clause in _EXCLUDED_CONFIGS:
+            if _conforms(cyc, table):
+                return "invalid", clause
 
     # length-gated exit conditions (A) and (B)
     steps = list(routing.prefix) + list(cyc) * TRAVERSALS
@@ -509,9 +501,6 @@ def _alignments(ext: list[RoutedStep], valid: list[Routing]):
 def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     """Close the loop: generate the language, extract its directive, and
     compare the extracted path against the routed one modulo exchanges."""
-    from .extraction import extract_directive
-    from .words import complexity_profile
-
     verdict, valid = _validate(dw, strict2=False, every=True)
     if verdict.status != "valid":
         raise Mismatch(f"directive is not valid: {verdict.clause}")

@@ -72,6 +72,17 @@ def test_validate_exit_codes(capsys):
     assert run(["validate", str(DW / "sturmian_alt.dw"), "--strict2"], capsys)[0] == 1
 
 
+def test_repeated_calls_match_fresh_processes(capsys):
+    # the parser is built once; one call's flags must not reach the next
+    calls = [["validate", str(DW / "sturmian_alt.dw"), "--strict2"],
+             ["validate", str(DW / "sturmian_alt.dw")]]
+    fresh = [subprocess.run([sys.executable, "-m", "rauzyadic.cli", *argv],
+                            capture_output=True, text=True) for argv in calls]
+    got = [run(argv, capsys) for argv in calls]
+    assert [(f.returncode, f.stdout) for f in fresh] == [(c, out) for c, out, _ in got]
+    assert [c for c, _, _ in got] == [1, 0]
+
+
 def test_extract_command(capsys):
     code, out, _ = run(["extract", "--source", "fibonacci", "--horizon", "40",
                         "--upto", "12"], capsys)

@@ -6,6 +6,13 @@ from rauzyadic.schemas import (
     _ASSIGNMENTS, EVOLUTION_TABLE, GOG_EDGES, GPRIME_EDGES, GPRIME_OUT, GPRIME_ROWS,
     Match, Row, _image, evolution_rows, gog_from_tables, match_schema, unique_row_match,
 )
+from rauzyadic.validator import _EXCLUDED_CONFIGS
+
+# every row the library matches against: the refined graph, the evolution
+# tables and the excluded C4 configurations of the validator
+TABLE_ROWS = list(dict.fromkeys(
+    list(GPRIME_ROWS) + [er.row for er in EVOLUTION_TABLE]
+    + [row for table, _ in _EXCLUDED_CONFIGS for rows in table.values() for row in rows]))
 
 # Figure "graph of graphs", transcribed independently of the tables:
 # (self-loops at 1, 2, 3, 4, 7, 8, 9, 10; none at 5, 6.)
@@ -94,9 +101,8 @@ def one_letter_off(m):
 
 
 def test_matcher_agrees_with_brute_force():
-    rows = list(GPRIME_ROWS) + [er.row for er in EVOLUTION_TABLE]
     counts = {True: 0, False: 0}
-    for row in rows:
+    for row in TABLE_ROWS:
         for m, _, _ in row_instances(row, pmax=3):
             assert row.matches(m) == brute_matches(row, m) != [], (row.rid, m)
             for off in one_letter_off(m):
@@ -107,18 +113,33 @@ def test_matcher_agrees_with_brute_force():
     assert counts[True] > 400 and counts[False] > 10000
 
 
+def test_table_rows_solve_their_exponents():
+    # Row.matches reads k and l off the image lengths, which needs both:
+    # at most one exponent variable per image, and every variable the row
+    # uses in an image before the optional third
+    for row in TABLE_ROWS:
+        per_image = [{a.var for a in p if a.var} for p in row.atoms]
+        assert all(len(v) <= 1 for v in per_image), row.rid
+        leading = per_image[:-1] if row.opt3 else per_image
+        assert row.uses == set().union(*leading), row.rid
+
+
 def test_matcher_order_on_ambiguous_rows():
-    # no table row matches a label twice, so pin the order (assignment,
-    # then k, then l) on rows that do
-    swap = Row("amb.xy", "", "", ("x^k y^l",), vars="xy01")
-    got = swap.matches(bracket("0"))
-    assert got == brute_matches(swap, bracket("0"))
-    assert [(m.sub, m.k, m.l) for m in got] == [({"x": "0", "y": "1"}, 1, 0),
-                                                ({"x": "1", "y": "0"}, 0, 1)]
-    split = Row("amb.kl", "", "", ("0^k 0^l", "1"), cond=lambda k, l: k != 1)
-    got = split.matches(bracket("000", "1"))
-    assert got == brute_matches(split, bracket("000", "1"))
-    assert [(m.k, m.l) for m in got] == [(0, 3), (2, 1), (3, 0)]
+    # no table row matches a label twice, so pin the order (the
+    # assignments in _ASSIGNMENTS order) on a row that does
+    swap = Row("amb.xy", "", "", ("x^k 2", "y^k 2"), vars="xy01")
+    got = swap.matches(bracket("2", "2"))
+    assert got == brute_matches(swap, bracket("2", "2"))
+    assert [(m.sub, m.k, m.l) for m in got] == [({"x": "0", "y": "1"}, 0, None),
+                                                ({"x": "1", "y": "0"}, 0, None)]
+
+
+def test_matcher_never_solves_a_negative_exponent():
+    # table rows with a "^k+1" image all bound k by cond; without one, the
+    # length of "1" would solve k = -1
+    row = Row("neg", "", "", ("0^k+1 1", "1"))
+    assert row.matches(bracket("1", "1")) == brute_matches(row, bracket("1", "1")) == []
+    assert [m.k for m in row.matches(bracket("01", "1"))] == [0]
 
 
 def test_out_edges_index_the_edge_table():

@@ -43,7 +43,9 @@ INVALID_SUITE = {
                              "component C3"),
     "10b-cycle-conforming": (DirectiveWord((), (B("1", "01", "2"), B("0", "21", "1"),
                                                 B("1", "02", "2"))),
-                             "configuration"),
+                             "configuration b"),
+    "c4-route-pool-cfg-c": (DirectiveWord((), (B("21", "0221", "221"), B("20", "120", "10"))),
+                            "configuration c"),
 }
 
 

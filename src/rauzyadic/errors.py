@@ -43,7 +43,7 @@ class NoStabilization(RauzyadicError):
 
 
 class EnumerationBudgetExceeded(RauzyadicError):
-    """Circuit enumeration hit its expansion budget."""
+    """Circuit or routing enumeration hit its budget."""
 
 
 class OutOfClass(RauzyadicError):

@@ -168,7 +168,7 @@ def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle,
                   budget: int = 1_000_000) -> tuple[Circuit, ...]:
     """All allowed circuits from v, by depth-first search with
     allowed-prefix pruning.  Sorted by right label."""
-    if len(oracle.right_extensions(v)) < 2:
+    if not oracle.is_right_special(v):
         return ()
     out: list[Circuit] = []
     expansions = 0

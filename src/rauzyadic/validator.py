@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Mismatch, NotInCatalog, UnsupportedCase
+from .errors import EnumerationBudgetExceeded, Mismatch, NotInCatalog, UnsupportedCase
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
@@ -99,7 +99,9 @@ def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[
     directive.
 
     The cycle part must consume whole periods so that verdict conditions
-    are read off one loop of it.
+    are read off one loop of it.  Raises EnumerationBudgetExceeded on
+    finding more than ``limit`` lassos, because a verdict read off a
+    truncated list could miss the valid routing.
     """
     p, T = len(dw.preperiod), len(dw.period)
     if T == 0:
@@ -113,8 +115,6 @@ def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[
     # then phases repeat; search depth-first with a visited set on
     # (vertex, phase, in_cycle_anchor)
     def dfs(vertex, pos, steps, seen, anchors):
-        if len(out) >= limit:
-            return
         ph = phase(pos)
         if ph is not None:
             key = (vertex, ph)
@@ -122,6 +122,9 @@ def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[
                 first = anchors[key]
                 cyc = steps[first:]
                 if cyc and sum(s.blocks for s in cyc) % T == 0:
+                    if len(out) == limit:
+                        raise EnumerationBudgetExceeded(
+                            f"more than {limit} routings from vertex {start}")
                     out.append(Routing(start, tuple(steps[:first]), tuple(cyc)))
                 return
             anchors = dict(anchors)
@@ -466,10 +469,8 @@ def sequences_equal_mod_exchange(aa: list[Morphism], bb: list[Morphism]) -> list
 @dataclass(frozen=True)
 class CrossReport:
     verdict: ValidityVerdict
-    matched_cycle: bool
     rotation: int
     witness: tuple[dict, ...]
-    complexity_ok: bool
     lines: tuple[str, ...]
 
     def serialize(self) -> str:
@@ -521,4 +522,4 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
              f"cycle matched at extracted step {start}, rotation {rot}",
              f"complexity differences: {sorted(set(prof.s))}")
     verdict = ValidityVerdict(verdict.status, routing=chosen, notes=verdict.notes)
-    return CrossReport(verdict, True, rot, tuple(witness), True, lines)
+    return CrossReport(verdict, rot, tuple(witness), lines)

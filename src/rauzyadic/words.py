@@ -55,13 +55,20 @@ class FactorOracle:
     truncating.  The guarantee depends on the constructor (see ``source``);
     a substitutive language records its :class:`LanguageCertificate` in
     ``certificate``.
+
+    A length missing from ``factor_sets`` is derived on first use as the
+    prefixes of the nearest longer set, which is exact for right-extendable
+    languages such as :func:`substitutive_language`'s; other sources must
+    pass every length.  Special factors of length n come from one count of
+    the extension letters over L_{n+1}, memoized per length.
     """
 
     def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
                  horizon: int, source: str, witness: Word | None = None,
                  certificate: LanguageCertificate | None = None):
         self.alphabet = alphabet
-        self._factors = factor_sets
+        self._factors = dict(factor_sets)
+        self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
         self.horizon = horizon
         self.source = source
         self.witness = witness
@@ -77,7 +84,14 @@ class FactorOracle:
             raise ValueError("negative factor length")
         if n > self.horizon:
             raise HorizonExceeded(f"factors({n}) beyond horizon {self.horizon} ({self.source})")
-        return self._factors[n]
+        try:
+            return self._factors[n]
+        except KeyError:
+            longer = [m for m in self._factors if m > n]
+            if not longer:
+                raise
+        self._factors[n] = prefixes = frozenset(w[:n] for w in self._factors[min(longer)])
+        return prefixes
 
     def contains(self, w: Word) -> bool:
         return w in self.factors(len(w))
@@ -90,23 +104,40 @@ class FactorOracle:
     def left_extensions(self, u: Word) -> frozenset[str]:
         return frozenset(a for a in self.alphabet.letters if a + u in self.factors(len(u) + 1))
 
+    def _special_table(self, n: int) -> tuple[frozenset[Word], ...]:
+        """(right, left, bi): the words of length n with two or more right,
+        two or more left, and both kinds of extension letters in L_{n+1}."""
+        if n not in self._specials:
+            letters, longer = self.alphabet.letters, self.factors(n + 1)
+            right = Counter(w[:-1] for w in longer if w[-1] in letters)
+            left = Counter(w[1:] for w in longer if w[0] in letters)
+            rs = frozenset(u for u, d in right.items() if d >= 2)
+            ls = frozenset(u for u, d in left.items() if d >= 2)
+            self._specials[n] = (rs, ls, rs & ls)
+        return self._specials[n]
+
+    def _specials_in_factors(self, n: int, side: int) -> list[Word]:
+        factors = self.factors(n)
+        # an empty L_n needs no L_{n+1}, so it never exceeds the horizon
+        return sorted(factors & self._special_table(n)[side]) if factors else []
+
     def is_right_special(self, u: Word) -> bool:
-        return len(self.right_extensions(u)) >= 2
+        return u in self._special_table(len(u))[0]
 
     def is_left_special(self, u: Word) -> bool:
-        return len(self.left_extensions(u)) >= 2
+        return u in self._special_table(len(u))[1]
 
     def is_bispecial(self, u: Word) -> bool:
-        return self.is_right_special(u) and self.is_left_special(u)
+        return u in self._special_table(len(u))[2]
 
     def right_specials(self, n: int) -> list[Word]:
-        return sorted(u for u in self.factors(n) if self.is_right_special(u))
+        return self._specials_in_factors(n, 0)
 
     def left_specials(self, n: int) -> list[Word]:
-        return sorted(u for u in self.factors(n) if self.is_left_special(u))
+        return self._specials_in_factors(n, 1)
 
     def bispecials(self, n: int) -> list[Word]:
-        return sorted(u for u in self.factors(n) if self.is_bispecial(u))
+        return self._specials_in_factors(n, 2)
 
     def is_aperiodic(self, upto: int) -> bool:
         """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
@@ -158,18 +189,20 @@ class LanguageCertificate:
 
 def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | None = None
                           ) -> tuple[dict[int, frozenset[Word]], LanguageCertificate, Word]:
-    """Exact factor sets L_0..L_n of mu(X_tau) for a primitive substitution
-    tau and a non-erasing lift mu (identity if None), after Queffelec (LNM
-    1294) and Pytheas Fogg (LNM 1794, ch. 1).
+    """Exact factor set L_n of mu(X_tau) for a primitive substitution tau
+    and a non-erasing lift mu (identity if None), after Queffelec (LNM 1294)
+    and Pytheas Fogg (LNM 1794, ch. 1).
 
     L_2 is the closure of the 2-letter factors of the tau(a) under ab ->
     2-letter factors of tau(ab).  Once every mu tau^k(a) is n-1 letters or
     longer, a length-n factor spans at most two blocks: L_n is the union of
-    ``factors_of(mu tau^k(ab), n)`` over ab in L_2, and L_{m-1} is the
-    prefixes of L_m.  Returns the sets, the certificate and a witness word
-    of the language holding all of L_n.  Raises NoStabilization unless tau
-    maps its letters into themselves, grows, and the power (d-1)^2+1 of its
-    occurrence matrix is positive (Wielandt's bound for d letters).
+    ``factors_of(mu tau^k(ab), n)`` over ab in L_2.  The language is
+    right-extendable, so each shorter L_m is the length-m prefixes of L_n;
+    :class:`FactorOracle` derives those when they are read.  Returns
+    ``{n: L_n}``, the certificate and a witness word of the language
+    holding all of L_n.  Raises NoStabilization unless tau maps its letters
+    into themselves, grows, and the power (d-1)^2+1 of its occurrence
+    matrix is positive (Wielandt's bound for d letters).
     """
     letters = "".join(sorted(tau))
     rows = {a: set(tau[a]) for a in letters}
@@ -193,8 +226,6 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
         imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
         k += 1
     sets = {n: frozenset().union(*(factors_of(imgs[ab[0]] + imgs[ab[1]], n) for ab in pairs))}
-    for m in range(n, 0, -1):
-        sets[m - 1] = frozenset(w[:-1] for w in sets[m])
     # some tau^r(a) holds every word of L_2, so its lift holds all of L_n
     w = letters[0]
     while not pairs <= factors_of(w, 2):

@@ -171,13 +171,19 @@ def test_kernel_matches_long_word(tau, n):
             substitutive_language(tau, n)
         return
     sets, cert, witness = substitutive_language(tau, n)
+    oracle = FactorOracle(Alphabet(len(tau)), sets, n, "kernel")
     w = "0"
     while len(w) < 20_000:
         w = _apply(tau, w)
     for m in range(n + 1):
-        assert sets[m] == factors_of(w, m)
+        assert oracle.factors(m) == factors_of(w, m)
     assert factors_of(witness, n) == sets[n]
     assert cert.letters == "".join(sorted(tau)) and cert.pairs == len(factors_of(w, 2))
+
+
+def test_finite_word_sets_are_not_derived():
+    # L_1 of a finite word need not be the prefixes of its L_2
+    assert FactorOracle.from_prefix("0001", 2).factors(1) == {"0", "1"}
 
 
 def test_named_oracle_certificate(fib, trib):
@@ -264,3 +270,53 @@ def _outcome(profile, oracle, N):
 def test_complexity_profile_matches_per_factor_sums(drawn):
     oracle, N = drawn
     assert _outcome(complexity_profile, oracle, N) == _outcome(_profile_per_factor, oracle, N)
+
+
+def _special_by_probe(oracle, u):
+    """(right, left, bi) special, probing u + a and a + u in L_{|u|+1} for
+    every letter a of the alphabet."""
+    longer, letters = oracle.factors(len(u) + 1), oracle.alphabet.letters
+    right = sum(u + a in longer for a in letters) >= 2
+    left = sum(a + u in longer for a in letters) >= 2
+    return right, left, right and left
+
+
+def _specials_by_probe(oracle, n):
+    kinds = {u: _special_by_probe(oracle, u) for u in sorted(oracle.factors(n))}
+    return tuple([u for u, k in kinds.items() if k[side]] for side in range(3))
+
+
+def _raised_or(call):
+    try:
+        return call()
+    except HorizonExceeded:
+        return "HorizonExceeded"
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_oracles())
+# letters outside the alphabet are not extensions
+@example(_toy_oracle(1, {"0", "1"}, {"00", "01", "10", "11"}))
+def test_special_table_matches_probe(drawn):
+    oracle, _ = drawn
+    for n in range(oracle.horizon + 1):
+        probe = _raised_or(lambda: _specials_by_probe(oracle, n))
+        assert _raised_or(lambda: (oracle.right_specials(n), oracle.left_specials(n),
+                                   oracle.bispecials(n))) == probe
+        if n == oracle.horizon:
+            continue
+        # every word that can have an extension in L_{n+1}, factor or not
+        longer = oracle.factors(n + 1)
+        for u in oracle.factors(n) | {w[:-1] for w in longer} | {w[1:] for w in longer}:
+            assert (oracle.is_right_special(u), oracle.is_left_special(u),
+                    oracle.is_bispecial(u)) == _special_by_probe(oracle, u)
+
+
+def test_special_queries_at_the_horizon_raise(fib):
+    u = sorted(fib.factors(fib.horizon))[0]
+    for query in (fib.is_right_special, fib.is_left_special, fib.is_bispecial):
+        with pytest.raises(HorizonExceeded):
+            query(u)
+    for query in (fib.right_specials, fib.left_specials, fib.bispecials):
+        with pytest.raises(HorizonExceeded):
+            query(fib.horizon)

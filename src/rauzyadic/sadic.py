@@ -15,7 +15,8 @@ from .errors import (AlphabetMismatch, NoStabilization, NonGrowing,
                      NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived,
                        left_conjugate, classify, parse_rules)
-from .words import Alphabet, FactorOracle, Word, factors_of, substitutive_language
+from .words import (Alphabet, FactorOracle, Word, eventual_support, factors_of, is_primitive,
+                    substitutive_language)
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,17 @@ def language_horizon(dw: DirectiveWord, n: int) -> FactorOracle:
     preperiod product."""
     if not dw.period:
         raise NoStabilization("a finite directive word has no limit language")
-    letters = sorted(used_letters(dw)[len(dw.preperiod)])
-    tau = compose_all(dw.period).images
+    tau = _live_period(dw, used_letters(dw))
     mu = compose_all(dw.preperiod, dw.period[0].codomain).images
-    sets, cert, witness = substitutive_language(
-        {str(a): tau[a] for a in letters}, n, {str(a): mu[a] for a in letters})
+    sets, cert = substitutive_language(tau, n, {a: mu[int(a)] for a in tau})
     return FactorOracle(Alphabet(dw.alphabet_size), sets, n, f"directive {dw!r}",
-                        witness=witness, certificate=cert)
+                        certificate=cert)
+
+
+def _live_period(dw: DirectiveWord, used: list[frozenset[int]]) -> dict[str, Word]:
+    """The period product tau on the letters level p keeps using."""
+    tau = compose_all(dw.period).images
+    return {str(a): tau[a] for a in sorted(used[len(dw.preperiod)])}
 
 
 # -- weak primitivity -------------------------------------------------
@@ -157,109 +162,87 @@ class PrimitivityVerdict:
         return self.status == "holds"
 
 
-def _bool_mul(A, B):
-    return tuple(tuple(any(A[a][b] and B[b][c] for b in range(len(B)))
-                       for c in range(len(B[0]))) for a in range(len(A)))
-
-
-def _occ(m: Morphism):
-    return tuple(tuple(r) for r in m.occurrence_matrix())
+def _sweep(ms, top: frozenset[int]) -> list[frozenset[int]]:
+    """The set ``top`` of the level after ms, then the letter sets that the
+    levels of ms reach from it, last level first."""
+    sets = [top]
+    for m in reversed(ms):
+        sets.append(frozenset(int(c) for b in sets[-1] for c in m.images[b]))
+    return sets
 
 
 def used_letters(dw: DirectiveWord) -> list[frozenset[int]]:
-    """Letters of each level that later levels keep producing.
+    """Letters of levels 0..p+T that later levels keep producing.
 
     An optional circuit letter may exist at one level and never occur in
     any image afterwards; such dead components are ignored throughout
-    (they carry no part of the language).  Computed as a greatest fixed
-    point over the period: each level's set depends only on the next
-    one, so one backward sweep from a full alphabet several periods
-    ahead reaches it."""
-    p, T = len(dw.preperiod), len(dw.period)
-    n = p + max(T, 1)
-    total = n + 4 * max(T, 1) + 4 if T else p
-    sets = [frozenset(range(dw.morphism(total - 1).domain))]
-    for i in range(total - 1, -1, -1):
-        m = dw.morphism(i)
-        sets.append(frozenset(int(c) for b in sets[-1] if b < m.domain
-                              for c in m.images[b]))
-    sets.reverse()
-    return sets[: n + 2]
+    (they carry no part of the language).  This is the greatest fixed
+    point: the period is swept backward from the full alphabet until one
+    whole period leaves level p's set unchanged, then the preperiod once.
+    A finite prefix keeps its last level's full alphabet."""
+    top = frozenset(range((dw.period or dw.preperiod)[-1].domain))
+    while (period := _sweep(dw.period, top))[-1] != top:
+        top = period[-1]
+    return (period + _sweep(dw.preperiod, top)[1:])[::-1]
 
 
 def weak_primitivity_check(dw: DirectiveWord) -> PrimitivityVerdict:
-    """Exact for eventually periodic directive words.
+    """Exact for eventually periodic directive words; a finite prefix is
+    undetermined.
 
-    Products of occurrence matrices, restricted to the letters that stay
-    in use, are tracked per start level; an all-positive product is
-    absorbing, and a product with a dead used-row can never recover, so
-    either outcome decides the start level.  For an eventually periodic
-    word a repeated (product, phase) pair decides failure, and there are
-    at most 2^(d*d) * T such pairs, so every start level is decided; only
-    finite prefixes come back undetermined, unless a row dies.  The first
-    failing start level is reported as ``fails_at``.
+    Every start level r needs a product m_r ... m_s positive on the used
+    letters.  Positivity is kept by every later factor, which maps used
+    letters to non-empty words of used letters (so no used row is ever
+    empty), and a rotation of a primitive period product is primitive.
+    So weak primitivity holds exactly when the period product tau on the
+    used letters of level p is primitive (:func:`words.is_primitive`).
+    Otherwise level p fails, and a level r < p fails iff m_r ... m_{p-1}
+    of the eventual support of tau leaves out a used letter of level r:
+    that support lies on the cycle of tau^j's letter sets, and one point
+    of the cycle decides them all.  ``fails_at`` is the first failing
+    level; one used letter that the period fixes fails at p.
     """
-    p, T = len(dw.preperiod), len(dw.period)
-    starts = range(p + T) if T else range(p)
+    if not dw.period:
+        return PrimitivityVerdict("undetermined")
     used = used_letters(dw)
-
-    def u(level):
-        if level < len(used):
-            return used[level]
-        return used[p + (level - p) % T] if T else used[-1]
-
-    def decided_for(P, r, s):
-        rows, cols = u(r), u(s + 1)
-        if all(P[a][b] for a in rows for b in cols):
-            return True
-        if any(not any(P[a][b] for b in cols) for a in rows):
-            return False
-        return None
-
-    undetermined = False
-    for r in starts:
-        P, s, seen = _occ(dw.morphism(r)), r, set()
-        while (decided := decided_for(P, r, s)) is None:
-            s += 1
-            if s >= p:
-                if not T:
-                    break               # a finite prefix runs out undecided
-                key = (P, (s - p) % T)
-                if key in seen:
-                    decided = False
-                    break
-                seen.add(key)
-            P = _bool_mul(P, _occ(dw.morphism(s)))
-        if decided is False:
-            return PrimitivityVerdict("fails", fails_at=r)
-        undetermined |= decided is None
-    return PrimitivityVerdict("undetermined" if undetermined else "holds")
+    tau = _live_period(dw, used)
+    if is_primitive(tau):
+        return PrimitivityVerdict("holds")
+    p = len(dw.preperiod)
+    reach = [_sweep(dw.preperiod, frozenset(map(int, s)))[::-1]
+             for s in eventual_support(tau).values()]
+    return PrimitivityVerdict("fails", fails_at=next(
+        (r for r in range(p) if any(not used[r] <= x[r] for x in reach)), p))
 
 
 # -- proper contraction -----------------------------------------------
 
 
-def proper_contraction(dw: DirectiveWord, max_block: int | None = None) -> DirectiveWord:
+def proper_contraction(dw: DirectiveWord) -> DirectiveWord:
     """Contract into blocks tau_j = block_{2j} . leftconj(block_{2j+1}) so
     that every resulting morphism is both left and right proper.
 
     Requires an eventually periodic, weakly primitive directive word; the
     result is eventually periodic again (block boundaries repeat once the
     phase within the period recurs at an even pairing index).
+
+    A block is right proper once its composed last-letter map is constant.
+    That map's image only shrinks, and it is final d-1 periods after the
+    first period boundary at or past max(start, p), so max(p - start, 0)
+    + d*T levels decide whether a block from ``start`` exists.
     """
     if not dw.eventually_periodic:
         raise NotContractible("finite directive words are not contracted")
     if not weak_primitivity_check(dw).holds:
         raise NotContractible("directive word is not weakly primitive")
     p, T = len(dw.preperiod), len(dw.period)
-    if max_block is None:
-        max_block = 8 * (p + T) + 16
+    d = dw.period[-1].domain
 
     def right_proper_block(start: int) -> tuple[int, Morphism]:
         prod = dw.morphism(start)
         end = start + 1
         while not classify(prod).right_proper:
-            if end - start >= max_block:
+            if end - start >= max(p - start, 0) + d * T:
                 raise NotContractible(f"no right proper block from level {start}")
             prod = compose(prod, dw.morphism(end))
             end += 1
@@ -282,8 +265,6 @@ def proper_contraction(dw: DirectiveWord, max_block: int | None = None) -> Direc
         nxt, second = right_proper_block(mid)
         taus.append(compose(first, left_conjugate(second)))
         start = nxt
-        if len(taus) > 4 * max_block:
-            raise NotContractible("pairing did not close up")
     return DirectiveWord(tuple(taus[:pre_count]), tuple(taus[pre_count:pre_count + per_count]))
 
 

@@ -170,9 +170,9 @@ class FactorOracle:
         if not images[seed].startswith(seed):
             raise ValueError(f"substitution not prolongable at seed {seed!r}")
         size = max(int(c) for w in images.values() for c in w) + 1
-        sets, cert, witness = substitutive_language(images, horizon)
+        sets, cert = substitutive_language(images, horizon)
         return cls(Alphabet(size), sets, horizon, source or f"substitution fixed point {images}",
-                   witness=witness, certificate=cert)
+                   certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,30 @@ class LanguageCertificate:
     k: int
 
 
+def eventual_support(tau: dict[str, Word]) -> dict[str, frozenset[str]]:
+    """The letter sets of tau^j(a), for each letter a, at the first j >= 1
+    where the tuple of them repeats.  tau maps its letters into themselves;
+    each tuple fixes the next, so the one returned lies on their cycle."""
+    step = {a: frozenset(w) for a, w in tau.items()}
+    support, seen = step, set()
+    while (key := tuple(support.values())) not in seen:
+        seen.add(key)
+        support = {a: frozenset().union(*(step[b] for b in s)) for a, s in support.items()}
+    return support
+
+
+def is_primitive(tau: dict[str, Word]) -> bool:
+    """tau maps its letters into themselves, grows, and some power tau^j
+    maps every letter to a word holding every letter: a positive power
+    stays positive, so this is the eventual support being full."""
+    letters = frozenset(tau)
+    # a one-letter tau must also grow
+    return (all(set(w) <= letters for w in tau.values()) and len("".join(tau.values())) >= 2
+            and all(s == letters for s in eventual_support(tau).values()))
+
+
 def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | None = None
-                          ) -> tuple[dict[int, frozenset[Word]], LanguageCertificate, Word]:
+                          ) -> tuple[dict[int, frozenset[Word]], LanguageCertificate]:
     """Exact factor set L_n of mu(X_tau) for a primitive substitution tau
     and a non-erasing lift mu (identity if None), after Queffelec (LNM 1294)
     and Pytheas Fogg (LNM 1794, ch. 1).
@@ -199,19 +221,12 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     ``factors_of(mu tau^k(ab), n)`` over ab in L_2.  The language is
     right-extendable, so each shorter L_m is the length-m prefixes of L_n;
     :class:`FactorOracle` derives those when they are read.  Returns
-    ``{n: L_n}``, the certificate and a witness word of the language
-    holding all of L_n.  Raises NoStabilization unless tau maps its letters
-    into themselves, grows, and the power (d-1)^2+1 of its occurrence
-    matrix is positive (Wielandt's bound for d letters).
+    ``{n: L_n}`` and the certificate; no witness word is built.  Raises
+    NoStabilization unless :func:`is_primitive` holds, which follows the
+    letter sets of tau^j to their cycle instead of bounding the power.
     """
     letters = "".join(sorted(tau))
-    rows = {a: set(tau[a]) for a in letters}
-    reach = rows
-    if set().union(*rows.values()) <= set(letters):
-        for _ in range((len(letters) - 1) ** 2):
-            reach = {a: {c for b in reach[a] for c in rows[b]} for a in letters}
-    # a one-letter tau must also grow
-    if any(r != set(letters) for r in reach.values()) or len("".join(tau.values())) < 2:
+    if not is_primitive(tau):
         raise NoStabilization(f"substitution {tau} is not primitive on the letters {letters}")
     pairs = frozenset(x for w in tau.values() for x in factors_of(w, 2))
     frontier, rounds = pairs, 0
@@ -226,12 +241,7 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
         imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
         k += 1
     sets = {n: frozenset().union(*(factors_of(imgs[ab[0]] + imgs[ab[1]], n) for ab in pairs))}
-    # some tau^r(a) holds every word of L_2, so its lift holds all of L_n
-    w = letters[0]
-    while not pairs <= factors_of(w, 2):
-        w = "".join(tau[c] for c in w)
-    witness = "".join(imgs[c] for c in w)
-    return sets, LanguageCertificate(letters, len(pairs), rounds, k), witness
+    return sets, LanguageCertificate(letters, len(pairs), rounds, k)
 
 
 # Built-in named substitutions.

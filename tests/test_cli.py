@@ -116,6 +116,16 @@ def test_complexity_finite_directive_refused(tmp_path, capsys):
     assert code == 3 and "NoStabilization" in err
 
 
+def test_complexity_on_ten_letters(tmp_path, capsys):
+    # the live letters 8 and 9 lie eight periods deep: Thue-Morse on them
+    f = tmp_path / "ten.dw"
+    f.write_text("period:\n[0,1,2,3,4,5,6,7,8,9]\n[1,2,3,4,5,6,7,8,89,98]\n")
+    code, out, _ = run(["complexity", "--directive-file", str(f), "--horizon", "12",
+                        "--upto", "6"], capsys)
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["1", "2", "4", "6", "10", "12", "16"]
+
+
 def test_generate_finite_directive_refused(tmp_path, capsys):
     f = tmp_path / "finite.dw"
     f.write_text(FINITE_DW)

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rauzyadic.errors import NonGrowing, NoStabilization, NotContractible
 from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
@@ -277,9 +279,7 @@ def long_period_directives(draw):
 @given(long_period_directives())
 def test_weak_primitivity_agrees_with_language_kernel(dw):
     # weak primitivity fails exactly when the kernel refuses the period
-    # product on the letters level p keeps using; the one exception is a
-    # single used letter that the period fixes, where the products are
-    # positive but the kernel refuses a substitution that does not grow
+    # product on the letters level p keeps using
     wp = weak_primitivity_check(dw)
     assert wp.status in ("holds", "fails")
     letters = sorted(used_letters(dw)[len(dw.preperiod)])
@@ -289,7 +289,120 @@ def test_weak_primitivity_agrees_with_language_kernel(dw):
         refused = False
     except NoStabilization:
         refused = True
-    if len(letters) == 1 and tau[letters[0]] == str(letters[0]):
-        assert wp.holds and refused
+    assert (wp.status == "fails") == refused
+
+
+def test_one_live_fixed_letter_is_not_weakly_primitive():
+    # the period keeps only the letter 1 and fixes it: the language is 1^w
+    dw = DirectiveWord((), (bracket("01", "1"), bracket("111", "1")))
+    assert used_letters(dw)[0] == {1}
+    v = weak_primitivity_check(dw)
+    assert v.status == "fails" and v.fails_at == 0
+    with pytest.raises(NoStabilization):
+        language_horizon(dw, 4)
+
+
+def _bool_product(A, B):
+    return tuple(tuple(any(A[a][b] and B[b][c] for b in range(len(B)))
+                       for c in range(len(B[0]))) for a in range(len(A)))
+
+
+def _products_verdict(dw):
+    """(status, fails_at) from Boolean occurrence products: per start level,
+    multiply until the product is positive on the used letters or a
+    (product, phase) pair repeats."""
+    p, T = len(dw.preperiod), len(dw.period)
+    used = used_letters(dw)
+
+    def u(level):
+        return used[level] if level < p else used[p + (level - p) % T]
+
+    def occ(m):
+        return tuple(map(tuple, m.occurrence_matrix()))
+
+    for r in range(p + T):
+        P, s, seen = occ(dw.morphism(r)), r, set()
+        while not all(P[a][b] for a in u(r) for b in u(s + 1)):
+            s += 1
+            if s >= p:
+                if (P, (s - p) % T) in seen:
+                    return "fails", r
+                seen.add((P, (s - p) % T))
+            P = _bool_product(P, occ(dw.morphism(s)))
+    return "holds", None
+
+
+@st.composite
+def preperiod_directives(draw):
+    """Preperiods of up to 3 levels, so that weak primitivity can fail
+    before the period."""
+    d = draw(st.integers(2, 3))
+    word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=3)
+    level = st.builds(lambda ims: Morphism(tuple(ims), d), st.lists(word, min_size=d, max_size=d))
+    return DirectiveWord(tuple(draw(st.lists(level, max_size=3))),
+                         tuple(draw(st.lists(level, min_size=1, max_size=3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(preperiod_directives())
+@example(DirectiveWord((bracket("0", "10", "120"),), (bracket("0", "10", "20"), bracket("02", "12", "2"))))
+@example(DirectiveWord((bracket("01", "1"),), (bracket("01", "1"), bracket("111", "1"))))
+def test_weak_primitivity_matches_occurrence_products(dw):
+    wp = weak_primitivity_check(dw)
+    status, fails_at = _products_verdict(dw)
+    p = len(dw.preperiod)
+    live = sorted(used_letters(dw)[p])
+    if len(live) == 1 and compose_all(dw.period).images[live[0]] == LETTERS[live[0]]:
+        # its products are positive, but the word it generates is periodic
+        assert status == "holds" and (wp.status, wp.fails_at) == ("fails", p)
     else:
-        assert (wp.status == "fails") == refused
+        assert (wp.status, wp.fails_at) == (status, fails_at)
+
+
+def test_used_letters_reach_the_fixed_point_on_ten_letters():
+    # the period shifts every letter up by one until 8 and 9, where it is
+    # Thue-Morse; a fixed sweep of 4T+4 levels stopped at {7, 8, 9}
+    dw = parse_directive("period:\n[0,1,2,3,4,5,6,7,8,9]\n[1,2,3,4,5,6,7,8,89,98]\n")
+    assert used_letters(dw) == [{8, 9}] * 3
+    assert weak_primitivity_check(dw).holds
+    o = language_horizon(dw, 12)
+    assert o.factors(3) == {"889", "898", "899", "988", "989", "998"}
+
+
+def _letters_of(m, letters):
+    return frozenset(int(c) for b in letters for c in m.images[b])
+
+
+@st.composite
+def wide_directives(draw):
+    d = draw(st.integers(1, 10))
+    word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=2)
+    level = st.builds(lambda ims: Morphism(tuple(ims), d), st.lists(word, min_size=d, max_size=d))
+    return DirectiveWord(tuple(draw(st.lists(level, max_size=2))),
+                         tuple(draw(st.lists(level, min_size=1, max_size=3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_directives())
+def test_used_letters_is_the_greatest_fixed_point(dw):
+    p, T = len(dw.preperiod), len(dw.period)
+    tau = compose_all(dw.period)
+    d = tau.domain
+    # the union of all fixed points of S -> letters of tau(S) is the greatest one
+    brute = frozenset().union(*(s for k in range(1, d + 1)
+                                for s in map(frozenset, itertools.combinations(range(d), k))
+                                if _letters_of(tau, s) == s))
+    used = used_letters(dw)
+    assert len(used) == p + T + 1
+    assert used[p] == used[p + T] == brute
+    for i in range(p + T):
+        assert used[i] == _letters_of(dw.morphism(i), used[i + 1])
+
+
+def test_tribonacci_has_no_right_proper_block():
+    # weakly primitive, but its last-letter map 0->1, 1->2, 2->0 is a
+    # permutation, so no product of its levels is right proper
+    dw = DirectiveWord((), (bracket("01", "02", "0"),))
+    assert weak_primitivity_check(dw).holds
+    with pytest.raises(NotContractible, match="no right proper block from level 0"):
+        proper_contraction(dw)

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from rauzyadic.errors import HorizonExceeded, IdentityViolation, NoStabilization
 from rauzyadic.words import (
     LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
-    extension_profile, factors_of, factors_text, named_oracle, return_words,
-    return_words_by_scan, substitutive_language,
+    eventual_support, extension_profile, factors_of, factors_text, is_primitive, named_oracle,
+    return_words, return_words_by_scan, substitutive_language,
 )
 
 
@@ -80,10 +80,11 @@ def test_return_words(fib):
 
 
 def test_return_words_match_scan(fib, trib):
-    for o in (fib, trib):
+    for o, tau in ((fib, NAMED_SOURCES["fibonacci"]), (trib, NAMED_SOURCES["tribonacci"])):
+        w = _fixed_point(tau, 5000)
         for n in (1, 2, 4, 6):
             for u in sorted(o.factors(n))[:4]:
-                assert return_words(o, u) == return_words_by_scan(o.witness, u)
+                assert return_words(o, u) == return_words_by_scan(w, u)
 
 
 def test_short_return_word_unique(fib, tm, trib):
@@ -170,14 +171,11 @@ def test_kernel_matches_long_word(tau, n):
         with pytest.raises(NoStabilization):
             substitutive_language(tau, n)
         return
-    sets, cert, witness = substitutive_language(tau, n)
+    sets, cert = substitutive_language(tau, n)
     oracle = FactorOracle(Alphabet(len(tau)), sets, n, "kernel")
-    w = "0"
-    while len(w) < 20_000:
-        w = _apply(tau, w)
+    w = _fixed_point(tau, 20_000)
     for m in range(n + 1):
         assert oracle.factors(m) == factors_of(w, m)
-    assert factors_of(witness, n) == sets[n]
     assert cert.letters == "".join(sorted(tau)) and cert.pairs == len(factors_of(w, 2))
 
 
@@ -189,8 +187,19 @@ def test_finite_word_sets_are_not_derived():
 def test_named_oracle_certificate(fib, trib):
     assert (fib.certificate.letters, fib.certificate.pairs) == ("01", 3)
     assert (trib.certificate.letters, trib.certificate.pairs) == ("012", 5)
-    for o in (fib, trib):
-        assert factors_of(o.witness, o.horizon) == o.factors(o.horizon)
+    for o, tau in ((fib, NAMED_SOURCES["fibonacci"]), (trib, NAMED_SOURCES["tribonacci"])):
+        assert factors_of(_fixed_point(tau, 20_000), o.horizon) == o.factors(o.horizon)
+
+
+def test_primitivity_needs_no_power_bound():
+    # Wielandt's matrix on ten letters first becomes positive at the power
+    # 82 = 9^2 + 1; without the chord it is a cycle and never does
+    cycle = {LETTERS[a]: LETTERS[(a + 1) % 10] for a in range(10)}
+    assert is_primitive(cycle | {"9": "01"})
+    assert not is_primitive(cycle)
+    assert len(set(eventual_support(cycle).values())) == 10
+    assert not is_primitive({"0": "0"}) and is_primitive({"0": "00"})
+    assert not is_primitive({"0": "01"})     # 1 is not one of its letters
 
 
 def test_kernel_refuses_non_primitive():

@@ -243,22 +243,17 @@ class EvolutionRecord:
     gamma: Morphism
     shape_before: GraphShape
     shape_after: GraphShape
-    u_before: Word
-    u_after: Word
     u_role_before: str
     u_role_after: str
     schema: EvolutionRow
     k: int | None
     l: int | None
-    notes: tuple[str, ...] = ()
 
     def line(self) -> str:
         params = ",".join(f"{n}={v}" for n, v in (("k", self.k), ("l", self.l)) if v is not None)
-        note = "; ".join(self.notes)
         return (f"order {self.from_order}->{self.to_order} type {self.shape_before.type_id}"
                 f"->{self.shape_after.type_id} U {self.u_role_before}->{self.u_role_after} "
-                f"schema {self.schema.row.rid} [{params}] {self.gamma.rule_string()}"
-                + (f"  # {note}" if note else ""))
+                f"schema {self.schema.row.rid} [{params}] {self.gamma.rule_string()}")
 
 
 def _factorize(label: Word, lower_u: Word, theta: ThetaAssignment) -> str:
@@ -372,7 +367,7 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
     for n in orders:
         graph = build_graph(oracle, n)
         g = reduce_graph(graph, oracle)
-        shape = classify_shape(g, oracle, chain[n])
+        shape = classify_shape(g, oracle)
         circs = circuits_from(graph, chain[n], oracle, budget)
         theta = assign_theta(graph, shape, circs, oracle, chain[n])
         role = "B" if chain[n] in oracle.bispecials(n) else "R"
@@ -394,8 +389,8 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
         got = unique_row_match([er.row for er in rows], gamma,
                                f"evolution {sh.type_id}->{sh2.type_id} at order {n}")
         schema = next(er for er in rows if er.row.rid == got.row.rid)
-        records.append(EvolutionRecord(n, m, gamma, sh, sh2, chain[n], chain[m],
-                                       role, role2, schema, got.k, got.l))
+        records.append(EvolutionRecord(n, m, gamma, sh, sh2, role, role2, schema,
+                                       got.k, got.l))
 
     path = _build_gprime_path(records, data, log)
     return ExtractionReport(tuple(records), tuple(path), tuple(log),

@@ -10,7 +10,7 @@ in the test suite is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import UnsupportedCase
 from .morphism import Morphism, compose_all
@@ -18,17 +18,32 @@ from .morphism import Morphism, compose_all
 
 @dataclass(frozen=True)
 class LengthState:
-    u1: int | None = None
-    u2: int | None = None
-    v1: int | None = None
-    v2: int | None = None
-    K: int | None = None
-    h: int | None = None
+    """The region lengths at an arrival, with ``case`` the ``kcase`` of the
+    region entry they were computed from and ``h`` the loop steps since.
+    A negative length means the case's formulas do not apply, so it is
+    refused with UnsupportedCase."""
+
+    u1: int
+    u2: int
+    v1: int
+    v2: int
+    K: int
+    h: int
+    case: str
     p1: int | None = None
     p2: int | None = None
 
-    def loops(self):
-        return (self.u1, self.u2, self.v1, self.v2, self.K)
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), int) and value < 0:
+                raise UnsupportedCase(f"negative length {f.name}={value} in case {self.case}")
+
+    @property
+    def margin(self) -> int:
+        """|u1| + h(|u1|+|v1|) - (|u2| + (K-1)(|u2|+|v2|)); the two-loop exit
+        gate asks for it to be >= 0, and exact-slope mode for it to be 0."""
+        u1, u2, v1, v2, K, h = self.u1, self.u2, self.v1, self.v2, self.K, self.h
+        return (u1 + h * (u1 + v1)) - (u2 + (K - 1) * (u2 + v2))
 
 
 def common_prefix_len(a: str, b: str) -> int:
@@ -71,8 +86,8 @@ def _type10_data(g: Morphism) -> tuple[int, int]:
     return order, q
 
 
-def _c1_values(kcase: str, g: Morphism, sub: dict[str, str], k: int | None,
-               l: int | None, entry: Morphism) -> tuple[int, int, int, int]:
+def _c1_values(kcase: str, g: Morphism, sub: dict[str, str],
+               entry: Morphism) -> tuple[int, int, int, int]:
     """(u1, u2, v1, v2) of the arrival region per the entry case.
 
     g is the composition of the steps before the entry; entry is the
@@ -171,22 +186,6 @@ _EMBEDDED_ENTRY = {
 }
 
 
-def _entry_data(steps, e):
-    """(u1, u2, v1, v2, K) for the entry at index e of the step list."""
-    step = steps[e]
-    row = step.match.row
-    if row.kcase is None:
-        raise UnsupportedCase(f"step {row.rid} does not enter the two-loop region")
-    g = compose_all([s.label for s in steps[:e]], n=step.label.codomain)
-    entry = step.label
-    if row.kcase in _EMBEDDED_ENTRY:
-        entry = _EMBEDDED_ENTRY[row.kcase](step.match.k)
-    u1, u2, v1, v2 = _c1_values(row.kcase, g, step.match.sub, step.match.k,
-                                step.match.l, entry)
-    K = row.Kfun(step.match.k or 0, step.match.l or 0)
-    return g, entry, (u1, u2, v1, v2, K)
-
-
 def _is_loop_step(step) -> bool:
     return step.src == "7/8" and step.dst == "7/8"
 
@@ -196,65 +195,49 @@ def compute_length_state(steps) -> LengthState:
 
     ``steps`` carry ``label`` (the morphism) and ``match`` (the table row
     with parameters), as produced by extraction or by directive routing.
+    The region entry is found by one walk back over the 7/8 loop steps,
+    from the last step, or from the one before it on a plain arrival at
+    5/6 (one whose row does not embed its own entry).  Raises
+    UnsupportedCase when there is no entry or a length comes out negative.
     """
     if not steps:
         raise UnsupportedCase("empty step prefix")
     last = steps[-1]
-    if last.dst == "7/8":
-        e = len(steps) - 1
-        h = 0
-        while e >= 0 and _is_loop_step(steps[e]):
-            h += 1
-            e -= 1
-        if e < 0 or steps[e].match.row.kcase is None:
-            raise UnsupportedCase("no region entry before the loop steps")
-        _, _, (u1, u2, v1, v2, K) = _entry_data(steps, e)
-        return LengthState(u1, u2, v1, v2, K, h=h)
-    if last.dst != "5/6":
+    if last.dst not in ("7/8", "5/6"):
         raise UnsupportedCase(f"prefix ends at {last.dst}, not 7/8 or 5/6")
-    if last.match.row.kcase in _EMBEDDED_ENTRY:
-        e, h = len(steps) - 1, 0
-        g, entry, (u1, u2, v1, v2, K) = _entry_data(steps, e)
-        gam = compose_all([g, entry])
-    else:
-        e = len(steps) - 2
-        h = 0
-        while e >= 0 and _is_loop_step(steps[e]):
-            h += 1
-            e -= 1
-        if e < 0 or steps[e].match.row.kcase is None:
-            raise UnsupportedCase("no region entry before the no-loop arrival")
-        g, entry, (u1, u2, v1, v2, K) = _entry_data(steps, e)
+    plain_56 = last.dst == "5/6" and last.match.row.kcase not in _EMBEDDED_ENTRY
+    top = e = len(steps) - 2 if plain_56 else len(steps) - 1
+    while e >= 0 and _is_loop_step(steps[e]):
+        e -= 1
+    if e < 0 or steps[e].match.row.kcase is None:
+        raise UnsupportedCase("no region entry before the no-loop arrival" if plain_56
+                              else "no region entry before the loop steps")
+    step = steps[e]
+    match = step.match
+    case = match.row.kcase
+    g = compose_all([s.label for s in steps[:e]], n=step.label.codomain)
+    entry = _EMBEDDED_ENTRY[case](match.k) if case in _EMBEDDED_ENTRY else step.label
+    u1, u2, v1, v2 = _c1_values(case, g, match.sub, entry)
+    st = LengthState(u1, u2, v1, v2, match.row.Kfun(match.k or 0, match.l or 0),
+                     h=top - e, case=case)
+    if last.dst == "5/6":
         # the accumulated images include the loop explosions before the exit
         gam = compose_all([g, entry] + [s.label for s in steps[e + 1 : -1]])
-    p1, p2 = _p_lengths(gam, u1, u2, v1, v2, K, h)
-    return LengthState(u1, u2, v1, v2, K, h=h, p1=p1, p2=p2)
+        p1, p2 = _p_lengths(gam, st)
+        st = replace(st, p1=p1, p2=p2)
+    return st
 
 
-def exit_gate_bound(u1, u2, v1, v2, K, h) -> bool:
-    """The two-loop exit inequality |u1| + h(|u1|+|v1|) >= |u2| + (K-1)(|u2|+|v2|)."""
-    return u1 + h * (u1 + v1) >= u2 + (K - 1) * (u2 + v2)
-
-
-def _ell(u1, u2, v1, v2, K) -> int:
-    """The unique l with u1 + (l-1)(u1+v1) < u2 + (K-1)(u2+v2) <= u1 + l(u1+v1)."""
-    rhs = u2 + (K - 1) * (u2 + v2)
-    l = 0
-    while u1 + l * (u1 + v1) < rhs:
-        l += 1
-    return l
-
-
-def _p_lengths(gam: Morphism, u1, u2, v1, v2, K, h) -> tuple[int, int]:
-    """|p1| (chain side) and |p2| of the no-loop region after h loop steps.
+def _p_lengths(gam: Morphism, st: LengthState) -> tuple[int, int]:
+    """|p1| (chain side) and |p2| of the no-loop region after st.h loop steps.
 
     gam is the accumulated composition through the last loop explosion;
     the excess term counts from the h-th chain-side explosion (adjudicated
-    against direct measurement; the source text uses the l-th)."""
+    against direct measurement; the source text uses the l-th, the first
+    explosion count at which the margin turns non-negative)."""
+    u1, u2, v1, v2, K, h = st.u1, st.u2, st.v1, st.v2, st.K, st.h
     cp = common_prefix_len(gam.images[1], gam.images[2])
-    l = _ell(u1, u2, v1, v2, K)
-    rhs = u2 + (K - 1) * (u2 + v2)
-    if h < l:
+    if st.margin < 0:
         kp = 0
         while u2 + kp * (u2 + v2) < u1 + h * (u1 + v1):
             kp += 1
@@ -262,5 +245,5 @@ def _p_lengths(gam: Morphism, u1, u2, v1, v2, K, h) -> tuple[int, int]:
         mine = len(gam.images[2]) - cp - 1
     else:
         other = cp - 1
-        mine = len(gam.images[2]) - cp - (u1 + h * (u1 + v1) - rhs) - 1
+        mine = len(gam.images[2]) - cp - st.margin - 1
     return mine, other

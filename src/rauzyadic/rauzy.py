@@ -268,24 +268,14 @@ def reduce_graph(graph: RauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
 
 @dataclass(frozen=True)
 class GraphShape:
-    """One of the ten shapes, with the measurements its type carries.
-
-    ``u_role`` says whether the chain vertex is the bispecial vertex ('B')
-    or the other right special one ('R').  ``gap`` is nonzero when the
-    classified order had no bispecial factor and the type reported is the
-    one of the next bispecial order.
-    """
+    """One of the ten shapes.  ``gap`` is nonzero when the classified order
+    had no bispecial factor and the type reported is the one of the next
+    bispecial order; the loop lengths are measured by ``measure_two_loops``
+    and ``measure_no_loops``."""
 
     type_id: int
     order: int
-    u_role: str | None = None
     gap: int = 0
-    p1: int | None = None
-    p2: int | None = None
-    u1: int | None = None
-    u2: int | None = None
-    v1: int | None = None
-    v2: int | None = None
 
 
 def _single_cycle(g: ReducedRauzyGraph, r: Word, avoid: Word | None):
@@ -307,8 +297,7 @@ def _single_cycle(g: ReducedRauzyGraph, r: Word, avoid: Word | None):
     return best
 
 
-def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, chain_vertex: Word | None = None,
-                   gap: int = 0) -> GraphShape:
+def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, gap: int = 0) -> GraphShape:
     """Classify a reduced graph at a bispecial order among the ten types."""
     n = g.order
     rs = sorted(v for v in g.vertices if oracle.is_right_special(v))
@@ -316,58 +305,32 @@ def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, chain_vertex: Wor
     bis = sorted(set(rs) & set(ls))
     if not bis:
         raise OutOfClass(f"order {n}: no bispecial vertex")
-    dplus = {v: len(g.out_edges(v)) for v in g.vertices}
-
-    def role(shape: GraphShape) -> GraphShape:
-        if chain_vertex is None or len(rs) == 1:
-            return replace(shape, u_role="B" if chain_vertex in bis else None)
-        return replace(shape, u_role="B" if chain_vertex in bis else "R")
-
     if len(rs) == 1 and len(ls) == 1:
-        b = bis[0]
-        if dplus[b] == 2:
-            return role(GraphShape(1, n, gap=gap))
-        if dplus[b] == 3:
-            return role(GraphShape(2, n, gap=gap))
-        raise OutOfClass(f"order {n}: degree {dplus[b]} bispecial")
+        dplus = len(g.out_edges(bis[0]))
+        if dplus in (2, 3):   # two circuits: type 1, three: type 2
+            return GraphShape(dplus - 1, n, gap)
+        raise OutOfClass(f"order {n}: degree {dplus} bispecial")
     if len(rs) == 1 and len(ls) == 2:
-        return role(GraphShape(3, n, gap=gap))
+        return GraphShape(3, n, gap)
     if len(rs) == 2 and len(ls) == 1:
-        return role(GraphShape(4, n, gap=gap))
+        return GraphShape(4, n, gap)
     if len(rs) == 2 and len(ls) == 2:
         loops = {v for v in rs if any(e.dst == v for e in g.out_edges(v))}
         if len(bis) == 2:
             if loops == set(rs):
-                sh = GraphShape(8, n, gap=gap, u1=0, u2=0)
-                b1, b2 = rs if chain_vertex != rs[-1] else (rs[1], rs[0])
-                c1 = _single_cycle(g, b1, avoid=b2)
-                c2 = _single_cycle(g, b2, avoid=b1)
-                if c1 and c2:
-                    sh = replace(sh, v1=sum(e.length for e in c1), v2=sum(e.length for e in c2))
-                return role(sh)
+                return GraphShape(8, n, gap)
             if not loops:
-                return role(GraphShape(6, n, gap=gap, p1=0, p2=0))
+                return GraphShape(6, n, gap)
             raise OutOfClass(f"order {n}: two bispecials, one loop")
         # one bispecial, one right-only special, one left-only special
         b = bis[0]
-        r = next(v for v in rs if v != b)
-        l = next(v for v in ls if v != b)
-        has_b_loop = b in loops
-        r_cycle_avoiding_b = _single_cycle(g, r, avoid=b)
-        if has_b_loop and r_cycle_avoiding_b:
-            v1 = sum(e.length for e in r_cycle_avoiding_b[:1])
-            u1 = sum(e.length for e in r_cycle_avoiding_b[1:])
-            bl = next(e for e in g.out_edges(b) if e.dst == b)
-            return role(GraphShape(7, n, gap=gap, u1=u1, u2=0, v1=v1, v2=bl.length))
-        if has_b_loop:
-            return role(GraphShape(9, n, gap=gap))
+        if b in loops:
+            r = next(v for v in rs if v != b)
+            return GraphShape(7 if _single_cycle(g, r, avoid=b) else 9, n, gap)
         # no loops at all: type 5 or type 10, told apart by parallel edges
         doubles = any(sum(1 for f in g.out_edges(v) if f.dst == e.dst) == 2
                       for v in g.vertices for e in g.out_edges(v))
-        if doubles:
-            p2 = next((e.length for e in g.in_edges(r) if e.src == l), None)
-            return role(GraphShape(5, n, gap=gap, p1=0, p2=p2))
-        return role(GraphShape(10, n, gap=gap))
+        return GraphShape(5 if doubles else 10, n, gap)
     raise OutOfClass(f"order {n}: {len(rs)} right specials, {len(ls)} left specials")
 
 
@@ -380,8 +343,8 @@ def next_bispecial_order(oracle: FactorOracle, n: int) -> int:
     return m
 
 
-def reduce_and_classify(graph: RauzyGraph, oracle: FactorOracle,
-                        chain_vertex: Word | None = None) -> tuple[ReducedRauzyGraph, GraphShape]:
+def reduce_and_classify(graph: RauzyGraph,
+                        oracle: FactorOracle) -> tuple[ReducedRauzyGraph, GraphShape]:
     """Reduced graph plus its type; at a non-bispecial order the type is the
     one of the next bispecial order, with the gap recorded."""
     n = graph.order
@@ -391,14 +354,10 @@ def reduce_and_classify(graph: RauzyGraph, oracle: FactorOracle,
         if not 1 <= p <= 2:
             raise OutOfClass(f"order {m}: first difference {p} outside [1, 2]")
     if oracle.bispecials(n):
-        return g, classify_shape(g, oracle, chain_vertex)
+        return g, classify_shape(g, oracle)
     m = next_bispecial_order(oracle, n)
     gm = reduce_graph(build_graph(oracle, m), oracle)
-    chain_m = None
-    if chain_vertex is not None:
-        chain_m = right_special_chain(oracle, m)[m]
-    shape = classify_shape(gm, oracle, chain_m, gap=m - n)
-    return g, replace(shape, order=n)
+    return g, replace(classify_shape(gm, oracle, gap=m - n), order=n)
 
 
 # -- the right special chain ------------------------------------------
@@ -413,7 +372,8 @@ def right_special_chain(oracle: FactorOracle, N: int) -> list[Word]:
     """
     if N + 1 > oracle.horizon:
         raise HorizonExceeded(f"chain to {N} needs horizon {N + 1}")
-    levels = [oracle.right_specials(n) for n in range(N + 1)]
+    # longest first, so that each derived factor set is sliced from the next
+    levels = [oracle.right_specials(n) for n in range(N, -1, -1)][::-1]
     depth: dict[Word, int] = {}
     for n in range(N, -1, -1):
         for u in levels[n]:

@@ -83,7 +83,6 @@ class Match:
     assign: tuple[tuple[str, str], ...]
     k: int | None
     l: int | None
-    with_third: bool
 
     @property
     def sub(self) -> dict[str, str]:
@@ -101,7 +100,6 @@ class Row:
     vars: str = "lit"
     opt3: bool = False
     cond: object = None            # callable (k, l) -> bool
-    through: str | None = None     # "4R" | "10R" when the edge contracts a run
     kcase: str | None = None       # length-bookkeeping case for 7/8 or 5/6 entries
     Kfun: object = None            # callable (k, l) -> loop count of the entry
     d_factors: tuple[str, ...] = ()
@@ -160,7 +158,7 @@ class Row:
             return []
         uses = self.uses
         return [Match(self, tuple(sorted(assign.items())),
-                      k if "k" in uses else None, l if "l" in uses else None, need_third)
+                      k if "k" in uses else None, l if "l" in uses else None)
                 for assign in _ASSIGNMENTS[self.vars]
                 if all(_image(p, assign, k, l) == w for p, w in zip(atoms, m.images))]
 
@@ -409,10 +407,10 @@ def gog_from_tables() -> dict[int, frozenset[int]]:
 GPRIME_VERTICES = ("2", "V0", "V1", "V2", "4B", "1", "5/6", "7/8", "10B")
 
 
-def _row(rid, src, dst, imgs, vars="lit", opt3=False, cond=None, through=None,
-         kcase=None, Kfun=None, d_factors=()):
+def _row(rid, src, dst, imgs, vars="lit", opt3=False, cond=None, kcase=None, Kfun=None,
+         d_factors=()):
     return Row(rid, src, dst, tuple(imgs), vars=vars, opt3=opt3, cond=cond,
-               through=through, kcase=kcase, Kfun=Kfun, d_factors=tuple(d_factors))
+               kcase=kcase, Kfun=Kfun, d_factors=tuple(d_factors))
 
 
 def _c2_rows() -> list[Row]:
@@ -479,16 +477,16 @@ def _gprime_rows() -> list[Row]:
                opt3=True, cond=lambda k, l: k >= 2, kcase="type1_entry",
                Kfun=lambda k, l: k - 1),
           _row("C4.56.78c", "5/6", "7/8", ("2^l 0", "1 2^k 0", "1 2^k-1 0"), opt3=True,
-               cond=lambda k, l: k > l >= 0, through="10R", kcase="c56_10R_a",
+               cond=lambda k, l: k > l >= 0, kcase="c56_10R_a",
                Kfun=lambda k, l: k - l),
           _row("C4.56.78d", "5/6", "7/8", ("1 2^k 0", "2^l 0", "2^l-1 0"), opt3=True,
-               cond=lambda k, l: l > k + 1 >= 1, through="10R", kcase="c56_10R_b",
+               cond=lambda k, l: l > k + 1 >= 1, kcase="c56_10R_b",
                Kfun=lambda k, l: l - k - 1)]
     r += [_row("C4.56.10a", "5/6", "10B", ("1", "0 1", "2")),
           _row("C4.56.10b", "5/6", "10B", ("2^k 0", "1 2^k 0", "1 2^k-1 0"),
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("C4.56.10c", "5/6", "10B", ("1 2^k 0", "2^k+1 0", "2^k 0"),
-               cond=lambda k, l: k >= 0, through="10R")]
+               cond=lambda k, l: k >= 0)]
     r += [_row("C4.78.1a", "7/8", "1", ("0 1", "1")),
           _row("C4.78.1b", "7/8", "1", ("1", "0 1")),
           _row("C4.78.1c", "7/8", "1", ("x", "y"), vars="xy01"),
@@ -502,16 +500,16 @@ def _gprime_rows() -> list[Row]:
     r += [_row("C4.10B.78a", "10B", "7/8", ("0", "2^k 1", "2^k-1 1"),
                cond=lambda k, l: k >= 1, kcase="c10B_direct", Kfun=lambda k, l: k),
           _row("C4.10B.78b", "10B", "7/8", ("1^l 2", "0 1^k 2", "0 1^k-1 2"), opt3=True,
-               cond=lambda k, l: k > l >= 0, through="10R", kcase="c10B_10R_a",
+               cond=lambda k, l: k > l >= 0, kcase="c10B_10R_a",
                Kfun=lambda k, l: k - l),
           _row("C4.10B.78c", "10B", "7/8", ("0 1^k 2", "1^l 2", "1^l-1 2"), opt3=True,
-               cond=lambda k, l: l > k + 1 >= 1, through="10R", kcase="c10B_10R_b",
+               cond=lambda k, l: l > k + 1 >= 1, kcase="c10B_10R_b",
                Kfun=lambda k, l: l - k - 1)]
     r += [_row("C4.10B.10a", "10B", "10B", ("0", "2 0", "1")),
           _row("C4.10B.10b", "10B", "10B", ("1^k 2", "0 1^k 2", "0 1^k-1 2"),
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("C4.10B.10c", "10B", "10B", ("0 1^k 2", "1^k+1 2", "1^k 2"),
-               cond=lambda k, l: k >= 0, through="10R")]
+               cond=lambda k, l: k >= 0)]
     # the two right-proper composite edges added to the component
     r += [_row("C4.56.loopa", "5/6", "5/6", ("1 0^k 2", "0^k-1 2", "1 0^k-1 2"),
                cond=lambda k, l: k >= 1, kcase="c56_loop", Kfun=lambda k, l: k),
@@ -536,35 +534,35 @@ def _gprime_rows() -> list[Row]:
           _row("T2.1d", "2", "1", ("x y", "z x y"), vars="xyz"),
           _row("T2.1e", "2", "1", ("z x y", "x y"), vars="xyz"),
           _row("T2.1f", "2", "1", ("y z^k x", "z^k x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1g", "2", "1", ("z^k x", "y z^k x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1h", "2", "1", ("y z^k x", "z^k-1 x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1i", "2", "1", ("z^k-1 x", "y z^k x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1j", "2", "1", ("y z^k-1 x", "z^k x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1k", "2", "1", ("z^k x", "y z^k-1 x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1l", "2", "1", ("(xy)^k z", "y (xy)^k z"), vars="xyz",
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("T2.1m", "2", "1", ("y (xy)^k z", "(xy)^k z"), vars="xyz",
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("T2.1n", "2", "1", ("(xy)^k z", "y (xy)^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="10R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.1o", "2", "1", ("y (xy)^k-1 z", "(xy)^k z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="10R")]
+               cond=lambda k, l: k >= 2)]
     r += [_row("T2.4Ba", "2", "4B", ("x", "y x", "y z x"), vars="xyz"),
           _row("T2.4Bb", "2", "4B", ("x", "y z x", "y x"), vars="xyz"),
           _row("T2.4Bc", "2", "4B", ("y^k-1 z", "x y^k z", "x y^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.4Bd", "2", "4B", ("y^k-1 z", "x y^k-1 z", "x y^k z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.4Be", "2", "4B", ("x y^k-1 z", "y^k z", "y^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.4Bf", "2", "4B", ("x y^k-1 z", "y^k-1 z", "y^k z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R")]
+               cond=lambda k, l: k >= 2)]
     r += [_row("T2.V0a", "2", "V0", ("0", "1 2 0", "2 0")),
           _row("T2.V0b", "2", "V0", ("0", "1 0", "2 1 0")),
           _row("T2.V1a", "2", "V1", ("0 1", "1", "2 0 1")),
@@ -590,26 +588,26 @@ def _gprime_rows() -> list[Row]:
                opt3=True, cond=lambda k, l: k >= 2, kcase="c2_pairsplit",
                Kfun=lambda k, l: k - 1),
           _row("T2.78g", "2", "7/8", ("z^l x", "y z^k x", "y z^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 1, through="4R",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 1,
                kcase="c2_4R_a", Kfun=lambda k, l: k - l - 1),
           _row("T2.78h", "2", "7/8", ("y z^l x", "z^k x", "z^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 1, through="4R",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 1,
                kcase="c2_4R_b", Kfun=lambda k, l: k - l - 1),
           _row("T2.78i", "2", "7/8", ("y (xy)^l z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0, through="10R",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
                kcase="c2_10R_a", Kfun=lambda k, l: k - l - 1),
           _row("T2.78j", "2", "7/8", ("(xy)^k z", "y (xy)^l z", "y (xy)^l-1 z"), vars="xyz",
-               opt3=True, cond=lambda k, l: l > k >= 1, through="10R",
+               opt3=True, cond=lambda k, l: l > k >= 1,
                kcase="c2_10R_b", Kfun=lambda k, l: l - k)]
     r += [_row("T2.10Ba", "2", "10B", ("x y", "z x y", "z y"), vars="xyz"),
           _row("T2.10Bb", "2", "10B", ("z^k x", "y z^k x", "y z^k-1 x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.10Bc", "2", "10B", ("y z^k x", "z^k x", "z^k-1 x"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="4R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.10Bd", "2", "10B", ("y (xy)^k-1 z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 2, through="10R"),
+               cond=lambda k, l: k >= 2),
           _row("T2.10Be", "2", "10B", ("(xy)^k z", "y (xy)^k z", "y (xy)^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 1, through="10R")]
+               cond=lambda k, l: k >= 1)]
     # black edges from V_i
     for i in range(3):
         v, dom = f"V{i}", f"ixy{i}"
@@ -617,13 +615,13 @@ def _gprime_rows() -> list[Row]:
               _row(f"T3.{i}.1b", v, "1", ("i y", "x"), vars=dom),
               _row(f"T3.{i}.1c", v, "1", ("x i", "y i"), vars=dom),
               _row(f"T3.{i}.1d", v, "1", ("x y^k i", "y^k i"), vars=dom,
-                   cond=lambda k, l: k >= 1, through="10R"),
+                   cond=lambda k, l: k >= 1),
               _row(f"T3.{i}.1e", v, "1", ("y^k i", "x y^k i"), vars=dom,
-                   cond=lambda k, l: k >= 1, through="10R"),
+                   cond=lambda k, l: k >= 1),
               _row(f"T3.{i}.1f", v, "1", ("x y^k i", "y^k-1 i"), vars=dom,
-                   cond=lambda k, l: k >= 2, through="10R"),
+                   cond=lambda k, l: k >= 2),
               _row(f"T3.{i}.1g", v, "1", ("y^k-1 i", "x y^k i"), vars=dom,
-                   cond=lambda k, l: k >= 2, through="10R"),
+                   cond=lambda k, l: k >= 2),
               _row(f"T3.{i}.78a", v, "7/8", ("i", "x y^k i", "x y^k-1 i"), vars=dom,
                    opt3=True, cond=lambda k, l: k >= 1, kcase="v_top",
                    Kfun=lambda k, l: k),
@@ -631,60 +629,60 @@ def _gprime_rows() -> list[Row]:
                    opt3=True, cond=lambda k, l: k >= 2, kcase="v_bottom",
                    Kfun=lambda k, l: k - 1),
               _row(f"T3.{i}.78c", v, "7/8", ("x y^l i", "y^k i", "y^k-1 i"), vars=dom,
-                   opt3=True, cond=lambda k, l: k - 1 > l >= 0, through="10R",
+                   opt3=True, cond=lambda k, l: k - 1 > l >= 0,
                    kcase="v_10R_a", Kfun=lambda k, l: k - l - 1),
               _row(f"T3.{i}.78d", v, "7/8", ("y^k i", "x y^l i", "x y^l-1 i"), vars=dom,
-                   opt3=True, cond=lambda k, l: l > k >= 1, through="10R",
+                   opt3=True, cond=lambda k, l: l > k >= 1,
                    kcase="v_10R_b", Kfun=lambda k, l: l - k),
               _row(f"T3.{i}.10Ba", v, "10B", ("x", "i x", "i y"), vars=dom),
               _row(f"T3.{i}.10Bb", v, "10B", ("x y^k-1 i", "y^k i", "y^k-1 i"), vars=dom,
-                   cond=lambda k, l: k >= 2, through="10R"),
+                   cond=lambda k, l: k >= 2),
               _row(f"T3.{i}.10Bc", v, "10B", ("y^k i", "x y^k i", "x y^k-1 i"), vars=dom,
-                   cond=lambda k, l: k >= 1, through="10R")]
+                   cond=lambda k, l: k >= 1)]
     # black edges from 4B
     r += [_row("T4.1a", "4B", "1", ("x^k y", "0 x^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1b", "4B", "1", ("0 x^k y", "x^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1c", "4B", "1", ("x^k-1 y", "0 x^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1d", "4B", "1", ("0 x^k y", "x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1e", "4B", "1", ("x^k y", "0 x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1f", "4B", "1", ("0 x^k-1 y", "x^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1g", "4B", "1", ("0 (x0)^k y", "(x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1h", "4B", "1", ("(x0)^k y", "0 (x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1i", "4B", "1", ("0 (x0)^k-1 y", "(x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="10R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.1j", "4B", "1", ("(x0)^k y", "0 (x0)^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="10R")]
+               cond=lambda k, l: k >= 1)]
     r += [_row("T4.78a", "4B", "7/8", ("0", "x^k y 0", "x^k-1 y 0"), vars="xy12",
                opt3=True, cond=lambda k, l: k >= 1, kcase="f4_direct",
                Kfun=lambda k, l: k),
           _row("T4.78b", "4B", "7/8", ("x^l y", "0 x^k y", "0 x^k-1 y"), vars="xy12",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0, through="4R",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
                kcase="f4_4R", Kfun=lambda k, l: k - 1 - l),
           _row("T4.78c", "4B", "7/8", ("0 x^l y", "x^k y", "x^k-1 y"), vars="xy12",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0, through="4R",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
                kcase="f4_4R", Kfun=lambda k, l: k - 1 - l),
           _row("T4.78d", "4B", "7/8", ("(x0)^l y", "0 (x0)^k y", "0 (x0)^k-1 y"),
-               vars="xy12", opt3=True, cond=lambda k, l: k > l >= 0, through="10R",
+               vars="xy12", opt3=True, cond=lambda k, l: k > l >= 0,
                kcase="f4_10R_a", Kfun=lambda k, l: k - l),
           _row("T4.78e", "4B", "7/8", ("0 (x0)^k y", "(x0)^l y", "(x0)^l-1 y"),
-               vars="xy12", opt3=True, cond=lambda k, l: l - 1 > k >= 0, through="10R",
+               vars="xy12", opt3=True, cond=lambda k, l: l - 1 > k >= 0,
                kcase="f4_10R_b", Kfun=lambda k, l: l - k - 1)]
     r += [_row("T4.10Ba", "4B", "10B", ("x^k y", "0 x^k y", "0 x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.10Bb", "4B", "10B", ("0 x^k y", "x^k y", "x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1, through="4R"),
+               cond=lambda k, l: k >= 1),
           _row("T4.10Bc", "4B", "10B", ("(x0)^k y", "0 (x0)^k y", "0 (x0)^k-1 y"),
-               vars="xy12", cond=lambda k, l: k >= 1, through="10R"),
+               vars="xy12", cond=lambda k, l: k >= 1),
           _row("T4.10Bd", "4B", "10B", ("0 (x0)^k-1 y", "(x0)^k y", "(x0)^k-1 y"),
-               vars="xy12", cond=lambda k, l: k >= 1, through="10R")]
+               vars="xy12", cond=lambda k, l: k >= 1)]
     return r
 
 

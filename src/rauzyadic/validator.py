@@ -16,7 +16,7 @@ from .errors import EnumerationBudgetExceeded, Mismatch, NotInCatalog, Unsupport
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
-from .sadic import DirectiveWord, language_horizon, weak_primitivity_check
+from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
 from .schemas import GPRIME_EDGES, GPRIME_OUT, GPRIME_VERTICES, Match, Row, match_rows
 from .words import complexity_profile
 
@@ -52,7 +52,6 @@ class Routing:
 class ValidityVerdict:
     status: str                     # "valid" | "invalid" | "undetermined"
     clause: str | None = None       # binding condition, with citation text
-    step: int | None = None
     routing: Routing | None = None
     notes: tuple[str, ...] = ()
 
@@ -64,8 +63,6 @@ class ValidityVerdict:
         lines = [f"status: {self.status}"]
         if self.clause:
             lines.append(f"clause: {self.clause}")
-        if self.step is not None:
-            lines.append(f"step: {self.step}")
         if self.routing:
             lines.append(f"start: {self.routing.start}")
             for s in self.routing.prefix:
@@ -242,10 +239,15 @@ def _check_c2(routing: Routing):
 
 def _weak_primitivity_clause(dw: DirectiveWord) -> str | None:
     wp = weak_primitivity_check(dw)
-    if wp.status == "fails":
-        return (f"weak primitivity fails at level {wp.fails_at} "
-                "(occurrence products never become positive)")
-    return None
+    if wp.status != "fails":
+        return None
+    # a growing one-letter period is primitive, so one live letter fails
+    # only when the period fixes it
+    if len(used_letters(dw)[len(dw.preperiod)]) == 1:
+        why = "the period fixes its only live letter, so the word is periodic"
+    else:
+        why = "occurrence products never become positive"
+    return f"weak primitivity fails at level {wp.fails_at} ({why})"
 
 
 def _check_c3(dw: DirectiveWord, routing: Routing):
@@ -306,17 +308,16 @@ def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
             st = compute_length_state(steps[: i + 1])
         except UnsupportedCase as exc:
             return "undetermined", f"length state unsupported at step {i}: {exc}"
-        entry_case = _entry_case(steps[: i + 1])
-        if entry_case in APPROX_CASES:
+        if st.case in APPROX_CASES:
             return "undetermined", (f"exit gate depends on unverified length case "
-                                    f"{entry_case} at step {i}")
+                                    f"{st.case} at step {i}")
         if gate == "A":
             if not (st.p1 == st.p2 if strict2 else st.p1 >= st.p2):
                 which = "|p1| = |p2| (exact-slope mode)" if strict2 else "|p1| >= |p2|"
                 return ("invalid", f"no-loop exit gate {which} fails at step {i}: "
                                    f"p1={st.p1} p2={st.p2} (condition A)")
             continue
-        margin = (st.u1 + st.h * (st.u1 + st.v1)) - (st.u2 + (st.K - 1) * (st.u2 + st.v2))
+        margin = st.margin
         if not (margin == 0 if strict2 else margin >= 0):
             which = "equality (exact-slope mode)" if strict2 else "inequality"
             return ("invalid", f"two-loop exit gate {which} fails at step {i}: "
@@ -329,16 +330,6 @@ def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
         return ("undetermined", "exit-gate margin not monotone over cycle "
                                 "traversals; cannot certify all repetitions")
     return "valid", None
-
-
-def _entry_case(steps) -> str | None:
-    for s in reversed(steps):
-        kc = s.match.row.kcase
-        if kc is not None:
-            return kc
-        if not (s.src == "7/8" and s.dst == "7/8"):
-            break
-    return None
 
 
 def _check_strict2_shape(dw: DirectiveWord, routing: Routing):
@@ -469,7 +460,6 @@ def sequences_equal_mod_exchange(aa: list[Morphism], bb: list[Morphism]) -> list
 @dataclass(frozen=True)
 class CrossReport:
     verdict: ValidityVerdict
-    rotation: int
     witness: tuple[dict, ...]
     lines: tuple[str, ...]
 
@@ -522,4 +512,4 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
              f"cycle matched at extracted step {start}, rotation {rot}",
              f"complexity differences: {sorted(set(prof.s))}")
     verdict = ValidityVerdict(verdict.status, routing=chosen, notes=verdict.notes)
-    return CrossReport(verdict, rot, tuple(witness), lines)
+    return CrossReport(verdict, tuple(witness), lines)

@@ -64,14 +64,12 @@ class FactorOracle:
     """
 
     def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
-                 horizon: int, source: str, witness: Word | None = None,
-                 certificate: LanguageCertificate | None = None):
+                 horizon: int, source: str, certificate: LanguageCertificate | None = None):
         self.alphabet = alphabet
         self._factors = dict(factor_sets)
         self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
         self.horizon = horizon
         self.source = source
-        self.witness = witness
         self.certificate = certificate
 
     def __repr__(self):
@@ -140,8 +138,9 @@ class FactorOracle:
         return self._specials_in_factors(n, 2)
 
     def is_aperiodic(self, upto: int) -> bool:
-        """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
-        return all(len(self.factors(n)) >= n + 1 for n in range(upto + 1))
+        """p(n) >= n+1 for n <= upto, equivalently a right special of each length.
+        Read longest first, so each shorter set is sliced from the next one."""
+        return all(len(self.factors(n)) >= n + 1 for n in range(upto, -1, -1))
 
     # -- constructors ------------------------------------------------
 
@@ -156,7 +155,7 @@ class FactorOracle:
         if len(prefix) < horizon:
             raise HorizonExceeded(f"prefix of length {len(prefix)} shorter than horizon {horizon}")
         sets = {n: factors_of(prefix, n) for n in range(horizon + 1)}
-        return cls(alphabet, sets, horizon, source, witness=prefix)
+        return cls(alphabet, sets, horizon, source)
 
     @classmethod
     def from_substitution(cls, images: dict[str, Word], horizon: int,
@@ -324,7 +323,8 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
     factor sets are inconsistent (insufficient horizon)."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
-    L = [oracle.factors(n) for n in range(N + 1)]
+    # longest first, so that each derived L_m is sliced from L_{m+1}
+    L = [oracle.factors(n) for n in range(N, -1, -1)][::-1]
     p = tuple(map(len, L))
     s = tuple(p[n + 1] - p[n] for n in range(N))
     degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)

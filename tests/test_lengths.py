@@ -9,8 +9,8 @@ arrival must equal what the brute-force reduced Rauzy graph measures.
 import pytest
 
 from rauzyadic.extraction import extract_directive
-from rauzyadic.lengths import (common_prefix_len, common_suffix_len,
-                               compute_length_state, exit_gate_bound)
+from rauzyadic.lengths import (LengthState, common_prefix_len, common_suffix_len,
+                               compute_length_state)
 from rauzyadic.morphism import bracket
 from rauzyadic.rauzy import measure_no_loops, measure_two_loops, right_special_chain
 from rauzyadic.sadic import DirectiveWord, language_horizon
@@ -38,8 +38,13 @@ def _checked_arrivals(dw, horizon=72, upto=20):
     for idx, step in enumerate(rep.path):
         if step.entry_order < 0 or step.entry_order >= len(chain):
             continue
+        # the entry: this step, or the one before a plain arrival at 5/6,
+        # then back over the 7/8 loop steps
+        before = rep.path[: idx + 1]
+        if step.dst == "5/6" and step.match.row.kcase is None:
+            before = before[:-1]
         entry_case = None
-        for s in reversed(rep.path[: idx + 1]):
+        for s in reversed(before):
             if s.match.row.kcase is not None:
                 entry_case = s.match.row.kcase
                 break
@@ -63,6 +68,7 @@ def test_length_state_equals_measurement(name):
     arrivals = _checked_arrivals(LANGS[name])
     assert arrivals, f"{name}: no measurable arrivals"
     for kind, case, state, meas in arrivals:
+        assert state.case == case, (name, case)
         if kind == "loops":
             assert (state.u1, state.u2, state.v1, state.v2, state.K) == \
                 (meas.u1, meas.u2, meas.v1, meas.v2, meas.K), (name, case)
@@ -96,11 +102,13 @@ def test_identity_entry_values():
     first = next(s for s in rep.path if s.dst == "7/8")
     state = compute_length_state(rep.path[: rep.path.index(first) + 1])
     assert (state.u1, state.u2, state.v1, state.v2, state.K) == (0, 0, 1, 1, 1)
+    assert state.case == "type1_entry" and state.h == 0
 
 
-def test_exit_gate_bound_signature():
-    assert exit_gate_bound(2, 0, 1, 1, 1, 0)
-    assert not exit_gate_bound(0, 3, 1, 1, 2, 0)
+def test_exit_gate_margin_sign():
+    # |u1| + h(|u1|+|v1|) against |u2| + (K-1)(|u2|+|v2|)
+    assert LengthState(2, 0, 1, 1, 1, h=0, case="type1_entry").margin >= 0
+    assert LengthState(0, 3, 1, 1, 2, h=0, case="type1_entry").margin < 0
 
 
 def test_prefix_helpers():

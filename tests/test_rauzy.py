@@ -130,7 +130,7 @@ def test_chain_blocked_on_periodic():
 
 
 def test_classify_fibonacci(fib):
-    g, shape = reduce_and_classify(build_graph(fib, 2), fib, chain_vertex="10")
+    g, shape = reduce_and_classify(build_graph(fib, 2), fib)
     assert shape.type_id == 1 and shape.gap == 1
     assert g.vertices == {"01", "10"}
     for n in (0, 1, 3):

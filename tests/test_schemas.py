@@ -87,7 +87,7 @@ def brute_matches(row, m):
                 if all(_image(p, assign, k, l) == w for p, w in zip(pats, m.images)):
                     out.append(Match(row, tuple(sorted(assign.items())),
                                      k if "k" in uses else None,
-                                     l if "l" in uses else None, n == len(row.imgs)))
+                                     l if "l" in uses else None))
     return out
 
 

@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rauzyadic.errors import EnumerationBudgetExceeded, NotInCatalog, RauzyadicError
+from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, RauzyadicError,
+                              UnsupportedCase)
+from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, weak_primitivity_check
 from rauzyadic.schemas import GPRIME_OUT, _ASSIGNMENTS
 from rauzyadic.validator import (
-    _enumerate_routings, _window_right_proper, cross_validate, sequences_equal_mod_exchange,
-    start_vertex, validate_directive,
+    _enumerate_routings, _route, _routing_verdict, _weak_primitivity_clause,
+    _window_right_proper, cross_validate, sequences_equal_mod_exchange, start_vertex,
+    valid_routings, validate_directive,
 )
 
 B = bracket
@@ -216,6 +219,55 @@ def test_c3_requires_weak_primitivity():
     assert v.status == "invalid"
     assert v.clause.startswith("weak primitivity fails at level 1"), v.clause
     assert weak_primitivity_check(dw).fails_at == 1
+
+
+def test_weak_primitivity_clause_names_a_fixed_live_letter():
+    # the only live letter 1 is fixed by the period: its products are
+    # positive, and the word is periodic (validation stops earlier, at "no path")
+    fixed = DirectiveWord((), (B("01", "1"), B("111", "1")))
+    assert _weak_primitivity_clause(fixed) == ("weak primitivity fails at level 0 (the period "
+                                               "fixes its only live letter, so the word is periodic)")
+    dw = DirectiveWord((B("0", "10", "120"),), (B("0", "10", "20"), B("02", "12", "2")))
+    assert _weak_primitivity_clause(dw).endswith("(occurrence products never become positive)")
+    assert _weak_primitivity_clause(VALID_SUITE["c4-osc"]) is None
+
+
+# exit gate A after a plain 7/8 -> 5/6 arrival: the lengths come from the
+# region entry one step before the arrival
+GATE_A = DirectiveWord((), (B("1", "002", "02"), B("01", "2", "02"), B("0", "110", "10"),
+                            B("01", "2", "02")))
+
+
+def _rids(steps):
+    return [s.match.row.rid for s in steps]
+
+
+def test_gate_a_after_plain_arrival_reads_the_entry_case():
+    assert validate_directive(GATE_A).exit_code == 2
+    routing = next(r for r in _route(GATE_A)[0] if "C4.56.78a" in _rids(r.cycle))
+    steps = list(routing.prefix) + list(routing.cycle) * 2
+    assert _rids(steps[4:7]) == ["C4.56.78a", "C4.78.56a", "C4.56.78b"]
+    assert compute_length_state(steps[:6]).case == "c56_direct"
+    # the rotation routed from vertex 2 meets that gate first; c56_direct
+    # is an unverified length case, so no routing of it is valid
+    rotated = DirectiveWord((), GATE_A.period[1:] + GATE_A.period[:1])
+    routing = next(r for r in _route(rotated)[0] if "C4.56.78a" in _rids(r.cycle))
+    assert _routing_verdict(rotated, routing, False) == (
+        "undetermined", "exit gate depends on unverified length case c56_direct at step 3")
+    assert valid_routings(rotated) == []
+
+
+def test_negative_length_is_a_refusal():
+    # entered at V0 as a suffix, the v_bottom entry reads an empty
+    # accumulated product, and its formulas give u1 = -1
+    routing = _route(GATE_A)[0][0]
+    steps = list(routing.prefix) + list(routing.cycle)
+    assert _rids(steps[:2]) == ["T3.0.78b", "C4.78.56a"]
+    with pytest.raises(UnsupportedCase, match="negative length u1=-1 in case v_bottom"):
+        compute_length_state(steps[:2])
+    v = validate_directive(GATE_A)
+    assert v.status == "undetermined"
+    assert v.clause == "length state unsupported at step 1: negative length u1=-1 in case v_bottom"
 
 
 # instantiated labels of every refined-graph edge, parameters up to 3, with

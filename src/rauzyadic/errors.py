@@ -39,7 +39,8 @@ class NonGrowing(RauzyadicError):
 
 class NoStabilization(RauzyadicError):
     """No exact language certificate: the substitution is not primitive on
-    its letters, or the directive word is finite."""
+    its letters, or the directive word is finite; or no generated prefix
+    can settle."""
 
 
 class EnumerationBudgetExceeded(RauzyadicError):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .errors import AlphabetMismatch, NotInCatalog, NotRightProper
 from .words import LETTERS, Word
 
+_ORDS = tuple(map(ord, LETTERS))
+
 
 @dataclass(frozen=True)
 class Morphism:
@@ -30,10 +32,18 @@ class Morphism:
     codomain: int
 
     def __post_init__(self):
+        letters = LETTERS[:max(self.codomain, 0)]
         for w in self.images:
-            for c in w:
-                if int(c) >= self.codomain:
-                    raise AlphabetMismatch(f"image letter {c} outside codomain {self.codomain}")
+            # the letter test runs per letter only when some letter is not a
+            # digit of the codomain; it raises on the first that is out of range
+            if w.lstrip(letters):
+                for c in w:
+                    if int(c) >= self.codomain:
+                        raise AlphabetMismatch(f"image letter {c} outside codomain {self.codomain}")
+        # the str.translate table of the images, built at once: nearly every
+        # morphism built is applied, and before Python 3.12 a cached_property
+        # takes a lock on each first read
+        object.__setattr__(self, "_table", dict(zip(_ORDS, self.images)))
 
     @property
     def domain(self) -> int:
@@ -50,7 +60,11 @@ class Morphism:
         return self.images[i]
 
     def __call__(self, w: Word) -> Word:
-        return "".join(self.image(c) for c in w)
+        if w.lstrip(LETTERS[:len(self.images)]):
+            # some letter is not a digit of the domain: apply letter by
+            # letter, which raises on the first out-of-range letter
+            return "".join(self.image(c) for c in w)
+        return w.translate(self._table)
 
     def __repr__(self):
         return f"[{','.join(w if w else 'eps' for w in self.images)}]"

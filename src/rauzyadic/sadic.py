@@ -117,8 +117,37 @@ def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
         if prev is not None and len(u) >= target_len and cand == prev:
             certified = _certified_factor_horizon(prev, u)
             return GenerationResult(cand, certified, n + 1)
+        if len(u) >= target_len > 0 and not _first_letters_meet(dw, n, seed):
+            raise NoStabilization(
+                f"no prefix of length {target_len} settles: past level {n} the images "
+                f"of {seed} at consecutive levels never begin with the same letter")
         prev = cand
     raise NonGrowing(f"no stable prefix of length {target_len} within {max_levels} levels")
+
+
+def _first_letters_meet(dw: DirectiveWord, n: int, seed: str) -> bool:
+    """Whether m_0 ... m_j (seed) and m_0 ... m_{j-1} (seed) begin with the
+    same letter at some level j > n, as two equal prefixes must.
+
+    The first letter of m_0 ... m_j (a) is F_j(a), for F_j the product of
+    the levels' first-letter maps.  F_j and the phase of j in the period
+    fix every later F, so the levels are walked until that pair repeats."""
+    def first_letters(j):
+        return tuple(int(w[0]) for w in dw.morphism(j).images)
+
+    p, T, a = len(dw.preperiod), len(dw.period), int(seed)
+    F = first_letters(0)
+    for j in range(1, n + 1):
+        F = tuple(F[b] for b in first_letters(j))
+    seen = set()
+    for j in itertools.count(n + 1):
+        state = (j if j < p else p + (j - p) % T, F)
+        if state in seen:
+            return False
+        seen.add(state)
+        before, F = F[a], tuple(F[b] for b in first_letters(j))
+        if F[a] == before:
+            return True
 
 
 def _certified_factor_horizon(prefix: Word, longer: Word) -> int:

@@ -126,6 +126,12 @@ class Row:
         return bracket(*imgs)
 
     @cached_property
+    def arities(self) -> frozenset[int]:
+        """The image counts of the labels the row can match."""
+        n = len(self.imgs)
+        return frozenset({n, n - 1} if self.opt3 else {n})
+
+    @cached_property
     def lengths(self) -> tuple[tuple[str | None, int, int], ...]:
         """Per image (variable, fixed, step): the image has fixed + step * e
         letters when its variable is e.  An image holds at most one variable
@@ -144,10 +150,9 @@ class Row:
         Each image of a row holds at most one exponent variable, and every
         variable the row uses occurs in an image before the optional third,
         so the label's image lengths fix k and l; an unused exponent is 0."""
-        atoms = self.atoms
-        need_third = len(m.images) == len(atoms)
-        if not need_third and not (self.opt3 and len(m.images) == len(atoms) - 1):
+        if len(m.images) not in self.arities:
             return []
+        atoms = self.atoms
         vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
         for (var, fixed, step), w in zip(self.lengths, m.images):
             e, r = divmod(len(w) - fixed, step or 1)
@@ -697,6 +702,16 @@ for _r in GPRIME_ROWS:
 GPRIME_OUT: dict[str, tuple[tuple[str, tuple[Row, ...]], ...]] = {}
 for (_src, _dst), _rows in GPRIME_EDGES.items():
     GPRIME_OUT[_src] = GPRIME_OUT.get(_src, ()) + ((_dst, _rows),)
+
+# GPRIME_OUT[src] keyed (src, image count): each edge keeps only the rows
+# that accept labels with that many images, and an edge left with none is
+# dropped, so a label is tried only on rows that can match it
+GPRIME_OUT_BY_ARITY: dict[tuple[str, int], tuple[tuple[str, tuple[Row, ...]], ...]] = {
+    (_src, n): tuple((dst, kept) for dst, rows in _out
+                     if (kept := tuple(r for r in rows if n in r.arities)))
+    for _src, _out in GPRIME_OUT.items()
+    for n in sorted(set().union(*(r.arities for _, rows in _out for r in rows)))
+}
 
 
 def match_schema(m: Morphism, src: str, dst: str) -> Match:

@@ -17,7 +17,8 @@ from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
-from .schemas import GPRIME_EDGES, GPRIME_OUT, GPRIME_VERTICES, Match, Row, match_rows
+from .schemas import (GPRIME_EDGES, GPRIME_OUT_BY_ARITY, GPRIME_VERTICES, Match, Row,
+                      match_rows)
 from .words import complexity_profile
 
 MAX_BLOCK = 4
@@ -86,7 +87,7 @@ def routed_steps(dw: DirectiveWord, vertex: str, pos: int, end: int | None = Non
             return
         m = dw.morphism(pos + j - 1)
         label = m if label is None else compose(label, m)
-        for dst, rows in GPRIME_OUT.get(vertex, ()):
+        for dst, rows in GPRIME_OUT_BY_ARITY.get((vertex, label.domain), ()):
             for match in match_rows(rows, label):
                 yield RoutedStep(vertex, dst, label, match, j)
 
@@ -460,7 +461,6 @@ def sequences_equal_mod_exchange(aa: list[Morphism], bb: list[Morphism]) -> list
 @dataclass(frozen=True)
 class CrossReport:
     verdict: ValidityVerdict
-    witness: tuple[dict, ...]
     lines: tuple[str, ...]
 
     def serialize(self) -> str:
@@ -468,10 +468,10 @@ class CrossReport:
 
 
 def _alignments(ext: list[RoutedStep], valid: list[Routing]):
-    """(routing, start, rotation, witness) for every rotation of a valid
-    routed cycle that equals the extracted steps from start on modulo
-    exchanges, moving between the same vertices; the split vertices V0-V2
-    count as one."""
+    """(routing, start, rotation) for every rotation of a valid routed
+    cycle that equals the extracted steps from start on modulo exchanges,
+    moving between the same vertices; the split vertices V0-V2 count as
+    one."""
     def kinds(steps):
         return [tuple("V" if v[0] == "V" else v for v in (s.src, s.dst)) for s in steps]
 
@@ -483,10 +483,10 @@ def _alignments(ext: list[RoutedStep], valid: list[Routing]):
             for rot in range(L):
                 if ext_kinds[start:start + L] != cyc_kinds[rot:] + cyc_kinds[:rot]:
                     continue
-                w = sequences_equal_mod_exchange([s.label for s in ext[start:start + L]],
-                                                 [s.label for s in cyc[rot:] + cyc[:rot]])
-                if w is not None:
-                    yield routing, start, rot, w
+                if sequences_equal_mod_exchange(
+                        [s.label for s in ext[start:start + L]],
+                        [s.label for s in cyc[rot:] + cyc[:rot]]) is not None:
+                    yield routing, start, rot
 
 
 def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
@@ -504,7 +504,7 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     if found is None:
         raise Mismatch("extracted path never aligns with any valid routed cycle; first "
                        f"extracted steps: {[s.match.row.rid for s in ext[:6]]}")
-    chosen, start, rot, witness = found
+    chosen, start, rot = found
     if not all(1 <= s <= 2 for s in prof.s):
         raise Mismatch(f"first complexity difference leaves [1,2]: {prof.s}")
     lines = (f"routing cycle: {[s.match.row.rid for s in chosen.cycle]}",
@@ -512,4 +512,4 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
              f"cycle matched at extracted step {start}, rotation {rot}",
              f"complexity differences: {sorted(set(prof.s))}")
     verdict = ValidityVerdict(verdict.status, routing=chosen, notes=verdict.notes)
-    return CrossReport(verdict, tuple(witness), lines)
+    return CrossReport(verdict, lines)

@@ -238,19 +238,19 @@ def test_criterion_9_length_state_oracle_equivalence():
             kc = step.match.row.kcase
             if step.dst == "7/8" and step.src != "7/8" and kc and kc not in APPROX_CASES:
                 state = compute_length_state(rep.path[: idx + 1])
+                assert state.case == kc, (name, idx)
                 meas = measure_two_loops(oracle, step.entry_order, chain[step.entry_order])
                 assert (state.u1, state.u2, state.v1, state.v2, state.K) == \
                     (meas.u1, meas.u2, meas.v1, meas.v2, meas.K), (name, kc)
                 covered.add(kc)
                 local += 1
             elif step.dst == "5/6":
-                entry = next((s.match.row.kcase for s in reversed(rep.path[: idx + 1])
-                              if s.match.row.kcase), None)
-                if entry in APPROX_CASES:
-                    continue
+                # the entry is the one the validator's exit gates read
                 state = compute_length_state(rep.path[: idx + 1])
+                if state.case in APPROX_CASES:
+                    continue
                 meas = measure_no_loops(oracle, step.entry_order, chain[step.entry_order])
-                assert (state.p1, state.p2) == meas, (name, entry)
+                assert (state.p1, state.p2) == meas, (name, state.case)
                 local += 1
         assert local > 0, name
         compared += 1

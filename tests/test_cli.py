@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,21 @@ def run(args, capsys):
 def test_generate_fibonacci(capsys):
     code, out, _ = run(["generate", str(DW / "fibonacci.dw"), "--length", "8"], capsys)
     assert code == 0 and out.strip() == "01001010"
+
+
+def test_generate_unsettled_prefix_refused_within_memory_cap(tmp_path):
+    # the images of 0 double per level and never settle; the refusal comes
+    # long before they fill a 1 GB address space
+    f = tmp_path / "alternating.dw"
+    f.write_text("period:\n[10,01]\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run([sys.executable, "-m", "rauzyadic.cli", "generate", str(f),
+                          "--length", "1000"], capture_output=True, text=True,
+                         preexec_fn=cap, timeout=300)
+    assert out.returncode == 3 and "error: NoStabilization" in out.stderr
 
 
 def test_complexity_csv(tmp_path, capsys):

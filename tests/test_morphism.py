@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from rauzyadic.errors import AlphabetMismatch, NotInCatalog, NotRightProper
 from rauzyadic.morphism import (
-    D, DERIVED_EXPANSION, E, G, GEN_E01, GEN_E12, GEN_G, GEN_M, M,
+    D, DERIVED_EXPANSION, E, G, GEN_E01, GEN_E12, GEN_G, GEN_M, M, Morphism,
     bracket, classify, compose, compose_all, compose_generators, decompose,
     derived, identity, left_conjugate, parse_rules, permutation,
 )
+from rauzyadic.words import LETTERS
 
 PERMS3 = list(itertools.permutations(range(3)))
 
@@ -203,3 +204,77 @@ def test_left_conjugate_preserves_factor_sets():
         # images differ by a one-letter shift, so interior factors agree
         a, b = m(w), lc(w)
         assert factors_of(a[1:-1], n) == factors_of(b[1:-1], n)
+
+
+# -- translate-based application against a per-letter reference ------------
+
+# non-digits, and an Arabic-Indic three, which int() reads as 3
+OTHER = "a -٣"
+
+
+def _ref_check(images, codomain):
+    for w in images:
+        for c in w:
+            if int(c) >= codomain:
+                raise AlphabetMismatch(f"image letter {c} outside codomain {codomain}")
+    return images
+
+
+def _ref_apply(images, w):
+    out = []
+    for c in w:
+        if int(c) >= len(images):
+            raise AlphabetMismatch(f"letter {c} outside domain {len(images)}")
+        out.append(images[int(c)])
+    return "".join(out)
+
+
+def _ref_compose(sigma, tau):
+    if tau.codomain != sigma.domain:
+        raise AlphabetMismatch(f"cannot compose: inner codomain {tau.codomain} "
+                               f"!= outer domain {sigma.domain}")
+    return _ref_check(tuple(_ref_apply(sigma.images, w) for w in tau.images), sigma.codomain)
+
+
+def _outcome(fn, *args):
+    """("ok", value), or the exception's type and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc), str(exc)
+
+
+def _words(n):
+    """Words over the first n digits, or over any digit and other letters."""
+    return (st.text(st.sampled_from(LETTERS[:n]), max_size=5)
+            | st.text(st.sampled_from(LETTERS + OTHER), max_size=5))
+
+
+@st.composite
+def _morphisms(draw, codomain=None):
+    """Valid morphisms on 1 to 10 letters; an image may use the Arabic-Indic
+    three when the codomain has a letter 3."""
+    codomain = codomain or draw(st.integers(1, 10))
+    letters = LETTERS[:codomain] + ("٣" if codomain > 3 else "")
+    images = draw(st.lists(st.text(st.sampled_from(letters), min_size=1, max_size=4),
+                           min_size=1, max_size=10))
+    return Morphism(tuple(images), codomain)
+
+
+@given(st.integers(-1, 11), st.data())
+def test_construction_agrees_with_per_letter_reference(codomain, data):
+    images = tuple(data.draw(st.lists(_words(max(codomain, 1)), max_size=10)))
+    assert _outcome(lambda: Morphism(images, codomain).images) == \
+        _outcome(_ref_check, images, codomain)
+
+
+@given(_morphisms(), st.data())
+def test_apply_agrees_with_per_letter_reference(m, data):
+    w = data.draw(_words(m.domain))
+    assert _outcome(m, w) == _outcome(_ref_apply, m.images, w)
+
+
+@given(_morphisms(), st.data())
+def test_compose_agrees_with_per_letter_reference(sigma, data):
+    tau = data.draw(_morphisms(codomain=sigma.domain) | _morphisms())
+    assert _outcome(lambda: compose(sigma, tau).images) == _outcome(_ref_compose, sigma, tau)

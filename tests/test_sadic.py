@@ -41,6 +41,17 @@ def test_generate_non_growing_seed():
         generate_one_sided(DirectiveWord((), (bracket("0", "10"),)), 10)
 
 
+def test_generate_unsettled_prefix_is_refused():
+    # 0->10, 1->01: the images of 0 at consecutive levels begin with 1 and 0
+    # in turn, so no prefix settles while the images double (the level cap
+    # keeps them small should the refusal not come)
+    with pytest.raises(NoStabilization, match="never begin with the same letter"):
+        generate_one_sided(DirectiveWord((), (bracket("10", "01"),)), 1000, max_levels=20)
+    # one such level before a period that keeps first letters settles
+    res = generate_one_sided(DirectiveWord((bracket("10", "01"),), (bracket("01", "10"),)), 1000)
+    assert res.prefix.startswith("1001")
+
+
 def test_sturmian_language_complexity():
     o = language_horizon(STURMIAN_ALT, 12)
     prof = complexity_profile(o, 10)

@@ -6,11 +6,11 @@ from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, Rauzyadic
 from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, weak_primitivity_check
-from rauzyadic.schemas import GPRIME_OUT, _ASSIGNMENTS
+from rauzyadic.schemas import GPRIME_OUT, GPRIME_VERTICES, _ASSIGNMENTS, match_rows
 from rauzyadic.validator import (
-    _enumerate_routings, _route, _routing_verdict, _weak_primitivity_clause,
-    _window_right_proper, cross_validate, sequences_equal_mod_exchange, start_vertex,
-    valid_routings, validate_directive,
+    MAX_BLOCK, RoutedStep, _enumerate_routings, _route, _routing_verdict,
+    _weak_primitivity_clause, _window_right_proper, cross_validate, routed_steps,
+    sequences_equal_mod_exchange, start_vertex, valid_routings, validate_directive,
 )
 
 B = bracket
@@ -342,3 +342,48 @@ def test_routing_cap_is_a_typed_refusal():
     assert len(_enumerate_routings(dw, start)) == len(_enumerate_routings(dw, start, limit=2)) == 2
     with pytest.raises(EnumerationBudgetExceeded, match=f"more than 1 routings from vertex {start}"):
         _enumerate_routings(dw, start, limit=1)
+
+
+def _scan_steps(dw, vertex, pos, end=None):
+    """routed_steps by trying each composed label on every row out of the vertex."""
+    steps, label = [], None
+    for j in range(1, MAX_BLOCK + 1):
+        if end is not None and pos + j > end:
+            break
+        m = dw.morphism(pos + j - 1)
+        label = m if label is None else compose(label, m)
+        steps += [RoutedStep(vertex, dst, label, match, j)
+                  for dst, rows in GPRIME_OUT.get(vertex, ()) for match in match_rows(rows, label)]
+    return steps
+
+
+def _one_letter_off(m):
+    """m with the first letter of one image moved to the next letter, for each image."""
+    for i, w in enumerate(m.images):
+        moved = str((int(w[0]) + 1) % m.codomain) + w[1:]
+        yield Morphism(m.images[:i] + (moved,) + m.images[i + 1:], m.codomain)
+
+
+def test_routed_steps_equal_a_scan_of_every_out_edge():
+    # row instances with k, l <= 3, with and without the optional third image
+    instances = {m for outs in GPRIME_OUT.values() for _, rows in outs for row in rows
+                 for assign in _ASSIGNMENTS[row.vars] for k in range(4) for l in range(4)
+                 for third in {True, not row.opt3}
+                 if row.cond is None or row.cond(k, l)
+                 if (m := row.instantiate(dict(assign), k, l, with_third=third)) is not None
+                 and not m.erasing}
+    off = {o for m in instances for o in _one_letter_off(m)}
+    four = {Morphism(m.images + (m.images[0] + "3",), 4) for m in instances if m.domain == 3}
+    counts = {}
+    for m in sorted(instances | off | four, key=repr):
+        dw = DirectiveWord((m,))
+        for v in GPRIME_VERTICES:
+            steps = list(routed_steps(dw, v, 0, 1))
+            assert steps == _scan_steps(dw, v, 0, 1), (v, m)
+            counts[m.domain] = counts.get(m.domain, 0) + len(steps)
+    assert counts[2] > 0 and counts[3] > 0 and counts[4] == 0
+    # composed blocks of up to MAX_BLOCK levels, from every level of the suites
+    for dw in [*VALID_SUITE.values(), *(dw for dw, _ in INVALID_SUITE.values())]:
+        for v in GPRIME_VERTICES:
+            for pos in range(dw.known_levels()):
+                assert list(routed_steps(dw, v, pos)) == _scan_steps(dw, v, pos), (dw, v, pos)

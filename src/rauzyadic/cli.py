@@ -120,7 +120,11 @@ def _run(args) -> int:
 
     if args.cmd == "complexity":
         oracle = _oracle(args)
-        prof = complexity_profile(oracle, min(args.upto, oracle.horizon - 2))
+        upto = min(args.upto, oracle.horizon - 2)
+        if upto < 0:
+            raise RauzyadicError(f"complexity needs --upto >= 0 and horizon >= 2, "
+                                 f"got --upto {args.upto} at horizon {oracle.horizon}")
+        prof = complexity_profile(oracle, upto)
         text = prof.to_csv()
         if args.csv:
             args.csv.write_text(text)

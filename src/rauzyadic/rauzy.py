@@ -153,17 +153,6 @@ class Circuit:
         return len(self.path)
 
 
-def circuit(graph: RauzyGraph, path: Path, oracle: FactorOracle) -> Circuit:
-    """Wrap a path as a circuit, computing its allowed flag."""
-    if path.start != path.end or len(path) == 0:
-        raise ValueError("not a circuit: endpoints differ or empty")
-    if path.start in path.vertices[1:-1]:
-        raise ValueError("not a circuit: interior visit of the start")
-    lbl = path.full_label
-    allowed = len(lbl) <= oracle.horizon and oracle.contains(lbl)
-    return Circuit(path, allowed)
-
-
 def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle,
                   budget: int = 1_000_000) -> tuple[Circuit, ...]:
     """All allowed circuits from v, by depth-first search with

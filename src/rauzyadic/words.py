@@ -9,6 +9,7 @@ everything downstream is a pure function of factor sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -59,14 +60,19 @@ class FactorOracle:
     A length missing from ``factor_sets`` is derived on first use as the
     prefixes of the nearest longer set, which is exact for right-extendable
     languages such as :func:`substitutive_language`'s; other sources must
-    pass every length.  Special factors of length n come from one count of
-    the extension letters over L_{n+1}, memoized per length.
+    pass every length.  Every derived L_n is the length-n prefixes of the
+    nearest longer *given* set, so ``contains`` and the extension queries
+    on a length not yet stored are a prefix search in that set, sorted
+    once, and build no set.  Special factors of length n come from one
+    count of the extension letters over L_{n+1}, memoized per length.
     """
 
     def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
                  horizon: int, source: str, certificate: LanguageCertificate | None = None):
         self.alphabet = alphabet
         self._factors = dict(factor_sets)
+        self._given = sorted(factor_sets)
+        self._sorted: dict[int, list[Word]] = {}
         self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
         self.horizon = horizon
         self.source = source
@@ -92,15 +98,26 @@ class FactorOracle:
         return prefixes
 
     def contains(self, w: Word) -> bool:
-        return w in self.factors(len(w))
+        n = len(w)
+        i = bisect_left(self._given, n + 1)
+        if n in self._factors or n > self.horizon or i == len(self._given):
+            return w in self.factors(n)
+        # w is a prefix of a longer given word iff it is a prefix of the
+        # first one not below it in sorted order
+        m = self._given[i]
+        if m not in self._sorted:
+            self._sorted[m] = sorted(self._factors[m])
+        top = self._sorted[m]
+        j = bisect_left(top, w)
+        return j < len(top) and top[j].startswith(w)
 
     __contains__ = contains
 
     def right_extensions(self, u: Word) -> frozenset[str]:
-        return frozenset(a for a in self.alphabet.letters if u + a in self.factors(len(u) + 1))
+        return frozenset(a for a in self.alphabet.letters if self.contains(u + a))
 
     def left_extensions(self, u: Word) -> frozenset[str]:
-        return frozenset(a for a in self.alphabet.letters if a + u in self.factors(len(u) + 1))
+        return frozenset(a for a in self.alphabet.letters if self.contains(a + u))
 
     def _special_table(self, n: int) -> tuple[frozenset[Word], ...]:
         """(right, left, bi): the words of length n with two or more right,
@@ -320,13 +337,21 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
 
     Raises IdentityViolation if either first-difference identity or the
     second-difference bilateral-order identity fails, that is if the oracle's
-    factor sets are inconsistent (insufficient horizon)."""
+    factor sets are inconsistent (insufficient horizon).
+
+    When L_n is both the prefix set and the suffix set of L_{n+1} for every
+    n < N, the identities hold by construction: each first-difference count
+    is p(n+1) - p(n) = s(n), and every word of L_{n+2} is a bi-extension of
+    its middle, so sum m(u) = p(n+2) - 2p(n+1) + p(n) = s(n+1) - s(n).  Only
+    an oracle that fails this closure test pays for the full count."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
     # longest first, so that each derived L_m is sliced from L_{m+1}
     L = [oracle.factors(n) for n in range(N, -1, -1)][::-1]
     p = tuple(map(len, L))
     s = tuple(p[n + 1] - p[n] for n in range(N))
+    if all(L[n] == {w[:-1] for w in L[n + 1]} == {w[1:] for w in L[n + 1]} for n in range(N)):
+        return ComplexityProfile(p, s)
     degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)
     for n in range(N):
         right = Counter(w[:-1] for w in L[n + 1] if w[:-1] in L[n])

@@ -14,7 +14,7 @@ from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import (bracket, compose_generators, decompose,
                                 compose_all, D, E, G, M, GEN_M, GEN_E01,
                                 DERIVED_EXPANSION, derived, permutation)
-from rauzyadic.rauzy import (build_graph, circuit, circuits_from, measure_no_loops,
+from rauzyadic.rauzy import (build_graph, circuits_from, measure_no_loops,
                              measure_two_loops, psi_project, right_special_chain, walk)
 from rauzyadic.sadic import DirectiveWord, generate_one_sided, language_horizon
 from rauzyadic.validator import APPROX_CASES, cross_validate, validate_directive
@@ -79,10 +79,9 @@ def test_criterion_2_thue_morse_circuit_rejection():
     tm = named_oracle("thue-morse", 16)
     g3 = build_graph(tm, 3)
     loop = walk(g3, "010", "1" + "101" * 3 + "0")
-    c = circuit(g3, loop, tm)
-    assert c.start == "010" and c.path.end == "010"
-    assert not c.allowed
-    assert "101101101" in c.full_label
+    assert loop.start == loop.end == "010" and "010" not in loop.vertices[1:-1]
+    assert "101101101" in loop.full_label and not tm.contains(loop.full_label)
+    assert loop.right_label not in {c.right_label for c in circuits_from(g3, "010", tm)}
     print("ACCEPTANCE 2: PASS - the triple-loop circuit is enumerable and not allowed")
 
 

@@ -132,6 +132,15 @@ def test_complexity_finite_directive_refused(tmp_path, capsys):
     assert code == 3 and "NoStabilization" in err
 
 
+def test_complexity_without_room_refused(capsys):
+    # a horizon under 2 or a negative --upto leaves no n to report
+    for horizon, upto in (("0", "5"), ("1", "5"), ("16", "-1")):
+        code, out, err = run(["complexity", "--source", "fibonacci", "--horizon", horizon,
+                              "--upto", upto], capsys)
+        assert code == 3 and out == ""
+        assert f"--upto {upto} at horizon {horizon}" in err
+
+
 def test_complexity_on_ten_letters(tmp_path, capsys):
     # the live letters 8 and 9 lie eight periods deep: Thue-Morse on them
     f = tmp_path / "ten.dw"

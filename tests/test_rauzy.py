@@ -2,7 +2,7 @@ import pytest
 
 from rauzyadic.errors import ChainBlocked, OutOfClass
 from rauzyadic.rauzy import (
-    Path, build_graph, circuit, circuits_from, measure_two_loops,
+    Path, build_graph, circuits_from, measure_two_loops,
     psi_project, reduce_and_classify, reduce_graph,
     right_special_chain, to_dot, walk,
 )
@@ -72,9 +72,9 @@ def test_circuit_return_word_correspondence(fib, trib):
 def test_thue_morse_disallowed_circuit(tm):
     g3 = build_graph(tm, 3)
     loop = walk(g3, "010", "1" + "101" * 3 + "0")
-    c = circuit(g3, loop, tm)
-    assert c.start == "010" and not c.allowed
-    assert "101101101" in c.full_label
+    assert loop.start == loop.end == "010" and "010" not in loop.vertices[1:-1]
+    assert "101101101" in loop.full_label and not tm.contains(loop.full_label)
+    assert loop.right_label not in {c.right_label for c in circuits_from(g3, "010", tm)}
 
 
 def test_circuits_from_periodic():

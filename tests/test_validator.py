@@ -1,17 +1,18 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, RauzyadicError,
                               UnsupportedCase)
 from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import Morphism, bracket, classify, compose
-from rauzyadic.sadic import DirectiveWord, weak_primitivity_check
+from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_check
 from rauzyadic.schemas import GPRIME_OUT, GPRIME_VERTICES, _ASSIGNMENTS, match_rows
 from rauzyadic.validator import (
     MAX_BLOCK, RoutedStep, _enumerate_routings, _route, _routing_verdict,
     _weak_primitivity_clause, _window_right_proper, cross_validate, routed_steps,
     sequences_equal_mod_exchange, start_vertex, valid_routings, validate_directive,
 )
+from rauzyadic.words import complexity_profile
 
 B = bracket
 
@@ -280,13 +281,16 @@ EDGE_LABELS = {
     for src, outs in GPRIME_OUT.items() for dst, rows in outs
 }
 COMPONENT_VERTICES = (("2",), ("V0", "V1", "V2"), ("4B",), ("1", "5/6", "7/8", "10B"))
+# the preperiods scripts/explore_directives.py puts before cycles of C2 and C3
+ENTRIES = {("V0", "V1", "V2"): (B("0", "120", "20"),), ("4B",): (B("0", "10", "120"),)}
 
 
 @st.composite
-def label_cycles(draw, max_length=6):
+def label_cycles(draw, max_length=6, vertices=None):
     """The labels of a random cycle within one component, as a period; half
     the cycles use only labels that are not right proper themselves."""
-    vertices = draw(st.sampled_from(COMPONENT_VERTICES))
+    if vertices is None:
+        vertices = draw(st.sampled_from(COMPONENT_VERTICES))
     improper = draw(st.booleans())
     v0 = v = draw(st.sampled_from(vertices))
     length = draw(st.integers(1, max_length))
@@ -333,6 +337,28 @@ def morphism_cycles(draw):
 @given(st.one_of(label_cycles(), morphism_cycles()))
 def test_window_right_proper_matches_all_offsets(labels):
     assert _window_right_proper(labels) == _window_right_proper_all_offsets(labels)
+
+
+@st.composite
+def eventually_periodic_directives(draw):
+    """A random cycle of one component as the period, after that component's
+    entry label as the preperiod."""
+    vertices = draw(st.sampled_from(COMPONENT_VERTICES))
+    period = draw(label_cycles(max_length=4, vertices=vertices))
+    try:
+        return DirectiveWord(ENTRIES.get(vertices, ()), tuple(period))
+    except (ValueError, RauzyadicError):
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eventually_periodic_directives())
+@example(VALID_SUITE["c4-10b-pre"])
+def test_valid_directive_has_first_difference_one_or_two(dw):
+    status = validate_directive(dw).status
+    event(status)
+    if status == "valid":
+        assert set(complexity_profile(language_horizon(dw, 26), 24).s) <= {1, 2}
 
 
 def test_routing_cap_is_a_typed_refusal():

@@ -158,8 +158,8 @@ def _brute_primitive(tau):
 
 
 @st.composite
-def substitutions(draw):
-    d = draw(st.integers(1, 3))
+def substitutions(draw, min_letters=1):
+    d = draw(st.integers(min_letters, 3))
     word = st.text(alphabet=LETTERS[:d], min_size=1, max_size=3)
     return {LETTERS[a]: draw(word) for a in range(d)}
 
@@ -259,6 +259,36 @@ def prefix_oracles(draw):
     return FactorOracle(oracle.alphabet, sets, horizon, "toggled"), draw(st.integers(0, horizon))
 
 
+@st.composite
+def derived_sets(draw):
+    """(alphabet, sets, horizon) with only the longest factor set given, so
+    that every shorter one is derived: the kernel language of a random
+    primitive substitution on two or three letters, whose derived sets are
+    exact, or the top set of a random finite word, whose derived prefix sets
+    are not right-extendable and so usually fail the closure test."""
+    if draw(st.booleans()):
+        tau = draw(substitutions(min_letters=2).filter(is_primitive))
+        n = draw(st.integers(0, 12))
+        return Alphabet(len(tau)), substitutive_language(tau, n)[0], n
+    d = draw(st.integers(1, 3))
+    word = draw(st.text(alphabet=LETTERS[:d], min_size=1, max_size=40))
+    n = draw(st.integers(0, min(len(word), 14)))
+    return Alphabet(d), {n: factors_of(word, n)}, n
+
+
+def _fresh(drawn):
+    alphabet, sets, horizon = drawn
+    return FactorOracle(alphabet, sets, horizon, "derived")
+
+
+def _with_length(drawn):
+    oracle = _fresh(drawn)
+    return st.tuples(st.just(oracle), st.integers(0, oracle.horizon))
+
+
+ORACLES = st.one_of(prefix_oracles(), derived_sets().flatmap(_with_length))
+
+
 def _toy_oracle(size, *sets):
     return FactorOracle(Alphabet(size), dict(enumerate(map(frozenset, ({""}, *sets)))),
                         len(sets), "toy"), len(sets)
@@ -272,10 +302,13 @@ def _outcome(profile, oracle, N):
 
 
 @settings(max_examples=300, deadline=None)
-@given(prefix_oracles())
+@given(ORACLES)
 # both first differences hold, and the second fails on a missing prefix or suffix
 @example(_toy_oracle(2, {"0"}, {"10"}))
 @example(_toy_oracle(3, {"2"}, {"21"}))
+# L_1 is the suffix set of L_2 but not its prefix set, and the reverse
+@example((FactorOracle.from_prefix("0001", 2), 2))
+@example((_fresh((Alphabet(2), {2: factors_of("1000", 2)}, 2)), 2))
 def test_complexity_profile_matches_per_factor_sums(drawn):
     oracle, N = drawn
     assert _outcome(complexity_profile, oracle, N) == _outcome(_profile_per_factor, oracle, N)
@@ -303,7 +336,7 @@ def _raised_or(call):
 
 
 @settings(max_examples=200, deadline=None)
-@given(prefix_oracles())
+@given(ORACLES)
 # letters outside the alphabet are not extensions
 @example(_toy_oracle(1, {"0", "1"}, {"00", "01", "10", "11"}))
 def test_special_table_matches_probe(drawn):
@@ -329,3 +362,32 @@ def test_special_queries_at_the_horizon_raise(fib):
     for query in (fib.right_specials, fib.left_specials, fib.bispecials):
         with pytest.raises(HorizonExceeded):
             query(fib.horizon)
+
+
+def _one_letter_mutations(w, letters):
+    return {w[:i] + a + w[i + 1:] for i in range(len(w)) for a in letters}
+
+
+@settings(max_examples=150, deadline=None)
+@given(derived_sets(), st.booleans(), st.data())
+def test_derived_membership_matches_factor_sets(drawn, rising, data):
+    # the reference reads every L_n; the oracle under test stores L_n only
+    # after the queries of length n, so rising reads answer the extension
+    # queries by prefix search and falling reads from the stored L_{n+1}
+    oracle, reference = _fresh(drawn), _fresh(drawn)
+    letters = oracle.alphabet.letters
+    lengths = range(oracle.horizon + 1)
+    for n in lengths if rising else reversed(lengths):
+        factors = reference.factors(n)
+        words = set(factors).union(*(_one_letter_mutations(w, letters) for w in factors))
+        words |= set(data.draw(st.lists(st.text(alphabet=letters, min_size=n, max_size=n),
+                                        max_size=5)))
+        longer = reference.factors(n + 1) if n < oracle.horizon else None
+        for w in sorted(words):
+            assert oracle.contains(w) == (w in factors)
+            if longer is not None:
+                assert oracle.right_extensions(w) == {a for a in letters if w + a in longer}
+                assert oracle.left_extensions(w) == {a for a in letters if a + w in longer}
+        oracle.factors(n)
+    with pytest.raises(HorizonExceeded):
+        oracle.contains("0" * (oracle.horizon + 1))

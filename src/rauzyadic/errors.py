@@ -67,10 +67,6 @@ class AmbiguousMatch(RauzyadicError):
     """Two schema rows on one edge matched the same morphism."""
 
 
-class OrderingViolation(RauzyadicError):
-    """Double-bispecial split violates the strong-last ordering."""
-
-
 class UnsupportedCase(RauzyadicError):
     """Step sequence matches no length-computation case."""
 

@@ -4,20 +4,22 @@ At every bispecial order the allowed circuits from the chain vertex are
 assigned letters by the per-type rules; the morphism of a step sends each
 higher-level circuit letter to the factorization of its return word into
 lower-level return words.  Steps are verified against the evolution
-tables, and the step sequence is contracted onto the refined graph.
+tables.  The refined-graph path is read off the shapes, whose stable
+types name its vertices: each run of steps up to the next
+non-pass-through shape is one edge to that shape's vertex, and no letters
+are renamed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import NoSchemaMatch, OrderingViolation, RuleViolation
-from .morphism import Morphism, bracket, compose, compose_all, identity
+from .errors import NoSchemaMatch, RuleViolation
+from .morphism import Morphism, bracket, compose_all, identity
 from .rauzy import (Circuit, GraphShape, RauzyGraph, build_graph, circuits_from,
                     classify_shape, reduce_graph, right_special_chain)
-from .schemas import (_ASSIGNMENTS, GPRIME_EDGES, EvolutionRow, Match, Row,
-                      evolution_rows, match_rows, match_schema, unique_row_match)
+from .schemas import (GPRIME_EDGES, EvolutionRow, Match, evolution_rows, match_rows,
+                      match_schema, unique_row_match)
 from .words import FactorOracle, Word
 
 
@@ -285,7 +287,6 @@ class PathStep:
     dst: str
     label: Morphism
     match: Match
-    from_order: int
     entry_order: int = -1   # first order of the landing region
 
     def line(self) -> str:
@@ -392,156 +393,50 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
         records.append(EvolutionRecord(n, m, gamma, sh, sh2, role, role2, schema,
                                        got.k, got.l))
 
-    path = _build_gprime_path(records, data, log)
+    path = _build_gprime_path(records, [_vertex_kind(sh, role, top)
+                                        for (_, sh, _, role, top) in data])
     return ExtractionReport(tuple(records), tuple(path), tuple(log),
                             tuple(th for (_, _, th, _, _) in data))
 
 
-def _emit(path: list[PathStep], src: str, dst: str, label: Morphism, order: int,
-          entry_order: int = -1):
-    path.append(PathStep(src, dst, label, match_schema(label, src, dst), order, entry_order))
-
-
-def _perms_of(n: int):
-    out = []
-    for per in itertools.permutations(range(n)):
-        out.append(Morphism(tuple(str(c) for c in per), n))
-    return out
-
-
-def _build_gprime_path(records, data, log) -> list[PathStep]:
-    if not records:
-        return []
-    kinds = [_vertex_kind(sh, role, top) for (n, sh, th, role, top) in data]
-    path: list[PathStep] = []
-    cur = kinds[0]
-    if cur is None:
+def _build_gprime_path(records: list[EvolutionRecord], kinds: list[str | None]) -> list[PathStep]:
+    """Read the refined-graph path off the shapes: each run of records up
+    to the next non-pass-through shape is one step to that shape's vertex."""
+    if records and kinds[0] is None:
         raise NoSchemaMatch("extraction starts on a pass-through shape")
+    path: list[PathStep] = []
     i = 0
-    pending: Morphism | None = None   # letter relabeling owed to the next step
     while i < len(records):
-        order = records[i].from_order
-        if records[i].schema.row.rid == "A8.78b" and pending is None:
+        src = kinds[i]
+        if records[i].schema.row.rid == "A8.78b":
             # simultaneous strong+weak explosion of a type-8 graph: split
             # through the virtual vertex 1 (weak side exploded first)
-            _emit(path, "7/8", "1", identity(2), order)
-            _emit(path, "1", "7/8", records[i].gamma, order, records[i].from_order + 1)
-            i += 1
-            continue
-        j = i
-        buf = [records[j].gamma]
-        need = 2 if records[i].shape_before.type_id == 5 else 1
-        while len(buf) < need or kinds[j + 1] is None:
+            path.append(_step("7/8", "1", identity(2)))
+            src = "1"
+        j = i + (2 if records[i].shape_before.type_id == 5 else 1)
+        while j < len(kinds) and kinds[j] is None:
             j += 1
-            if j >= len(records):
-                return path  # trailing pass-through steps stay unconsumed
-            buf.append(records[j].gamma)
-        dst = kinds[j + 1]
-        label = compose_all(buf)
-        if pending is not None:
-            label = compose(pending, label)
-            pending = None
-        if label.is_identity() and dst == cur:
-            i = j + 1
-            continue
-        emitted = False
-        for ro in _perms_of(label.domain):
-            cand = label if ro.is_identity() else compose(label, ro)
-            loops = 0
-            rest = cand
-            if cur == "7/8":
-                while rest is not None and not _matches_edge(cur, dst, rest):
-                    rest = _divide_left(rest, _loop_morphism(rest))
-                    loops += 1
-            if rest is None or not _matches_edge(cur, dst, rest):
-                continue
-            for _ in range(loops):
-                _emit(path, "7/8", "7/8", _loop_morphism(rest), order)
-            _emit(path, cur, dst, rest, order, records[j].from_order + 1)
-            if not ro.is_identity():
-                # fold the relabeling into the next step (theta freedom)
-                inv = [None] * ro.domain
-                for a, w in enumerate(ro.images):
-                    inv[int(w)] = str(a)
-                pending = Morphism(tuple(inv), ro.domain)
-                log.append(f"order {order}: normalized landing letters by {ro.bracket()}")
-            emitted = True
-            break
-        if not emitted:
-            _emit(path, cur, dst, label, order, records[j].from_order + 1)
-        cur = dst
-        i = j + 1
+        if j == len(kinds):
+            break  # a run the horizon cuts short stays unconsumed
+        dst = kinds[j]
+        label = compose_all(r.gamma for r in records[i:j])
+        if not (label.is_identity() and dst == src):
+            rest, loops = label, 0
+            if src == "7/8":
+                # loops at 7/8 are split off the left until the rest matches
+                while rest is not None and not match_rows(GPRIME_EDGES.get((src, dst), ()), rest):
+                    rest, loops = _divide_left(rest, _loop_morphism(rest)), loops + 1
+                if rest is None:
+                    rest, loops = label, 0   # refused below on the whole label
+            path += [_step("7/8", "7/8", _loop_morphism(rest))] * loops
+            path.append(_step(src, dst, rest, records[j - 1].from_order + 1))
+        i = j
     return path
+
+
+def _step(src: str, dst: str, label: Morphism, entry_order: int = -1) -> PathStep:
+    return PathStep(src, dst, label, match_schema(label, src, dst), entry_order)
 
 
 def _loop_morphism(m: Morphism) -> Morphism:
     return bracket("0", "10", "20") if m.codomain >= 3 else bracket("0", "10")
-
-
-def _matches_edge(src, dst, m) -> bool:
-    return bool(match_rows(GPRIME_EDGES.get((src, dst), ()), m))
-
-
-# -- eta splitting -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BispecialSchedule:
-    orders: tuple[int, ...]
-    etas: tuple[Morphism, ...]
-
-
-def split_eta(records) -> BispecialSchedule:
-    """Split double-bispecial steps (types 6 and 8) into single explosions,
-    the weak or neutral one first and the chain-side strong one last."""
-    orders: list[int] = []
-    etas: list[Morphism] = []
-    for rec in records:
-        t = rec.shape_before.type_id
-        if t not in (6, 8):
-            orders.append(rec.from_order)
-            etas.append(rec.gamma)
-            continue
-        if t == 8:
-            first = identity(rec.gamma.codomain)
-            second = rec.gamma
-        else:
-            first, second = _split_type6(rec)
-        if compose(first, second).images != rec.gamma.images:
-            raise OrderingViolation(f"split of {rec.gamma} does not recompose")
-        orders += [rec.from_order, rec.from_order]
-        etas += [first, second]
-    return BispecialSchedule(tuple(orders), tuple(etas))
-
-
-def _split_type6(rec) -> tuple[Morphism, Morphism]:
-    """gamma of a type-6 step as a product of two type-5 step morphisms."""
-    first_rows = [er.row for er in evolution_rows(5)]
-    second_rows = [er.row for er in evolution_rows(1)] + [er.row for er in evolution_rows(10)]
-    for fr in first_rows:
-        for m1, _, _ in _instances(fr, 4):
-            div = _divide_left_flexible(rec.gamma, m1)
-            if div is None:
-                continue
-            if match_rows(second_rows, div):
-                return m1, div
-    raise OrderingViolation(f"no type-5 pair splits {rec.gamma}")
-
-
-def _divide_left_flexible(m, factor):
-    if factor.domain < max((int(c) for w in m.images for c in w), default=-1) + 1:
-        return None
-    return _divide_left(m, factor)
-
-
-def _instances(row: Row, pmax: int):
-    ks = range(pmax + 1) if "k" in row.uses else (0,)
-    ls = range(pmax + 1) if "l" in row.uses else (0,)
-    grid = [(k, l) for k in ks for l in ls if row.cond is None or row.cond(k, l)]
-    thirds = (True, False) if row.opt3 else (True,)
-    for assign in _ASSIGNMENTS[row.vars]:
-        for k, l in grid:
-            for w3 in thirds:
-                m = row.instantiate(dict(assign), k, l, with_third=w3)
-                if m is not None:
-                    yield m, k, l

@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from rauzyadic.cli import main
 from rauzyadic.errors import RuleViolation
-from rauzyadic.extraction import bispecial_orders, extract_directive, split_eta
-from rauzyadic.morphism import bracket, compose
-from rauzyadic.sadic import DirectiveWord, language_horizon
+from rauzyadic.extraction import bispecial_orders, extract_directive
+from rauzyadic.morphism import bracket, compose_all
+from rauzyadic.sadic import DirectiveWord, language_horizon, parse_directive
 
 OSC_56_78 = DirectiveWord((), (bracket("1", "02", "2"), bracket("0", "120", "10")))
 LOOP_10B = DirectiveWord((), (bracket("0", "20", "1"), bracket("12", "012", "02")))
+# languages whose extracted paths split loops off at 7/8
+LOOPS_THEN_56 = DirectiveWord((), (bracket("1002", "0002", "10002"),))
+LOOP_THEN_1 = DirectiveWord((), (bracket("0", "1"), bracket("0", "10"), bracket("1", "0001", "001")))
+COMMITTED = Path(__file__).resolve().parent.parent / "directives"
 
 
 @pytest.fixture(scope="module")
@@ -80,22 +86,6 @@ def test_extract_10b_loop_language():
     assert ("12", "012", "02") in loop_labels
 
 
-def test_split_eta_singleton_and_type8(osc_oracle):
-    rep = extract_directive(osc_oracle, 21)
-    sched = split_eta(rep.records)
-    assert len(sched.etas) >= len(rep.records)
-    k = 0
-    for rec in rep.records:
-        if rec.shape_before.type_id in (6, 8):
-            first, second = sched.etas[k], sched.etas[k + 1]
-            assert compose(first, second).images == rec.gamma.images
-            assert first.is_letter_to_letter() or second.is_letter_to_letter() or True
-            k += 2
-        else:
-            assert sched.etas[k].images == rec.gamma.images
-            k += 1
-
-
 def test_extraction_report_serializes(fib):
     rep = extract_directive(fib, 12)
     text = rep.serialize()
@@ -114,17 +104,6 @@ def test_letter_to_letter_exits_move_the_vertex():
     assert labels <= {("0", "1"), ("1", "0")}
 
 
-def test_split_eta_genuine_type_6():
-    dw = DirectiveWord((), (bracket("01", "2", "02"), bracket("1", "022", "02")))
-    o = language_horizon(dw, 64)
-    rep = extract_directive(o, 18)
-    sixes = [r for r in rep.records if r.shape_before.type_id == 6]
-    assert sixes
-    sched = split_eta(rep.records)
-    assert len(sched.etas) == len(rep.records) + len(
-        [r for r in rep.records if r.shape_before.type_id in (6, 8)])
-
-
 def test_extract_out_of_class_language_is_refused(tm, capsys):
     # Thue-Morse has four circuits at its first type-6 order; the two-circuit
     # rules refuse it with a typed error instead of failing to unpack
@@ -132,3 +111,35 @@ def test_extract_out_of_class_language_is_refused(tm, capsys):
         extract_directive(tm, 16)
     assert main(["extract", "--source", "thue-morse", "--horizon", "60"]) == 3
     assert "RuleViolation" in capsys.readouterr().err
+
+
+def test_loops_at_7_8_are_split_off_the_left():
+    rep = extract_directive(language_horizon(LOOPS_THEN_56, 60), 16)
+    assert [s.match.row.rid for s in rep.path] == [
+        "T2.4Ba", "C3.a", "T4.78d", "C4.78.loop", "C4.78.loop", "C4.78.56a"]
+    rep = extract_directive(language_horizon(LOOP_THEN_1, 60), 16)
+    steps = [(s.src, s.dst, s.match.row.rid, s.label.images) for s in rep.path]
+    i = steps.index(("7/8", "7/8", "C4.78.loop", ("0", "10")))
+    assert steps[i + 1] == ("7/8", "1", "C4.78.1c", ("1", "0"))
+
+
+def _extracted_languages(fib, trib):
+    yield "fibonacci", fib
+    yield "tribonacci", trib
+    for name, dw in (("loops then 5/6", LOOPS_THEN_56), ("loop then 1", LOOP_THEN_1)):
+        yield name, language_horizon(dw, 60)
+    for f in sorted(COMMITTED.glob("*.dw")):
+        if f.stem != "not_valid":
+            yield f.stem, language_horizon(parse_directive(f.read_text()), 60)
+
+
+def test_path_reads_a_prefix_of_the_records(fib, trib):
+    # the path regroups the step morphisms and splits off loops, but its
+    # product is the product of the records it has consumed
+    for name, o in _extracted_languages(fib, trib):
+        rep = extract_directive(o, 16)
+        assert rep.path, name
+        product = compose_all(s.label for s in rep.path).images
+        prefixes = [compose_all(r.gamma for r in rep.records[:p]).images
+                    for p in range(1, len(rep.records) + 1)]
+        assert product in prefixes, name

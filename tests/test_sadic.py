@@ -179,34 +179,41 @@ def test_proper_contraction_with_preperiod():
 
 def _long_word(dw, letter, length):
     """m_0 m_1 ... m_{p+jT-1}(letter) for the least j that reaches the length,
-    by plain level-by-level substitution."""
-    p, T = len(dw.preperiod), len(dw.period)
-    j = 0
+    by plain level-by-level substitution, with tau^j(letter) kept from one j
+    to the next (tau the period product)."""
+    u = letter
     while True:
-        w = letter
-        for i in reversed(range(p + j * T)):
-            w = dw.morphism(i)(w)
+        w = u
+        for m in reversed(dw.preperiod):
+            w = m(w)
         if len(w) >= length:
             return w
-        j += 1
+        for m in reversed(dw.period):
+            u = m(u)
 
 
 def _live_period(dw):
     """Letters of level p that occur in deep images, and whether the period
     product is primitive and growing on them (brute force, no matrices)."""
-    p, T = len(dw.preperiod), len(dw.period)
 
     def tau(w):
         for m in reversed(dw.period):
             w = m(w)
         return w
 
+    def next_level(w):
+        # tau never erases, so the letters of tau^(j+1)(a) and whether it has
+        # two letters follow from those of tau^j(a): past length 2, keep each
+        # letter twice instead of the whole word
+        u = tau(w)
+        return u if len(u) < 2 else "".join(sorted(set(u))) * 2
+
     live = set(LETTERS[:dw.period[-1].domain])
     for _ in range(4):
         live = {c for a in live for c in tau(a)}
     words = {a: a for a in live}
     for _ in range(9):
-        words = {a: tau(w) for a, w in words.items()}
+        words = {a: next_level(w) for a, w in words.items()}
         if all(len(w) >= 2 and set(w) == live for w in words.values()):
             return min(live), True
     return min(live), False

@@ -65,6 +65,18 @@ def _image(atoms: tuple[Atom, ...], assign: dict[str, str], k: int, l: int) -> s
     return "".join(out)
 
 
+@lru_cache(maxsize=None)
+def _image_lengths(text: str) -> tuple[str | None, int, int]:
+    """(variable, fixed, step) of an image pattern: the image has fixed +
+    step * e letters when its variable is e.  An image holds at most one
+    variable (the unpacking fails otherwise); a constant image has None
+    and 0."""
+    atoms = parse_pattern(text)
+    (var,) = {a.var for a in atoms if a.var} or {None}
+    return (var, sum(len(a.sym) * a.off for a in atoms),
+            sum(len(a.sym) for a in atoms if a.var))
+
+
 _ASSIGNMENTS = {
     "lit": ({},),
     "xyz": tuple({"x": str(x), "y": str(y), "z": str(z)}
@@ -133,15 +145,7 @@ class Row:
 
     @cached_property
     def lengths(self) -> tuple[tuple[str | None, int, int], ...]:
-        """Per image (variable, fixed, step): the image has fixed + step * e
-        letters when its variable is e.  An image holds at most one variable
-        (the unpacking fails otherwise); a constant image has None and 0."""
-        out = []
-        for p in self.atoms:
-            (var,) = {a.var for a in p if a.var} or {None}
-            out.append((var, sum(len(a.sym) * a.off for a in p),
-                        sum(len(a.sym) for a in p if a.var)))
-        return tuple(out)
+        return tuple(map(_image_lengths, self.imgs))
 
     def matches(self, m: Morphism) -> list[Match]:
         """The (assignment, k, l) under which the row's images are m's, in
@@ -703,15 +707,63 @@ GPRIME_OUT: dict[str, tuple[tuple[str, tuple[Row, ...]], ...]] = {}
 for (_src, _dst), _rows in GPRIME_EDGES.items():
     GPRIME_OUT[_src] = GPRIME_OUT.get(_src, ()) + ((_dst, _rows),)
 
-# GPRIME_OUT[src] keyed (src, image count): each edge keeps only the rows
-# that accept labels with that many images, and an edge left with none is
-# dropped, so a label is tried only on rows that can match it
-GPRIME_OUT_BY_ARITY: dict[tuple[str, int], tuple[tuple[str, tuple[Row, ...]], ...]] = {
-    (_src, n): tuple((dst, kept) for dst, rows in _out
-                     if (kept := tuple(r for r in rows if n in r.arities)))
-    for _src, _out in GPRIME_OUT.items()
-    for n in sorted(set().union(*(r.arities for _, rows in _out for r in rows)))
-}
+# label image lengths are looked up clipped at LEN_CAP: a row's exponent at
+# the cap stands for every larger one
+LEN_CAP = 4
+
+
+def lengths_key(lengths) -> int:
+    """The image lengths, each clipped at LEN_CAP, packed into one small int;
+    a leading 1 keeps image counts apart."""
+    key = 1
+    for n in lengths:
+        key = key * (LEN_CAP + 1) + min(n, LEN_CAP)
+    return key
+
+
+def _length_keys(row: Row) -> set[int]:
+    """The lengths_key of every instance of the row.  Exponents run up to
+    LEN_CAP; cond applies below the cap and is skipped at it, since an
+    exponent at the cap stands for every larger one.  That is sound because
+    a variable image has at least e letters at exponent e >= 1, so from the
+    cap on its length clips to LEN_CAP; a row where that fails is refused.
+
+    The patterns are read through the per-pattern caches; nothing is cached
+    on the row itself."""
+    atoms = [parse_pattern(t) for t in row.imgs]
+    lengths = [_image_lengths(t) for t in row.imgs]
+    if any(var and (step < 1 or fixed + step < 1) for var, fixed, step in lengths):
+        raise AssertionError(f"row {row.rid}: a variable image has fewer than e letters "
+                             "at some exponent e >= 1, so its length cannot be clipped")
+
+    def values(var):
+        """From the least value with no negative exponent; 0 when unused."""
+        offs = [a.off for p in atoms for a in p if a.var == var]
+        return range(max(0, -min(offs)), LEN_CAP + 1) if offs else (0,)
+
+    keys = set()
+    for k, l in itertools.product(values("k"), values("l")):
+        if k < LEN_CAP and l < LEN_CAP and row.cond is not None and not row.cond(k, l):
+            continue
+        key = lengths_key([fixed + step * (k if var == "k" else l)
+                           for var, fixed, step in lengths])
+        keys.add(key)
+        if row.opt3:    # without the third image: the last digit dropped
+            keys.add(key // (LEN_CAP + 1))
+    return keys
+
+
+# the rows out of each vertex, flattened in GPRIME_OUT order, keyed by the
+# lengths_key of a label: each bucket keeps only the rows with an instance of
+# those clipped lengths, so a label is tried only on rows that can match it
+GPRIME_OUT_BY_LENGTHS: dict[str, dict[int, tuple[Row, ...]]] = {}
+for _src, _out in GPRIME_OUT.items():
+    _hits: dict[int, list[Row]] = {}
+    for _r in [r for _, rows in _out for r in rows]:
+        for _key in _length_keys(_r):
+            _hits.setdefault(_key, []).append(_r)
+    GPRIME_OUT_BY_LENGTHS[_src] = {key: tuple(rows) for key, rows in _hits.items()}
+del _hits
 
 
 def match_schema(m: Morphism, src: str, dst: str) -> Match:

@@ -17,8 +17,8 @@ from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
-from .schemas import (GPRIME_EDGES, GPRIME_OUT_BY_ARITY, GPRIME_VERTICES, Match, Row,
-                      match_rows)
+from .schemas import (GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_VERTICES, Match, Row,
+                      lengths_key, match_rows)
 from .words import complexity_profile
 
 MAX_BLOCK = 4
@@ -81,15 +81,14 @@ def start_vertex(dw: DirectiveWord) -> str:
 def routed_steps(dw: DirectiveWord, vertex: str, pos: int, end: int | None = None):
     """Steps out of vertex whose label composes the levels pos, pos+1, ...
     of the directive, up to MAX_BLOCK of them and none at or past end."""
-    label = None
+    label, out = None, GPRIME_OUT_BY_LENGTHS.get(vertex, {})
     for j in range(1, MAX_BLOCK + 1):
         if end is not None and pos + j > end:
             return
         m = dw.morphism(pos + j - 1)
         label = m if label is None else compose(label, m)
-        for dst, rows in GPRIME_OUT_BY_ARITY.get((vertex, label.domain), ()):
-            for match in match_rows(rows, label):
-                yield RoutedStep(vertex, dst, label, match, j)
+        for match in match_rows(out.get(lengths_key(map(len, label.images)), ()), label):
+            yield RoutedStep(vertex, match.row.dst, label, match, j)
 
 
 def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[Routing]:

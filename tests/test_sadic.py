@@ -238,8 +238,12 @@ def test_language_matches_long_word(dw, n):
         return
     o = language_horizon(dw, n)
     w = _long_word(dw, letter, 20_000)
-    for m in range(n + 1):
-        assert o.factors(m) == factors_of(w, m)
+    # one scan at length n: every shorter factor starts a length-n factor or
+    # sits in the last n - 1 letters
+    top = factors_of(w, n)
+    assert o.factors(n) == top
+    for m in range(n):
+        assert o.factors(m) == {x[:m] for x in top} | factors_of(w[-(n - 1):], m)
     # factorial and bi-prolongable
     letters = o.alphabet.letters
     for m in range(1, n + 1):

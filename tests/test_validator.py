@@ -6,7 +6,8 @@ from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, Rauzyadic
 from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_check
-from rauzyadic.schemas import GPRIME_OUT, GPRIME_VERTICES, _ASSIGNMENTS, match_rows
+from rauzyadic.schemas import (GPRIME_OUT, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, GPRIME_VERTICES,
+                              LEN_CAP, _ASSIGNMENTS, lengths_key, match_rows)
 from rauzyadic.validator import (
     MAX_BLOCK, RoutedStep, _enumerate_routings, _route, _routing_verdict,
     _weak_primitivity_clause, _window_right_proper, cross_validate, routed_steps,
@@ -390,24 +391,41 @@ def _one_letter_off(m):
         yield Morphism(m.images[:i] + (moved,) + m.images[i + 1:], m.codomain)
 
 
-def test_routed_steps_equal_a_scan_of_every_out_edge():
-    # row instances with k, l <= 3, with and without the optional third image
-    instances = {m for outs in GPRIME_OUT.values() for _, rows in outs for row in rows
-                 for assign in _ASSIGNMENTS[row.vars] for k in range(4) for l in range(4)
+# (row, instance) for every row with k, l <= LEN_CAP + 2, with and without the
+# optional third image: routing looks labels up by image lengths clipped at
+# LEN_CAP, so exponents run past the cap
+ROW_INSTANCES = {(row, m) for row in GPRIME_ROWS for assign in _ASSIGNMENTS[row.vars]
+                 for k in range(LEN_CAP + 3) for l in range(LEN_CAP + 3)
                  for third in {True, not row.opt3}
                  if row.cond is None or row.cond(k, l)
-                 if (m := row.instantiate(dict(assign), k, l, with_third=third)) is not None
-                 and not m.erasing}
+                 if (m := row.instantiate(dict(assign), k, l, with_third=third)) is not None}
+
+
+def test_every_row_instance_lands_in_the_bucket_of_its_lengths():
+    for row, m in ROW_INSTANCES:
+        assert row in GPRIME_OUT_BY_LENGTHS[row.src].get(lengths_key(map(len, m.images)), ()), \
+            (row.rid, m)
+
+
+def test_routed_steps_equal_a_scan_of_every_out_edge():
+    instances = {m for _, m in ROW_INSTANCES if not m.erasing}
     off = {o for m in instances for o in _one_letter_off(m)}
     four = {Morphism(m.images + (m.images[0] + "3",), 4) for m in instances if m.domain == 3}
-    counts = {}
-    for m in sorted(instances | off | four, key=repr):
+    # every image repeated past the cap
+    stretched = {Morphism(tuple(w * (LEN_CAP // len(w) + 1) for w in m.images), m.codomain)
+                 for m in instances}
+    counts, long_steps = {}, 0
+    for m in sorted(instances | off | four | stretched, key=repr):
         dw = DirectiveWord((m,))
         for v in GPRIME_VERTICES:
             steps = list(routed_steps(dw, v, 0, 1))
             assert steps == _scan_steps(dw, v, 0, 1), (v, m)
             counts[m.domain] = counts.get(m.domain, 0) + len(steps)
+            if min(map(len, m.images)) > LEN_CAP:
+                long_steps += len(steps)
     assert counts[2] > 0 and counts[3] > 0 and counts[4] == 0
+    # labels whose images are all longer than the cap route too
+    assert long_steps > 0
     # composed blocks of up to MAX_BLOCK levels, from every level of the suites
     for dw in [*VALID_SUITE.values(), *(dw for dw, _ in INVALID_SUITE.values())]:
         for v in GPRIME_VERTICES:

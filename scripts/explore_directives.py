@@ -15,7 +15,7 @@ import random
 from rauzyadic.errors import RauzyadicError
 from rauzyadic.morphism import bracket
 from rauzyadic.sadic import DirectiveWord, format_directive
-from rauzyadic.schemas import GPRIME_OUT, _ASSIGNMENTS
+from rauzyadic.schemas import GPRIME_EDGES, _ASSIGNMENTS
 from rauzyadic.validator import cross_validate, validate_directive
 
 COMPONENTS = {
@@ -39,8 +39,8 @@ def random_cycle(rng, vertices, length):
     v = v0
     labels = []
     for i in range(length):
-        targets = [(dst, rows) for dst, rows in GPRIME_OUT.get(v, ())
-                   if dst in vertices and (i < length - 1 or dst == v0)]
+        targets = [(dst, rows) for (src, dst), rows in GPRIME_EDGES.items()
+                   if src == v and dst in vertices and (i < length - 1 or dst == v0)]
         if not targets:
             return None
         dst, rows = rng.choice(targets)

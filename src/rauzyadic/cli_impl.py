@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from .errors import UnsupportedCase
 from .sadic import DirectiveWord
-from .validator import RoutedStep, routed_steps, start_vertex
+from .schemas import Step
+from .validator import routed_steps, start_vertex
 
 
-def route_prefix(dw: DirectiveWord) -> list[RoutedStep]:
+def route_prefix(dw: DirectiveWord) -> list[Step]:
     """Route a finite directive prefix through the refined graph.
 
     Depth-first over block decompositions; returns the first complete

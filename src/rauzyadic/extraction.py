@@ -18,8 +18,8 @@ from .errors import NoSchemaMatch, RuleViolation
 from .morphism import Morphism, bracket, compose_all, identity
 from .rauzy import (Circuit, GraphShape, RauzyGraph, build_graph, circuits_from,
                     classify_shape, reduce_graph, right_special_chain)
-from .schemas import (GPRIME_EDGES, EvolutionRow, Match, evolution_rows, match_rows,
-                      match_schema, unique_row_match)
+from .schemas import (GPRIME_EDGES, GPRIME_ROW_BY_ID, EvolutionRow, Step, edge_step,
+                      evolution_rows, match_rows, unique_row_match)
 from .words import FactorOracle, Word
 
 
@@ -282,23 +282,9 @@ def extract_gamma(oracle: FactorOracle, lower: ThetaAssignment, upper: ThetaAssi
 
 
 @dataclass(frozen=True)
-class PathStep:
-    src: str
-    dst: str
-    label: Morphism
-    match: Match
-    entry_order: int = -1   # first order of the landing region
-
-    def line(self) -> str:
-        p = ",".join(f"{n}={v}" for n, v in (("k", self.match.k), ("l", self.match.l))
-                     if v is not None)
-        return f"{self.src} -> {self.dst} via {self.match.row.rid} [{p}] {self.label.rule_string()}"
-
-
-@dataclass(frozen=True)
 class ExtractionReport:
     records: tuple[EvolutionRecord, ...]
-    path: tuple[PathStep, ...]
+    path: tuple[Step, ...]
     log: tuple[str, ...]
     thetas: tuple[ThetaAssignment, ...] = ()
 
@@ -313,26 +299,19 @@ class ExtractionReport:
         return "\n".join(lines) + "\n"
 
 
+# the refined-graph vertex of each shape type but 3, whose vertex is named
+# by its top letter; types 4 and 10 are one only at a bispecial chain vertex
+_VERTEX_OF_TYPE = {1: "1", 2: "2", 4: "4B", 5: "5/6", 6: "5/6", 7: "7/8", 8: "7/8", 10: "10B"}
+
+
 def _vertex_kind(shape: GraphShape, u_role: str, top_letter: int | None) -> str | None:
     """The refined-graph vertex of a stable shape; None for pass-through."""
     t = shape.type_id
-    if t == 1:
-        return "1"
-    if t == 2:
-        return "2"
     if t == 3:
         return f"V{top_letter}"
-    if t == 4:
-        return "4B" if u_role == "B" else None
-    if t in (5, 6):
-        return "5/6"
-    if t in (7, 8):
-        return "7/8"
-    if t == 9:
+    if t in (4, 10) and u_role != "B":
         return None
-    if t == 10:
-        return "10B" if u_role == "B" else None
-    return None
+    return _VERTEX_OF_TYPE.get(t)
 
 
 def _divide_left(m: Morphism, factor: Morphism) -> Morphism | None:
@@ -357,7 +336,7 @@ def _divide_left(m: Morphism, factor: Morphism) -> Morphism | None:
     return bracket(*imgs, codomain=factor.domain)
 
 
-def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> ExtractionReport:
+def extract_directive(oracle: FactorOracle, N: int) -> ExtractionReport:
     """Evolution records up to order N plus the contracted path in the
     refined graph of graphs."""
     chain = right_special_chain(oracle, min(N, oracle.horizon - 2))
@@ -369,7 +348,7 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
         graph = build_graph(oracle, n)
         g = reduce_graph(graph, oracle)
         shape = classify_shape(g, oracle)
-        circs = circuits_from(graph, chain[n], oracle, budget)
+        circs = circuits_from(graph, chain[n], oracle)
         theta = assign_theta(graph, shape, circs, oracle, chain[n])
         role = "B" if chain[n] in oracle.bispecials(n) else "R"
         top = None
@@ -399,19 +378,19 @@ def extract_directive(oracle: FactorOracle, N: int, budget: int = 1_000_000) -> 
                             tuple(th for (_, _, th, _, _) in data))
 
 
-def _build_gprime_path(records: list[EvolutionRecord], kinds: list[str | None]) -> list[PathStep]:
+def _build_gprime_path(records: list[EvolutionRecord], kinds: list[str | None]) -> list[Step]:
     """Read the refined-graph path off the shapes: each run of records up
     to the next non-pass-through shape is one step to that shape's vertex."""
     if records and kinds[0] is None:
         raise NoSchemaMatch("extraction starts on a pass-through shape")
-    path: list[PathStep] = []
+    path: list[Step] = []
     i = 0
     while i < len(records):
         src = kinds[i]
         if records[i].schema.row.rid == "A8.78b":
             # simultaneous strong+weak explosion of a type-8 graph: split
             # through the virtual vertex 1 (weak side exploded first)
-            path.append(_step("7/8", "1", identity(2)))
+            path.append(edge_step("7/8", "1", identity(2)))
             src = "1"
         j = i + (2 if records[i].shape_before.type_id == 5 else 1)
         while j < len(kinds) and kinds[j] is None:
@@ -428,15 +407,13 @@ def _build_gprime_path(records: list[EvolutionRecord], kinds: list[str | None]) 
                     rest, loops = _divide_left(rest, _loop_morphism(rest)), loops + 1
                 if rest is None:
                     rest, loops = label, 0   # refused below on the whole label
-            path += [_step("7/8", "7/8", _loop_morphism(rest))] * loops
-            path.append(_step(src, dst, rest, records[j - 1].from_order + 1))
+            path += [edge_step("7/8", "7/8", _loop_morphism(rest))] * loops
+            path.append(edge_step(src, dst, rest, records[j - 1].from_order + 1))
         i = j
     return path
 
 
-def _step(src: str, dst: str, label: Morphism, entry_order: int = -1) -> PathStep:
-    return PathStep(src, dst, label, match_schema(label, src, dst), entry_order)
-
-
 def _loop_morphism(m: Morphism) -> Morphism:
-    return bracket("0", "10", "20") if m.codomain >= 3 else bracket("0", "10")
+    """The 7/8 loop label on m's codomain: C4.78.loop, with its optional
+    third image when m has three letters."""
+    return GPRIME_ROW_BY_ID["C4.78.loop"].instantiate({}, with_third=m.codomain >= 3)

@@ -10,10 +10,12 @@ in the test suite is for.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 from .errors import UnsupportedCase
 from .morphism import Morphism, compose_all
+from .schemas import GPRIME_ROW_BY_ID, Step
 
 
 @dataclass(frozen=True)
@@ -180,21 +182,19 @@ def _c1_values(kcase: str, g: Morphism, sub: dict[str, str],
     raise UnsupportedCase(f"no length formulas for case {kcase!r}")
 
 
-_EMBEDDED_ENTRY = {
-    "c56_loop": lambda k: Morphism(("1", "0" * k + "2", "0" * (k - 1) + "2"), 3),
-    "c10B_56": lambda k: Morphism(("0", "2" * k + "1", "2" * (k - 1) + "1"), 3),
-}
+# the composite 5/6 arrivals, by case: each embeds the entry of the row
+# named here, at the arrival's k
+_EMBEDDED_ENTRY = {"c56_loop": "C4.56.78a", "c10B_56": "C4.10B.78a"}
 
 
-def _is_loop_step(step) -> bool:
+def _is_loop_step(step: Step) -> bool:
     return step.src == "7/8" and step.dst == "7/8"
 
 
-def compute_length_state(steps) -> LengthState:
-    """LengthState of a matched step prefix ending at 7/8 or 5/6.
+def compute_length_state(steps: Sequence[Step]) -> LengthState:
+    """LengthState of a matched step prefix ending at 7/8 or 5/6, as
+    produced by extraction or by directive routing.
 
-    ``steps`` carry ``label`` (the morphism) and ``match`` (the table row
-    with parameters), as produced by extraction or by directive routing.
     The region entry is found by one walk back over the 7/8 loop steps,
     from the last step, or from the one before it on a plain arrival at
     5/6 (one whose row does not embed its own entry).  Raises
@@ -216,7 +216,8 @@ def compute_length_state(steps) -> LengthState:
     match = step.match
     case = match.row.kcase
     g = compose_all([s.label for s in steps[:e]], n=step.label.codomain)
-    entry = _EMBEDDED_ENTRY[case](match.k) if case in _EMBEDDED_ENTRY else step.label
+    entry = (GPRIME_ROW_BY_ID[_EMBEDDED_ENTRY[case]].instantiate({}, match.k)
+             if case in _EMBEDDED_ENTRY else step.label)
     u1, u2, v1, v2 = _c1_values(case, g, match.sub, entry)
     st = LengthState(u1, u2, v1, v2, match.row.Kfun(match.k or 0, match.l or 0),
                      h=top - e, case=case)

@@ -14,6 +14,9 @@ from .errors import (ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
                      OutOfClass)
 from .words import FactorOracle, Word
 
+# edge expansions one circuit enumeration may make before it is refused
+CIRCUIT_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -153,10 +156,10 @@ class Circuit:
         return len(self.path)
 
 
-def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle,
-                  budget: int = 1_000_000) -> tuple[Circuit, ...]:
+def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
     """All allowed circuits from v, by depth-first search with
-    allowed-prefix pruning.  Sorted by right label."""
+    allowed-prefix pruning, within CIRCUIT_BUDGET expansions.  Sorted by
+    right label."""
     if not oracle.is_right_special(v):
         return ()
     out: list[Circuit] = []
@@ -166,8 +169,9 @@ def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle,
         p = stack.pop()
         for e in graph.out_edges(p.end):
             expansions += 1
-            if expansions > budget:
-                raise EnumerationBudgetExceeded(f"circuit enumeration from {v!r} exceeded {budget}")
+            if expansions > CIRCUIT_BUDGET:
+                raise EnumerationBudgetExceeded(
+                    f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
             lbl = p.full_label + e.right
             if len(lbl) > oracle.horizon:
                 raise HorizonExceeded(f"circuit from {v!r} grew past horizon {oracle.horizon}")
@@ -393,8 +397,7 @@ class LoopMeasurement:
     K: int
 
 
-def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word,
-                      budget: int = 1_000_000) -> LoopMeasurement:
+def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> LoopMeasurement:
     """Direct measurement of |u1|, |u2|, |v1|, |v2| and K on the graph."""
     graph = build_graph(oracle, order)
     g = reduce_graph(graph, oracle)
@@ -414,7 +417,7 @@ def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word,
             sides[i] = (cyc[1].length, cyc[0].length)
         else:
             raise OutOfClass(f"order {order}: own cycle through {len(cyc)} condensed edges")
-    circs = circuits_from(graph, r1, oracle, budget)
+    circs = circuits_from(graph, r1, oracle)
     K = max((c.path.visits(r2) - 1 for c in circs if c.path.visits(r2)), default=0)
     return LoopMeasurement(u1=sides[1][0], u2=sides[2][0], v1=sides[1][1], v2=sides[2][1], K=K)
 

@@ -92,6 +92,10 @@ def _letter_images(dw: DirectiveWord):
         yield imgs
 
 
+# the letter whose limit word is generated
+SEED = "0"
+
+
 @dataclass(frozen=True)
 class GenerationResult:
     prefix: Word
@@ -99,9 +103,9 @@ class GenerationResult:
     levels_used: int
 
 
-def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
+def generate_one_sided(dw: DirectiveWord, target_len: int,
                        max_levels: int = 200) -> GenerationResult:
-    """Prefix of the limit word m_0 m_1 ... m_n(seed^omega), truncated once
+    """Prefix of the limit word m_0 m_1 ... m_n(SEED^omega), truncated once
     two consecutive levels agree on it."""
     if not dw.period:
         raise NonGrowing("a finite directive word has no limit word")
@@ -109,7 +113,7 @@ def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
     prev = None
     prev_len_hist: list[int] = []
     for n, imgs in zip(range(max_levels), _letter_images(dw)):
-        u = imgs[seed]
+        u = imgs[SEED]
         prev_len_hist.append(len(u))
         if len(prev_len_hist) > window and prev_len_hist[-1] <= prev_len_hist[-1 - window]:
             raise NonGrowing(f"|images(seed)| stuck at {len(u)} over {window} levels")
@@ -117,16 +121,16 @@ def generate_one_sided(dw: DirectiveWord, target_len: int, seed: str = "0",
         if prev is not None and len(u) >= target_len and cand == prev:
             certified = _certified_factor_horizon(prev, u)
             return GenerationResult(cand, certified, n + 1)
-        if len(u) >= target_len > 0 and not _first_letters_meet(dw, n, seed):
+        if len(u) >= target_len > 0 and not _first_letters_meet(dw, n):
             raise NoStabilization(
                 f"no prefix of length {target_len} settles: past level {n} the images "
-                f"of {seed} at consecutive levels never begin with the same letter")
+                f"of {SEED} at consecutive levels never begin with the same letter")
         prev = cand
     raise NonGrowing(f"no stable prefix of length {target_len} within {max_levels} levels")
 
 
-def _first_letters_meet(dw: DirectiveWord, n: int, seed: str) -> bool:
-    """Whether m_0 ... m_j (seed) and m_0 ... m_{j-1} (seed) begin with the
+def _first_letters_meet(dw: DirectiveWord, n: int) -> bool:
+    """Whether m_0 ... m_j (SEED) and m_0 ... m_{j-1} (SEED) begin with the
     same letter at some level j > n, as two equal prefixes must.
 
     The first letter of m_0 ... m_j (a) is F_j(a), for F_j the product of
@@ -135,7 +139,7 @@ def _first_letters_meet(dw: DirectiveWord, n: int, seed: str) -> bool:
     def first_letters(j):
         return tuple(int(w[0]) for w in dw.morphism(j).images)
 
-    p, T, a = len(dw.preperiod), len(dw.period), int(seed)
+    p, T, a = len(dw.preperiod), len(dw.period), int(SEED)
     F = first_letters(0)
     for j in range(1, n + 1):
         F = tuple(F[b] for b in first_letters(j))

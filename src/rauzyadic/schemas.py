@@ -6,12 +6,15 @@ letters) with loop exponents k and l.  This module holds:
 
   * the pattern language and matcher;
   * the evolution tables per source type (used to verify extraction);
-  * the refined graph with vertices 2, V0, V1, V2, 4B, 1, 5/6, 7/8, 10B
-    and its edge labels (used by the validator);
-  * the shape-to-shape adjacency of the unrefined graph of graphs.
+  * the refined graph with vertices 2, V0, V1, V2, 4B, 1, 5/6, 7/8, 10B,
+    its edge labels, and the two reads of it that routing, extraction and
+    the length bookkeeping share: the steps out of a vertex that a label
+    reads (``out_steps``) and the step of a label on a given edge
+    (``edge_step``).
 
 Rows that enter the two-loop region carry the case key for the length
-bookkeeping and the loop-count formula for the exit gates.
+bookkeeping and the loop-count formula for the exit gates.  The label
+configurations that component C4 excludes are tables of rows too.
 """
 
 from __future__ import annotations
@@ -187,22 +190,6 @@ def unique_row_match(rows, m: Morphism, where: str) -> Match:
     if len(rids) > 1:
         raise AmbiguousMatch(f"{m} matches several rows {sorted(rids)} {where}")
     return ms[0]
-
-
-# -- the graph of graphs (shape adjacency) ------------------------------
-
-GOG_EDGES: dict[int, frozenset[int]] = {
-    1: frozenset({1, 7, 8}),
-    2: frozenset({1, 2, 3, 4, 7, 8, 10}),
-    3: frozenset({1, 3, 7, 8, 10}),
-    4: frozenset({1, 4, 7, 8, 10}),
-    5: frozenset({1, 10}),
-    6: frozenset({1, 7, 8, 10}),
-    7: frozenset({1, 7, 8, 9}),
-    8: frozenset({1, 5, 6, 7, 8, 9}),
-    9: frozenset({1, 5, 6, 9}),
-    10: frozenset({1, 7, 8, 10}),
-}
 
 
 # -- evolution tables per source type -----------------------------------
@@ -404,7 +391,8 @@ def evolution_rows(from_type: int, to_type: int | None = None,
 
 
 def gog_from_tables() -> dict[int, frozenset[int]]:
-    """Shape adjacency recomputed from the evolution tables."""
+    """The shape adjacency of the unrefined graph of graphs, read off the
+    evolution tables."""
     adj: dict[int, set[int]] = {t: set() for t in range(1, 11)}
     for er in EVOLUTION_TABLE:
         adj[er.from_type] |= set(er.to_types)
@@ -702,10 +690,36 @@ for _r in GPRIME_ROWS:
     GPRIME_EDGES.setdefault((_r.src, _r.dst), ())
     GPRIME_EDGES[(_r.src, _r.dst)] += (_r,)
 
-# the out-edges of each vertex as (dst, rows), in GPRIME_EDGES order
-GPRIME_OUT: dict[str, tuple[tuple[str, tuple[Row, ...]], ...]] = {}
-for (_src, _dst), _rows in GPRIME_EDGES.items():
-    GPRIME_OUT[_src] = GPRIME_OUT.get(_src, ()) + ((_dst, _rows),)
+GPRIME_ROW_BY_ID: dict[str, Row] = {_r.rid: _r for _r in GPRIME_ROWS}
+
+
+def _cfg_rows(name: str, pats: dict) -> dict[tuple[str, str], tuple[Row, ...]]:
+    return {edge: tuple(Row(f"{name}.{i}", *edge, imgs) for i, imgs in enumerate(ps))
+            for edge, ps in pats.items()}
+
+
+# the label configurations that component C4 condition iv excludes, each the
+# edges a cycle may use with the labels it may carry on them: in a, the path
+# stays on the two-loop vertex; in b, each literal label is a pattern of
+# one-atom images; in c, the labels are families, and the edge 5/6 -> 10B
+# takes any of its labels
+C4_CONFIG_A = {("7/8", "7/8"): GPRIME_EDGES[("7/8", "7/8")]}
+C4_CONFIG_B = _cfg_rows("cfg-b", {
+    ("5/6", "5/6"): (("02", "12", "2"), ("102", "2", "12")),
+    ("5/6", "7/8"): (("1", "02", "2"),),
+    ("5/6", "10B"): (("1", "01", "2"),),
+    ("7/8", "5/6"): (("1", "02", "2"), ("01", "2", "02")),
+    ("10B", "10B"): (("0", "20", "1"), ("02", "12", "2")),
+    ("10B", "5/6"): (("21", "01", "1"), ("021", "1", "01")),
+})
+C4_CONFIG_C = {**_cfg_rows("cfg-c", {
+    ("5/6", "5/6"): (("0^k 2", "1 0^k-1 2", "0^k-1 2"), ("0^k-1 2", "1 0^k 2", "0^k 2")),
+    ("10B", "10B"): (("1 2^k 0", "2^k+1 0", "2^k 0"),),
+    ("5/6", "7/8"): (("1", "0^k 2", "0^k-1 2"), ("1 2^k 0", "2^l 0", "2^l-1 0")),
+    ("7/8", "5/6"): (("1", "0 2", "2"), ("2", "0 1", "1")),
+    ("10B", "5/6"): (("2^k 1", "0 2^k-1 1", "2^k-1 1"), ("2^k-1 1", "0 2^k 1", "2^k 1")),
+    ("10B", "7/8"): (("0", "2^k 1", "2^k-1 1"),),
+}), ("5/6", "10B"): GPRIME_EDGES[("5/6", "10B")]}
 
 # label image lengths are looked up clipped at LEN_CAP: a row's exponent at
 # the cap stands for every larger one
@@ -753,20 +767,48 @@ def _length_keys(row: Row) -> set[int]:
     return keys
 
 
-# the rows out of each vertex, flattened in GPRIME_OUT order, keyed by the
+# the rows out of each vertex, in GPRIME_EDGES order, keyed by the
 # lengths_key of a label: each bucket keeps only the rows with an instance of
 # those clipped lengths, so a label is tried only on rows that can match it
 GPRIME_OUT_BY_LENGTHS: dict[str, dict[int, tuple[Row, ...]]] = {}
-for _src, _out in GPRIME_OUT.items():
-    _hits: dict[int, list[Row]] = {}
-    for _r in [r for _, rows in _out for r in rows]:
+for (_src, _), _rows in GPRIME_EDGES.items():
+    _hits = GPRIME_OUT_BY_LENGTHS.setdefault(_src, {})
+    for _r in _rows:
         for _key in _length_keys(_r):
-            _hits.setdefault(_key, []).append(_r)
-    GPRIME_OUT_BY_LENGTHS[_src] = {key: tuple(rows) for key, rows in _hits.items()}
+            _hits[_key] = _hits.get(_key, ()) + (_r,)
 del _hits
 
 
-def match_schema(m: Morphism, src: str, dst: str) -> Match:
-    """Unique row + parameters for a morphism on the edge src -> dst."""
-    rows = GPRIME_EDGES.get((src, dst), ())
-    return unique_row_match(rows, m, f"on edge {src} -> {dst}")
+@dataclass(frozen=True)
+class Step:
+    """One step of a refined-graph path: the edge src -> dst, its label and
+    the row match that reads the label.  ``blocks`` counts the directive
+    levels a routed label composes; ``entry_order`` is the first order of
+    the landing region of an extracted step, -1 when unknown."""
+
+    src: str
+    dst: str
+    label: Morphism
+    match: Match
+    blocks: int = 1
+    entry_order: int = -1
+
+    def line(self) -> str:
+        p = ",".join(f"{n}={v}" for n, v in (("k", self.match.k), ("l", self.match.l))
+                     if v is not None)
+        return f"{self.src} -> {self.dst} via {self.match.row.rid} [{p}] {self.label.rule_string()}"
+
+
+def out_steps(src: str, label: Morphism, blocks: int) -> list[Step]:
+    """The steps out of src that read label, a composition of ``blocks``
+    directive levels, in GPRIME_EDGES order; the only out-edge lookup,
+    through the label's clipped image lengths."""
+    rows = GPRIME_OUT_BY_LENGTHS[src].get(lengths_key(map(len, label.images)), ())
+    return [Step(src, match.row.dst, label, match, blocks) for match in match_rows(rows, label)]
+
+
+def edge_step(src: str, dst: str, label: Morphism, entry_order: int = -1) -> Step:
+    """The step of label on the edge src -> dst, read by the edge's unique
+    matching row; NoSchemaMatch or AmbiguousMatch otherwise."""
+    match = unique_row_match(GPRIME_EDGES.get((src, dst), ()), label, f"on edge {src} -> {dst}")
+    return Step(src, dst, label, match, entry_order=entry_order)

@@ -17,8 +17,8 @@ from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
-from .schemas import (GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_VERTICES, Match, Row,
-                      lengths_key, match_rows)
+from .schemas import (C4_CONFIG_A, C4_CONFIG_B, C4_CONFIG_C, GPRIME_VERTICES, Step,
+                      match_rows, out_steps)
 from .words import complexity_profile
 
 MAX_BLOCK = 4
@@ -30,19 +30,10 @@ APPROX_CASES = {"c56_direct", "c56_loop"}
 
 
 @dataclass(frozen=True)
-class RoutedStep:
-    src: str
-    dst: str
-    label: Morphism
-    match: Match
-    blocks: int = 1                  # directive levels composed into the label
-
-
-@dataclass(frozen=True)
 class Routing:
     start: str
-    prefix: tuple[RoutedStep, ...]   # consumes the preperiod plus alignment
-    cycle: tuple[RoutedStep, ...]    # consumes whole periods
+    prefix: tuple[Step, ...]   # consumes the preperiod plus alignment
+    cycle: tuple[Step, ...]    # consumes whole periods
 
     @property
     def vertices(self):
@@ -81,14 +72,13 @@ def start_vertex(dw: DirectiveWord) -> str:
 def routed_steps(dw: DirectiveWord, vertex: str, pos: int, end: int | None = None):
     """Steps out of vertex whose label composes the levels pos, pos+1, ...
     of the directive, up to MAX_BLOCK of them and none at or past end."""
-    label, out = None, GPRIME_OUT_BY_LENGTHS.get(vertex, {})
+    label = None
     for j in range(1, MAX_BLOCK + 1):
         if end is not None and pos + j > end:
             return
         m = dw.morphism(pos + j - 1)
         label = m if label is None else compose(label, m)
-        for match in match_rows(out.get(lengths_key(map(len, label.images)), ()), label):
-            yield RoutedStep(vertex, match.row.dst, label, match, j)
+        yield from out_steps(vertex, label, j)
 
 
 def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[Routing]:
@@ -168,43 +158,14 @@ def _products_fix_zero(cycle_labels: list[Morphism]) -> bool:
                for r in range(len(cycle_labels)))
 
 
-def _cfg_rows(name: str, pats: dict) -> dict[tuple[str, str], tuple[Row, ...]]:
-    return {edge: tuple(Row(f"{name}.{i}", *edge, imgs) for i, imgs in enumerate(ps))
-            for edge, ps in pats.items()}
-
-
-# the edges, and the labels on them, that a cycle may use in the first
-# excluded configuration of component C4 condition iv; each literal label is
-# a pattern of one-atom images
-_CFG_B_ROWS = _cfg_rows("cfg-b", {
-    ("5/6", "5/6"): (("02", "12", "2"), ("102", "2", "12")),
-    ("5/6", "7/8"): (("1", "02", "2"),),
-    ("5/6", "10B"): (("1", "01", "2"),),
-    ("7/8", "5/6"): (("1", "02", "2"), ("01", "2", "02")),
-    ("10B", "10B"): (("0", "20", "1"), ("02", "12", "2")),
-    ("10B", "5/6"): (("21", "01", "1"), ("021", "1", "01")),
-})
-
-# the label families of the second excluded configuration, likewise; the
-# edge 5/6 -> 10B takes any of its labels
-_CFG_C_ROWS = {**_cfg_rows("cfg-c", {
-    ("5/6", "5/6"): (("0^k 2", "1 0^k-1 2", "0^k-1 2"), ("0^k-1 2", "1 0^k 2", "0^k 2")),
-    ("10B", "10B"): (("1 2^k 0", "2^k+1 0", "2^k 0"),),
-    ("5/6", "7/8"): (("1", "0^k 2", "0^k-1 2"), ("1 2^k 0", "2^l 0", "2^l-1 0")),
-    ("7/8", "5/6"): (("1", "0 2", "2"), ("2", "0 1", "1")),
-    ("10B", "5/6"): (("2^k 1", "0 2^k-1 1", "2^k-1 1"), ("2^k-1 1", "0 2^k 1", "2^k 1")),
-    ("10B", "7/8"): (("0", "2^k 1", "2^k-1 1"),),
-}), ("5/6", "10B"): GPRIME_EDGES[("5/6", "10B")]}
-
 # the configurations in the order they are checked, the path that stays on
 # the two-loop vertex first
 _EXCLUDED_CONFIGS = (
-    ({("7/8", "7/8"): GPRIME_EDGES[("7/8", "7/8")]},
-     "weak primitivity (component C4 condition iv, configuration a): the path stays "
-     "in the two-loop vertex"),
-    (_CFG_B_ROWS, "component C4 condition iv, configuration b: the cycle conforms to "
+    (C4_CONFIG_A, "weak primitivity (component C4 condition iv, configuration a): the "
+                  "path stays in the two-loop vertex"),
+    (C4_CONFIG_B, "component C4 condition iv, configuration b: the cycle conforms to "
                   "the first excluded label configuration"),
-    (_CFG_C_ROWS, "component C4 condition iv, configuration c: the cycle conforms to "
+    (C4_CONFIG_C, "component C4 condition iv, configuration c: the cycle conforms to "
                   "the second excluded label configuration"),
 )
 
@@ -262,9 +223,10 @@ def _check_c3(dw: DirectiveWord, routing: Routing):
     return ("invalid", clause) if clause else ("valid", None)
 
 
-# the exit gates: (vertex a step enters, row id of the next step) -> gate
-_EXIT_GATES = {("7/8", "C4.78.1c"): "B",     # letter-to-letter exit to vertex 1
-               ("5/6", "C4.56.78b"): "A"}    # strong self-exit from the no-loop vertex
+# the exit gates, by the row of the step that leaves the region; steps
+# chain, so that row's source is the vertex the gated prefix ends at
+_EXIT_GATES = {"C4.78.1c": "B",     # letter-to-letter exit from 7/8 to vertex 1
+               "C4.56.78b": "A"}    # strong self-exit from the no-loop vertex 5/6
 
 
 def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
@@ -300,8 +262,8 @@ def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
     # length-gated exit conditions (A) and (B)
     steps = list(routing.prefix) + list(cyc) * TRAVERSALS
     margins_b: dict[int, list[int]] = {}
-    for i, (step, nxt) in enumerate(zip(steps, steps[1:])):
-        gate = _EXIT_GATES.get((step.dst, nxt.match.row.rid))
+    for i, nxt in enumerate(steps[1:]):
+        gate = _EXIT_GATES.get(nxt.match.row.rid)
         if gate is None:
             continue
         try:
@@ -466,7 +428,7 @@ class CrossReport:
         return "\n".join(self.lines) + "\n"
 
 
-def _alignments(ext: list[RoutedStep], valid: list[Routing]):
+def _alignments(ext: list[Step], valid: list[Routing]):
     """(routing, start, rotation) for every rotation of a valid routed
     cycle that equals the extracted steps from start on modulo exchanges,
     moving between the same vertices; the split vertices V0-V2 count as

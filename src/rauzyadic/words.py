@@ -176,15 +176,16 @@ class FactorOracle:
 
     @classmethod
     def from_substitution(cls, images: dict[str, Word], horizon: int,
-                          seed: str = "0", source: str | None = None) -> "FactorOracle":
-        """Oracle for the one-sided fixed point of a primitive substitution.
+                          source: str | None = None) -> "FactorOracle":
+        """Oracle for the one-sided fixed point, from letter 0, of a
+        primitive substitution.
 
         The fixed point's language is the substitution's language, so the
         factor sets come from :func:`substitutive_language`, which is exact
         and raises NoStabilization unless the substitution is primitive.
         """
-        if not images[seed].startswith(seed):
-            raise ValueError(f"substitution not prolongable at seed {seed!r}")
+        if not images["0"].startswith("0"):
+            raise ValueError("substitution not prolongable at seed '0'")
         size = max(int(c) for w in images.values() for c in w) + 1
         sets, cert = substitutive_language(images, horizon)
         return cls(Alphabet(size), sets, horizon, source or f"substitution fixed point {images}",

@@ -112,6 +112,16 @@ def test_lengths_command(tmp_path, capsys):
     assert code == 0 and "p1=" in out
 
 
+def test_lengths_refuses_a_prefix_outside_the_loop_regions(tmp_path, capsys):
+    # [0,10] [01,1] stays at vertex 1, so no state at 7/8 or 5/6 exists
+    f = tmp_path / "p.dw"
+    f.write_text("preperiod:\n[0,10]\n[01,1]\nperiod:\n")
+    code, out, err = run(["lengths", str(f)], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error: UnsupportedCase: prefix does not route to the two-loop "
+                   "or no-loop region\n")
+
+
 def test_crosscheck_command(capsys):
     code, out, _ = run(["crosscheck", str(DW / "c4_osc.dw"), "--window", "12"], capsys)
     assert code == 0 and "cycle matched" in out

@@ -3,8 +3,8 @@ import pytest
 from rauzyadic.errors import NoSchemaMatch
 from rauzyadic.morphism import bracket, compose_generators, decompose, identity
 from rauzyadic.schemas import (
-    _ASSIGNMENTS, EVOLUTION_TABLE, GOG_EDGES, GPRIME_EDGES, GPRIME_OUT, GPRIME_ROWS,
-    Match, Row, _image, evolution_rows, gog_from_tables, match_schema, unique_row_match,
+    _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS,
+    Match, Row, _image, edge_step, evolution_rows, gog_from_tables, unique_row_match,
 )
 from rauzyadic.validator import _EXCLUDED_CONFIGS
 
@@ -31,8 +31,7 @@ FIG8 = {
 
 
 def test_graph_of_graphs_fidelity():
-    assert {t: set(s) for t, s in GOG_EDGES.items()} == FIG8
-    assert gog_from_tables() == GOG_EDGES
+    assert gog_from_tables() == {t: frozenset(s) for t, s in FIG8.items()}
 
 
 def row_instances(row, pmax=3):
@@ -143,10 +142,14 @@ def test_matcher_never_solves_a_negative_exponent():
 
 
 def test_out_edges_index_the_edge_table():
-    flat = [((src, dst), rows) for src, out in GPRIME_OUT.items() for dst, rows in out]
-    assert sorted(flat) == sorted(GPRIME_EDGES.items())
-    for src, out in GPRIME_OUT.items():
-        assert [dst for dst, _ in out] == [d for s, d in GPRIME_EDGES if s == src]
+    # every row out of a vertex is in some bucket, and each bucket keeps
+    # the order of the edge table
+    assert set(GPRIME_OUT_BY_LENGTHS) == {src for src, _ in GPRIME_EDGES}
+    for src, buckets in GPRIME_OUT_BY_LENGTHS.items():
+        out = [row for (s, _), rows in GPRIME_EDGES.items() if s == src for row in rows]
+        assert {row for rows in buckets.values() for row in rows} == set(out)
+        for rows in buckets.values():
+            assert list(rows) == [row for row in out if row in rows]
 
 
 def test_evolution_table_instances_decompose():
@@ -157,23 +160,26 @@ def test_evolution_table_instances_decompose():
 
 
 def test_match_schema_examples():
-    got = match_schema(bracket("0", "110", "10"), "1", "7/8")
+    step = edge_step("1", "7/8", bracket("0", "110", "10"), entry_order=5)
+    got = step.match
     assert got.row.rid == "C4.1.78" and got.k == 2
     assert got.sub == {"x": "0", "y": "1"}
-    got = match_schema(bracket("0", "10"), "1", "1")
+    assert (step.src, step.dst, step.blocks, step.entry_order) == ("1", "7/8", 1, 5)
+    assert step.line() == "1 -> 7/8 via C4.1.78 [k=2] 0->0;1->110;2->10"
+    got = edge_step("1", "1", bracket("0", "10")).match
     assert got.row.rid == "C4.1.loopa"
+    with pytest.raises(NoSchemaMatch, match="matches no row on edge 1 -> 1"):
+        edge_step("1", "1", identity(3))
     with pytest.raises(NoSchemaMatch):
-        match_schema(identity(3), "1", "1")
-    with pytest.raises(NoSchemaMatch):
-        match_schema(identity(2), "1", "1")
+        edge_step("1", "1", identity(2))
 
 
 def test_match_c2_loop_and_edges():
-    got = match_schema(bracket("0", "10", "20"), "V0", "V0")
+    got = edge_step("V0", "V0", bracket("0", "10", "20")).match
     assert got.row.d_factors == ("D10", "D20")
-    got = match_schema(bracket("02", "1", "2"), "V0", "V1")
+    got = edge_step("V0", "V1", bracket("02", "1", "2")).match
     assert got.row.d_factors == ("D02",)
-    got = match_schema(bracket("01", "1", "201"), "V0", "V1")
+    got = edge_step("V0", "V1", bracket("01", "1", "201")).match
     assert got.row.d_factors == ("D01", "D20")
 
 

@@ -6,10 +6,10 @@ from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, Rauzyadic
 from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_check
-from rauzyadic.schemas import (GPRIME_OUT, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, GPRIME_VERTICES,
-                              LEN_CAP, _ASSIGNMENTS, lengths_key, match_rows)
+from rauzyadic.schemas import (GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, GPRIME_VERTICES,
+                              LEN_CAP, _ASSIGNMENTS, Step, lengths_key, match_rows)
 from rauzyadic.validator import (
-    MAX_BLOCK, RoutedStep, _enumerate_routings, _route, _routing_verdict,
+    MAX_BLOCK, _enumerate_routings, _route, _routing_verdict,
     _weak_primitivity_clause, _window_right_proper, cross_validate, routed_steps,
     sequences_equal_mod_exchange, start_vertex, valid_routings, validate_directive,
 )
@@ -272,6 +272,52 @@ def test_negative_length_is_a_refusal():
     assert v.clause == "length state unsupported at step 1: negative length u1=-1 in case v_bottom"
 
 
+# gate A passes: a 7/8 -> 5/6 arrival left by the strong self-exit
+# C4.56.78b.  The word's verdict comes from a suffix entry at vertex 1, so
+# the routing from that vertex is judged, not the verdict
+GATE_A_PASS = DirectiveWord((), (B("1", "001", "01"), B("0", "10", "20"), B("1", "02", "2")))
+
+
+def test_gate_a_passes_on_equal_no_loop_lengths():
+    routing = _enumerate_routings(GATE_A_PASS, "1")[0]
+    steps = list(routing.prefix) + list(routing.cycle)
+    assert _rids(steps) == ["C4.1.78", "C4.78.loop", "C4.78.56b", "C4.56.78b"]
+    st = compute_length_state(steps[:3])
+    assert (st.case, st.p1, st.p2) == ("type1_entry", 0, 0)
+    assert _routing_verdict(GATE_A_PASS, routing, False) == ("valid", None)
+    assert _routing_verdict(GATE_A_PASS, routing, True) == ("valid", None)
+
+
+def test_gate_a_refuses_a_longer_far_side():
+    # found by a random search over C4 cycles: routed from vertex 2 through
+    # 4B, the first arrival at 5/6 is left by C4.56.78b with |p1| < |p2|
+    dw = DirectiveWord((), (B("2", "01", "1"), B("20", "120", "10"), B("02", "112", "12"),
+                            B("02", "1", "01"), B("0", "110", "10")))
+    v = validate_directive(dw)
+    assert v.status == "invalid" and not v.notes
+    assert v.clause == "no-loop exit gate |p1| >= |p2| fails at step 2: p1=0 p2=2 (condition A)"
+    assert _rids(v.routing.prefix) == ["T2.4Bc", "T4.78c"]
+    assert _rids(v.routing.cycle)[:2] == ["C4.78.56a", "C4.56.78b"]
+    assert _routing_verdict(dw, v.routing, True) == (
+        "invalid", "no-loop exit gate |p1| = |p2| (exact-slope mode) fails at step 2: "
+                   "p1=0 p2=2 (condition A)")
+
+
+def test_gate_b_refuses_a_negative_margin():
+    # the word is valid through its other routing, whose cycle leaves 7/8
+    # by C4.78.1b, which no gate reads
+    dw = DirectiveWord((), (B("0", "10"), B("0", "1110", "110"), B("1", "0")))
+    routing = next(r for r in _enumerate_routings(dw, "1") if not r.prefix)
+    assert _rids(routing.cycle) == ["C4.1.loopa", "C4.1.78", "C4.78.1c"]
+    assert compute_length_state(routing.cycle[:2]).margin == -3
+    assert _routing_verdict(dw, routing, False) == (
+        "invalid", "two-loop exit gate inequality fails at step 1: margin -3 (condition B)")
+    assert _routing_verdict(dw, routing, True) == (
+        "invalid", "two-loop exit gate equality (exact-slope mode) fails at step 1: "
+                   "margin -3 (condition B)")
+    assert validate_directive(dw).status == "valid"
+
+
 # instantiated labels of every refined-graph edge, parameters up to 3, with
 # the optional third image, as scripts/explore_directives.py draws them
 EDGE_LABELS = {
@@ -279,7 +325,7 @@ EDGE_LABELS = {
                  for k in range(4) for l in range(4)
                  if row.cond is None or row.cond(k, l)
                  if (m := row.instantiate(dict(assign), k, l, with_third=True)) is not None]
-    for src, outs in GPRIME_OUT.items() for dst, rows in outs
+    for (src, dst), rows in GPRIME_EDGES.items()
 }
 COMPONENT_VERTICES = (("2",), ("V0", "V1", "V2"), ("4B",), ("1", "5/6", "7/8", "10B"))
 # the preperiods scripts/explore_directives.py puts before cycles of C2 and C3
@@ -299,7 +345,7 @@ def label_cycles(draw, max_length=6, vertices=None):
     for i in range(length):
         pools = {dst: [m for m in EDGE_LABELS[(v, dst)]
                        if not (improper and classify(m).right_proper)]
-                 for dst, _ in GPRIME_OUT.get(v, ()) if dst in vertices}
+                 for src, dst in GPRIME_EDGES if src == v and dst in vertices}
         targets = [dst for dst, pool in pools.items() if pool and (i < length - 1 or dst == v0)]
         assume(targets)
         dst = draw(st.sampled_from(targets))
@@ -379,8 +425,9 @@ def _scan_steps(dw, vertex, pos, end=None):
             break
         m = dw.morphism(pos + j - 1)
         label = m if label is None else compose(label, m)
-        steps += [RoutedStep(vertex, dst, label, match, j)
-                  for dst, rows in GPRIME_OUT.get(vertex, ()) for match in match_rows(rows, label)]
+        steps += [Step(vertex, dst, label, match, j)
+                  for (src, dst), rows in GPRIME_EDGES.items() if src == vertex
+                  for match in match_rows(rows, label)]
     return steps
 
 

@@ -49,12 +49,16 @@ class LengthState:
 
 
 def common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+    # bisect on the length of an equal prefix; each test is one slice
+    # comparison, so the per-character work stays in C
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def common_suffix_len(a: str, b: str) -> int:

@@ -275,6 +275,11 @@ def parse_generator_word(text: str) -> GeneratorWord:
 
 
 # -- decomposition by peeling ----------------------------------------
+#
+# The search works on one string: the images joined by commas, so that a
+# factor's condition and its removal are one count and one replace over
+# all images at once.  The commas keep an image's ends apart from its
+# neighbours'.
 
 # A permutation of {0,1,2} written as its image string, with a fixed
 # expansion into exchanges.
@@ -288,116 +293,87 @@ _PERM_EXPANSION = {
 }
 
 
-def _peel_D(images: dict[int, Word], x: int, y: int) -> dict[int, Word] | None:
-    """If sigma = D(x,y) . tau, return tau's images, else None."""
-    cx, cy = LETTERS[x], LETTERS[y]
-    out = {}
-    changed = False
-    for a, w in images.items():
-        t = []
-        i = 0
-        while i < len(w):
-            t.append(w[i])
-            if w[i] == cx:
-                if i + 1 >= len(w) or w[i + 1] != cy:
-                    return None
-                i += 2
-                changed = True
-            else:
-                i += 1
-        out[a] = "".join(t)
-    return out if changed else None
+def _peel_D(w: str, x: int, y: int) -> str | None:
+    """If sigma = D(x,y) . tau, return tau's images, else None: every x of
+    sigma is followed by y, and tau drops those y."""
+    cx = LETTERS[x]
+    xy = cx + LETTERS[y]
+    n = w.count(cx)
+    return w.replace(xy, cx) if n and n == w.count(xy) else None
 
 
-def _peel_G(images: dict[int, Word], x: int, y: int) -> dict[int, Word] | None:
-    """If sigma = G(x,y) . tau, return tau's images, else None."""
-    cx, cy = LETTERS[x], LETTERS[y]
-    out = {}
-    changed = False
-    for a, w in images.items():
-        t = []
-        i = 0
-        while i < len(w):
-            if w[i] == cx:
-                if not t or t[-1] != cy:
-                    return None
-                t.pop()
-                changed = True
-            t.append(w[i])
-            i += 1
-        out[a] = "".join(t)
-    return out if changed else None
+def _peel_G(w: str, x: int, y: int) -> str | None:
+    """If sigma = G(x,y) . tau, return tau's images, else None: every x of
+    sigma is preceded by y, and tau drops those y."""
+    cx = LETTERS[x]
+    yx = LETTERS[y] + cx
+    n = w.count(cx)
+    return w.replace(yx, cx) if n and n == w.count(yx) else None
 
 
-def _m_candidates(images: dict[int, Word], x: int, y: int, cap: int = 4096):
+def _m_candidates(w: str, x: int, y: int, cap: int = 4096):
     """Reconstructions tau with sigma = M(x,y) . tau: rewrite some
-    occurrences of y back to x, at least one in total."""
+    occurrences of y back to x, at least one in total.  Each image takes
+    its subsets of y positions by size, then lexicographically, and the
+    images vary in itertools.product order."""
     cy = LETTERS[y]
-    positions = {a: [i for i, c in enumerate(w) if c == cy] for a, w in images.items()}
-    total = 1
-    for pos in positions.values():
-        total *= 2 ** len(pos)
-    if total > cap:
+    if 2 ** w.count(cy) > cap:
         return
-    keys = sorted(images)
-    choices = [list(itertools.chain.from_iterable(
-        itertools.combinations(positions[a], r) for r in range(len(positions[a]) + 1)))
-        for a in keys]
+    choices, start = [], 0
+    for part in w.split(","):
+        pos = [start + i for i, c in enumerate(part) if c == cy]
+        choices.append(list(itertools.chain.from_iterable(
+            itertools.combinations(pos, r) for r in range(len(pos) + 1))))
+        start += len(part) + 1
+    cx, chars = LETTERS[x], list(w)
     for combo in itertools.product(*choices):
         if not any(combo):
             continue
-        out = {}
-        for a, chosen in zip(keys, combo):
-            w = list(images[a])
+        t = chars.copy()
+        for chosen in combo:
             for i in chosen:
-                w[i] = LETTERS[x]
-            out[a] = "".join(w)
-        yield out
+                t[i] = cx
+        yield "".join(t)
 
 
 _PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
 
 
-def _finish_permutation(images: dict[int, Word]) -> GeneratorWord | None:
+def _finish_permutation(w: str) -> GeneratorWord | None:
     """Complete a (possibly partial) letter-to-letter injective map to a
     permutation of {0,1,2} and return its expansion."""
-    if any(len(w) != 1 for w in images.values()):
+    parts = w.split(",")
+    if any(len(p) != 1 for p in parts) or len(set(parts)) != len(parts):
         return None
-    if len(set(images.values())) != len(images):
-        return None
-    perm = dict(images)
-    missing = [a for a in range(3) if a not in perm]
-    free = [c for c in "012" if c not in perm.values()]
-    for a, c in zip(sorted(missing), sorted(free)):
-        perm[a] = c
-    return _PERM_EXPANSION["".join(perm[a] for a in range(3))]
+    # the missing letters of the domain are the last ones, in order
+    free = "".join(c for c in "012" if c not in parts)
+    return _PERM_EXPANSION["".join(parts) + free]
 
 
-def _peel_search(images: dict[int, Word], m_budget: int, seen: set) -> list[str] | None:
-    """DFS for a factorization; returns a list of derived names, or None."""
-    done = _finish_permutation(images)
+def _peel_search(w: str, m_budget: int, seen: set) -> list[str] | None:
+    """DFS for a factorization of the comma-joined images w; returns a
+    list of derived names, or None."""
+    done = _finish_permutation(w)
     if done is not None:
         return list(done)
-    key = tuple(sorted(images.items()))
-    if key in seen:
+    if w in seen:
         return None
-    seen.add(key)
+    seen.add(w)
     for x, y in _PAIRS:
         for kind, peel in (("D", _peel_D), ("G", _peel_G)):
-            nxt = peel(images, x, y)
+            nxt = peel(w, x, y)
             if nxt is not None:
                 rest = _peel_search(nxt, m_budget, seen)
                 if rest is not None:
                     return [f"{kind}{x}{y}"] + rest
     if m_budget > 0:
-        present = set().union(*[set(w) for w in images.values()]) if images else set()
         for x in range(3):
-            if LETTERS[x] in present:
+            if LETTERS[x] in w:
                 continue
             for y in range(3):
                 if y == x:
                     continue
-                for cand in _m_candidates(images, x, y):
+                for cand in _m_candidates(w, x, y):
                     rest = _peel_search(cand, m_budget - 1, seen)
                     if rest is not None:
                         return [f"M{x}{y}"] + rest
@@ -410,20 +386,23 @@ def decompose(m: Morphism) -> GeneratorWord:
     For a two-letter-domain morphism the returned word composes to a
     three-letter morphism whose restriction to {0,1} is m.  Raises
     NotInCatalog when the peeling search fails: only products of the
-    derived families are claimed to be decomposable.
+    derived families are claimed to be decomposable.  The word is checked
+    by applying its generators, the rightmost first, to the images of the
+    identity.
     """
     if m.domain not in (2, 3) or m.codomain > 3:
         raise NotInCatalog(f"{m}: decomposition is defined over alphabets of size <= 3")
     if m.erasing:
         raise NotInCatalog(f"{m} is erasing")
-    images = {a: m.images[a] for a in range(m.domain)}
-    factors = _peel_search(images, m_budget=2, seen=set())
+    factors = _peel_search(",".join(m.images), m_budget=2, seen=set())
     if factors is None:
         raise NotInCatalog(f"no decomposition found for {m}")
     word: tuple[str, ...] = ()
     for name in factors:
         word += DERIVED_EXPANSION.get(name) or (name,)
-    check = compose_generators(word)
-    if check.restrict(m.domain).images != m.images:
+    check = "0,1,2"
+    for name in reversed(word):
+        check = check.translate(GENERATORS[name]._table)
+    if tuple(check.split(",")[:m.domain]) != m.images:
         raise NotInCatalog(f"internal error: decomposition of {m} failed verification")
     return word

@@ -150,6 +150,13 @@ class Row:
     def lengths(self) -> tuple[tuple[str | None, int, int], ...]:
         return tuple(map(_image_lengths, self.imgs))
 
+    @cached_property
+    def tables(self) -> tuple[tuple[tuple[tuple[str, str], ...], dict[int, str]], ...]:
+        """Per assignment, in order: its sorted items and its str.translate
+        table from the pattern symbols to letters."""
+        return tuple((tuple(sorted(assign.items())), str.maketrans(assign))
+                     for assign in _ASSIGNMENTS[self.vars])
+
     def matches(self, m: Morphism) -> list[Match]:
         """The (assignment, k, l) under which the row's images are m's, in
         assignment order.
@@ -159,7 +166,6 @@ class Row:
         so the label's image lengths fix k and l; an unused exponent is 0."""
         if len(m.images) not in self.arities:
             return []
-        atoms = self.atoms
         vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
         for (var, fixed, step), w in zip(self.lengths, m.images):
             e, r = divmod(len(w) - fixed, step or 1)
@@ -168,11 +174,23 @@ class Row:
         k, l = vals.get("k", 0), vals.get("l", 0)
         if self.cond is not None and not self.cond(k, l):
             return []
+        # the images with the pattern symbols left in: they depend on k and
+        # l alone, and an assignment's images are their translations.  A
+        # negative exponent gives an empty part, so that image is longer
+        # than the label's and matches under no assignment
+        pattern = ["".join(a.sym * (a.off if a.var is None else (k if a.var == "k" else l) + a.off)
+                           for a in p)
+                   for p in self.atoms[:len(m.images)]]
         uses = self.uses
-        return [Match(self, tuple(sorted(assign.items())),
-                      k if "k" in uses else None, l if "l" in uses else None)
-                for assign in _ASSIGNMENTS[self.vars]
-                if all(_image(p, assign, k, l) == w for p, w in zip(atoms, m.images))]
+        out = []
+        for assign, table in self.tables:
+            for s, w in zip(pattern, m.images):
+                if s.translate(table) != w:
+                    break
+            else:
+                out.append(Match(self, assign, k if "k" in uses else None,
+                                 l if "l" in uses else None))
+        return out
 
 
 def match_rows(rows, m: Morphism) -> list[Match]:

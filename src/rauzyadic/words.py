@@ -245,12 +245,14 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     letters = "".join(sorted(tau))
     if not is_primitive(tau):
         raise NoStabilization(f"substitution {tau} is not primitive on the letters {letters}")
-    pairs = frozenset(x for w in tau.values() for x in factors_of(w, 2))
+    # the 2-letter factors of tau(ab) are those of tau(a), those of tau(b)
+    # and the junction tau(a)[-1] tau(b)[0], so a round adds junctions only
+    pairs = frozenset(x + y for x in letters for y in letters
+                      if any(x + y in w for w in tau.values()))
     frontier, rounds = pairs, 0
     while frontier:
         rounds += 1
-        frontier = frozenset(x for ab in frontier
-                             for x in factors_of(tau[ab[0]] + tau[ab[1]], 2)) - pairs
+        frontier = frozenset(tau[ab[0]][-1] + tau[ab[1]][0] for ab in frontier) - pairs
         pairs |= frontier
     imgs = {a: lift[a] if lift else a for a in letters}
     k = 0

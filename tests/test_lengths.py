@@ -7,6 +7,7 @@ arrival must equal what the brute-force reduced Rauzy graph measures.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rauzyadic.extraction import extract_directive
 from rauzyadic.lengths import (LengthState, common_prefix_len, common_suffix_len,
@@ -114,3 +115,19 @@ def test_exit_gate_margin_sign():
 def test_prefix_helpers():
     assert common_prefix_len("0120", "0102") == 2
     assert common_suffix_len("1020", "020") == 3
+
+
+def _prefix_len_by_loop(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+@given(st.text("01", max_size=40), st.text("01", max_size=40), st.text("012", max_size=40))
+def test_common_prefix_len_matches_loop(u, a, b):
+    # a shared prefix u makes long common prefixes likely
+    for x, y in ((u + a, u + b), (u + a, u), (u, u + b), (a, b)):
+        assert common_prefix_len(x, y) == _prefix_len_by_loop(x, y)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rauzyadic.errors import AlphabetMismatch, NotInCatalog, NotRightProper
 from rauzyadic.morphism import (
@@ -278,3 +278,138 @@ def test_apply_agrees_with_per_letter_reference(m, data):
 def test_compose_agrees_with_per_letter_reference(sigma, data):
     tau = data.draw(_morphisms(codomain=sigma.domain) | _morphisms())
     assert _outcome(lambda: compose(sigma, tau).images) == _outcome(_ref_compose, sigma, tau)
+
+
+# -- peeling on the joined images against a per-character peel search ----
+
+
+def _ref_peel_D(images, x, y):
+    cx, cy = LETTERS[x], LETTERS[y]
+    out, changed = {}, False
+    for a, w in images.items():
+        t, i = [], 0
+        while i < len(w):
+            t.append(w[i])
+            if w[i] == cx:
+                if i + 1 >= len(w) or w[i + 1] != cy:
+                    return None
+                i += 2
+                changed = True
+            else:
+                i += 1
+        out[a] = "".join(t)
+    return out if changed else None
+
+
+def _ref_peel_G(images, x, y):
+    cx, cy = LETTERS[x], LETTERS[y]
+    out, changed = {}, False
+    for a, w in images.items():
+        t = []
+        for c in w:
+            if c == cx:
+                if not t or t[-1] != cy:
+                    return None
+                t.pop()
+                changed = True
+            t.append(c)
+        out[a] = "".join(t)
+    return out if changed else None
+
+
+def _ref_m_candidates(images, x, y, cap=4096):
+    cy = LETTERS[y]
+    positions = {a: [i for i, c in enumerate(w) if c == cy] for a, w in images.items()}
+    if 2 ** sum(map(len, positions.values())) > cap:
+        return
+    keys = sorted(images)
+    choices = [list(itertools.chain.from_iterable(
+        itertools.combinations(positions[a], r) for r in range(len(positions[a]) + 1)))
+        for a in keys]
+    for combo in itertools.product(*choices):
+        if not any(combo):
+            continue
+        out = {}
+        for a, chosen in zip(keys, combo):
+            w = list(images[a])
+            for i in chosen:
+                w[i] = LETTERS[x]
+            out[a] = "".join(w)
+        yield out
+
+
+_REF_PERMS = {"012": (), "102": ("E01",), "021": ("E12",), "210": ("E01", "E12", "E01"),
+              "120": ("E01", "E12"), "201": ("E12", "E01")}
+
+
+def _ref_finish_permutation(images):
+    if any(len(w) != 1 for w in images.values()) or len(set(images.values())) != len(images):
+        return None
+    perm = dict(images)
+    missing = [a for a in range(3) if a not in perm]
+    free = [c for c in "012" if c not in perm.values()]
+    perm.update(zip(missing, free))
+    return _REF_PERMS["".join(perm[a] for a in range(3))]
+
+
+def _ref_peel_search(images, m_budget, seen):
+    done = _ref_finish_permutation(images)
+    if done is not None:
+        return list(done)
+    key = tuple(sorted(images.items()))
+    if key in seen:
+        return None
+    seen.add(key)
+    for x, y in itertools.permutations(range(3), 2):
+        for kind, peel in (("D", _ref_peel_D), ("G", _ref_peel_G)):
+            nxt = peel(images, x, y)
+            rest = nxt and _ref_peel_search(nxt, m_budget, seen)
+            if rest is not None:
+                return [f"{kind}{x}{y}"] + rest
+    if m_budget > 0:
+        present = set("".join(images.values()))
+        for x, y in itertools.permutations(range(3), 2):
+            if LETTERS[x] in present:
+                continue
+            for cand in _ref_m_candidates(images, x, y):
+                rest = _ref_peel_search(cand, m_budget - 1, seen)
+                if rest is not None:
+                    return [f"M{x}{y}"] + rest
+    return None
+
+
+def _ref_decompose(m):
+    """decompose with per-image dicts, per-character peels and a
+    verification by composing the generator word."""
+    if m.domain not in (2, 3) or m.codomain > 3:
+        raise NotInCatalog(f"{m}: decomposition is defined over alphabets of size <= 3")
+    if m.erasing:
+        raise NotInCatalog(f"{m} is erasing")
+    factors = _ref_peel_search(dict(enumerate(m.images)), 2, set())
+    if factors is None:
+        raise NotInCatalog(f"no decomposition found for {m}")
+    word = tuple(g for name in factors for g in DERIVED_EXPANSION.get(name) or (name,))
+    if compose_generators(word).restrict(m.domain).images != m.images:
+        raise NotInCatalog(f"internal error: decomposition of {m} failed verification")
+    return word
+
+
+def _images(n, size):
+    return st.lists(st.text(st.sampled_from(LETTERS[:n]), min_size=1, max_size=size),
+                    min_size=2, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_images(3, 5) | _images(2, 6))
+def test_decompose_agrees_with_per_character_peeling(images):
+    # the same word, or the same NotInCatalog text, on any 2- or 3-letter morphism
+    m = br3(*images)
+    assert _outcome(decompose, m) == _outcome(_ref_decompose, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(sorted(DERIVED_EXPANSION)), min_size=1, max_size=6),
+       st.sampled_from((2, 3)))
+def test_decompose_agrees_with_per_character_peeling_on_products(names, domain):
+    m = compose_all([derived(n) for n in names]).restrict(domain)
+    assert _outcome(decompose, m) == _outcome(_ref_decompose, m)

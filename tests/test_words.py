@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rauzyadic.errors import HorizonExceeded, IdentityViolation, NoStabilization
 from rauzyadic.words import (
@@ -177,6 +177,30 @@ def test_kernel_matches_long_word(tau, n):
     for m in range(n + 1):
         assert oracle.factors(m) == factors_of(w, m)
     assert cert.letters == "".join(sorted(tau)) and cert.pairs == len(factors_of(w, 2))
+
+
+def _l2_closure_by_factors(tau):
+    """L_2 and its round count, closing the 2-letter factors of the tau(a)
+    under ab -> the 2-letter factors of tau(a)tau(b)."""
+    pairs = frozenset(x for w in tau.values() for x in factors_of(w, 2))
+    frontier, rounds = pairs, 0
+    while frontier:
+        rounds += 1
+        frontier = frozenset(x for ab in frontier
+                             for x in factors_of(tau[ab[0]] + tau[ab[1]], 2)) - pairs
+        pairs |= frontier
+    return pairs, rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries(
+    {LETTERS[a]: st.text(alphabet=LETTERS[:d], min_size=1, max_size=5) for a in range(d)})))
+def test_kernel_l2_closure_matches_factor_closure(tau):
+    assume(is_primitive(tau))
+    # at n = 2 every tau^0(a) is one letter, so L_2 is the closure itself
+    sets, cert = substitutive_language(tau, 2)
+    pairs, rounds = _l2_closure_by_factors(tau)
+    assert (sets[2], cert.pairs, cert.rounds) == (pairs, len(pairs), rounds)
 
 
 def test_finite_word_sets_are_not_derived():

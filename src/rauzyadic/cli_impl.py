@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import UnsupportedCase
 from .sadic import DirectiveWord
 from .schemas import Step
-from .validator import routed_steps, start_vertex
+from .validator import BlockTable, start_vertex
 
 
 def route_prefix(dw: DirectiveWord) -> list[Step]:
@@ -14,11 +14,12 @@ def route_prefix(dw: DirectiveWord) -> list[Step]:
     Depth-first over block decompositions; returns the first complete
     routing whose final step lands in the two-loop or no-loop region."""
     end = dw.known_levels()
+    table = BlockTable(dw)
 
     def dfs(vertex, pos, acc):
         if pos == end:
             return acc if acc[-1].dst in ("7/8", "5/6") else None
-        for step in routed_steps(dw, vertex, pos, end):
+        for step in table.routed_steps(vertex, pos, end):
             found = dfs(step.dst, pos + step.blocks, acc + [step])
             if found is not None:
                 return found

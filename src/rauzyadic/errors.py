@@ -77,3 +77,8 @@ class NotContractible(RauzyadicError):
 
 class Mismatch(RauzyadicError):
     """Cross-validation divergence between generation and extraction."""
+
+
+class MalformedDirective(RauzyadicError, ValueError):
+    """Directive or morphism text that does not parse; names the offending
+    line.  A ValueError too, for callers that catch parse errors as such."""

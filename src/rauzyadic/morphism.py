@@ -33,17 +33,22 @@ class Morphism:
 
     def __post_init__(self):
         letters = LETTERS[:max(self.codomain, 0)]
+        plain = True
         for w in self.images:
             # the letter test runs per letter only when some letter is not a
             # digit of the codomain; it raises on the first that is out of range
             if w.lstrip(letters):
+                plain = False
                 for c in w:
                     if int(c) >= self.codomain:
                         raise AlphabetMismatch(f"image letter {c} outside codomain {self.codomain}")
         # the str.translate table of the images, built at once: nearly every
         # morphism built is applied, and before Python 3.12 a cached_property
-        # takes a lock on each first read
+        # takes a lock on each first read.  _plain records that every image
+        # letter is an ASCII digit of the codomain, which lets compose skip
+        # the letter test of its product
         object.__setattr__(self, "_table", dict(zip(_ORDS, self.images)))
+        object.__setattr__(self, "_plain", plain)
 
     @property
     def domain(self) -> int:
@@ -120,10 +125,23 @@ def parse_rules(text: str) -> Morphism:
 
 
 def compose(sigma: Morphism, tau: Morphism) -> Morphism:
-    """compose(s, t)(a) = s(t(a)); in products the leftmost factor applies last."""
+    """compose(s, t)(a) = s(t(a)); in products the leftmost factor applies last.
+
+    When the images of both factors are ASCII digits of their codomains,
+    tau's letters are digits of sigma's domain, so the product is tau's
+    images translated by sigma's table, its letters are digits of sigma's
+    codomain, and it is built without the letter test.  A factor with any
+    other letter, such as a non-ASCII digit, takes the checked path."""
     if tau.codomain != sigma.domain:
         raise AlphabetMismatch(f"cannot compose: inner codomain {tau.codomain} != outer domain {sigma.domain}")
-    return Morphism(tuple(sigma(w) for w in tau.images), sigma.codomain)
+    if not (sigma._plain and tau._plain):
+        return Morphism(tuple(sigma(w) for w in tau.images), sigma.codomain)
+    table = sigma._table
+    images = tuple(w.translate(table) for w in tau.images)
+    product = object.__new__(Morphism)
+    product.__dict__.update(images=images, codomain=sigma.codomain,
+                            _table=dict(zip(_ORDS, images)), _plain=True)
+    return product
 
 
 def compose_all(ms, n: int | None = None) -> Morphism:
@@ -214,6 +232,8 @@ def permutation(images: str) -> Morphism:
     return Morphism(tuple(images), 3)
 
 
+_FAMILIES = {"D": D, "G": G, "M": M, "E": E}
+
 GeneratorWord = tuple[str, ...]
 
 
@@ -253,8 +273,9 @@ def derived(name: str) -> Morphism:
     """Morphism of a derived-family name such as "D12", "E02" or "G"."""
     if name in GENERATORS:
         return GENERATORS[name]
-    kind, x, y = name[0], int(name[1]), int(name[2])
-    return {"D": D, "G": G, "M": M, "E": E}[kind](x, y)
+    if len(name) != 3 or name[0] not in _FAMILIES or name[1] not in "012" or name[2] not in "012":
+        raise ValueError(f"unknown factor name {name!r}")
+    return _FAMILIES[name[0]](int(name[1]), int(name[2]))
 
 
 def compose_generators(word: GeneratorWord, n: int = 3) -> Morphism:

@@ -8,6 +8,7 @@ with 1 <= p(n+1)-p(n) <= 2 can exhibit at a bispecial order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import (ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
@@ -164,24 +165,25 @@ def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Cir
         return ()
     out: list[Circuit] = []
     expansions = 0
-    stack: list[Path] = [Path(graph.order, v, ())]
+    # a partial circuit is its end vertex, its edges and its full label; a
+    # Path is built only for the circuits returned
+    stack: list[tuple[Word, tuple[Edge, ...], Word]] = [(v, (), v)]
     while stack:
-        p = stack.pop()
-        for e in graph.out_edges(p.end):
+        end, edges, label = stack.pop()
+        for e in graph.out_edges(end):
             expansions += 1
             if expansions > CIRCUIT_BUDGET:
                 raise EnumerationBudgetExceeded(
                     f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
-            lbl = p.full_label + e.right
+            lbl = label + e.right
             if len(lbl) > oracle.horizon:
                 raise HorizonExceeded(f"circuit from {v!r} grew past horizon {oracle.horizon}")
             if not oracle.contains(lbl):
                 continue
-            q = Path(graph.order, v, p.edges + (e,))
             if e.dst == v:
-                out.append(Circuit(q, True))
+                out.append(Circuit(Path(graph.order, v, edges + (e,)), True))
             else:
-                stack.append(q)
+                stack.append((e.dst, edges + (e,), lbl))
     return tuple(sorted(out, key=lambda c: c.right_label))
 
 
@@ -229,14 +231,12 @@ class ReducedRauzyGraph:
 
 
 def special_vertices(graph: RauzyGraph, oracle: FactorOracle) -> frozenset[Word]:
-    """Special or boundary vertices (for minimal subshifts, just the specials)."""
-    out = set()
-    for v in graph.vertices:
-        dplus = len(graph.out_edges(v))
-        dminus = len(graph.in_edges(v))
-        if dplus >= 2 or dminus >= 2 or dplus == 0 or dminus == 0:
-            out.add(v)
-    return frozenset(out)
+    """Special or boundary vertices (for minimal subshifts, just the
+    specials): every vertex but those with one edge out and one edge in,
+    with the degrees counted over the edges."""
+    outs = Counter(e.src for e in graph.edges)
+    ins = Counter(e.dst for e in graph.edges)
+    return frozenset(v for v in graph.vertices if not outs[v] == ins[v] == 1)
 
 
 def reduce_graph(graph: RauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (AlphabetMismatch, NoStabilization, NonGrowing,
+from .errors import (AlphabetMismatch, MalformedDirective, NoStabilization, NonGrowing,
                      NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived,
                        left_conjugate, classify, parse_rules)
@@ -307,25 +307,31 @@ def proper_contraction(dw: DirectiveWord) -> DirectiveWord:
 def parse_morphism_spec(text: str) -> Morphism:
     """One morphism: a rule string, a bracket, or composed factor names.
 
-    Examples: "0->01;1->0", "[0,10,20]", "M G21 D20 D12", "D10".
+    Examples: "0->01;1->0", "[0,10,20]", "M G21 D20 D12", "D10".  Text
+    that is none of these is refused with MalformedDirective.
     """
     text = text.strip()
-    if "->" in text:
-        return parse_rules(text)
-    if text.startswith("["):
-        inner = text.strip()[1:-1]
-        return bracket(*inner.split(","))
-    names = text.split()
-    return compose_all([derived(name) for name in names])
+    try:
+        if "->" in text:
+            return parse_rules(text)
+        if text.startswith("["):
+            if not text.endswith("]"):
+                raise ValueError("bracket not closed by ']'")
+            return bracket(*text[1:-1].split(","))
+        return compose_all([derived(name) for name in text.split()])
+    except ValueError as exc:
+        raise MalformedDirective(f"{text!r}: {exc}") from exc
 
 
 def parse_directive(text: str) -> DirectiveWord:
     """Directive file: a "preperiod:" block then a "period:" block, each a
-    list of one-morphism lines; blank lines and #-comments ignored."""
+    list of one-morphism lines; blank lines and #-comments ignored.  Text
+    that does not parse is refused with MalformedDirective, which names
+    the offending line."""
     section = None
     pre: list[Morphism] = []
     per: list[Morphism] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -333,8 +339,17 @@ def parse_directive(text: str) -> DirectiveWord:
             section = line.lower().rstrip(":")
             continue
         if section is None:
-            raise ValueError("directive line before a section header")
-        (pre if section == "preperiod" else per).append(parse_morphism_spec(line))
+            raise MalformedDirective(f"line {number}: {line!r}: directive line before a "
+                                     "section header")
+        try:
+            m = parse_morphism_spec(line)
+        except MalformedDirective as exc:
+            raise MalformedDirective(f"line {number}: {exc}") from exc
+        if m.erasing:
+            raise MalformedDirective(f"line {number}: {line!r}: erasing morphism in directive word")
+        (pre if section == "preperiod" else per).append(m)
+    if not pre and not per:
+        raise MalformedDirective("no morphism line: empty directive word")
     return DirectiveWord(tuple(pre), tuple(per))
 
 

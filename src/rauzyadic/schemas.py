@@ -157,23 +157,10 @@ class Row:
         return tuple((tuple(sorted(assign.items())), str.maketrans(assign))
                      for assign in _ASSIGNMENTS[self.vars])
 
-    def matches(self, m: Morphism) -> list[Match]:
-        """The (assignment, k, l) under which the row's images are m's, in
-        assignment order.
-
-        Each image of a row holds at most one exponent variable, and every
-        variable the row uses occurs in an image before the optional third,
-        so the label's image lengths fix k and l; an unused exponent is 0."""
-        if len(m.images) not in self.arities:
-            return []
-        vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
-        for (var, fixed, step), w in zip(self.lengths, m.images):
-            e, r = divmod(len(w) - fixed, step or 1)
-            if r or e < 0 or vals.setdefault(var, e) != e:
-                return []
-        k, l = vals.get("k", 0), vals.get("l", 0)
-        if self.cond is not None and not self.cond(k, l):
-            return []
+    def matches(self, m: Morphism, k: int, l: int) -> list[Match]:
+        """The matches, in assignment order, under which the row's images
+        at exponents k and l are m's; k and l are the ones solve_lengths
+        reads off m's image lengths (match_rows does both)."""
         # the images with the pattern symbols left in: they depend on k and
         # l alone, and an assignment's images are their translations.  A
         # negative exponent gives an empty part, so that image is longer
@@ -193,10 +180,39 @@ class Row:
         return out
 
 
-def match_rows(rows, m: Morphism) -> list[Match]:
+def solve_lengths(rows, ns: tuple[int, ...]) -> list[tuple[Row, int, int]]:
+    """The rows, in order, that have an image-length solution ns, each
+    with its k and l: the rows worth matching against a label whose image
+    lengths are ns.
+
+    Each image of a row holds at most one exponent variable, and every
+    variable the row uses occurs in an image before the optional third, so
+    the lengths fix k and l; an unused exponent is 0, and cond must hold.
+    The loop over rows is written out here, not called per row, because
+    routing runs it on every bucket it looks up."""
+    n = len(ns)
     out = []
     for row in rows:
-        out.extend(row.matches(m))
+        if n not in row.arities:
+            continue
+        vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
+        for (var, fixed, step), length in zip(row.lengths, ns):
+            e, r = divmod(length - fixed, step or 1)
+            if r or e < 0 or vals.setdefault(var, e) != e:
+                break
+        else:
+            k, l = vals.get("k", 0), vals.get("l", 0)
+            if row.cond is None or row.cond(k, l):
+                out.append((row, k, l))
+    return out
+
+
+def match_rows(rows, m: Morphism) -> list[Match]:
+    """The matches of m on the rows, in order; only rows whose image
+    lengths solve are matched."""
+    out = []
+    for row, k, l in solve_lengths(rows, tuple(map(len, m.images))):
+        out.extend(row.matches(m, k, l))
     return out
 
 
@@ -819,8 +835,11 @@ class Step:
 
 def out_steps(src: str, label: Morphism, blocks: int) -> list[Step]:
     """The steps out of src that read label, a composition of ``blocks``
-    directive levels, in GPRIME_EDGES order; the only out-edge lookup,
-    through the label's clipped image lengths."""
+    directive levels, in GPRIME_EDGES order; the only out-edge lookup.
+
+    The label's image lengths, clipped at LEN_CAP, pick the bucket of rows
+    out of src; match_rows then solves k and l from the exact lengths and
+    matches the patterns only on the rows whose lengths solve."""
     rows = GPRIME_OUT_BY_LENGTHS[src].get(lengths_key(map(len, label.images)), ())
     return [Step(src, match.row.dst, label, match, blocks) for match in match_rows(rows, label)]
 

@@ -69,28 +69,48 @@ def start_vertex(dw: DirectiveWord) -> str:
     return "2" if dw.alphabet_size == 3 else "1"
 
 
-def routed_steps(dw: DirectiveWord, vertex: str, pos: int, end: int | None = None):
-    """Steps out of vertex whose label composes the levels pos, pos+1, ...
-    of the directive, up to MAX_BLOCK of them and none at or past end."""
-    label = None
-    for j in range(1, MAX_BLOCK + 1):
-        if end is not None and pos + j > end:
-            return
-        m = dw.morphism(pos + j - 1)
-        label = m if label is None else compose(label, m)
-        yield from out_steps(vertex, label, j)
+class BlockTable:
+    """The block labels of one directive, each composed once: label
+    (pos, j) is the product of the levels pos, ..., pos+j-1 for j <=
+    MAX_BLOCK, and past the preperiod a position is keyed by its phase.
+    Every routing search of one call reads the directive through one
+    table; no table outlives its call."""
+
+    def __init__(self, dw: DirectiveWord):
+        self.dw = dw
+        self._labels: dict[int, list[Morphism]] = {}
+
+    def label(self, pos: int, j: int) -> Morphism:
+        """Label (pos, j), composing the shorter labels of pos first if
+        they are not in the table yet."""
+        p, T = len(self.dw.preperiod), len(self.dw.period)
+        got = self._labels.setdefault(pos if pos < p or not T else p + (pos - p) % T, [])
+        while len(got) < j:
+            m = self.dw.morphism(pos + len(got))
+            got.append(compose(got[-1], m) if got else m)
+        return got[j - 1]
+
+    def routed_steps(self, vertex: str, pos: int, end: int | None = None):
+        """Steps out of vertex whose label composes the levels pos, pos+1, ...
+        of the directive, up to MAX_BLOCK of them and none at or past end.
+        A longer label is composed only when the steps of the shorter ones
+        have been read."""
+        for j in range(1, MAX_BLOCK + 1):
+            if end is not None and pos + j > end:
+                return
+            yield from out_steps(vertex, self.label(pos, j), j)
 
 
-def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[Routing]:
+def _enumerate_routings(table: BlockTable, start: str, limit: int = 64) -> list[Routing]:
     """Lassos from start through the refined graph whose labels read the
-    directive.
+    table's directive.
 
     The cycle part must consume whole periods so that verdict conditions
     are read off one loop of it.  Raises EnumerationBudgetExceeded on
     finding more than ``limit`` lassos, because a verdict read off a
     truncated list could miss the valid routing.
     """
-    p, T = len(dw.preperiod), len(dw.period)
+    p, T = len(table.dw.preperiod), len(table.dw.period)
     if T == 0:
         return []
     out: list[Routing] = []
@@ -116,7 +136,7 @@ def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[
                 return
             anchors = dict(anchors)
             anchors[key] = len(steps)
-        for step in routed_steps(dw, vertex, pos):
+        for step in table.routed_steps(vertex, pos):
             skey = (vertex, step.dst, pos if ph is None else ("c", ph), step.blocks,
                     step.match.row.rid)
             if skey in seen:
@@ -132,10 +152,12 @@ def _enumerate_routings(dw: DirectiveWord, start: str, limit: int = 64) -> list[
 def _route(dw: DirectiveWord) -> tuple[list[Routing], tuple[str, ...]]:
     """Routings from the start vertex; failing those, the word may be the
     suffix of a valid path, so the first entry vertex that routes it is
-    admitted and named in the returned note."""
+    admitted and named in the returned note.  Every entry vertex reads
+    the directive through one block table."""
+    table = BlockTable(dw)
     start = start_vertex(dw)
     for entry in (start, *(v for v in GPRIME_VERTICES if v != start)):
-        routings = _enumerate_routings(dw, entry)
+        routings = _enumerate_routings(table, entry)
         if routings:
             return routings, (() if entry == start else
                               (f"validated as a suffix entered at vertex {entry}",))
@@ -323,11 +345,18 @@ def _validate(dw: DirectiveWord, strict2: bool,
               every: bool) -> tuple[ValidityVerdict, list[Routing]]:
     """The verdict and the valid routings, judged in routing order; unless
     every is set, judging stops at the first valid routing."""
+    # each distinct level morphism is decomposed once; a repeat of one that
+    # decomposed cannot fail, so the first failing level is still named
+    decomposed = set()
     for i in range(dw.known_levels()):
+        m = dw.morphism(i)
+        if m in decomposed:
+            continue
         try:
-            decompose(dw.morphism(i))
+            decompose(m)
         except NotInCatalog as exc:
             raise NotInCatalog(f"directive level {i}: {exc}") from exc
+        decomposed.add(m)
     if not dw.eventually_periodic:
         return ValidityVerdict("undetermined",
                                "finite directive prefix: validity is only semi-decidable"), []

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rauzyadic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +132,15 @@ def test_crosscheck_command(capsys):
 def test_error_exit_code(capsys):
     code, _, _ = run(["complexity", "--horizon", "10"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("text", ["period:\n[0,10\n", "period:\nx3\n", "period:\n0\n",
+                                  "period:\n019\n", "period:\nD01 9\n", "period:\n[01,]\n"])
+def test_malformed_directive_is_a_typed_refusal(tmp_path, capsys, text):
+    f = tmp_path / "malformed.dw"
+    f.write_text(text)
+    code, out, err = run(["validate", str(f)], capsys)
+    assert code == 3 and out == "" and err.startswith("error: MalformedDirective: line 2: ")
 
 
 FINITE_DW = "preperiod:\n[01,0]\n[0,10]\nperiod:\n"

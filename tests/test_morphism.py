@@ -280,6 +280,20 @@ def test_compose_agrees_with_per_letter_reference(sigma, data):
     assert _outcome(lambda: compose(sigma, tau).images) == _outcome(_ref_compose, sigma, tau)
 
 
+def test_compose_with_a_non_ascii_digit_factor():
+    # int() reads the Arabic-Indic three as 3, so a four-letter morphism may
+    # use it; a product with such a factor, or with a product of one, must
+    # still apply "٣" as letter 3
+    plain = Morphism(("01", "3", "2", "30"), 4)
+    arabic = Morphism(("0٣", "1", "٣2", "3"), 4)
+    assert compose(plain, arabic).images == ("0130", "3", "302", "30")
+    for a, b, c in itertools.product((plain, arabic), repeat=3):
+        assert compose(a, b).images == _ref_compose(a, b)
+        assert compose(compose(a, b), c).images == compose(a, compose(b, c)).images \
+            == _ref_compose(Morphism(_ref_compose(a, b), 4), c)
+        assert compose(a, b) == Morphism(compose(a, b).images, 4)
+
+
 # -- peeling on the joined images against a per-character peel search ----
 
 

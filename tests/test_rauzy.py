@@ -4,7 +4,7 @@ from rauzyadic.errors import ChainBlocked, OutOfClass
 from rauzyadic.rauzy import (
     Path, build_graph, circuits_from, measure_two_loops,
     psi_project, reduce_and_classify, reduce_graph,
-    right_special_chain, to_dot, walk,
+    right_special_chain, special_vertices, to_dot, walk,
 )
 from rauzyadic.words import FactorOracle, return_words
 
@@ -51,6 +51,18 @@ def test_path_label_discipline(fib, trib):
                         assert q.start.startswith(q.left_label)
                         assert q.end.endswith(q.right_label)
                         stack.append(q)
+
+
+def test_special_vertices_by_degrees(fib, tm, trib):
+    # from the edge counts, the same vertices as the adjacency lists give;
+    # a prefix oracle's last factor has no edge out
+    prefix = FactorOracle.from_prefix("0100101001001", 8)
+    for o in (fib, tm, trib, prefix):
+        for n in range(7):
+            g = build_graph(o, n)
+            want = {v for v in g.vertices
+                    if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1}
+            assert special_vertices(g, o) == want, (o, n)
 
 
 def test_circuits_fibonacci_g1(fib):

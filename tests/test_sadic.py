@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rauzyadic.errors import NonGrowing, NoStabilization, NotContractible
+from rauzyadic.errors import (MalformedDirective, NonGrowing, NoStabilization, NotContractible,
+                              RauzyadicError)
 from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
 from rauzyadic.sadic import (
     DirectiveWord, format_directive, generate_one_sided, language_horizon,
@@ -152,6 +153,59 @@ def test_parse_morphism_spec_names():
     m = parse_morphism_spec("M G21 D20 D12")
     assert m == bracket("0", "1110", "110", codomain=3)
     assert parse_morphism_spec("D10") == bracket("0", "10", "2", codomain=3)
+
+
+# directive texts that once parsed as something else ("[0,10" as [0,1]) or
+# raised an untyped error, each with the line it is refused at
+MALFORMED = {
+    "period:\n[0,10\n": 2,
+    "period:\nx3\n": 2,
+    "period:\n0\n": 2,
+    "period:\n019\n": 2,
+    "preperiod:\n[0,10]\nperiod:\nD01 9\n": 4,
+    "period:\n[0,10]\n[01,]\n": 3,
+    "[0,10]\nperiod:\n": 1,
+}
+
+# directive text line by line: section headers, brackets of digit words,
+# rules, factor names, and lines of pieces of all of them and of junk
+_PIECES = st.sampled_from([
+    "preperiod:", "period:", " ", "#", "[", "]", ",", "->", ";",
+    "0", "1", "2", "3", "9", "D01", "G21", "M", "E02", "D", "x3", "019",
+    "a", "-", "^", "\u0663", "\u00b2",
+])
+_IMAGES = st.lists(st.text(st.sampled_from("0123"), min_size=1, max_size=3), min_size=1, max_size=4)
+_DIRECTIVE_LINES = st.one_of(
+    st.sampled_from(["preperiod:", "period:", "", "# comment"]),
+    _IMAGES.map(lambda ws: "[" + ",".join(ws) + "]"),
+    _IMAGES.map(lambda ws: ";".join(f"{i}->{w}" for i, w in enumerate(ws))),
+    st.lists(st.sampled_from(["D01", "G21", "M", "E02", "D20", "M12", "G"]),
+             min_size=1, max_size=3).map(" ".join),
+    st.lists(_PIECES, max_size=8).map("".join),
+)
+
+
+@pytest.mark.parametrize("text", sorted(MALFORMED))
+def test_malformed_directive_names_its_line(text):
+    with pytest.raises(MalformedDirective, match=f"^line {MALFORMED[text]}: "):
+        parse_directive(text)
+
+
+@given(st.tuples(st.sampled_from(["period:", "preperiod:", ""]),
+                 st.lists(_DIRECTIVE_LINES, max_size=8)).map(lambda t: "\n".join([t[0], *t[1]])))
+@example("period:\n[0,10\n")
+@example("period:\nx3\n")
+@example("period:\n0\n")
+@example("period:\n019\n")
+@example("period:\nD01 9\n")
+@example("period:\n[01,]\n")
+@example("")
+def test_parse_directive_returns_or_refuses(text):
+    try:
+        dw = parse_directive(text)
+    except RauzyadicError:
+        return
+    assert dw.known_levels() >= 1
 
 
 def test_non_primitive_word_has_no_primitive_contraction():

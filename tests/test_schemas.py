@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 
 from rauzyadic.errors import NoSchemaMatch
 from rauzyadic.morphism import bracket, compose_generators, decompose, identity
 from rauzyadic.schemas import (
-    _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS,
-    Match, Row, _image, edge_step, evolution_rows, gog_from_tables, unique_row_match,
+    _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP,
+    Match, Row, _image, edge_step, evolution_rows, gog_from_tables, match_rows,
+    solve_lengths, unique_row_match,
 )
 from rauzyadic.validator import _EXCLUDED_CONFIGS
 
@@ -103,17 +106,17 @@ def test_matcher_agrees_with_brute_force():
     counts = {True: 0, False: 0}
     for row in TABLE_ROWS:
         for m, _, _ in row_instances(row, pmax=3):
-            assert row.matches(m) == brute_matches(row, m) != [], (row.rid, m)
+            assert match_rows((row,), m) == brute_matches(row, m) != [], (row.rid, m)
             for off in one_letter_off(m):
                 want = brute_matches(row, off)
-                assert row.matches(off) == want, (row.rid, off)
+                assert match_rows((row,), off) == want, (row.rid, off)
                 counts[bool(want)] += 1
     # both outcomes are exercised on the off labels
     assert counts[True] > 400 and counts[False] > 10000
 
 
 def test_table_rows_solve_their_exponents():
-    # Row.matches reads k and l off the image lengths, which needs both:
+    # solve_lengths reads k and l off the image lengths, which needs both:
     # at most one exponent variable per image, and every variable the row
     # uses in an image before the optional third
     for row in TABLE_ROWS:
@@ -123,11 +126,47 @@ def test_table_rows_solve_their_exponents():
         assert row.uses == set().union(*leading), row.rid
 
 
+def test_length_solve_agrees_with_brute_force():
+    # every (k, l) that cond admits, up to past the longest image, gives the
+    # image lengths of each image count the row takes, with and without the
+    # optional third image; solve_lengths must find exactly those, and only
+    # a negative exponent (an image that no assignment matches) may add one
+    top = 3 * LEN_CAP
+    grid = range(top + 4)
+    solved = 0
+    for row in TABLE_ROWS:
+        for n in sorted(row.arities):
+            atoms = row.atoms[:n]
+            brute: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            for k in grid if "k" in row.uses else (0,):
+                for l in grid if "l" in row.uses else (0,):
+                    if row.cond is not None and not row.cond(k, l):
+                        continue
+                    images = [_image(p, {}, k, l) for p in atoms]
+                    if None not in images:
+                        brute.setdefault(tuple(map(len, images)), []).append((k, l))
+            for ns in itertools.product(range(top + 1), repeat=n):
+                got = [(k, l) for r, k, l in solve_lengths((row,), ns) if r is row]
+                want = brute.get(ns, [])
+                assert len(got) <= 1 and want in ([], got), (row.rid, ns, got, want)
+                if got and not want:
+                    assert None in [_image(p, {}, *got[0]) for p in atoms], (row.rid, ns, got)
+                solved += len(want)
+        # a label with another image count is never solved
+        for n in set(range(1, 5)) - row.arities:
+            assert not any(solve_lengths((row,), ns)
+                           for ns in itertools.product(range(LEN_CAP + 1), repeat=n)), row.rid
+    # several rows, in order, one entry per row that solves
+    got = solve_lengths(GPRIME_EDGES[("5/6", "1")], (3, 3))
+    assert [(r.rid, k, l) for r, k, l in got] == [("C4.56.1e", 1, 0), ("C4.56.1f", 1, 0)]
+    assert solved > 4000
+
+
 def test_matcher_order_on_ambiguous_rows():
     # no table row matches a label twice, so pin the order (the
     # assignments in _ASSIGNMENTS order) on a row that does
     swap = Row("amb.xy", "", "", ("x^k 2", "y^k 2"), vars="xy01")
-    got = swap.matches(bracket("2", "2"))
+    got = match_rows((swap,), bracket("2", "2"))
     assert got == brute_matches(swap, bracket("2", "2"))
     assert [(m.sub, m.k, m.l) for m in got] == [({"x": "0", "y": "1"}, 0, None),
                                                 ({"x": "1", "y": "0"}, 0, None)]
@@ -137,8 +176,8 @@ def test_matcher_never_solves_a_negative_exponent():
     # table rows with a "^k+1" image all bound k by cond; without one, the
     # length of "1" would solve k = -1
     row = Row("neg", "", "", ("0^k+1 1", "1"))
-    assert row.matches(bracket("1", "1")) == brute_matches(row, bracket("1", "1")) == []
-    assert [m.k for m in row.matches(bracket("01", "1"))] == [0]
+    assert match_rows((row,), bracket("1", "1")) == brute_matches(row, bracket("1", "1")) == []
+    assert [m.k for m in match_rows((row,), bracket("01", "1"))] == [0]
 
 
 def test_out_edges_index_the_edge_table():

@@ -9,8 +9,8 @@ from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_ch
 from rauzyadic.schemas import (GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, GPRIME_VERTICES,
                               LEN_CAP, _ASSIGNMENTS, Step, lengths_key, match_rows)
 from rauzyadic.validator import (
-    MAX_BLOCK, _enumerate_routings, _route, _routing_verdict,
-    _weak_primitivity_clause, _window_right_proper, cross_validate, routed_steps,
+    MAX_BLOCK, BlockTable, _enumerate_routings, _route, _routing_verdict,
+    _weak_primitivity_clause, _window_right_proper, cross_validate,
     sequences_equal_mod_exchange, start_vertex, valid_routings, validate_directive,
 )
 from rauzyadic.words import complexity_profile
@@ -107,6 +107,16 @@ def test_suffix_entry_fallback():
     assert v.status == "valid", v.clause
     assert v.routing.start == "7/8"
     assert v.notes == ("validated as a suffix entered at vertex 7/8",)
+
+
+def test_long_c4_cycle_verdict():
+    # the exit gates compose the cycle's labels over six traversals, so this
+    # one runs long when composition slows down (see --durations)
+    dw = DirectiveWord((), (B("1", "001", "01"), B("1", "01"), B("1", "000001", "00001"),
+                            B("01", "2", "02")))
+    v = validate_directive(dw)
+    assert v.status == "valid", v.clause
+    assert v.routing.start == "1"
 
 
 def test_undecidable_finite_prefix():
@@ -279,7 +289,7 @@ GATE_A_PASS = DirectiveWord((), (B("1", "001", "01"), B("0", "10", "20"), B("1",
 
 
 def test_gate_a_passes_on_equal_no_loop_lengths():
-    routing = _enumerate_routings(GATE_A_PASS, "1")[0]
+    routing = _enumerate_routings(BlockTable(GATE_A_PASS), "1")[0]
     steps = list(routing.prefix) + list(routing.cycle)
     assert _rids(steps) == ["C4.1.78", "C4.78.loop", "C4.78.56b", "C4.56.78b"]
     st = compute_length_state(steps[:3])
@@ -307,7 +317,7 @@ def test_gate_b_refuses_a_negative_margin():
     # the word is valid through its other routing, whose cycle leaves 7/8
     # by C4.78.1b, which no gate reads
     dw = DirectiveWord((), (B("0", "10"), B("0", "1110", "110"), B("1", "0")))
-    routing = next(r for r in _enumerate_routings(dw, "1") if not r.prefix)
+    routing = next(r for r in _enumerate_routings(BlockTable(dw), "1") if not r.prefix)
     assert _rids(routing.cycle) == ["C4.1.loopa", "C4.1.78", "C4.78.1c"]
     assert compute_length_state(routing.cycle[:2]).margin == -3
     assert _routing_verdict(dw, routing, False) == (
@@ -411,10 +421,11 @@ def test_valid_directive_has_first_difference_one_or_two(dw):
 def test_routing_cap_is_a_typed_refusal():
     # two lassos from vertex 2 read this period (a route-pool directive)
     dw = DirectiveWord((), (B("1", "02", "2"), B("1", "002", "02")))
-    start = start_vertex(dw)
-    assert len(_enumerate_routings(dw, start)) == len(_enumerate_routings(dw, start, limit=2)) == 2
+    start, table = start_vertex(dw), BlockTable(dw)
+    assert len(_enumerate_routings(table, start)) == 2
+    assert len(_enumerate_routings(table, start, limit=2)) == 2
     with pytest.raises(EnumerationBudgetExceeded, match=f"more than 1 routings from vertex {start}"):
-        _enumerate_routings(dw, start, limit=1)
+        _enumerate_routings(table, start, limit=1)
 
 
 def _scan_steps(dw, vertex, pos, end=None):
@@ -465,7 +476,7 @@ def test_routed_steps_equal_a_scan_of_every_out_edge():
     for m in sorted(instances | off | four | stretched, key=repr):
         dw = DirectiveWord((m,))
         for v in GPRIME_VERTICES:
-            steps = list(routed_steps(dw, v, 0, 1))
+            steps = list(BlockTable(dw).routed_steps(v, 0, 1))
             assert steps == _scan_steps(dw, v, 0, 1), (v, m)
             counts[m.domain] = counts.get(m.domain, 0) + len(steps)
             if min(map(len, m.images)) > LEN_CAP:
@@ -473,8 +484,19 @@ def test_routed_steps_equal_a_scan_of_every_out_edge():
     assert counts[2] > 0 and counts[3] > 0 and counts[4] == 0
     # labels whose images are all longer than the cap route too
     assert long_steps > 0
-    # composed blocks of up to MAX_BLOCK levels, from every level of the suites
+    # composed blocks of up to MAX_BLOCK levels, from every level of the
+    # suites up to p + 2T, through one table per directive, so that past
+    # p + T the labels come from the table's phase keys
     for dw in [*VALID_SUITE.values(), *(dw for dw, _ in INVALID_SUITE.values())]:
+        table = BlockTable(dw)
+        for pos in range(len(dw.preperiod) + 2 * len(dw.period)):
+            for v in GPRIME_VERTICES:
+                assert list(table.routed_steps(v, pos)) == _scan_steps(dw, v, pos), (dw, v, pos)
+    # a finite directive: no step at or past its end
+    dw = VALID_SUITE["c4-10b-pre"]
+    prefix = DirectiveWord(tuple(dw.prefix(5)))
+    table = BlockTable(prefix)
+    for pos in range(5):
         for v in GPRIME_VERTICES:
-            for pos in range(dw.known_levels()):
-                assert list(routed_steps(dw, v, pos)) == _scan_steps(dw, v, pos), (dw, v, pos)
+            assert list(table.routed_steps(v, pos, 5)) == _scan_steps(prefix, v, pos, 5)
+            assert list(table.routed_steps(v, pos, 3)) == _scan_steps(prefix, v, pos, 3)

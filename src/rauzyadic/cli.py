@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cli_impl
-from .errors import RauzyadicError
+from .errors import RauzyadicError, UnreadableInput
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import decompose, generator_word_string
@@ -31,6 +31,13 @@ def _add_oracle_args(p):
     p.add_argument("--horizon", type=int, default=30)
 
 
+def _read(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
+
+
 def _oracle(args) -> FactorOracle:
     given = [x for x in (args.source, args.prefix_file, args.directive_file) if x]
     if len(given) != 1:
@@ -38,14 +45,14 @@ def _oracle(args) -> FactorOracle:
     if args.source:
         return named_oracle(args.source, args.horizon)
     if args.prefix_file:
-        text = args.prefix_file.read_text().strip()
+        text = _read(args.prefix_file).strip()
         return FactorOracle.from_prefix(text, args.horizon, source=str(args.prefix_file))
-    dw = parse_directive(args.directive_file.read_text())
+    dw = parse_directive(_read(args.directive_file))
     return language_horizon(dw, args.horizon)
 
 
 def _directive(args) -> DirectiveWord:
-    return parse_directive(Path(args.directive).read_text())
+    return parse_directive(_read(args.directive))
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -79,6 +79,10 @@ class Mismatch(RauzyadicError):
     """Cross-validation divergence between generation and extraction."""
 
 
+class UnreadableInput(RauzyadicError):
+    """An input file that is missing or cannot be read as text."""
+
+
 class MalformedDirective(RauzyadicError, ValueError):
     """Directive or morphism text that does not parse; names the offending
     line.  A ValueError too, for callers that catch parse errors as such."""

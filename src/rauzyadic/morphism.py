@@ -118,6 +118,8 @@ def parse_rules(text: str) -> Morphism:
         lhs, _, rhs = part.partition("->")
         if len(lhs) != 1 or lhs not in LETTERS:
             raise ValueError(f"bad rule {part!r}")
+        if int(lhs) in rules:
+            raise ValueError(f"two rules for letter {lhs}")
         rules[int(lhs)] = rhs
     if sorted(rules) != list(range(len(rules))):
         raise ValueError(f"rules do not cover a dense alphabet: {sorted(rules)}")

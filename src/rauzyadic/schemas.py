@@ -117,7 +117,6 @@ class Row:
     cond: object = None            # callable (k, l) -> bool
     kcase: str | None = None       # length-bookkeeping case for 7/8 or 5/6 entries
     Kfun: object = None            # callable (k, l) -> loop count of the entry
-    d_factors: tuple[str, ...] = ()
 
     @cached_property
     def atoms(self) -> tuple[tuple[Atom, ...], ...]:
@@ -435,13 +434,16 @@ def gog_from_tables() -> dict[int, frozenset[int]]:
 
 # -- the refined graph ---------------------------------------------------
 
-GPRIME_VERTICES = ("2", "V0", "V1", "V2", "4B", "1", "5/6", "7/8", "10B")
+# each vertex with its strongly connected component of the refined graph,
+# named C1-C4 as in the paper
+GPRIME_COMPONENT = {"2": "C1", "V0": "C2", "V1": "C2", "V2": "C2", "4B": "C3",
+                    "1": "C4", "5/6": "C4", "7/8": "C4", "10B": "C4"}
+GPRIME_VERTICES = tuple(GPRIME_COMPONENT)
 
 
-def _row(rid, src, dst, imgs, vars="lit", opt3=False, cond=None, kcase=None, Kfun=None,
-         d_factors=()):
+def _row(rid, src, dst, imgs, vars="lit", opt3=False, cond=None, kcase=None, Kfun=None):
     return Row(rid, src, dst, tuple(imgs), vars=vars, opt3=opt3, cond=cond,
-               kcase=kcase, Kfun=Kfun, d_factors=tuple(d_factors))
+               kcase=kcase, Kfun=Kfun)
 
 
 def _c2_rows() -> list[Row]:
@@ -453,24 +455,19 @@ def _c2_rows() -> list[Row]:
     rows = []
     for x in range(3):
         y, z = sorted(set(range(3)) - {x})
-        loops = [
-            (compose(D(y, x), D(z, x)), (f"D{y}{x}", f"D{z}{x}")),
-            (compose(D(x, y), D(z, y)), (f"D{x}{y}", f"D{z}{y}")),
-            (compose(D(x, z), D(y, z)), (f"D{x}{z}", f"D{y}{z}")),
-        ]
-        for j, (m, facs) in enumerate(loops):
+        loops = (compose(D(y, x), D(z, x)), compose(D(x, y), D(z, y)),
+                 compose(D(x, z), D(y, z)))
+        for j, m in enumerate(loops):
             rows.append(_row(f"C2.V{x}.loop{j}", f"V{x}", f"V{x}",
-                             tuple(" ".join(w) for w in m.images), d_factors=facs))
+                             tuple(" ".join(w) for w in m.images)))
     for x, yv in itertools.permutations(range(3), 2):
         z = next(iter(set(range(3)) - {x, yv}))
         single = D(x, z)
         paired = compose(D(x, yv), D(z, x))
         rows.append(_row(f"C2.V{x}{yv}.a", f"V{x}", f"V{yv}",
-                         tuple(" ".join(w) for w in single.images),
-                         d_factors=(f"D{x}{z}",)))
+                         tuple(" ".join(w) for w in single.images)))
         rows.append(_row(f"C2.V{x}{yv}.b", f"V{x}", f"V{yv}",
-                         tuple(" ".join(w) for w in paired.images),
-                         d_factors=(f"D{x}{yv}", f"D{z}{x}")))
+                         tuple(" ".join(w) for w in paired.images)))
     return rows
 
 
@@ -733,11 +730,12 @@ def _cfg_rows(name: str, pats: dict) -> dict[tuple[str, str], tuple[Row, ...]]:
 
 
 # the label configurations that component C4 condition iv excludes, each the
-# edges a cycle may use with the labels it may carry on them: in a, the path
-# stays on the two-loop vertex; in b, each literal label is a pattern of
-# one-atom images; in c, the labels are families, and the edge 5/6 -> 10B
-# takes any of its labels
-C4_CONFIG_A = {("7/8", "7/8"): GPRIME_EDGES[("7/8", "7/8")]}
+# edges a cycle may use with the labels it may carry on them: in b, each
+# literal label is a pattern of one-atom images; in c, the labels are
+# families, and the edge 5/6 -> 10B takes any of its labels.  Configuration
+# a, a path that stays on the two-loop vertex, reads only its loop label
+# [0,10,20], which fixes 0, so validation refuses it by weak primitivity
+# before it routes
 C4_CONFIG_B = _cfg_rows("cfg-b", {
     ("5/6", "5/6"): (("02", "12", "2"), ("102", "2", "12")),
     ("5/6", "7/8"): (("1", "02", "2"),),

@@ -1,10 +1,12 @@
 """Validity of directive words against the refined graph of graphs.
 
-A directive word is routed as a labeled path: blocks of consecutive
-morphisms are matched against the edge tables, the terminal component's
-conditions are checked on the resulting cycle, and the length-gated exit
-conditions are evaluated through the image-length bookkeeping.  Verdicts
-are three-valued and always name the binding clause.
+Weak primitivity is decided first, once, by the exact kernel test.  A
+weakly primitive word is then routed as a labeled path: blocks of
+consecutive morphisms are matched against the edge tables, the terminal
+component's conditions are checked on the resulting cycle, and the
+length-gated exit conditions are evaluated through the image-length
+bookkeeping.  Verdicts are three-valued and always name the binding
+clause.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, classify, compose, decompose
 from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
-from .schemas import (C4_CONFIG_A, C4_CONFIG_B, C4_CONFIG_C, GPRIME_VERTICES, Step,
+from .schemas import (C4_CONFIG_B, C4_CONFIG_C, GPRIME_COMPONENT, GPRIME_VERTICES, Step,
                       match_rows, out_steps)
 from .words import complexity_profile
 
@@ -34,10 +36,6 @@ class Routing:
     start: str
     prefix: tuple[Step, ...]   # consumes the preperiod plus alignment
     cycle: tuple[Step, ...]    # consumes whole periods
-
-    @property
-    def vertices(self):
-        return frozenset(s.dst for s in self.cycle)
 
 
 @dataclass(frozen=True)
@@ -173,18 +171,8 @@ def _window_right_proper(cycle_labels: list[Morphism]) -> bool:
                for acc in itertools.accumulate(cycle_labels * 2, compose))
 
 
-def _products_fix_zero(cycle_labels: list[Morphism]) -> bool:
-    """Some rotation has every prefix product mapping letter 0 to "0"."""
-    return any(all(acc.images[0] == "0" for acc in
-                   itertools.accumulate(cycle_labels[r:] + cycle_labels[:r], compose))
-               for r in range(len(cycle_labels)))
-
-
-# the configurations in the order they are checked, the path that stays on
-# the two-loop vertex first
+# the configurations in the order they are checked
 _EXCLUDED_CONFIGS = (
-    (C4_CONFIG_A, "weak primitivity (component C4 condition iv, configuration a): the "
-                  "path stays in the two-loop vertex"),
     (C4_CONFIG_B, "component C4 condition iv, configuration b: the cycle conforms to "
                   "the first excluded label configuration"),
     (C4_CONFIG_C, "component C4 condition iv, configuration c: the cycle conforms to "
@@ -196,28 +184,6 @@ def _conforms(cycle, table) -> bool:
     """Every step runs on an edge of the table with a label one of its rows matches."""
     return all((s.src, s.dst) in table and match_rows(table[(s.src, s.dst)], s.label)
                for s in cycle)
-
-
-def _check_c1(routing: Routing):
-    rids = {s.match.row.rid for s in routing.cycle}
-    if not rids <= {"C1.a", "C1.b", "C1.c"}:
-        return "invalid", "component C1: non-Arnoux-Rauzy label on the loop"
-    if rids != {"C1.a", "C1.b", "C1.c"}:
-        return ("invalid", "weak primitivity: the three Arnoux-Rauzy morphisms must "
-                           "all occur infinitely often (component C1 condition)")
-    return "valid", None
-
-
-def _check_c2(routing: Routing):
-    labels = [s.label for s in routing.cycle]
-    if not _window_right_proper(labels):
-        return "invalid", "component C2 condition 2: no right proper contraction"
-    received = {f[2] for s in routing.cycle for f in s.match.row.d_factors}
-    if received != {"0", "1", "2"}:
-        missing = sorted(set("012") - received)
-        return ("invalid", f"weak primitivity (component C2 condition 3): letters {missing} "
-                           "stop receiving additions")
-    return "valid", None
 
 
 def _weak_primitivity_clause(dw: DirectiveWord) -> str | None:
@@ -233,53 +199,19 @@ def _weak_primitivity_clause(dw: DirectiveWord) -> str | None:
     return f"weak primitivity fails at level {wp.fails_at} ({why})"
 
 
-def _check_c3(dw: DirectiveWord, routing: Routing):
-    rids = {s.match.row.rid for s in routing.cycle}
-    if rids <= {"C3.a", "C3.b"}:
-        return ("invalid", "weak primitivity (component C3 condition 2): only the two "
-                           "letter-fixing loop morphisms occur")
-    if rids <= {"C3.e", "C3.f"}:
-        return ("invalid", "weak primitivity (component C3 condition 2): only the "
-                           "second excluded loop family occurs")
-    clause = _weak_primitivity_clause(dw)
-    return ("invalid", clause) if clause else ("valid", None)
-
-
 # the exit gates, by the row of the step that leaves the region; steps
 # chain, so that row's source is the vertex the gated prefix ends at
 _EXIT_GATES = {"C4.78.1c": "B",     # letter-to-letter exit from 7/8 to vertex 1
                "C4.56.78b": "A"}    # strong self-exit from the no-loop vertex 5/6
 
 
-def _check_c4(dw: DirectiveWord, routing: Routing, strict2: bool):
+def _check_c4(routing: Routing, strict2: bool):
     cyc = routing.cycle
-    labels = [s.label for s in cyc]
-    verts = routing.vertices
-
-    if not _window_right_proper(labels):
-        return "invalid", "component C4 condition 1: no right proper contraction"
-
-    clause = _weak_primitivity_clause(dw)
-    if clause:
-        return "invalid", clause
-
-    if verts == {"1"}:
-        rids = {s.match.row.rid for s in cyc}
-        if rids != {"C4.1.loopa", "C4.1.loopb"}:
-            return ("invalid", "weak primitivity (component C4 condition i): both "
-                               "Sturmian elementary morphisms must occur infinitely often")
-    elif verts <= {"1", "7/8"}:
-        # the optional third circuit never recurs here; drop it entirely
-        two_letter = [Morphism(s.label.images[:2], 2) for s in cyc]
-        if _products_fix_zero(two_letter):
-            return ("invalid", "weak primitivity (component C4 condition ii): products "
-                               "along the cycle fix the letter 0")
-    elif any(s.src == "1" for s in cyc) and any(s.dst == "5/6" for s in cyc):
-        pass  # condition (iii): subpaths from 1 reaching 5/6 occur infinitely often
-    else:
-        for table, clause in _EXCLUDED_CONFIGS:
-            if _conforms(cyc, table):
-                return "invalid", clause
+    # no excluded configuration has an edge at vertex 1, so a cycle through
+    # it, as in conditions i-iii, conforms to none
+    for table, clause in _EXCLUDED_CONFIGS:
+        if _conforms(cyc, table):
+            return "invalid", clause
 
     # length-gated exit conditions (A) and (B)
     steps = list(routing.prefix) + list(cyc) * TRAVERSALS
@@ -334,9 +266,9 @@ def _check_strict2_shape(dw: DirectiveWord, routing: Routing):
 def validate_directive(dw: DirectiveWord, strict2: bool = False) -> ValidityVerdict:
     """Three-valued validity of an eventually periodic directive word.
 
-    Routes the word through the refined graph, then checks the terminal
-    component's conditions and the length-gated exits; Invalid verdicts
-    cite the violated clause.
+    Decides weak primitivity, then routes the word through the refined
+    graph and checks the terminal component's conditions and the
+    length-gated exits; Invalid verdicts cite the violated clause.
     """
     return _validate(dw, strict2, every=False)[0]
 
@@ -360,6 +292,9 @@ def _validate(dw: DirectiveWord, strict2: bool,
     if not dw.eventually_periodic:
         return ValidityVerdict("undetermined",
                                "finite directive prefix: validity is only semi-decidable"), []
+    clause = _weak_primitivity_clause(dw)
+    if clause:
+        return ValidityVerdict("invalid", clause), []
     routings, suffix_note = _route(dw)
     first_valid, last_failure, valid = None, None, []
     for routing in routings:
@@ -382,18 +317,22 @@ def _validate(dw: DirectiveWord, strict2: bool,
                    "(local validity condition fails)"), valid
 
 
+# the condition of the components that ask for a right proper contraction
+_RIGHT_PROPER_CONDITION = {"C2": "component C2 condition 2", "C4": "component C4 condition 1"}
+
+
 def _routing_verdict(dw: DirectiveWord, routing: Routing, strict2: bool):
-    verts = routing.vertices
-    if verts <= {"2"}:
-        status, clause = _check_c1(routing)
-    elif verts <= {"V0", "V1", "V2"}:
-        status, clause = _check_c2(routing)
-    elif verts <= {"4B"}:
-        status, clause = _check_c3(dw, routing)
-    elif verts <= {"1", "5/6", "7/8", "10B"}:
-        status, clause = _check_c4(dw, routing, strict2)
+    """The routing's verdict on a weakly primitive word.  A cycle stays in
+    one strongly connected component of the refined graph, so its first
+    vertex names the component whose conditions apply."""
+    component = GPRIME_COMPONENT[routing.cycle[0].src]
+    condition = _RIGHT_PROPER_CONDITION.get(component)
+    if condition and not _window_right_proper([s.label for s in routing.cycle]):
+        status, clause = "invalid", f"{condition}: no right proper contraction"
+    elif component == "C4":
+        status, clause = _check_c4(routing, strict2)
     else:
-        status, clause = "invalid", f"cycle spans several components: {sorted(verts)}"
+        status, clause = "valid", None
     if status == "valid" and strict2:
         status, clause = _check_strict2_shape(dw, routing)
     return status, clause

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import HorizonExceeded, IdentityViolation, NoStabilization
+from .errors import AlphabetMismatch, HorizonExceeded, IdentityViolation, NoStabilization
 
 Word = str
 
@@ -166,6 +166,9 @@ class FactorOracle:
                     alphabet: Alphabet | None = None) -> "FactorOracle":
         """Oracle backed by an explicit prefix; exactness is the caller's claim."""
         if alphabet is None:
+            if not set(prefix) <= set(LETTERS):
+                raise AlphabetMismatch(f"prefix letters {sorted(set(prefix) - set(LETTERS))} "
+                                       "are not digits 0-9")
             size = max((int(c) for c in prefix), default=0) + 1
             alphabet = Alphabet(size)
         alphabet.check(prefix)

@@ -80,6 +80,8 @@ def test_decompose_command(capsys):
     assert code == 0
     from rauzyadic.morphism import compose_generators, parse_generator_word
     assert compose_generators(parse_generator_word(out.strip())).images == ("0", "110", "10")
+    code, out, err = run(["decompose", "0->0;0->10;1->1"], capsys)
+    assert code == 3 and out == "" and "two rules for letter 0" in err
 
 
 def test_validate_exit_codes(capsys):
@@ -141,6 +143,25 @@ def test_malformed_directive_is_a_typed_refusal(tmp_path, capsys, text):
     f.write_text(text)
     code, out, err = run(["validate", str(f)], capsys)
     assert code == 3 and out == "" and err.startswith("error: MalformedDirective: line 2: ")
+
+
+@pytest.mark.parametrize("args", [["validate", "{missing}"],
+                                  ["complexity", "--prefix-file", "{missing}"],
+                                  ["complexity", "--directive-file", "{missing}"],
+                                  ["validate", "{binary}"]])
+def test_unreadable_input_is_a_typed_refusal(tmp_path, capsys, args):
+    (tmp_path / "binary.dw").write_bytes(b"\xff\xfe")
+    argv = [a.format(missing=tmp_path / "missing.dw", binary=tmp_path / "binary.dw") for a in args]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == "" and err.startswith("error: UnreadableInput: cannot read ")
+
+
+@pytest.mark.parametrize("prefix", ["x", "01x0", "0 1", "\u0663"])
+def test_prefix_file_letters_outside_the_digits_refused(tmp_path, capsys, prefix):
+    f = tmp_path / "prefix.txt"
+    f.write_text(prefix)
+    code, out, err = run(["complexity", "--prefix-file", str(f), "--horizon", "1"], capsys)
+    assert code == 3 and out == "" and err.startswith("error: AlphabetMismatch: prefix letters ")
 
 
 FINITE_DW = "preperiod:\n[01,0]\n[0,10]\nperiod:\n"

@@ -165,6 +165,7 @@ MALFORMED = {
     "preperiod:\n[0,10]\nperiod:\nD01 9\n": 4,
     "period:\n[0,10]\n[01,]\n": 3,
     "[0,10]\nperiod:\n": 1,
+    "period:\n0->0;0->10;1->1\n": 2,
 }
 
 # directive text line by line: section headers, brackets of digit words,
@@ -199,6 +200,7 @@ def test_malformed_directive_names_its_line(text):
 @example("period:\n019\n")
 @example("period:\nD01 9\n")
 @example("period:\n[01,]\n")
+@example("period:\n0->0;0->10;1->1\n")
 @example("")
 def test_parse_directive_returns_or_refuses(text):
     try:

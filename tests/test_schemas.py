@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from rauzyadic.errors import NoSchemaMatch
-from rauzyadic.morphism import bracket, compose_generators, decompose, identity
+from rauzyadic.morphism import D, bracket, compose, compose_generators, decompose, identity
 from rauzyadic.schemas import (
     _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP,
     Match, Row, _image, edge_step, evolution_rows, gog_from_tables, match_rows,
@@ -215,11 +215,11 @@ def test_match_schema_examples():
 
 def test_match_c2_loop_and_edges():
     got = edge_step("V0", "V0", bracket("0", "10", "20")).match
-    assert got.row.d_factors == ("D10", "D20")
+    assert got.row.instantiate({}) == compose(D(1, 0), D(2, 0))
     got = edge_step("V0", "V1", bracket("02", "1", "2")).match
-    assert got.row.d_factors == ("D02",)
+    assert got.row.instantiate({}) == D(0, 2)
     got = edge_step("V0", "V1", bracket("01", "1", "201")).match
-    assert got.row.d_factors == ("D01", "D20")
+    assert got.row.instantiate({}) == compose(D(0, 1), D(2, 0))
 
 
 def test_evolution_rows_filter():

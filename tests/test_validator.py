@@ -1,13 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, RauzyadicError,
                               UnsupportedCase)
 from rauzyadic.lengths import compute_length_state
-from rauzyadic.morphism import Morphism, bracket, classify, compose
+from rauzyadic.morphism import D, Morphism, bracket, classify, compose
 from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_check
-from rauzyadic.schemas import (GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, GPRIME_VERTICES,
-                              LEN_CAP, _ASSIGNMENTS, Step, lengths_key, match_rows)
+from rauzyadic.schemas import (GPRIME_COMPONENT, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS,
+                              GPRIME_VERTICES, LEN_CAP, _ASSIGNMENTS, Step, lengths_key,
+                              match_rows)
 from rauzyadic.validator import (
     MAX_BLOCK, BlockTable, _enumerate_routings, _route, _routing_verdict,
     _weak_primitivity_clause, _window_right_proper, cross_validate,
@@ -43,10 +46,12 @@ INVALID_SUITE = {
     "self-absorbed": (DirectiveWord((B("0", "110", "10"),), (B("0", "10", "20"),)),
                       "weak primitivity"),
     "ar-missing-one": (DirectiveWord((), (B("0", "10", "20"), B("01", "1", "21"))),
-                       "Arnoux-Rauzy"),
+                       "weak primitivity fails at level 0 (occurrence products never "
+                       "become positive)"),
     "c3-only-first-family": (DirectiveWord((B("0", "10", "120"),),
                                            (B("0", "10", "20"), B("0", "20", "10"))),
-                             "component C3"),
+                             "weak primitivity fails at level 0 (occurrence products never "
+                             "become positive)"),
     "10b-cycle-conforming": (DirectiveWord((), (B("1", "01", "2"), B("0", "21", "1"),
                                                 B("1", "02", "2"))),
                              "configuration b"),
@@ -206,21 +211,19 @@ def test_condition_iii_witness_round_trips():
 
 def test_c2_tables_match_successor_lemma():
     # the split-vertex tables: loops carry the three double-addition labels,
-    # single-addition edges go where the top loop moves, and every paired
-    # edge label is right proper
-    from rauzyadic.morphism import classify
-    from rauzyadic.schemas import GPRIME_EDGES
+    # the single-addition edge V_x -> V_y carries D(x,z), where the top loop
+    # moves, and the paired edge label D(x,y) D(z,x) is right proper
     for x in range(3):
+        y, z = sorted(set(range(3)) - {x})
         loops = GPRIME_EDGES[(f"V{x}", f"V{x}")]
-        assert len(loops) == 3
-        for row in loops:
-            assert classify(row.instantiate({})).right_proper
-        others = sorted(set(range(3)) - {x})
-        y, z = others
-        singles = {r.d_factors for r in GPRIME_EDGES[(f"V{x}", f"V{y}")] if len(r.d_factors) == 1}
-        assert singles == {(f"D{x}{z}",)}
-        paired = [r for r in GPRIME_EDGES[(f"V{x}", f"V{y}")] if len(r.d_factors) == 2]
-        assert all(classify(r.instantiate({})).right_proper for r in paired)
+        assert {row.instantiate({}) for row in loops} == {
+            compose(D(y, x), D(z, x)), compose(D(x, y), D(z, y)), compose(D(x, z), D(y, z))}
+        assert all(classify(row.instantiate({})).right_proper for row in loops)
+        for to, third in ((y, z), (z, y)):
+            paired = compose(D(x, to), D(third, x))
+            labels = {row.instantiate({}) for row in GPRIME_EDGES[(f"V{x}", f"V{to}")]}
+            assert labels == {D(x, third), paired}
+            assert classify(paired).right_proper
 
 
 def test_c3_requires_weak_primitivity():
@@ -416,6 +419,84 @@ def test_valid_directive_has_first_difference_one_or_two(dw):
     event(status)
     if status == "valid":
         assert set(complexity_profile(language_horizon(dw, 26), 24).s) <= {1, 2}
+
+
+# the per-component stand-ins for weak primitivity that routing once
+# checked, kept as a reference: each names a letter that some image never
+# receives, so each must imply that the exact test fails
+
+
+def _c2_received(rid):
+    """The letters appended by the D factors of a C2 row's label: loop j of
+    V_x receives the j-th of x and its two other letters in order, the
+    single edge V_x -> V_y receives the third letter, the paired one y and x."""
+    _, vertex, kind = rid.split(".")
+    x = int(vertex[1])
+    if kind.startswith("loop"):
+        return {(x, *sorted({0, 1, 2} - {x}))[int(kind[4:])]}
+    to = int(vertex[2])
+    return {3 - x - to} if kind == "a" else {to, x}
+
+
+def _products_fix_zero(labels):
+    """Some rotation has every prefix product mapping letter 0 to "0"."""
+    return any(all(acc.images[0] == "0" for acc in
+                   itertools.accumulate(labels[r:] + labels[:r], compose))
+               for r in range(len(labels)))
+
+
+def _stand_ins(routing):
+    """The names of the stand-ins that fire on the routing's cycle."""
+    rids = {s.match.row.rid for s in routing.cycle}
+    verts = {s.dst for s in routing.cycle}
+    fired = []
+    if verts == {"2"} and rids != {"C1.a", "C1.b", "C1.c"}:
+        fired.append("C1: an Arnoux-Rauzy morphism missing")
+    if verts <= {"V0", "V1", "V2"} and set().union(*map(_c2_received, rids)) != {0, 1, 2}:
+        fired.append("C2 condition 3: a letter never receives")
+    if rids <= {"C3.a", "C3.b"} or rids <= {"C3.e", "C3.f"}:
+        fired.append("C3 condition 2: one excluded loop family")
+    if verts == {"1"} and rids != {"C4.1.loopa", "C4.1.loopb"}:
+        fired.append("C4 condition i: a Sturmian morphism missing")
+    if verts <= {"1", "7/8"} and _products_fix_zero(
+            [Morphism(s.label.images[:2], 2) for s in routing.cycle]):
+        fired.append("C4 condition ii: products fix 0")
+    if verts == {"7/8"}:
+        fired.append("C4 configuration a: the cycle stays on 7/8")
+    return fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(eventually_periodic_directives())
+@example(INVALID_SUITE["ar-missing-one"][0])
+@example(DirectiveWord((B("0", "120", "20"),), (B("0", "10", "20"),)))
+@example(INVALID_SUITE["c3-only-first-family"][0])
+@example(INVALID_SUITE["non-primitive sturmian"][0])
+@example(WITNESS_PAIRS["vertices 1 and 7/8"][1])
+@example(WITNESS_PAIRS["reaching the no-loop vertex from 1"][1])
+def test_stand_ins_imply_weak_primitivity_fails(dw):
+    try:
+        routings = _route(dw)[0]
+    except EnumerationBudgetExceeded:
+        assume(False)
+    fired = {name for routing in routings for name in _stand_ins(routing)}
+    for name in fired:
+        event(name)
+    if fired:
+        assert weak_primitivity_check(dw).status == "fails", fired
+        assert validate_directive(dw).clause == _weak_primitivity_clause(dw)
+
+
+def test_components_are_the_strongly_connected_components():
+    reach = {v: {v} for v in GPRIME_VERTICES}
+    for _ in GPRIME_VERTICES:
+        for src, dst in GPRIME_EDGES:
+            reach[src] |= reach[dst]
+    sccs = {frozenset(w for w in GPRIME_VERTICES if v in reach[w] and w in reach[v])
+            for v in GPRIME_VERTICES}
+    assert sccs == {frozenset(v for v in GPRIME_VERTICES if GPRIME_COMPONENT[v] == c)
+                    for c in ("C1", "C2", "C3", "C4")}
+    assert sccs == {frozenset(vs) for vs in COMPONENT_VERTICES}
 
 
 def test_routing_cap_is_a_typed_refusal():

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cli_impl
-from .errors import RauzyadicError, UnreadableInput
+from .errors import RauzyadicError, UnreadableInput, UnwritableOutput
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import decompose, generator_word_string
@@ -36,6 +36,13 @@ def _read(path) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
 
 
 def _oracle(args) -> FactorOracle:
@@ -118,7 +125,7 @@ def _run(args) -> int:
         dw = _directive(args)
         res = generate_one_sided(dw, args.length)
         if args.out:
-            args.out.write_text(res.prefix + "\n")
+            _write(args.out, res.prefix + "\n")
         else:
             print(res.prefix)
         print(f"# certified factor horizon {res.certified_horizon}, "
@@ -134,7 +141,7 @@ def _run(args) -> int:
         prof = complexity_profile(oracle, upto)
         text = prof.to_csv()
         if args.csv:
-            args.csv.write_text(text)
+            _write(args.csv, text)
         else:
             sys.stdout.write(text)
         return 0
@@ -146,9 +153,9 @@ def _run(args) -> int:
         print(f"order {args.order}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
               f"type {shape.type_id}" + (f" (next bispecial in {shape.gap})" if shape.gap else ""))
         if args.dot:
-            args.dot.write_text(to_dot(g, name="G"))
+            _write(args.dot, to_dot(g, name="G"))
             reduced_path = args.dot.with_suffix(".reduced.dot")
-            reduced_path.write_text(to_dot(reduced, name="g"))
+            _write(reduced_path, to_dot(reduced, name="g"))
             print(f"wrote {args.dot} and {reduced_path}")
         return 0
 

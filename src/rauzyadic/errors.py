@@ -83,6 +83,16 @@ class UnreadableInput(RauzyadicError):
     """An input file that is missing or cannot be read as text."""
 
 
+class UnwritableOutput(RauzyadicError):
+    """An output file that cannot be written, for example in a missing
+    directory; names the path."""
+
+
+class BrokenPath(RauzyadicError, ValueError):
+    """Rauzy graph edges that do not chain into the path asked for.  A
+    ValueError too, as it was before it had a type of its own."""
+
+
 class MalformedDirective(RauzyadicError, ValueError):
     """Directive or morphism text that does not parse; names the offending
     line.  A ValueError too, for callers that catch parse errors as such."""

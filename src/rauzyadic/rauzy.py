@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import (ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
+from .errors import (BrokenPath, ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
                      OutOfClass)
 from .words import FactorOracle, Word
 
@@ -85,7 +86,7 @@ class Path:
         prev = self.start
         for e in self.edges:
             if e.src != prev:
-                raise ValueError("edges do not chain")
+                raise BrokenPath("edges do not chain")
             prev = e.dst
 
     @property
@@ -116,7 +117,7 @@ class Path:
 
     def concat(self, other: "Path") -> "Path":
         if other.start != self.end:
-            raise ValueError("paths do not chain")
+            raise BrokenPath("paths do not chain")
         return Path(self.order, self.start, self.edges + other.edges)
 
 
@@ -127,7 +128,7 @@ def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
     for b in right_label:
         matches = [e for e in graph.out_edges(cur) if e.right == b]
         if len(matches) != 1:
-            raise ValueError(f"no unique edge from {cur!r} with right label {b!r}")
+            raise BrokenPath(f"no unique edge from {cur!r} with right label {b!r}")
         edges.append(matches[0])
         cur = matches[0].dst
     return Path(graph.order, start, tuple(edges))
@@ -191,7 +192,7 @@ def psi_project(p: Path, lower: RauzyGraph) -> Path:
     """The unique path in the order-(n-1) graph with the same right label
     whose endpoints are suffixes of p's endpoints."""
     if p.order != lower.order + 1:
-        raise ValueError("psi projects one order down")
+        raise BrokenPath("psi projects one order down")
     return walk(lower, p.start[1:], p.right_label)
 
 
@@ -217,11 +218,22 @@ class ReducedEdge:
         return self.path.full_label
 
 
+class EvolvedEdge(NamedTuple):
+    """A reduced edge carried to a later order, kept as the images of its
+    ends: all that ``classify_shape`` reads of an edge."""
+
+    src: Word
+    dst: Word
+
+
 @dataclass(frozen=True)
 class ReducedRauzyGraph:
+    """Special vertices and the condensed paths between them; a graph
+    evolved to a later order by ``reduce_and_classify`` has EvolvedEdges."""
+
     order: int
     vertices: frozenset[Word]
-    edges: tuple[ReducedEdge, ...]
+    edges: tuple[ReducedEdge | EvolvedEdge, ...]
 
     def out_edges(self, u: Word) -> tuple[ReducedEdge, ...]:
         return tuple(e for e in self.edges if e.src == u)
@@ -282,8 +294,10 @@ def _single_cycle(g: ReducedRauzyGraph, r: Word, avoid: Word | None):
             if avoid is not None and e.dst == avoid:
                 continue
             if e.dst == r:
-                if best is not None and [x.full_label for x in best] != [x.full_label for x in acc + [e]]:
-                    return None  # not unique
+                # the search meets each edge sequence once, so a second
+                # cycle is another one
+                if best is not None:
+                    return None
                 best = acc + [e]
             elif e.dst not in [x.dst for x in acc] and e.dst != r:
                 stack.append((e.dst, acc + [e]))
@@ -327,19 +341,61 @@ def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, gap: int = 0) -> 
     raise OutOfClass(f"order {n}: {len(rs)} right specials, {len(ls)} left specials")
 
 
-def next_bispecial_order(oracle: FactorOracle, n: int) -> int:
+def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
+    """The reduced graph of the next bispecial order m above g's order,
+    which has no bispecial factor, evolved from g with no graph built at m.
+
+    Each right special extends to the left and each left special to the
+    right by its unique extension letter, one order at a time, up to the
+    first order where a right special has two or more left extensions.
+    From one order to the next a reduced edge of length l becomes one of
+    length l - 1 + [source right special] + [target left special], so an
+    edge from a left to a right special shrinks to nothing where its ends
+    meet in a bispecial; at m those edges are dropped and their ends
+    merge.  A vertex that is not special (the boundary of a finite
+    prefix), a walker with no or several extensions, or evolved vertices
+    other than the specials of order m are OutOfClass."""
+    n = g.order
+    right = {v for v in g.vertices if oracle.is_right_special(v)}
+    left = {v for v in g.vertices if oracle.is_left_special(v)}
+    if right | left != g.vertices:
+        raise OutOfClass(f"order {n}: non-special vertices {sorted(g.vertices - right - left)}")
+    image = {v: v for v in g.vertices}
     m = n
-    while not oracle.bispecials(m):
+    while True:
+        lefts = {v: oracle.left_extensions(image[v]) for v in right}
+        if any(len(a) >= 2 for a in lefts.values()):
+            break
+        rights = {v: oracle.right_extensions(image[v]) for v in left}
+        for v, letters in (*lefts.items(), *rights.items()):
+            if len(letters) != 1:
+                raise OutOfClass(f"order {m}: special {image[v]!r} has {len(letters)} "
+                                 "extensions on its free side")
         m += 1
         if m + 2 > oracle.horizon:
             raise HorizonExceeded(f"no bispecial order found above {n} within horizon")
-    return m
+        for v, (a,) in lefts.items():
+            image[v] = a + image[v]
+        for v, (b,) in rights.items():
+            image[v] += b
+    vertices = frozenset(image.values())
+    if vertices != {*oracle.right_specials(m), *oracle.left_specials(m)}:
+        raise OutOfClass(f"order {m}: evolved vertices are not the special factors")
+    lengths = [e.length + (m - n) * ((e.src in right) + (e.dst in left) - 1) for e in g.edges]
+    # in a bi-extendable language the evolved edges partition L_{m+1}
+    if min(lengths) < 0 or sum(lengths) != len(oracle.factors(m + 1)):
+        raise OutOfClass(f"order {m}: evolved edge lengths {lengths} do not cover "
+                         f"the {len(oracle.factors(m + 1))} factors of length {m + 1}")
+    edges = tuple(EvolvedEdge(image[e.src], image[e.dst])
+                  for e, length in zip(g.edges, lengths) if length)
+    return ReducedRauzyGraph(m, vertices, edges)
 
 
 def reduce_and_classify(graph: RauzyGraph,
                         oracle: FactorOracle) -> tuple[ReducedRauzyGraph, GraphShape]:
     """Reduced graph plus its type; at a non-bispecial order the type is the
-    one of the next bispecial order, with the gap recorded."""
+    one of the next bispecial order, read off the reduced graph evolved
+    there, with the gap recorded."""
     n = graph.order
     g = reduce_graph(graph, oracle)
     for m in (n, n + 1):
@@ -348,9 +404,8 @@ def reduce_and_classify(graph: RauzyGraph,
             raise OutOfClass(f"order {m}: first difference {p} outside [1, 2]")
     if oracle.bispecials(n):
         return g, classify_shape(g, oracle)
-    m = next_bispecial_order(oracle, n)
-    gm = reduce_graph(build_graph(oracle, m), oracle)
-    return g, replace(classify_shape(gm, oracle, gap=m - n), order=n)
+    gm = _evolve_to_bispecial(g, oracle)
+    return g, replace(classify_shape(gm, oracle, gap=gm.order - n), order=n)
 
 
 # -- the right special chain ------------------------------------------

@@ -156,6 +156,22 @@ def test_unreadable_input_is_a_typed_refusal(tmp_path, capsys, args):
     assert code == 3 and out == "" and err.startswith("error: UnreadableInput: cannot read ")
 
 
+@pytest.mark.parametrize("args, target", [
+    (["generate", str(DW / "fibonacci.dw"), "--length", "8", "--out", "{missing}"], "{missing}"),
+    (["complexity", "--source", "fibonacci", "--horizon", "16", "--csv", "{missing}"], "{missing}"),
+    (["graph", "--source", "fibonacci", "--order", "2", "--horizon", "16", "--dot", "{missing}"],
+     "{missing}"),
+    # the graph's file is written, the reduced graph's path is a directory
+    (["graph", "--source", "fibonacci", "--order", "2", "--horizon", "16", "--dot", "{dot}"],
+     "{reduced}")])
+def test_unwritable_output_is_a_typed_refusal(tmp_path, capsys, args, target):
+    (tmp_path / "g.reduced.dot").mkdir()
+    names = {"missing": tmp_path / "no-such-dir" / "out.txt", "dot": tmp_path / "g.dot",
+             "reduced": tmp_path / "g.reduced.dot"}
+    code, _, err = run([a.format(**names) for a in args], capsys)
+    assert code == 3 and err.startswith(f"error: UnwritableOutput: cannot write {target.format(**names)}: ")
+
+
 @pytest.mark.parametrize("prefix", ["x", "01x0", "0 1", "\u0663"])
 def test_prefix_file_letters_outside_the_digits_refused(tmp_path, capsys, prefix):
     f = tmp_path / "prefix.txt"

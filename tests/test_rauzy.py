@@ -1,12 +1,19 @@
-import pytest
+from pathlib import Path as FilePath
 
-from rauzyadic.errors import ChainBlocked, OutOfClass
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from rauzyadic.errors import (BrokenPath, ChainBlocked, HorizonExceeded, OutOfClass,
+                              RauzyadicError)
 from rauzyadic.rauzy import (
-    Path, build_graph, circuits_from, measure_two_loops,
-    psi_project, reduce_and_classify, reduce_graph,
+    EvolvedEdge, Path, ReducedRauzyGraph, _single_cycle, build_graph, circuits_from,
+    classify_shape, measure_two_loops, psi_project, reduce_and_classify, reduce_graph,
     right_special_chain, special_vertices, to_dot, walk,
 )
-from rauzyadic.words import FactorOracle, return_words
+from rauzyadic.sadic import language_horizon, parse_directive
+from rauzyadic.words import FactorOracle, is_primitive, named_oracle, return_words
+
+DIRECTIVES = FilePath(__file__).resolve().parents[1] / "directives"
 
 
 def test_figure_fibonacci_graphs(fib):
@@ -208,3 +215,150 @@ def test_measure_two_loops_refuses_single_special(fib):
     chain = right_special_chain(fib, 4)
     with pytest.raises(OutOfClass):
         measure_two_loops(fib, 4, chain[4])
+
+
+def test_single_cycle_is_unique_or_none():
+    # types 7 and 9 differ by this cycle; no known language has two
+    loop, out, back = EvolvedEdge("r", "r"), EvolvedEdge("r", "l"), EvolvedEdge("l", "r")
+    to_b, from_b = EvolvedEdge("r", "b"), EvolvedEdge("b", "r")
+    one = ReducedRauzyGraph(1, frozenset("rlb"), (out, back, to_b, from_b))
+    assert _single_cycle(one, "r", avoid="b") == [out, back]
+    two = ReducedRauzyGraph(1, frozenset("rlb"), (loop, out, back, to_b, from_b))
+    assert _single_cycle(two, "r", avoid="b") is None
+
+
+def test_path_errors_are_typed(fib):
+    g2, g1 = build_graph(fib, 2), build_graph(fib, 1)
+    e = next(e for e in g2.edges if e.src == "01")
+    with pytest.raises(BrokenPath, match="edges do not chain"):
+        Path(2, "10", (e,))
+    with pytest.raises(BrokenPath, match="paths do not chain"):
+        Path(2, "01", (e,)).concat(Path(2, "01", ()))
+    with pytest.raises(BrokenPath, match="no unique edge from '00'"):
+        walk(g2, "00", "0")
+    with pytest.raises(BrokenPath, match="psi projects one order down"):
+        psi_project(Path(2, "01", ()), g2)
+    # still a ValueError for callers that caught it as one
+    with pytest.raises(ValueError):
+        walk(g1, "1", "1")
+
+
+# -- the evolution to the next bispecial order, against a rebuild there ----
+
+
+def _rebuilt(graph, oracle):
+    """Reference for reduce_and_classify: the next bispecial order found by
+    scanning the bispecials of each order, and the shape of the reduced
+    graph built there.  Returns ((type, gap) or the error's type name, the
+    last order looked at)."""
+    n = m = graph.order
+    try:
+        reduce_graph(graph, oracle)
+        for k in (n, n + 1):
+            if not 1 <= len(oracle.factors(k + 1)) - len(oracle.factors(k)) <= 2:
+                raise OutOfClass(f"order {k}: first difference outside [1, 2]")
+        while not oracle.bispecials(m):
+            m += 1
+            if m + 2 > oracle.horizon:
+                raise HorizonExceeded(f"no bispecial order found above {n} within horizon")
+        shape = classify_shape(reduce_graph(build_graph(oracle, m), oracle), oracle)
+        return (shape.type_id, m - n), m
+    except RauzyadicError as exc:
+        return type(exc).__name__, m
+
+
+def _evolved(graph, oracle):
+    try:
+        shape = reduce_and_classify(graph, oracle)[1]
+    except RauzyadicError as exc:
+        return type(exc).__name__
+    assert shape.order == graph.order
+    return shape.type_id, shape.gap
+
+
+def _bi_extendable(oracle, lo, hi):
+    """Every factor of length lo..hi extends to the left and to the right."""
+    return all(oracle.factors(k) == {w[:-1] for w in oracle.factors(k + 1)}
+               == {w[1:] for w in oracle.factors(k + 1)} for k in range(lo, hi + 1))
+
+
+def _outcomes(oracle, orders):
+    """(order, evolved outcome, rebuilt outcome, last order the rebuild read)."""
+    for n in orders:
+        graph = build_graph(oracle, n)
+        want, last = _rebuilt(graph, oracle)
+        yield n, _evolved(graph, oracle), want, last
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue-morse", "tribonacci"])
+def test_evolved_shapes_of_the_named_sources(name):
+    oracle = named_oracle(name, 62)
+    for n, got, want, _ in _outcomes(oracle, range(61)):
+        assert got == want, (name, n)
+
+
+# one valid directive each of C1, C3 and C4 from the benchmark's pools,
+# which between them reach all ten types, OutOfClass and HorizonExceeded
+POOL_SAMPLE = ("period:\n[12220,2220]\n[1,0001,001]\n[2,01,1]\n",
+               "period:\n[2,102,02]\n[102,002,1002]\n",
+               "preperiod:\n[0,120,20]\nperiod:\n[0,10,2]\n[021,1,21]\n[0,10,20]\n")
+
+
+def test_evolved_shapes_of_directive_languages():
+    texts = [f.read_text() for f in sorted(DIRECTIVES.glob("*.dw")) if f.stem != "not_valid"]
+    seen = set()
+    for text in texts + list(POOL_SAMPLE):
+        oracle = language_horizon(parse_directive(text), 48)
+        for n, got, want, _ in _outcomes(oracle, range(47)):
+            assert got == want, (text, n)
+            seen.add(got[0] if isinstance(got, tuple) else got)
+    assert seen == {*range(1, 11), "OutOfClass", "HorizonExceeded"}
+
+
+@st.composite
+def primitive_substitutions(draw):
+    letters = "012"[:draw(st.sampled_from((2, 3)))]
+    images = {a: draw(st.text(letters, min_size=1, max_size=5)) for a in letters}
+    images["0"] = "0" + draw(st.text(letters, min_size=1, max_size=4))
+    assume(is_primitive(images))
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.integers(12, 30), st.integers(0, 60))
+def test_evolved_shape_matches_a_rebuild(images, horizon, slack):
+    # a prefix of the fixed point, unlike the language, can stop being
+    # bi-extendable (a factor seen only at the start or the end): there the
+    # walkers leave the class, and the evolution refuses where the rebuild
+    # classifies a graph with boundary vertices or runs out of horizon
+    word = "0"
+    while len(word) < horizon + slack:
+        word = "".join(images[c] for c in word)
+    language = FactorOracle.from_substitution(images, horizon)
+    for n, got, want, _ in _outcomes(language, range(horizon)):
+        assert got == want, (images, n)
+    prefix = FactorOracle.from_prefix(word[:horizon + slack], horizon)
+    for n, got, want, last in _outcomes(prefix, range(horizon)):
+        if got != want:
+            assert got == "OutOfClass" and not _bi_extendable(prefix, n, last), (images, n)
+
+
+@pytest.mark.parametrize("prefix, horizon, order, reason", [
+    ("01101001001101001101101", 23, 6, "non-special vertices"),
+    ("001001010000010010100000101000001001001", 14, 5, "'0010010' has 2 extensions"),
+    ("001000010000001000010000100", 25, 10, "'00001000010000100' has 0 extensions"),
+    ("0110000011011011011011000001100", 27, 5, "evolved vertices are not the special factors"),
+    ("000010000100001000010010000010", 17, 6, "do not cover the 13 factors of length 8"),
+    # the rebuild reads type 10 here, through two boundary vertices of order
+    # 11 that break an evolved loop; the evolved graph alone would read 7
+    ("010220012122212201010220212202202122212221220220212221220102200102200121", 23, 10,
+     "do not cover"),
+])
+def test_evolution_refuses_prefix_languages_that_are_not_bi_extendable(prefix, horizon, order,
+                                                                       reason):
+    oracle = FactorOracle.from_prefix(prefix, horizon)
+    graph = build_graph(oracle, order)
+    _, last = _rebuilt(graph, oracle)
+    assert not _bi_extendable(oracle, order, last)
+    with pytest.raises(OutOfClass, match=reason):
+        reduce_and_classify(graph, oracle)

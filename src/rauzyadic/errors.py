@@ -96,3 +96,22 @@ class BrokenPath(RauzyadicError, ValueError):
 class MalformedDirective(RauzyadicError, ValueError):
     """Directive or morphism text that does not parse; names the offending
     line.  A ValueError too, for callers that catch parse errors as such."""
+
+
+class BadAlphabet(RauzyadicError, ValueError):
+    """An alphabet size outside 1..10, or a word with a letter outside its
+    alphabet.  A ValueError too, as were the refusals below, before they had
+    types of their own."""
+
+
+class NegativeLength(RauzyadicError, ValueError):
+    """A factor length below zero."""
+
+
+class NotProlongable(RauzyadicError, ValueError):
+    """A substitution whose image of 0 does not begin with 0, so that it has
+    no one-sided fixed point from 0."""
+
+
+class NotInLanguage(RauzyadicError, ValueError):
+    """A word that is not a factor of the oracle's language."""

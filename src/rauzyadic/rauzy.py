@@ -66,9 +66,11 @@ def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
     """Vertices are the length-n factors, one edge per length-(n+1) factor."""
     if n + 1 > oracle.horizon:
         raise HorizonExceeded(f"graph of order {n} needs horizon {n + 1}")
-    edges = tuple(sorted((Edge(w[:-1], w[0], w[-1], w[1:]) for w in oracle.factors(n + 1)),
+    longer = oracle.factors(n + 1)              # first, so that L_n is sliced from it
+    vertices = frozenset(oracle.factors(n))     # before the edges: a negative n is refused here
+    edges = tuple(sorted((Edge(w[:-1], w[0], w[-1], w[1:]) for w in longer),
                          key=lambda e: e.full_label))
-    return RauzyGraph(n, frozenset(oracle.factors(n)), edges)
+    return RauzyGraph(n, vertices, edges)
 
 
 # -- paths and circuits -----------------------------------------------
@@ -341,7 +343,19 @@ def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, gap: int = 0) -> 
     raise OutOfClass(f"order {n}: {len(rs)} right specials, {len(ls)} left specials")
 
 
-def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
+def _split_specials(g: ReducedRauzyGraph, oracle: FactorOracle) -> tuple[set[Word], set[Word]]:
+    """The right specials and the left specials among g's vertices.  A
+    vertex that is neither (the boundary of a finite prefix, which is not
+    bi-extendable) is OutOfClass."""
+    right = {v for v in g.vertices if oracle.is_right_special(v)}
+    left = {v for v in g.vertices if oracle.is_left_special(v)}
+    if right | left != g.vertices:
+        raise OutOfClass(f"order {g.order}: non-special vertices {sorted(g.vertices - right - left)}")
+    return right, left
+
+
+def _evolve_to_bispecial(g: ReducedRauzyGraph, right: set[Word], left: set[Word],
+                         oracle: FactorOracle) -> ReducedRauzyGraph:
     """The reduced graph of the next bispecial order m above g's order,
     which has no bispecial factor, evolved from g with no graph built at m.
 
@@ -352,14 +366,10 @@ def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedR
     length l - 1 + [source right special] + [target left special], so an
     edge from a left to a right special shrinks to nothing where its ends
     meet in a bispecial; at m those edges are dropped and their ends
-    merge.  A vertex that is not special (the boundary of a finite
-    prefix), a walker with no or several extensions, or evolved vertices
-    other than the specials of order m are OutOfClass."""
+    merge.  ``right`` and ``left`` are g's right and left specials, which
+    cover its vertices.  A walker with no or several extensions, or evolved
+    vertices other than the specials of order m are OutOfClass."""
     n = g.order
-    right = {v for v in g.vertices if oracle.is_right_special(v)}
-    left = {v for v in g.vertices if oracle.is_left_special(v)}
-    if right | left != g.vertices:
-        raise OutOfClass(f"order {n}: non-special vertices {sorted(g.vertices - right - left)}")
     image = {v: v for v in g.vertices}
     m = n
     while True:
@@ -395,16 +405,18 @@ def reduce_and_classify(graph: RauzyGraph,
                         oracle: FactorOracle) -> tuple[ReducedRauzyGraph, GraphShape]:
     """Reduced graph plus its type; at a non-bispecial order the type is the
     one of the next bispecial order, read off the reduced graph evolved
-    there, with the gap recorded."""
+    there, with the gap recorded.  At either kind of order a vertex that is
+    not special is OutOfClass."""
     n = graph.order
     g = reduce_graph(graph, oracle)
     for m in (n, n + 1):
         p = len(oracle.factors(m + 1)) - len(oracle.factors(m))
         if not 1 <= p <= 2:
             raise OutOfClass(f"order {m}: first difference {p} outside [1, 2]")
+    right, left = _split_specials(g, oracle)
     if oracle.bispecials(n):
         return g, classify_shape(g, oracle)
-    gm = _evolve_to_bispecial(g, oracle)
+    gm = _evolve_to_bispecial(g, right, left, oracle)
     return g, replace(classify_shape(gm, oracle, gap=gm.order - n), order=n)
 
 

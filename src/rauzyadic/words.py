@@ -12,8 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import AlphabetMismatch, HorizonExceeded, IdentityViolation, NoStabilization
+from .errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
+                     NegativeLength, NoStabilization, NotInLanguage, NotProlongable)
 
 Word = str
 
@@ -28,7 +30,7 @@ class Alphabet:
 
     def __post_init__(self):
         if not 1 <= self.size <= 10:
-            raise ValueError(f"alphabet size {self.size} out of range 1..10")
+            raise BadAlphabet(f"alphabet size {self.size} out of range 1..10")
 
     @property
     def letters(self) -> str:
@@ -37,8 +39,21 @@ class Alphabet:
     def check(self, w: Word) -> Word:
         for c in w:
             if c not in self.letters:
-                raise ValueError(f"letter {c!r} not in alphabet of size {self.size}")
+                raise BadAlphabet(f"letter {c!r} not in alphabet of size {self.size}")
         return w
+
+
+def _common_prefix_length(u: Word, v: Word, cap: int) -> int:
+    """The length of the longest common prefix of u and v, or cap if that
+    is longer; bisection on slices."""
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[:mid] == v[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def factors_of(w: Word, n: int) -> frozenset[Word]:
@@ -85,7 +100,7 @@ class FactorOracle:
 
     def factors(self, n: int) -> frozenset[Word]:
         if n < 0:
-            raise ValueError("negative factor length")
+            raise NegativeLength(f"negative factor length {n}")
         if n > self.horizon:
             raise HorizonExceeded(f"factors({n}) beyond horizon {self.horizon} ({self.source})")
         try:
@@ -104,10 +119,7 @@ class FactorOracle:
             return w in self.factors(n)
         # w is a prefix of a longer given word iff it is a prefix of the
         # first one not below it in sorted order
-        m = self._given[i]
-        if m not in self._sorted:
-            self._sorted[m] = sorted(self._factors[m])
-        top = self._sorted[m]
+        top = self._sorted_given(self._given[i])
         j = bisect_left(top, w)
         return j < len(top) and top[j].startswith(w)
 
@@ -154,10 +166,41 @@ class FactorOracle:
     def bispecials(self, n: int) -> list[Word]:
         return self._specials_in_factors(n, 2)
 
+    def _sorted_given(self, m: int) -> list[Word]:
+        if m not in self._sorted:
+            self._sorted[m] = sorted(self._factors[m])
+        return self._sorted[m]
+
+    def _top_length(self, n: int) -> int | None:
+        """M, when every L_k with 0 <= k <= n is the k-prefixes of the given
+        set L_M: no length below M is given, and n <= M."""
+        return self._given[0] if self._given and 0 <= n <= self._given[0] else None
+
+    def counts(self, N: int) -> tuple[int, ...]:
+        """p(0..N), the sizes of L_0..L_N.
+
+        When every L_n is the n-prefixes of one given set L_M, they are
+        counted in one pass over L_M sorted, with no L_n built: the words
+        that share an n-prefix are adjacent there, so with h[k] adjacent
+        pairs whose longest common prefix has length k, p(n) = 1 +
+        sum_{k<n} h[k] (and p = 0 if L_M is empty).  Otherwise the sets are
+        read longest first, so that each derived one is sliced from the next."""
+        if N > self.horizon:
+            raise HorizonExceeded(f"factors({N}) beyond horizon {self.horizon} ({self.source})")
+        m = self._top_length(N)
+        if m is None:
+            return tuple(len(self.factors(n)) for n in range(N, -1, -1))[::-1]
+        top = self._sorted_given(m)
+        if not top:
+            return (0,) * (N + 1)
+        h = [0] * (N + 1)
+        for u, v in zip(top, top[1:]):
+            h[_common_prefix_length(u, v, N)] += 1
+        return tuple(accumulate(h[:N], initial=1))
+
     def is_aperiodic(self, upto: int) -> bool:
-        """p(n) >= n+1 for n <= upto, equivalently a right special of each length.
-        Read longest first, so each shorter set is sliced from the next one."""
-        return all(len(self.factors(n)) >= n + 1 for n in range(upto, -1, -1))
+        """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
+        return all(p >= n + 1 for n, p in enumerate(self.counts(upto)))
 
     # -- constructors ------------------------------------------------
 
@@ -188,7 +231,7 @@ class FactorOracle:
         and raises NoStabilization unless the substitution is primitive.
         """
         if not images["0"].startswith("0"):
-            raise ValueError("substitution not prolongable at seed '0'")
+            raise NotProlongable("substitution not prolongable at seed '0'")
         size = max(int(c) for w in images.values() for c in w) + 1
         sets, cert = substitutive_language(images, horizon)
         return cls(Alphabet(size), sets, horizon, source or f"substitution fixed point {images}",
@@ -348,14 +391,26 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
     When L_n is both the prefix set and the suffix set of L_{n+1} for every
     n < N, the identities hold by construction: each first-difference count
     is p(n+1) - p(n) = s(n), and every word of L_{n+2} is a bi-extension of
-    its middle, so sum m(u) = p(n+2) - 2p(n+1) + p(n) = s(n+1) - s(n).  Only
-    an oracle that fails this closure test pays for the full count."""
+    its middle, so sum m(u) = p(n+2) - 2p(n+1) + p(n) = s(n+1) - s(n).
+
+    The counts are ``oracle.counts(N)``.  When every L_n, n <= N, is the
+    n-prefixes of one given set L_M, one comparison certifies that closure:
+    if P = {w[:-1]} equals S = {w[1:]} over L_M, then L_n, the n-prefixes of
+    L_M, is the prefix set of L_{n+1} and, as the n-prefixes of S = P, its
+    suffix set too, for every n < M.  Otherwise, or if P != S, each L_n is
+    built and the closure tested per length; only an oracle that fails that
+    test pays for the full count."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
+    p = oracle.counts(N)
+    s = tuple(p[n + 1] - p[n] for n in range(N))
+    m = oracle._top_length(N)
+    if m is not None:
+        top = oracle._factors[m]
+        if {w[:-1] for w in top} == {w[1:] for w in top}:
+            return ComplexityProfile(p, s)
     # longest first, so that each derived L_m is sliced from L_{m+1}
     L = [oracle.factors(n) for n in range(N, -1, -1)][::-1]
-    p = tuple(map(len, L))
-    s = tuple(p[n + 1] - p[n] for n in range(N))
     if all(L[n] == {w[:-1] for w in L[n + 1]} == {w[1:] for w in L[n + 1]} for n in range(N)):
         return ComplexityProfile(p, s)
     degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)
@@ -383,7 +438,7 @@ def return_words(oracle: FactorOracle, u: Word, max_length: int | None = None) -
     as ``partial``.
     """
     if not oracle.contains(u):
-        raise ValueError(f"{u!r} not in the language")
+        raise NotInLanguage(f"{u!r} not in the language")
     room = oracle.horizon - len(u)
     capped = max_length is not None and max_length <= room
     limit = min(room, max_length) if max_length is not None else room

@@ -220,3 +220,9 @@ def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "rauzyadic.cli", "--help"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and "subcommand" in out.stdout.lower() or "usage" in out.stdout.lower()
+
+
+@pytest.mark.parametrize("cmd", [["graph"], ["circuits", "--vertex", "0"]])
+def test_negative_order_is_a_typed_refusal(capsys, cmd):
+    code, out, err = run([*cmd, "--source", "fibonacci", "--order", "-1"], capsys)
+    assert code == 3 and out == "" and err == "error: NegativeLength: negative factor length -1\n"

@@ -362,3 +362,15 @@ def test_evolution_refuses_prefix_languages_that_are_not_bi_extendable(prefix, h
     assert not _bi_extendable(oracle, order, last)
     with pytest.raises(OutOfClass, match=reason):
         reduce_and_classify(graph, oracle)
+
+
+def test_bispecial_order_refuses_a_non_special_vertex():
+    # '212', the prefix's last factor of length 3, has one edge in and none
+    # out, so it is neither right nor left special; the order has a
+    # bispecial, and a gap order refuses such a vertex the same way
+    oracle = FactorOracle.from_prefix("0110121012101101212", 13)
+    graph = build_graph(oracle, 3)
+    assert oracle.bispecials(3) and "212" in reduce_graph(graph, oracle).vertices
+    assert not _bi_extendable(oracle, 3, 3)
+    with pytest.raises(OutOfClass, match=r"order 3: non-special vertices \['212'\]"):
+        reduce_and_classify(graph, oracle)

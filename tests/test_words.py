@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rauzyadic.errors import HorizonExceeded, IdentityViolation, NoStabilization
+from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, NegativeLength,
+                              NoStabilization, NotInLanguage, NotProlongable, RauzyadicError)
+from rauzyadic.sadic import language_horizon, parse_directive
 from rauzyadic.words import (
     LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
     eventual_support, extension_profile, factors_of, factors_text, is_primitive, named_oracle,
@@ -140,6 +144,24 @@ def test_extension_profile_horizon_refusal(fib):
 def test_substitution_requires_prolongable_seed():
     with pytest.raises(ValueError):
         FactorOracle.from_substitution({"0": "10", "1": "0"}, horizon=6)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda fib: Alphabet(0), BadAlphabet, "alphabet size 0 out of range"),
+    (lambda fib: Alphabet(11), BadAlphabet, "alphabet size 11 out of range"),
+    (lambda fib: Alphabet(2).check("0120"), BadAlphabet, "letter '2' not in alphabet of size 2"),
+    (lambda fib: FactorOracle.from_prefix("0120", 2, alphabet=Alphabet(2)), BadAlphabet,
+     "letter '2'"),
+    (lambda fib: fib.factors(-1), NegativeLength, "negative factor length -1"),
+    (lambda fib: FactorOracle.from_substitution({"0": "10", "1": "0"}, 6), NotProlongable,
+     "not prolongable at seed '0'"),
+    (lambda fib: return_words(fib, "11"), NotInLanguage, "'11' not in the language"),
+])
+def test_word_refusals_are_typed(fib, call, error, text):
+    with pytest.raises(error, match=text) as exc:
+        call(fib)
+    # still a ValueError for callers that caught it as one
+    assert isinstance(exc.value, RauzyadicError) and isinstance(exc.value, ValueError)
 
 
 def _apply(tau, w):
@@ -336,6 +358,101 @@ def _outcome(profile, oracle, N):
 def test_complexity_profile_matches_per_factor_sums(drawn):
     oracle, N = drawn
     assert _outcome(complexity_profile, oracle, N) == _outcome(_profile_per_factor, oracle, N)
+
+
+def _counted_three_ways(make, N):
+    """complexity_profile's outcome on a fresh oracle, after checking that
+    _profile_per_factor gives the same on another, and that a third, whose
+    every L_n is built, has the same counts, and is_aperiodic with them."""
+    got = _outcome(complexity_profile, make(), N)
+    assert _outcome(_profile_per_factor, make(), N) == got
+    fresh = make()
+    p = tuple(len(fresh.factors(n)) for n in range(N + 1))
+    if isinstance(got, ComplexityProfile):
+        assert got.p == p
+    assert make().is_aperiodic(N) == all(pn >= n + 1 for n, pn in enumerate(p))
+    return got
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 7, 40, 150])
+@pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
+def test_profile_of_a_named_source_matches_the_counts(name, horizon):
+    for N in sorted({0, horizon // 2, horizon}):
+        got = _counted_three_ways(lambda: named_oracle(name, horizon), N)
+        assert isinstance(got, ComplexityProfile)
+
+
+DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
+
+
+@pytest.mark.parametrize("path", [f for f in sorted(DIRECTIVES.glob("*.dw"))
+                                  if f.stem != "not_valid"], ids=lambda f: f.stem)
+def test_profile_of_a_directive_language_matches_the_counts(path):
+    dw = parse_directive(path.read_text())
+    got = _counted_three_ways(lambda: language_horizon(dw, 100), 100)
+    assert isinstance(got, ComplexityProfile)
+
+
+def _top_differs(oracle):
+    top = oracle.factors(oracle.horizon)
+    return {w[:-1] for w in top} != {w[1:] for w in top}
+
+
+@st.composite
+def kernel_oracles(draw):
+    """A maker of fresh oracles for the kernel language of a random
+    primitive substitution on two or three letters, lifted or not, and an
+    N up to its horizon."""
+    tau = draw(substitutions(min_letters=2).filter(is_primitive))
+    lift = draw(st.none() | st.fixed_dictionaries(
+        {a: st.text(alphabet=LETTERS[:3], min_size=1, max_size=3) for a in tau}))
+    n = draw(st.integers(0, 30))
+    sets = substitutive_language(tau, n, lift)[0]
+    alphabet = Alphabet(len(tau) if lift is None else 3)
+    return (lambda: FactorOracle(alphabet, sets, n, "kernel")), draw(st.integers(0, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_oracles())
+def test_profile_of_a_kernel_language_matches_the_counts(drawn):
+    make, N = drawn
+    # a language is bi-extendable, so its top set certifies the closure
+    assert not _top_differs(make())
+    assert isinstance(_counted_three_ways(make, N), ComplexityProfile)
+
+
+# single given sets of finite words whose top prefix and suffix sets
+# differ: the per-length test then fails just below the top, passes below
+# N < M, or fails further down
+@pytest.mark.parametrize("word, m, N", [("1000", 2, 2), ("0001", 3, 1), ("0001", 3, 3),
+                                        ("01101", 4, 4), ("0010", 3, 2)])
+def test_profile_of_a_finite_top_set_falls_through(word, m, N):
+    def make():
+        return FactorOracle(Alphabet(2), {m: factors_of(word, m)}, m, "finite top set")
+    assert _top_differs(make())
+    _counted_three_ways(make, N)
+
+
+def test_profile_of_an_empty_top_set():
+    def make():
+        return FactorOracle(Alphabet(2), {3: frozenset()}, 3, "empty top set")
+    for N in range(4):
+        assert _counted_three_ways(make, N) == ComplexityProfile((0,) * (N + 1), (0,) * N)
+
+
+def test_aperiodicity_fails_at_the_first_short_count():
+    # (01)^inf has p = 1, 2, 2, ...: p(n) >= n + 1 first fails at n = 2, read
+    # from every given set or counted on the one top set
+    word = "01" * 10
+    for oracle in (FactorOracle.from_prefix(word, 6),
+                   FactorOracle(Alphabet(2), {6: factors_of(word, 6)}, 6, "top set")):
+        assert oracle.is_aperiodic(1) and not oracle.is_aperiodic(2)
+
+
+def test_profile_of_a_language_builds_no_shorter_set():
+    oracle = named_oracle("tribonacci", 40)
+    assert complexity_profile(oracle, 40).p[-1] == 81 and oracle.is_aperiodic(40)
+    assert set(oracle._factors) == {40}
 
 
 def _special_by_probe(oracle, u):

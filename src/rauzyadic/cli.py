@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from . import cli_impl
-from .errors import RauzyadicError, UnreadableInput, UnwritableOutput
+from .errors import NotInLanguage, RauzyadicError, UnreadableInput, UnwritableOutput
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import decompose, generator_word_string
-from .rauzy import build_graph, circuits_from, reduce_and_classify, to_dot
+from .rauzy import build_graph, circuits_from, reduce_and_classify, reduced_graph, to_dot
 from .sadic import (DirectiveWord, generate_one_sided, language_horizon,
                     parse_directive, parse_morphism_spec)
 from .validator import cross_validate, validate_directive
@@ -161,13 +161,22 @@ def _run(args) -> int:
 
     if args.cmd == "circuits":
         oracle = _oracle(args)
-        g = build_graph(oracle, args.order)
-        for c in circuits_from(g, args.vertex, oracle):
-            print(f"{c.right_label}  length={len(c)} allowed={c.allowed}")
+        if args.vertex not in oracle.factors(args.order):
+            raise NotInLanguage(f"--vertex {args.vertex!r} is not a factor of length "
+                                f"--order {args.order}")
+        # a vertex that is not right special has no circuits, even in a
+        # periodic language, which has no reduced graph
+        if oracle.is_right_special(args.vertex):
+            g = reduced_graph(oracle, args.order)
+            for c in circuits_from(g, args.vertex, oracle):
+                print(f"{c.right_label}  length={len(c)} allowed={c.allowed}")
         return 0
 
     if args.cmd == "extract":
         oracle = _oracle(args)
+        if args.upto < 0:
+            raise RauzyadicError(f"extract needs --upto >= 0, "
+                                 f"got --upto {args.upto} at horizon {oracle.horizon}")
         rep = extract_directive(oracle, args.upto)
         sys.stdout.write(rep.serialize())
         return 0

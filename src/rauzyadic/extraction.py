@@ -8,6 +8,13 @@ tables.  The refined-graph path is read off the shapes, whose stable
 types name its vertices: each run of steps up to the next
 non-pass-through shape is one edge to that shape's vertex, and no letters
 are renamed.
+
+Extraction builds no order-n Rauzy graph.  The chain and the bispecial
+orders come from the oracle's special tables, one sorted pass for every
+order; at each bispecial order the reduced graph is read off the language
+(``rauzy.reduced_graph``), its circuits are enumerated over reduced
+edges, and the type rules read only each circuit's special vertices and
+reduced-edge labels.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import NoSchemaMatch, RuleViolation
 from .morphism import Morphism, bracket, compose_all, identity
-from .rauzy import (Circuit, GraphShape, RauzyGraph, build_graph, circuits_from,
-                    classify_shape, reduce_graph, right_special_chain)
+from .rauzy import (Circuit, GraphShape, ReducedRauzyGraph, circuits_from, classify_shape,
+                    reduced_graph, right_special_chain)
 from .schemas import (GPRIME_EDGES, GPRIME_ROW_BY_ID, EvolutionRow, Step, edge_step,
                       evolution_rows, match_rows, unique_row_match)
 from .words import FactorOracle, Word
@@ -25,7 +32,7 @@ from .words import FactorOracle, Word
 
 def bispecial_orders(oracle: FactorOracle, N: int) -> list[int]:
     """Orders n <= N carrying at least one bispecial factor."""
-    return [n for n in range(N + 1) if oracle.bispecials(n)]
+    return [n for n, (_, _, bi) in enumerate(oracle.special_tables(N)) if bi]
 
 
 # -- theta assignment ---------------------------------------------------
@@ -48,34 +55,23 @@ class ThetaAssignment:
         return len(self.circuits)
 
 
-def _chunks(circ: Circuit, specials: frozenset[Word]) -> tuple[Word, ...]:
-    """Right-label pieces of a circuit between consecutive special vertices."""
-    out, cur = [], []
-    for e in circ.path.edges:
-        cur.append(e.right)
-        if e.dst in specials:
-            out.append("".join(cur))
-            cur = []
-    if cur:
-        out.append("".join(cur))
-    return tuple(out)
-
-
 def _loop_count(circ: Circuit, v: Word) -> int:
-    return max(0, circ.path.visits(v) - (2 if circ.start == v else 1))
+    return max(0, circ.visits(v) - (2 if circ.start == v else 1))
 
 
-def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, ...],
+def assign_theta(graph: ReducedRauzyGraph, shape: GraphShape, circuits: tuple[Circuit, ...],
                  oracle: FactorOracle, chain_vertex: Word) -> ThetaAssignment:
     """Letter-to-circuit bijection per the type rules; lexicographic
-    tie-breaks where the rules leave freedom, logged in the notes."""
+    tie-breaks where the rules leave freedom, logged in the notes.
+
+    Every test concerns special vertices, the vertices of the reduced
+    graph, so each circuit is read as the special vertices it passes and
+    its reduced-edge labels, the pieces of its right label between them."""
     t = shape.type_id
     circuits = tuple(sorted(circuits, key=lambda c: c.right_label))
     notes: list[str] = []
     u = chain_vertex
-    specials = frozenset(v for v in graph.vertices
-                         if oracle.is_right_special(v) or oracle.is_left_special(v))
-    others = sorted(set(v for v in specials if oracle.is_right_special(v)) - {u})
+    others = sorted(v for v in graph.vertices if oracle.is_right_special(v) and v != u)
 
     if t == 1:
         if len(circuits) != 2:
@@ -90,7 +86,7 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
         ordered = tuple(by_first[str(i)] for i in range(3))
         return ThetaAssignment(shape.order, ordered, tuple(notes))
 
-    if t in (4, 9) and u not in oracle.bispecials(shape.order):
+    if t in (4, 9) and not oracle.is_bispecial(u):
         # chain vertex is R: two segments toward B, loops counted at B
         b = next(v for v in others if oracle.is_bispecial(v))
         by_seg: dict[str, list[Circuit]] = {}
@@ -126,8 +122,8 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
     if t in (4, 9):
         # chain vertex is B: letter 0 avoids the other right special vertex
         r = others[0]
-        avoid = [c for c in circuits if not c.path.visits(r)]
-        through = [c for c in circuits if c.path.visits(r)]
+        avoid = [c for c in circuits if not c.visits(r)]
+        through = [c for c in circuits if c.visits(r)]
         if len(avoid) != 1 or len(through) != 2:
             raise RuleViolation(f"type {t} at {shape.order}: no unique avoiding circuit")
         notes.append("through-circuit letters by lexicographic right label")
@@ -138,10 +134,9 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
         # vertex and the chunk leaving the other right special vertex
         other_rs = others[0]
         def coords(c):
-            tr = _chunks(c, specials)
-            stops = [v for v in c.path.vertices[1:] if v in specials]
+            stops = c.stops[1:]
             at_other = stops.index(other_rs) + 1 if other_rs in stops else 1
-            return (tr[0], tr[at_other])
+            return (c.edges[0].right_label, c.edges[at_other].right_label)
         traces = {c: coords(c) for c in circuits}
         firsts = sorted({tr[0] for tr in traces.values()})
         seconds = sorted({tr[1] for tr in traces.values()})
@@ -171,8 +166,8 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
         b = others[0] if others else None
         if b is None:
             raise RuleViolation(f"type {t} at {shape.order}: missing second special")
-        avoid = [c for c in circuits if not c.path.visits(b)]
-        through = sorted((c for c in circuits if c.path.visits(b)),
+        avoid = [c for c in circuits if not c.visits(b)]
+        through = sorted((c for c in circuits if c.visits(b)),
                          key=lambda c: -_loop_count(c, b))
         if len(avoid) != 1 or not 1 <= len(through) <= 2:
             raise RuleViolation(f"type {t} at {shape.order}: circuit structure")
@@ -180,12 +175,12 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
             raise RuleViolation(f"type {t} at {shape.order}: loop counts not k, k-1")
         return ThetaAssignment(shape.order, (avoid[0], *through), tuple(notes))
 
-    if t == 10 and u not in oracle.bispecials(shape.order):
+    if t == 10 and not oracle.is_bispecial(u):
         b = next(v for v in others if oracle.is_bispecial(v))
         left_specials = {v for v in graph.vertices
                          if oracle.is_left_special(v) and not oracle.is_right_special(v)}
         def seg_through_left(c):
-            for v in c.path.vertices[1:]:
+            for v in c.stops[1:]:
                 if v == b:
                     return False
                 if v in left_specials:
@@ -211,14 +206,14 @@ def assign_theta(graph: RauzyGraph, shape: GraphShape, circuits: tuple[Circuit, 
 
     if t == 10:
         loop = [c for c in circuits if not any(oracle.is_right_special(v)
-                                               for v in c.path.vertices[1:-1])]
+                                               for v in c.stops[1:-1])]
         through = [c for c in circuits if c not in loop]
         r = others[0]
         left_specials = {v for v in graph.vertices
                          if oracle.is_left_special(v) and not oracle.is_right_special(v)}
         def visits_left_after_r(c):
             seen_r = False
-            for v in c.path.vertices[1:-1]:
+            for v in c.stops[1:-1]:
                 if v == r:
                     seen_r = True
                 elif seen_r and v in left_specials:
@@ -345,19 +340,15 @@ def extract_directive(oracle: FactorOracle, N: int) -> ExtractionReport:
 
     data = []
     for n in orders:
-        graph = build_graph(oracle, n)
-        g = reduce_graph(graph, oracle)
+        g = reduced_graph(oracle, n)
         shape = classify_shape(g, oracle)
-        circs = circuits_from(graph, chain[n], oracle)
-        theta = assign_theta(graph, shape, circs, oracle, chain[n])
-        role = "B" if chain[n] in oracle.bispecials(n) else "R"
+        circs = circuits_from(g, chain[n], oracle)
+        theta = assign_theta(g, shape, circs, oracle, chain[n])
+        role = "B" if oracle.is_bispecial(chain[n]) else "R"
         top = None
         if shape.type_id == 3:
-            specials = frozenset(v for v in graph.vertices
-                                 if oracle.is_right_special(v) or oracle.is_left_special(v))
-            loop = next(i for i, c in enumerate(theta.circuits)
-                        if len(_chunks(c, specials)) == 1)
-            top = loop
+            # the loop at the chain vertex is its one single-edge circuit
+            top = next(i for i, c in enumerate(theta.circuits) if len(c.edges) == 1)
         data.append((n, shape, theta, role, top))
         log.extend(f"order {n}: {note}" for note in theta.notes)
 

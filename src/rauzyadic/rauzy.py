@@ -2,14 +2,19 @@
 
 The order-n graph has the length-n factors as vertices and one edge per
 length-(n+1) factor; the reduced graph condenses non-special interior
-vertices.  Shape classification covers the ten types a minimal subshift
-with 1 <= p(n+1)-p(n) <= 2 can exhibit at a bispecial order.
+vertices.  ``reduced_graph`` reads the reduced graph straight off the
+language, walking from each special factor by forced letters, so no
+order-n graph is built; ``build_graph`` and ``reduce_graph`` build and
+condense the whole graph.  Circuits are enumerated over reduced edges.
+Shape classification covers the ten types a minimal subshift with
+1 <= p(n+1)-p(n) <= 2 can exhibit at a bispecial order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (BrokenPath, ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
@@ -32,6 +37,11 @@ class Edge:
     @property
     def full_label(self) -> Word:
         return self.src + self.right
+
+
+def _edge(w: Word) -> Edge:
+    """The edge whose full label is the factor w."""
+    return Edge(w[:-1], w[0], w[-1], w[1:])
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,7 @@ def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
         raise HorizonExceeded(f"graph of order {n} needs horizon {n + 1}")
     longer = oracle.factors(n + 1)              # first, so that L_n is sliced from it
     vertices = frozenset(oracle.factors(n))     # before the edges: a negative n is refused here
-    edges = tuple(sorted((Edge(w[:-1], w[0], w[-1], w[1:]) for w in longer),
-                         key=lambda e: e.full_label))
+    edges = tuple(sorted(map(_edge, longer), key=lambda e: e.full_label))
     return RauzyGraph(n, vertices, edges)
 
 
@@ -137,56 +146,126 @@ def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
 
 
 @dataclass(frozen=True)
-class Circuit:
-    """Path from a right special vertex back to itself with no interior
-    visit of the start; allowed iff its full label is in the language."""
+class ReducedEdge:
+    """A maximal path of the order-n graph whose interior vertices are not
+    special, kept as its ends and its full label."""
 
-    path: Path
-    allowed: bool
+    src: Word
+    dst: Word
+    full_label: Word
 
     @property
-    def start(self) -> Word:
-        return self.path.start
+    def length(self) -> int:
+        return len(self.full_label) - len(self.src)
 
     @property
     def right_label(self) -> Word:
-        return self.path.right_label
+        return self.full_label[len(self.src):]
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Path from a right special vertex back to itself with no interior
+    visit of the start, kept as its reduced edges; allowed iff its full
+    label is in the language."""
+
+    start: Word
+    edges: tuple[ReducedEdge, ...]
+    allowed: bool = True
+
+    @cached_property
+    def right_label(self) -> Word:
+        return "".join(e.right_label for e in self.edges)
 
     @property
     def full_label(self) -> Word:
-        return self.path.full_label
+        return self.start + self.right_label
+
+    @property
+    def stops(self) -> tuple[Word, ...]:
+        """The special vertices it passes, the start at both ends."""
+        return (self.start,) + tuple(e.dst for e in self.edges)
+
+    def visits(self, v: Word) -> int:
+        """How often it passes the reduced-graph vertex v."""
+        return self.stops.count(v)
+
+    @property
+    def path(self) -> Path:
+        """The same circuit as a path of order-n edges, one per letter."""
+        n, label = len(self.start), self.full_label
+        return Path(n, self.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(self))))
 
     def __len__(self):
-        return len(self.path)
+        return sum(e.length for e in self.edges)
 
 
-def circuits_from(graph: RauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
-    """All allowed circuits from v, by depth-first search with
-    allowed-prefix pruning, within CIRCUIT_BUDGET expansions.  Sorted by
-    right label."""
+def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
+    """All allowed circuits from v, by depth-first search over the reduced
+    edges with allowed-prefix pruning, within CIRCUIT_BUDGET expansions.
+    Sorted by right label.
+
+    The language is factorial, so one ``contains`` on a partial circuit's
+    full label decides all its prefixes: a reduced edge needs one test,
+    and the letter-by-letter search prunes the same circuits.  Its
+    conditions are kept exactly: each letter of a reduced edge is one
+    expansion, up to the letter where that search stops, and
+    HorizonExceeded is raised when it reaches a letter past the horizon
+    with every prefix in the language."""
     if not oracle.is_right_special(v):
         return ()
+    horizon = oracle.horizon
     out: list[Circuit] = []
     expansions = 0
-    # a partial circuit is its end vertex, its edges and its full label; a
-    # Path is built only for the circuits returned
-    stack: list[tuple[Word, tuple[Edge, ...], Word]] = [(v, (), v)]
+
+    def expand(k: int) -> None:
+        nonlocal expansions
+        expansions += k
+        if expansions > CIRCUIT_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
+
+    def grew_past_horizon() -> HorizonExceeded:
+        return HorizonExceeded(f"circuit from {v!r} grew past horizon {horizon}")
+
+    # the letter-by-letter search tries the first letter of every edge out
+    # of a special vertex, then follows one edge to its end before the next;
+    # an entry is a partial circuit, its full label and the edge to follow
+    stack: list[tuple[tuple[ReducedEdge, ...], Word, ReducedEdge]] = []
+
+    def leave(edges: tuple[ReducedEdge, ...], label: Word, end: Word) -> None:
+        outs = graph.out_edges(end)
+        if outs:
+            expand(1)
+            if len(label) + 1 > horizon:
+                raise grew_past_horizon()
+            expand(len(outs) - 1)
+        stack.extend((edges, label, e) for e in outs)
+
+    leave((), v, v)
     while stack:
-        end, edges, label = stack.pop()
-        for e in graph.out_edges(end):
-            expansions += 1
-            if expansions > CIRCUIT_BUDGET:
-                raise EnumerationBudgetExceeded(
-                    f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
-            lbl = label + e.right
-            if len(lbl) > oracle.horizon:
-                raise HorizonExceeded(f"circuit from {v!r} grew past horizon {oracle.horizon}")
-            if not oracle.contains(lbl):
-                continue
-            if e.dst == v:
-                out.append(Circuit(Path(graph.order, v, edges + (e,)), True))
-            else:
-                stack.append((e.dst, edges + (e,), lbl))
+        edges, label, e = stack.pop()
+        right = e.right_label
+        room = min(len(right), horizon - len(label))     # letters within the horizon
+        if not oracle.contains(label + right[:room]):
+            # the search stops at the first letter whose prefix is not a factor
+            lo, hi = 0, room     # a prefix of lo letters is one, of hi letters is not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if oracle.contains(label + right[:mid]):
+                    lo = mid
+                else:
+                    hi = mid
+            expand(hi - 1)       # the first letter is counted by leave
+            continue
+        if room < len(right):
+            expand(room)         # up to the first letter past the horizon
+            raise grew_past_horizon()
+        expand(room - 1)
+        if e.dst == v:
+            out.append(Circuit(v, edges + (e,)))
+        else:
+            leave(edges + (e,), label + right, e.dst)
     return tuple(sorted(out, key=lambda c: c.right_label))
 
 
@@ -199,25 +278,6 @@ def psi_project(p: Path, lower: RauzyGraph) -> Path:
 
 
 # -- reduced graphs and shapes ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedEdge:
-    src: Word
-    dst: Word
-    path: Path
-
-    @property
-    def length(self) -> int:
-        return len(self.path)
-
-    @property
-    def right_label(self) -> Word:
-        return self.path.right_label
-
-    @property
-    def full_label(self) -> Word:
-        return self.path.full_label
 
 
 class EvolvedEdge(NamedTuple):
@@ -267,10 +327,48 @@ def reduce_graph(graph: RauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
                 if len(nxt) != 1:
                     raise OutOfClass("non-special vertex with out-degree != 1")
                 chain.append(nxt[0])
-            p = Path(graph.order, u, tuple(chain))
-            edges.append(ReducedEdge(u, p.end, p))
+            edges.append(ReducedEdge(u, chain[-1].dst, u + "".join(e.right for e in chain)))
     edges.sort(key=lambda e: (e.src, e.full_label))
     return ReducedRauzyGraph(graph.order, keep, tuple(edges))
+
+
+def reduced_graph(oracle: FactorOracle, n: int) -> ReducedRauzyGraph:
+    """The reduced graph of order n read off the language, with no order-n
+    graph built: the same vertices and edges as ``reduce_graph(build_graph(
+    oracle, n), oracle)`` for a factorial, bi-extendable language.
+
+    The vertices are the right and left special factors of length n.  Each
+    reduced edge leaves a special u by one of its right extension letters
+    and walks on by forced letters until the last n letters are special
+    again: a non-special factor has exactly one right extension, so the
+    edge's full label is a factor, and ``FactorOracle.continuation`` gives
+    many of those letters at once.  The edges must cover the p(n+1) factors
+    of length n+1, one letter each; a language where they do not, or where
+    a walk stops on a factor with no right extension, is not bi-extendable
+    at order n and is OutOfClass."""
+    if n + 1 > oracle.horizon:
+        raise HorizonExceeded(f"graph of order {n} needs horizon {n + 1}")
+    keep = frozenset(oracle.right_specials(n)) | frozenset(oracle.left_specials(n))
+    if not keep:
+        raise OutOfClass(f"order {n}: no special vertex (periodic language)")
+    size = oracle.count(n + 1)
+    edges = []
+    for u in sorted(keep):
+        for a in sorted(oracle.right_extensions(u)):
+            label, run, j = u + a, "", 0
+            while label[len(label) - n:] not in keep:
+                if j == len(run):
+                    run, j = oracle.continuation(label[len(label) - n:]), 0
+                    if not run or len(label) - n > size:
+                        raise OutOfClass(f"order {n}: the walk from {u!r} by {a!r} meets "
+                                         "no special factor")
+                label += run[j]
+                j += 1
+            edges.append(ReducedEdge(u, label[len(label) - n:], label))
+    if (covered := sum(e.length for e in edges)) != size:
+        raise OutOfClass(f"order {n}: the reduced edges cover {covered} of the {size} "
+                         f"factors of length {n + 1}")
+    return ReducedRauzyGraph(n, keep, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -432,8 +530,7 @@ def right_special_chain(oracle: FactorOracle, N: int) -> list[Word]:
     """
     if N + 1 > oracle.horizon:
         raise HorizonExceeded(f"chain to {N} needs horizon {N + 1}")
-    # longest first, so that each derived factor set is sliced from the next
-    levels = [oracle.right_specials(n) for n in range(N, -1, -1)][::-1]
+    levels = [right for right, _, _ in oracle.special_tables(N)]
     depth: dict[Word, int] = {}
     for n in range(N, -1, -1):
         for u in levels[n]:
@@ -484,8 +581,8 @@ def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> L
             sides[i] = (cyc[1].length, cyc[0].length)
         else:
             raise OutOfClass(f"order {order}: own cycle through {len(cyc)} condensed edges")
-    circs = circuits_from(graph, r1, oracle)
-    K = max((c.path.visits(r2) - 1 for c in circs if c.path.visits(r2)), default=0)
+    circs = circuits_from(g, r1, oracle)
+    K = max((c.visits(r2) - 1 for c in circs if c.visits(r2)), default=0)
     return LoopMeasurement(u1=sides[1][0], u2=sides[2][0], v1=sides[1][1], v2=sides[2][1], K=K)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
                      NegativeLength, NoStabilization, NotInLanguage, NotProlongable)
@@ -78,8 +77,18 @@ class FactorOracle:
     pass every length.  Every derived L_n is the length-n prefixes of the
     nearest longer *given* set, so ``contains`` and the extension queries
     on a length not yet stored are a prefix search in that set, sorted
-    once, and build no set.  Special factors of length n come from one
-    count of the extension letters over L_{n+1}, memoized per length.
+    once, and build no set.
+
+    Special factors of length n come from one count of the extension
+    letters over L_{n+1}, memoized per length.  ``special_tables(N)`` gives
+    those of every order n <= N; when every L_n, n <= N + 1, is the
+    n-prefixes of one given set L_M over the alphabet (the oracles of
+    :func:`substitutive_language`, ``language_horizon`` and
+    :func:`named_oracle`), it reads them all from one pass over L_M sorted
+    instead: an adjacent pair whose longest common prefix has length k
+    makes that prefix right special, and in L_M sorted on ``w[1:]`` an
+    adjacent pair with different first letters makes every prefix of their
+    common key, up to its length, left special.
     """
 
     def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
@@ -88,7 +97,9 @@ class FactorOracle:
         self._factors = dict(factor_sets)
         self._given = sorted(factor_sets)
         self._sorted: dict[int, list[Word]] = {}
+        self._lcps: dict[int, tuple[list[int], list[int]]] = {}
         self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
+        self._special_lists: dict[int, tuple[list[Word], ...]] = {}
         self.horizon = horizon
         self.source = source
         self.certificate = certificate
@@ -143,10 +154,48 @@ class FactorOracle:
             self._specials[n] = (rs, ls, rs & ls)
         return self._specials[n]
 
+    def special_tables(self, N: int) -> list[tuple[list[Word], list[Word], list[Word]]]:
+        """The right, left and bispecial factors of every order n <= N,
+        sorted; from one pass over the sorted top set where it applies (see
+        the class docstring), otherwise counted per order, longest first."""
+        m = self._top_length(N + 1)
+        if (m is not None and any(n not in self._specials for n in range(N + 1))
+                and set("".join(self._factors[m])) <= set(self.alphabet.letters)):
+            self._specials.update(self._special_pass(m, N))
+        return [tuple(self._specials_in_factors(n, side) for side in range(3))
+                for n in range(N, -1, -1)][::-1]
+
+    def _special_pass(self, m: int, n: int) -> dict[int, tuple[frozenset[Word], ...]]:
+        """The special tables of every order k <= n, read off the given set
+        L_M (n < M) sorted, and sorted on ``w[1:]``; see the class docstring."""
+        right: list[set[Word]] = [set() for _ in range(n + 1)]
+        left: list[set[Word]] = [set() for _ in range(n + 1)]
+        for u, k in zip(self._sorted_given(m), self._lcps_of(m)[0]):
+            if k <= n:
+                right[k].add(u[:k])
+        by_key = sorted(self._factors[m], key=lambda w: w[1:])
+        for x, y in zip(by_key, by_key[1:]):
+            if x[0] != y[0]:
+                # the left specials are prefix-closed: stop at the first
+                # prefix already marked, from the longest down
+                for k in range(_common_prefix_length(x[1:], y[1:], n), -1, -1):
+                    if x[1:k + 1] in left[k]:
+                        break
+                    left[k].add(x[1:k + 1])
+        return {k: (frozenset(rs), frozenset(ls), frozenset(rs & ls))
+                for k, (rs, ls) in enumerate(zip(right, left))}
+
     def _specials_in_factors(self, n: int, side: int) -> list[Word]:
-        factors = self.factors(n)
-        # an empty L_n needs no L_{n+1}, so it never exceeds the horizon
-        return sorted(factors & self._special_table(n)[side]) if factors else []
+        """The sorted factors in a special table of order n, memoized."""
+        if n not in self._special_lists:
+            m = self._top_length(n)
+            # an empty L_n needs no L_{n+1}, so it never exceeds the horizon
+            if not (self._factors[m] if m is not None else self.factors(n)):
+                self._special_lists[n] = ([], [], [])
+            else:
+                self._special_lists[n] = tuple(sorted(u for u in table if self.contains(u))
+                                               for table in self._special_table(n))
+        return list(self._special_lists[n][side])
 
     def is_right_special(self, u: Word) -> bool:
         return u in self._special_table(len(u))[0]
@@ -171,32 +220,56 @@ class FactorOracle:
             self._sorted[m] = sorted(self._factors[m])
         return self._sorted[m]
 
+    def _lcps_of(self, m: int) -> tuple[list[int], list[int]]:
+        """The longest common prefix lengths of the adjacent words of the
+        given set L_M sorted, in that order and sorted; computed once."""
+        if m not in self._lcps:
+            top = self._sorted_given(m)
+            adjacent = [_common_prefix_length(u, v, m) for u, v in zip(top, top[1:])]
+            self._lcps[m] = adjacent, sorted(adjacent)
+        return self._lcps[m]
+
     def _top_length(self, n: int) -> int | None:
         """M, when every L_k with 0 <= k <= n is the k-prefixes of the given
-        set L_M: no length below M is given, and n <= M."""
-        return self._given[0] if self._given and 0 <= n <= self._given[0] else None
+        set L_M: no length below M is given, and n <= M and the horizon."""
+        return (self._given[0] if self._given and 0 <= n <= min(self._given[0], self.horizon)
+                else None)
 
     def counts(self, N: int) -> tuple[int, ...]:
         """p(0..N), the sizes of L_0..L_N.
 
         When every L_n is the n-prefixes of one given set L_M, they are
-        counted in one pass over L_M sorted, with no L_n built: the words
-        that share an n-prefix are adjacent there, so with h[k] adjacent
-        pairs whose longest common prefix has length k, p(n) = 1 +
-        sum_{k<n} h[k] (and p = 0 if L_M is empty).  Otherwise the sets are
-        read longest first, so that each derived one is sliced from the next."""
+        counted from one pass over L_M sorted, with no L_n built: the words
+        that share an n-prefix are adjacent there, so p(n) is one more than
+        the number of adjacent pairs whose longest common prefix is shorter
+        than n (and p = 0 if L_M is empty).  Otherwise the sets are read
+        longest first, so that each derived one is sliced from the next."""
         if N > self.horizon:
             raise HorizonExceeded(f"factors({N}) beyond horizon {self.horizon} ({self.source})")
         m = self._top_length(N)
         if m is None:
             return tuple(len(self.factors(n)) for n in range(N, -1, -1))[::-1]
-        top = self._sorted_given(m)
-        if not top:
+        if not self._factors[m]:
             return (0,) * (N + 1)
-        h = [0] * (N + 1)
-        for u, v in zip(top, top[1:]):
-            h[_common_prefix_length(u, v, N)] += 1
-        return tuple(accumulate(h[:N], initial=1))
+        lcps = self._lcps_of(m)[1]
+        return tuple(1 + bisect_left(lcps, n) for n in range(N + 1))
+
+    def count(self, n: int) -> int:
+        """p(n), the size of L_n: of the stored set, or as ``counts`` reads it."""
+        return len(self._factors[n]) if n in self._factors else self.counts(n)[-1]
+
+    def continuation(self, u: Word) -> Word:
+        """Letters that follow u in one word of the language, empty when u
+        has no right extension: on an oracle whose L_{|u|+1} is a prefix
+        set of a given L_M, the rest of the first word of L_M with prefix u,
+        otherwise the least right extension letter.  Where u has only one
+        right extension, its first letter is that one."""
+        m = self._top_length(len(u) + 1)
+        if m is None:
+            return min(self.right_extensions(u), default="")
+        top = self._sorted_given(m)
+        j = bisect_left(top, u)
+        return top[j][len(u):] if j < len(top) and top[j].startswith(u) else ""
 
     def is_aperiodic(self, upto: int) -> bool:
         """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""

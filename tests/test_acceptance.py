@@ -14,8 +14,8 @@ from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import (bracket, compose_generators, decompose,
                                 compose_all, D, E, G, M, GEN_M, GEN_E01,
                                 DERIVED_EXPANSION, derived, permutation)
-from rauzyadic.rauzy import (build_graph, circuits_from, measure_no_loops,
-                             measure_two_loops, psi_project, right_special_chain, walk)
+from rauzyadic.rauzy import (build_graph, circuits_from, measure_no_loops, measure_two_loops,
+                             psi_project, reduced_graph, right_special_chain, walk)
 from rauzyadic.sadic import DirectiveWord, generate_one_sided, language_horizon
 from rauzyadic.validator import APPROX_CASES, cross_validate, validate_directive
 from rauzyadic.words import (complexity_profile, extension_profile,
@@ -81,7 +81,8 @@ def test_criterion_2_thue_morse_circuit_rejection():
     loop = walk(g3, "010", "1" + "101" * 3 + "0")
     assert loop.start == loop.end == "010" and "010" not in loop.vertices[1:-1]
     assert "101101101" in loop.full_label and not tm.contains(loop.full_label)
-    assert loop.right_label not in {c.right_label for c in circuits_from(g3, "010", tm)}
+    circs = circuits_from(reduced_graph(tm, 3), "010", tm)
+    assert loop.right_label not in {c.right_label for c in circs}
     print("ACCEPTANCE 2: PASS - the triple-loop circuit is enumerable and not allowed")
 
 
@@ -204,7 +205,7 @@ def test_criterion_8_structural_bounds(fib, trib):
     for oracle in (fib, trib, c4):
         chain = right_special_chain(oracle, 20)
         for n in range(21):
-            circs = circuits_from(build_graph(oracle, n), chain[n], oracle)
+            circs = circuits_from(reduced_graph(oracle, n), chain[n], oracle)
             assert 2 <= len(circs) <= 3, (oracle.source, n)
         for n in range(1, 21):
             for u in oracle.factors(n):
@@ -268,10 +269,9 @@ def test_criterion_10_psi_bijection(fib, trib):
         for n in range(15):
             if oracle.bispecials(n):
                 continue
-            up = build_graph(oracle, n + 1)
             down = build_graph(oracle, n)
-            cu = circuits_from(up, chain[n + 1], oracle)
-            cd = circuits_from(down, chain[n], oracle)
+            cu = circuits_from(reduced_graph(oracle, n + 1), chain[n + 1], oracle)
+            cd = circuits_from(reduced_graph(oracle, n), chain[n], oracle)
             proj = [psi_project(c.path, down) for c in cu]
             assert sorted(p.right_label for p in proj) == sorted(c.right_label for c in cd)
             assert all(p.start == chain[n] and p.end == chain[n] for p in proj)

@@ -1,3 +1,4 @@
+import json
 import resource
 import subprocess
 import sys
@@ -73,6 +74,25 @@ def test_circuits_command(capsys):
     assert code == 0
     labels = {line.split()[0] for line in out.strip().splitlines()}
     assert labels == {"0", "10"}
+
+
+@pytest.mark.parametrize("vertex", ["11", "0101", "0"])
+def test_circuits_refuse_a_vertex_that_is_not_a_factor_of_the_order(capsys, vertex):
+    # '11' is not a Fibonacci factor, '0101' and '0' are not of length 2
+    code, out, err = run(["circuits", "--source", "fibonacci", "--order", "2",
+                          "--vertex", vertex], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"error: NotInLanguage: --vertex {vertex!r} is not a factor of length "
+                   "--order 2\n")
+
+
+def test_circuits_of_a_vertex_that_is_not_right_special(tmp_path, capsys):
+    # none, also in a periodic language, which has no reduced graph
+    f = tmp_path / "periodic.txt"
+    f.write_text("01" * 20)
+    for args in (["--source", "fibonacci", "--vertex", "00"],
+                 ["--prefix-file", str(f), "--horizon", "10", "--vertex", "01"]):
+        assert run(["circuits", *args, "--order", "2"], capsys) == (0, "", "")
 
 
 def test_decompose_command(capsys):
@@ -197,6 +217,11 @@ def test_complexity_without_room_refused(capsys):
                               "--upto", upto], capsys)
         assert code == 3 and out == ""
         assert f"--upto {upto} at horizon {horizon}" in err
+    # nor does a negative --upto leave an order to extract
+    code, out, err = run(["extract", "--source", "fibonacci", "--horizon", "16",
+                          "--upto", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: RauzyadicError: extract needs --upto >= 0, got --upto -1 at horizon 16\n"
 
 
 def test_complexity_on_ten_letters(tmp_path, capsys):
@@ -226,3 +251,17 @@ def test_console_entry_point():
 def test_negative_order_is_a_typed_refusal(capsys, cmd):
     code, out, err = run([*cmd, "--source", "fibonacci", "--order", "-1"], capsys)
     assert code == 3 and out == "" and err == "error: NegativeLength: negative factor length -1\n"
+
+
+# stdout, exit code and error type of extract on the named sources at the
+# benchmark's horizons and of crosscheck on the committed directives, as
+# recorded before extraction read its graphs off the language
+GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_outputs_match_the_recorded_ones(capsys, case):
+    argv = [str(ROOT / a) if a.startswith("directives/") else a for a in case["argv"]]
+    code, out, err = run(argv, capsys)
+    error = err.split(":")[1].strip() if err.startswith("error: ") else None
+    assert (code, error, out) == (case["exit"], case["error"], case["stdout"])

@@ -3,12 +3,14 @@ from pathlib import Path as FilePath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rauzyadic import rauzy
 from rauzyadic.errors import (BrokenPath, ChainBlocked, HorizonExceeded, OutOfClass,
                               RauzyadicError)
 from rauzyadic.rauzy import (
-    EvolvedEdge, Path, ReducedRauzyGraph, _single_cycle, build_graph, circuits_from,
-    classify_shape, measure_two_loops, psi_project, reduce_and_classify, reduce_graph,
-    right_special_chain, special_vertices, to_dot, walk,
+    CIRCUIT_BUDGET, EvolvedEdge, Path, ReducedRauzyGraph, _single_cycle, _split_specials,
+    build_graph, circuits_from, classify_shape, measure_two_loops, psi_project,
+    reduce_and_classify, reduce_graph, reduced_graph, right_special_chain, special_vertices,
+    to_dot, walk,
 )
 from rauzyadic.sadic import language_horizon, parse_directive
 from rauzyadic.words import FactorOracle, is_primitive, named_oracle, return_words
@@ -73,8 +75,7 @@ def test_special_vertices_by_degrees(fib, tm, trib):
 
 
 def test_circuits_fibonacci_g1(fib):
-    g1 = build_graph(fib, 1)
-    circs = circuits_from(g1, "0", fib)
+    circs = circuits_from(reduced_graph(fib, 1), "0", fib)
     assert {c.right_label for c in circs} == {"0", "10"}
     assert {c.right_label for c in circs} == return_words(fib, "0")
 
@@ -83,8 +84,7 @@ def test_circuit_return_word_correspondence(fib, trib):
     for o in (fib, trib):
         chain = right_special_chain(o, 8)
         for n in range(1, 9):
-            g = build_graph(o, n)
-            circs = circuits_from(g, chain[n], o)
+            circs = circuits_from(reduced_graph(o, n), chain[n], o)
             assert {c.right_label for c in circs} == return_words(o, chain[n])
 
 
@@ -93,14 +93,18 @@ def test_thue_morse_disallowed_circuit(tm):
     loop = walk(g3, "010", "1" + "101" * 3 + "0")
     assert loop.start == loop.end == "010" and "010" not in loop.vertices[1:-1]
     assert "101101101" in loop.full_label and not tm.contains(loop.full_label)
-    assert loop.right_label not in {c.right_label for c in circuits_from(g3, "010", tm)}
+    circs = circuits_from(reduced_graph(tm, 3), "010", tm)
+    assert loop.right_label not in {c.right_label for c in circs}
 
 
 def test_circuits_from_periodic():
+    # no vertex of (01)^inf is right special, so none starts a circuit, and
+    # with no special vertex there is no reduced graph
     o = FactorOracle.from_prefix("01" * 50, horizon=10, source="(01)^inf")
-    g = build_graph(o, 2)
-    for v in g.vertices:
-        assert circuits_from(g, v, o) == ()
+    for v in build_graph(o, 2).vertices:
+        assert circuits_from(ReducedRauzyGraph(2, frozenset(), ()), v, o) == ()
+    with pytest.raises(OutOfClass, match="no special vertex"):
+        reduced_graph(o, 2)
 
 
 def test_psi_projection_examples(fib):
@@ -122,9 +126,9 @@ def test_psi_bijection_without_bispecial(fib, trib):
         for n in range(15):
             if o.bispecials(n):
                 continue
-            up, down = build_graph(o, n + 1), build_graph(o, n)
-            cu = circuits_from(up, chain[n + 1], o)
-            cd = circuits_from(down, chain[n], o)
+            down = build_graph(o, n)
+            cu = circuits_from(reduced_graph(o, n + 1), chain[n + 1], o)
+            cd = circuits_from(reduced_graph(o, n), chain[n], o)
             proj = [psi_project(c.path, down) for c in cu]
             assert sorted(p.right_label for p in proj) == sorted(c.right_label for c in cd)
             for p in proj:
@@ -174,7 +178,7 @@ def test_circuit_count_bound(fib, trib):
     for o in (fib, trib):
         chain = right_special_chain(o, 14)
         for n in range(14):
-            circs = circuits_from(build_graph(o, n), chain[n], o)
+            circs = circuits_from(reduced_graph(o, n), chain[n], o)
             assert 2 <= len(circs) <= 3
 
 
@@ -182,7 +186,7 @@ def test_min_circuit_length_grows(fib):
     chain = right_special_chain(fib, 16)
     mins = []
     for n in range(0, 16, 3):
-        circs = circuits_from(build_graph(fib, n), chain[n], fib)
+        circs = circuits_from(reduced_graph(fib, n), chain[n], fib)
         mins.append(min(len(c) for c in circs))
     assert mins == sorted(mins) and mins[-1] > mins[0]
 
@@ -194,7 +198,7 @@ def test_language_telescoping(fib):
     chain = right_special_chain(fib, 10)
     sets = []
     for n in (2, 5, 8):
-        labels = sorted(c.right_label for c in circuits_from(build_graph(fib, n), chain[n], fib))
+        labels = sorted(c.right_label for c in circuits_from(reduced_graph(fib, n), chain[n], fib))
         star = ["".join(ws) for ws in itertools.product(labels, repeat=4)]
         sets.append(frozenset(w for text in star for k in range(1, 7)
                               for w in factors_of(text, k)))
@@ -374,3 +378,135 @@ def test_bispecial_order_refuses_a_non_special_vertex():
     assert not _bi_extendable(oracle, 3, 3)
     with pytest.raises(OutOfClass, match=r"order 3: non-special vertices \['212'\]"):
         reduce_and_classify(graph, oracle)
+
+
+# -- the reduced graph read off the language, and circuits over reduced
+# -- edges, against the order-n graph and a letter-by-letter search
+
+
+def _reduced_outcome(make):
+    """Vertices and (src, dst, full label) of each edge in order, or the
+    error's type name."""
+    try:
+        g = make()
+    except RauzyadicError as exc:
+        return type(exc).__name__
+    return g.vertices, [(e.src, e.dst, e.full_label) for e in g.edges]
+
+
+def _circuits_letter_by_letter(graph, v, oracle, budget):
+    """Reference for circuits_from: depth-first search over the order-n
+    edges, one letter at a time, pruned where a prefix is not a factor.
+    Returns (sorted right labels of the circuits, or the error's type
+    name; the expansions made)."""
+    if not oracle.is_right_special(v):
+        return (), 0
+    out, expansions = [], 0
+    stack = [(v, v)]
+    while stack:
+        end, label = stack.pop()
+        for e in graph.out_edges(end):
+            expansions += 1
+            if expansions > budget:
+                return "EnumerationBudgetExceeded", expansions
+            full = label + e.right
+            if len(full) > oracle.horizon:
+                return "HorizonExceeded", expansions
+            if not oracle.contains(full):
+                continue
+            if e.dst == v:
+                out.append(full[len(v):])
+            else:
+                stack.append((e.dst, full))
+    return tuple(sorted(out)), expansions
+
+
+def _circuits_outcome(graph, v, oracle):
+    try:
+        circs = circuits_from(graph, v, oracle)
+    except RauzyadicError as exc:
+        return type(exc).__name__
+    for c in circs:
+        # the reduced edges chain, and pass exactly the special vertices
+        # that the letter-level path does
+        assert c.path.full_label == c.full_label and len(c.path) == len(c)
+        assert tuple(u for u in c.path.vertices if u in graph.vertices) == c.stops
+    return tuple(c.right_label for c in circs)
+
+
+def _agree_with_the_order_n_graph(oracle, orders, budgets=False):
+    """At each order, the reduced graph read off the language is the
+    reduced order-n graph, or OutOfClass where that graph has a vertex that
+    is not special; from each right special the reduced-edge circuits are
+    the letter-by-letter ones.  With ``budgets``, the expansion count is
+    exact: the budget that the letter-by-letter search just exhausts is
+    exhausted by circuits_from too.  Returns the outcomes seen."""
+    seen = set()
+    for n in orders:
+        graph = build_graph(oracle, n)
+        want = _reduced_outcome(lambda: reduce_graph(graph, oracle))
+        got = _reduced_outcome(lambda: reduced_graph(oracle, n))
+        if got != want:
+            assert got == "OutOfClass", (oracle, n)
+            with pytest.raises(OutOfClass, match="non-special vertices"):
+                _split_specials(reduce_graph(graph, oracle), oracle)
+            continue
+        if isinstance(got, str):
+            continue
+        g = reduced_graph(oracle, n)
+        for v in oracle.right_specials(n):
+            letters, used = _circuits_letter_by_letter(graph, v, oracle, CIRCUIT_BUDGET)
+            assert _circuits_outcome(g, v, oracle) == letters, (oracle, n, v)
+            seen.add(letters if isinstance(letters, str) else "circuits")
+            if budgets:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(rauzy, "CIRCUIT_BUDGET", used - 1)
+                    assert _circuits_outcome(g, v, oracle) == "EnumerationBudgetExceeded"
+                    mp.setattr(rauzy, "CIRCUIT_BUDGET", used)
+                    assert _circuits_outcome(g, v, oracle) == letters
+    return seen
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue-morse", "tribonacci"])
+def test_reduced_graphs_and_circuits_of_the_named_sources(name):
+    # at horizon 62 the circuits of the higher orders outgrow the horizon
+    seen = _agree_with_the_order_n_graph(named_oracle(name, 62), range(61), budgets=True)
+    assert seen == {"circuits", "HorizonExceeded"}
+
+
+def test_reduced_graphs_and_circuits_of_directive_languages():
+    texts = [f.read_text() for f in sorted(DIRECTIVES.glob("*.dw")) if f.stem != "not_valid"]
+    seen = set()
+    for text in texts + list(POOL_SAMPLE):
+        seen |= _agree_with_the_order_n_graph(language_horizon(parse_directive(text), 48),
+                                              range(47))
+    assert seen == {"circuits", "HorizonExceeded"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(8, 30), st.integers(0, 60))
+def test_reduced_graphs_and_circuits_of_kernel_languages_and_prefixes(images, horizon, slack):
+    # a prefix of the fixed point can stop being bi-extendable: there the
+    # reduced graph read off the language is refused
+    word = "0"
+    while len(word) < horizon + slack:
+        word = "".join(images[c] for c in word)
+    _agree_with_the_order_n_graph(FactorOracle.from_substitution(images, horizon), range(horizon),
+                                  budgets=True)
+    _agree_with_the_order_n_graph(FactorOracle.from_prefix(word[:horizon + slack], horizon),
+                                  range(horizon))
+
+
+def test_reduced_graph_refuses_a_prefix_that_is_not_bi_extendable():
+    # '212', the last factor of length 3, has no edge out; the order-n
+    # graph keeps it as a vertex, the language walk stops on it
+    oracle = FactorOracle.from_prefix("0110121012101101212", 13)
+    assert "212" in reduce_graph(build_graph(oracle, 3), oracle).vertices
+    with pytest.raises(OutOfClass, match="meets no special factor"):
+        reduced_graph(oracle, 3)
+    # '00100', the first factor of length 5, has no edge in, so no walk
+    # from a special factor reads its edge out
+    oracle = FactorOracle.from_prefix("00100101001", 11)
+    assert "00100" in reduce_graph(build_graph(oracle, 5), oracle).vertices
+    with pytest.raises(OutOfClass, match="cover 5 of the 6 factors of length 6"):
+        reduced_graph(oracle, 5)

@@ -532,3 +532,51 @@ def test_derived_membership_matches_factor_sets(drawn, rising, data):
         oracle.factors(n)
     with pytest.raises(HorizonExceeded):
         oracle.contains("0" * (oracle.horizon + 1))
+
+
+# -- the special tables of every order from one pass, against per-order counts --
+
+
+def _one_pass_matches_counting(make, N):
+    """On a fresh oracle, special_tables(N) reads the tables of every order
+    up to N off the given top set, with no shorter set built; each equals
+    the per-order count of a single query on another fresh oracle, and the
+    sorted special factors equal the probe's."""
+    oracle, reference = make(), make()
+    assert oracle._top_length(N + 1) is not None
+    tables = oracle.special_tables(N)
+    assert set(oracle._specials) == set(range(N + 1))
+    assert set(oracle._factors) == {oracle.horizon}
+    for n in range(N + 1):
+        assert oracle._special_table(n) == reference._special_table(n), n
+        assert tables[n] == _specials_by_probe(reference, n), n
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
+def test_one_pass_special_tables_of_the_named_sources(name):
+    _one_pass_matches_counting(lambda: named_oracle(name, 62), 60)
+
+
+@pytest.mark.parametrize("path", [f for f in sorted(DIRECTIVES.glob("*.dw"))
+                                  if f.stem != "not_valid"], ids=lambda f: f.stem)
+def test_one_pass_special_tables_of_directive_languages(path):
+    dw = parse_directive(path.read_text())
+    _one_pass_matches_counting(lambda: language_horizon(dw, 62), 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(min_letters=2).filter(is_primitive), st.integers(1, 30), st.data())
+def test_one_pass_special_tables_of_kernel_languages(tau, horizon, data):
+    sets = substitutive_language(tau, horizon)[0]
+    N = data.draw(st.integers(0, horizon - 1))
+    _one_pass_matches_counting(lambda: FactorOracle(Alphabet(len(tau)), sets, horizon, "kernel"), N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(derived_sets(), st.data())
+def test_one_pass_special_tables_of_finite_top_sets(drawn, data):
+    # the top set of a finite word is neither factorial nor bi-extendable
+    alphabet, sets, horizon = drawn
+    assume(horizon >= 1)
+    N = data.draw(st.integers(0, horizon - 1))
+    _one_pass_matches_counting(lambda: FactorOracle(alphabet, sets, horizon, "derived"), N)

@@ -4,7 +4,7 @@
 import argparse
 from pathlib import Path
 
-from rauzyadic.rauzy import build_graph, reduce_graph, to_dot
+from rauzyadic.rauzy import build_graph, reduced_graph, to_dot
 from rauzyadic.words import NAMED_SOURCES, named_oracle
 
 
@@ -17,10 +17,10 @@ def main():
     for name in sorted(NAMED_SOURCES):
         oracle = named_oracle(name, args.orders + 6)
         for n in range(args.orders):
-            g = build_graph(oracle, n)
-            (args.outdir / f"{name}-G{n}.dot").write_text(to_dot(g, name=f"G{n}"))
+            (args.outdir / f"{name}-G{n}.dot").write_text(
+                to_dot(build_graph(oracle, n), name=f"G{n}"))
             (args.outdir / f"{name}-g{n}.dot").write_text(
-                to_dot(reduce_graph(g, oracle), name=f"g{n}"))
+                to_dot(reduced_graph(oracle, n), name=f"g{n}"))
         print(f"{name}: wrote orders 0..{args.orders - 1} to {args.outdir}/")
 
 

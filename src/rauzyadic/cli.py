@@ -148,12 +148,13 @@ def _run(args) -> int:
 
     if args.cmd == "graph":
         oracle = _oracle(args)
-        g = build_graph(oracle, args.order)
-        reduced, shape = reduce_and_classify(g, oracle)
-        print(f"order {args.order}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
-              f"type {shape.type_id}" + (f" (next bispecial in {shape.gap})" if shape.gap else ""))
+        reduced, shape = reduce_and_classify(oracle, args.order)
+        print(f"order {args.order}: {len(oracle.factors(args.order))} vertices, "
+              f"{len(oracle.factors(args.order + 1))} edges, type {shape.type_id}"
+              + (f" (next bispecial in {shape.gap})" if shape.gap else ""))
         if args.dot:
-            _write(args.dot, to_dot(g, name="G"))
+            # only the drawing needs the whole order-n graph
+            _write(args.dot, to_dot(build_graph(oracle, args.order), name="G"))
             reduced_path = args.dot.with_suffix(".reduced.dot")
             _write(reduced_path, to_dot(reduced, name="g"))
             print(f"wrote {args.dot} and {reduced_path}")

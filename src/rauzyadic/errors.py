@@ -115,3 +115,17 @@ class NotProlongable(RauzyadicError, ValueError):
 
 class NotInLanguage(RauzyadicError, ValueError):
     """A word that is not a factor of the oracle's language."""
+
+
+
+class MalformedMorphism(RauzyadicError, ValueError):
+    """Morphism text that does not parse (rules, brackets, factor or
+    generator names); the directive parser reports it as MalformedDirective."""
+
+
+class EmptyProduct(RauzyadicError, ValueError):
+    """A directive word with no level, or an empty product with no alphabet size."""
+
+
+class ErasingMorphism(RauzyadicError, ValueError):
+    """A directive word level that maps a letter to the empty word."""

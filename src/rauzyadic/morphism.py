@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, NotInCatalog, NotRightProper
+from .errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
+                     NotRightProper)
 from .words import LETTERS, Word
 
 _ORDS = tuple(map(ord, LETTERS))
@@ -117,12 +118,12 @@ def parse_rules(text: str) -> Morphism:
             continue
         lhs, _, rhs = part.partition("->")
         if len(lhs) != 1 or lhs not in LETTERS:
-            raise ValueError(f"bad rule {part!r}")
+            raise MalformedMorphism(f"bad rule {part!r}")
         if int(lhs) in rules:
-            raise ValueError(f"two rules for letter {lhs}")
+            raise MalformedMorphism(f"two rules for letter {lhs}")
         rules[int(lhs)] = rhs
     if sorted(rules) != list(range(len(rules))):
-        raise ValueError(f"rules do not cover a dense alphabet: {sorted(rules)}")
+        raise MalformedMorphism(f"rules do not cover a dense alphabet: {sorted(rules)}")
     return bracket(*[rules[i] for i in range(len(rules))])
 
 
@@ -151,7 +152,7 @@ def compose_all(ms, n: int | None = None) -> Morphism:
     ms = list(ms)
     if not ms:
         if n is None:
-            raise ValueError("empty product needs an alphabet size")
+            raise EmptyProduct("empty product needs an alphabet size")
         return identity(n)
     out = ms[0]
     for m in ms[1:]:
@@ -276,7 +277,7 @@ def derived(name: str) -> Morphism:
     if name in GENERATORS:
         return GENERATORS[name]
     if len(name) != 3 or name[0] not in _FAMILIES or name[1] not in "012" or name[2] not in "012":
-        raise ValueError(f"unknown factor name {name!r}")
+        raise MalformedMorphism(f"unknown factor name {name!r}")
     return _FAMILIES[name[0]](int(name[1]), int(name[2]))
 
 
@@ -293,7 +294,7 @@ def parse_generator_word(text: str) -> GeneratorWord:
     names = tuple(text.split())
     for name in names:
         if name not in GENERATORS:
-            raise ValueError(f"unknown generator {name!r}")
+            raise MalformedMorphism(f"unknown generator {name!r}")
     return names
 
 

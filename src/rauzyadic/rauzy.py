@@ -4,15 +4,14 @@ The order-n graph has the length-n factors as vertices and one edge per
 length-(n+1) factor; the reduced graph condenses non-special interior
 vertices.  ``reduced_graph`` reads the reduced graph straight off the
 language, walking from each special factor by forced letters, so no
-order-n graph is built; ``build_graph`` and ``reduce_graph`` build and
-condense the whole graph.  Circuits are enumerated over reduced edges.
+order-n graph is built; ``build_graph`` builds the whole graph, to draw
+it.  Circuits are enumerated over reduced edges.
 Shape classification covers the ten types a minimal subshift with
 1 <= p(n+1)-p(n) <= 2 can exhibit at a bispecial order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -304,38 +303,10 @@ class ReducedRauzyGraph:
         return tuple(e for e in self.edges if e.dst == v)
 
 
-def special_vertices(graph: RauzyGraph, oracle: FactorOracle) -> frozenset[Word]:
-    """Special or boundary vertices (for minimal subshifts, just the
-    specials): every vertex but those with one edge out and one edge in,
-    with the degrees counted over the edges."""
-    outs = Counter(e.src for e in graph.edges)
-    ins = Counter(e.dst for e in graph.edges)
-    return frozenset(v for v in graph.vertices if not outs[v] == ins[v] == 1)
-
-
-def reduce_graph(graph: RauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
-    """Condense maximal paths whose interior vertices are non-special."""
-    keep = special_vertices(graph, oracle)
-    if not keep:
-        raise OutOfClass(f"order {graph.order}: no special vertex (periodic language)")
-    edges = []
-    for u in sorted(keep):
-        for first in graph.out_edges(u):
-            chain = [first]
-            while chain[-1].dst not in keep:
-                nxt = graph.out_edges(chain[-1].dst)
-                if len(nxt) != 1:
-                    raise OutOfClass("non-special vertex with out-degree != 1")
-                chain.append(nxt[0])
-            edges.append(ReducedEdge(u, chain[-1].dst, u + "".join(e.right for e in chain)))
-    edges.sort(key=lambda e: (e.src, e.full_label))
-    return ReducedRauzyGraph(graph.order, keep, tuple(edges))
-
-
 def reduced_graph(oracle: FactorOracle, n: int) -> ReducedRauzyGraph:
     """The reduced graph of order n read off the language, with no order-n
-    graph built: the same vertices and edges as ``reduce_graph(build_graph(
-    oracle, n), oracle)`` for a factorial, bi-extendable language.
+    graph built: the order-n graph with its maximal paths through
+    non-special vertices condensed, for a factorial, bi-extendable language.
 
     The vertices are the right and left special factors of length n.  Each
     reduced edge leaves a special u by one of its right extension letters
@@ -346,12 +317,27 @@ def reduced_graph(oracle: FactorOracle, n: int) -> ReducedRauzyGraph:
     of length n+1, one letter each; a language where they do not, or where
     a walk stops on a factor with no right extension, is not bi-extendable
     at order n and is OutOfClass."""
+    return _reduced_edges(oracle, n, _specials_of_order(oracle, n), oracle.count(n + 1))
+
+
+def _specials_of_order(oracle: FactorOracle, n: int) -> frozenset[Word]:
+    """The right and left special factors of length n, the vertices of the
+    reduced graph of order n; there are none in a periodic language."""
     if n + 1 > oracle.horizon:
         raise HorizonExceeded(f"graph of order {n} needs horizon {n + 1}")
+    if n < 0:
+        # the edges have length n + 1, so an order below -1 is refused there
+        oracle.factors(n + 1)
     keep = frozenset(oracle.right_specials(n)) | frozenset(oracle.left_specials(n))
     if not keep:
         raise OutOfClass(f"order {n}: no special vertex (periodic language)")
-    size = oracle.count(n + 1)
+    return keep
+
+
+def _reduced_edges(oracle: FactorOracle, n: int, keep: frozenset[Word],
+                   size: int) -> ReducedRauzyGraph:
+    """The reduced graph on the specials ``keep`` of order n, walked from
+    each by forced letters; ``size`` is p(n+1), which the edges cover."""
     edges = []
     for u in sorted(keep):
         for a in sorted(oracle.right_extensions(u)):
@@ -441,19 +427,7 @@ def classify_shape(g: ReducedRauzyGraph, oracle: FactorOracle, gap: int = 0) -> 
     raise OutOfClass(f"order {n}: {len(rs)} right specials, {len(ls)} left specials")
 
 
-def _split_specials(g: ReducedRauzyGraph, oracle: FactorOracle) -> tuple[set[Word], set[Word]]:
-    """The right specials and the left specials among g's vertices.  A
-    vertex that is neither (the boundary of a finite prefix, which is not
-    bi-extendable) is OutOfClass."""
-    right = {v for v in g.vertices if oracle.is_right_special(v)}
-    left = {v for v in g.vertices if oracle.is_left_special(v)}
-    if right | left != g.vertices:
-        raise OutOfClass(f"order {g.order}: non-special vertices {sorted(g.vertices - right - left)}")
-    return right, left
-
-
-def _evolve_to_bispecial(g: ReducedRauzyGraph, right: set[Word], left: set[Word],
-                         oracle: FactorOracle) -> ReducedRauzyGraph:
+def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedRauzyGraph:
     """The reduced graph of the next bispecial order m above g's order,
     which has no bispecial factor, evolved from g with no graph built at m.
 
@@ -464,10 +438,10 @@ def _evolve_to_bispecial(g: ReducedRauzyGraph, right: set[Word], left: set[Word]
     length l - 1 + [source right special] + [target left special], so an
     edge from a left to a right special shrinks to nothing where its ends
     meet in a bispecial; at m those edges are dropped and their ends
-    merge.  ``right`` and ``left`` are g's right and left specials, which
-    cover its vertices.  A walker with no or several extensions, or evolved
-    vertices other than the specials of order m are OutOfClass."""
+    merge.  A walker with no or several extensions, or evolved vertices
+    other than the specials of order m are OutOfClass."""
     n = g.order
+    right, left = set(oracle.right_specials(n)), set(oracle.left_specials(n))
     image = {v: v for v in g.vertices}
     m = n
     while True:
@@ -499,22 +473,24 @@ def _evolve_to_bispecial(g: ReducedRauzyGraph, right: set[Word], left: set[Word]
     return ReducedRauzyGraph(m, vertices, edges)
 
 
-def reduce_and_classify(graph: RauzyGraph,
-                        oracle: FactorOracle) -> tuple[ReducedRauzyGraph, GraphShape]:
-    """Reduced graph plus its type; at a non-bispecial order the type is the
-    one of the next bispecial order, read off the reduced graph evolved
-    there, with the gap recorded.  At either kind of order a vertex that is
-    not special is OutOfClass."""
-    n = graph.order
-    g = reduce_graph(graph, oracle)
+def reduce_and_classify(oracle: FactorOracle, n: int) -> tuple[ReducedRauzyGraph, GraphShape]:
+    """The reduced graph of order n, read off the language, plus its type;
+    at a non-bispecial order the type is the one of the next bispecial
+    order, read off the reduced graph evolved there, with the gap recorded.
+
+    Checked in order: the horizon and a negative order, a special vertex,
+    the first differences at n and n + 1, the walk of ``reduced_graph`` and
+    its coverage of L_{n+1}, whose size is read off the set (a
+    ``FactorOracle.count`` would pass over the whole top set)."""
+    keep = _specials_of_order(oracle, n)
     for m in (n, n + 1):
         p = len(oracle.factors(m + 1)) - len(oracle.factors(m))
         if not 1 <= p <= 2:
             raise OutOfClass(f"order {m}: first difference {p} outside [1, 2]")
-    right, left = _split_specials(g, oracle)
+    g = _reduced_edges(oracle, n, keep, len(oracle.factors(n + 1)))
     if oracle.bispecials(n):
         return g, classify_shape(g, oracle)
-    gm = _evolve_to_bispecial(g, right, left, oracle)
+    gm = _evolve_to_bispecial(g, oracle)
     return g, replace(classify_shape(gm, oracle, gap=gm.order - n), order=n)
 
 
@@ -562,9 +538,8 @@ class LoopMeasurement:
 
 
 def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> LoopMeasurement:
-    """Direct measurement of |u1|, |u2|, |v1|, |v2| and K on the graph."""
-    graph = build_graph(oracle, order)
-    g = reduce_graph(graph, oracle)
+    """Direct measurement of |u1|, |u2|, |v1|, |v2| and K on the reduced graph."""
+    g = reduced_graph(oracle, order)
     rs = [v for v in g.vertices if oracle.is_right_special(v)]
     if len(rs) != 2 or chain_vertex not in rs:
         raise OutOfClass(f"order {order}: not a two-right-special configuration")
@@ -589,8 +564,7 @@ def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> L
 def measure_no_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> tuple[int, int]:
     """|p1| (into the chain-side right special) and |p2| in the four-cycle
     configuration of the 5/6 region."""
-    graph = build_graph(oracle, order)
-    g = reduce_graph(graph, oracle)
+    g = reduced_graph(oracle, order)
     rs = [v for v in g.vertices if oracle.is_right_special(v)]
     if len(rs) != 2 or chain_vertex not in rs:
         raise OutOfClass(f"order {order}: not a two-right-special configuration")

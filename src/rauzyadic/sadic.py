@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (AlphabetMismatch, MalformedDirective, NoStabilization, NonGrowing,
-                     NotContractible)
+from .errors import (AlphabetMismatch, EmptyProduct, ErasingMorphism, MalformedDirective,
+                     MalformedMorphism, NoStabilization, NonGrowing, NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived,
                        left_conjugate, classify, parse_rules)
 from .words import (Alphabet, FactorOracle, Word, eventual_support, factors_of, is_primitive,
@@ -29,7 +29,7 @@ class DirectiveWord:
     def __post_init__(self):
         ms = list(self.preperiod) + list(self.period)
         if not ms:
-            raise ValueError("empty directive word")
+            raise EmptyProduct("empty directive word")
         # normalize codomains so consecutive levels chain exactly: a step
         # out of a three-letter level may use only two letters in its images
         p = len(self.preperiod)
@@ -51,7 +51,7 @@ class DirectiveWord:
                 raise AlphabetMismatch(f"level mismatch at {m}: {exc}") from exc
         for m in fixed:
             if m.erasing:
-                raise ValueError("erasing morphism in directive word")
+                raise ErasingMorphism("erasing morphism in directive word")
         object.__setattr__(self, "preperiod", tuple(fixed[:p]))
         object.__setattr__(self, "period", tuple(fixed[p:]))
 
@@ -316,7 +316,7 @@ def parse_morphism_spec(text: str) -> Morphism:
             return parse_rules(text)
         if text.startswith("["):
             if not text.endswith("]"):
-                raise ValueError("bracket not closed by ']'")
+                raise MalformedMorphism("bracket not closed by ']'")
             return bracket(*text[1:-1].split(","))
         return compose_all([derived(name) for name in text.split()])
     except ValueError as exc:

@@ -353,13 +353,16 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
 
     L_2 is the closure of the 2-letter factors of the tau(a) under ab ->
     2-letter factors of tau(ab).  Once every mu tau^k(a) is n-1 letters or
-    longer, a length-n factor spans at most two blocks: L_n is the union of
-    ``factors_of(mu tau^k(ab), n)`` over ab in L_2.  The language is
-    right-extendable, so each shorter L_m is the length-m prefixes of L_n;
-    :class:`FactorOracle` derives those when they are read.  Returns
-    ``{n: L_n}`` and the certificate; no witness word is built.  Raises
-    NoStabilization unless :func:`is_primitive` holds, which follows the
-    letter sets of tau^j to their cycle instead of bounding the power.
+    longer, a length-n factor of mu tau^k(ab), ab in L_2, lies in one block
+    or spans the junction: L_n is the union of ``factors_of`` each block
+    mu tau^k(a), a a letter of L_2, and of each junction window, the last
+    n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b).  The
+    language is right-extendable, so each shorter L_m is the length-m
+    prefixes of L_n; :class:`FactorOracle` derives those when they are
+    read.  Returns ``{n: L_n}`` and the certificate; no witness word is
+    built.  Raises NoStabilization unless :func:`is_primitive` holds, which
+    follows the letter sets of tau^j to their cycle instead of bounding the
+    power.
     """
     letters = "".join(sorted(tau))
     if not is_primitive(tau):
@@ -378,7 +381,10 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     while min(len(w) for w in imgs.values()) < n - 1:
         imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
         k += 1
-    sets = {n: frozenset().union(*(factors_of(imgs[ab[0]] + imgs[ab[1]], n) for ab in pairs))}
+    blocks = (factors_of(imgs[a], n) for a in set("".join(pairs)))
+    junctions = (factors_of(imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1], n)
+                 for a, b in pairs)
+    sets = {n: frozenset().union(*blocks, *junctions)}
     return sets, LanguageCertificate(letters, len(pairs), rounds, k)
 
 

@@ -68,6 +68,22 @@ def test_graph_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--source", "tribonacci", "--horizon", "40"], "tribonacci-12"),
+    (["--directive-file", str(DW / "c4_osc.dw"), "--horizon", "48"], "c4_osc-12"),
+])
+def test_graph_dot_files_match_the_recorded_ones(tmp_path, capsys, args, name):
+    # both files as written when the command still condensed the built
+    # order-n graph; order 12 is a gap order of tribonacci and a bispecial
+    # order of the C4 oscillation
+    dot = tmp_path / "g.dot"
+    code, _, _ = run(["graph", *args, "--order", "12", "--dot", str(dot)], capsys)
+    assert code == 0
+    data = ROOT / "tests" / "data"
+    assert dot.read_bytes() == (data / f"{name}.dot").read_bytes()
+    assert (tmp_path / "g.reduced.dot").read_bytes() == (data / f"{name}.reduced.dot").read_bytes()
+
+
 def test_circuits_command(capsys):
     code, out, _ = run(["circuits", "--source", "fibonacci", "--horizon", "16",
                         "--order", "1", "--vertex", "0"], capsys)
@@ -253,9 +269,17 @@ def test_negative_order_is_a_typed_refusal(capsys, cmd):
     assert code == 3 and out == "" and err == "error: NegativeLength: negative factor length -1\n"
 
 
+def test_graph_refuses_an_order_below_minus_one_at_its_edge_length(capsys):
+    # the edges of the order-n graph are the factors of length n + 1
+    code, out, err = run(["graph", "--source", "fibonacci", "--order", "-3"], capsys)
+    assert code == 3 and out == "" and err == "error: NegativeLength: negative factor length -2\n"
+
+
 # stdout, exit code and error type of extract on the named sources at the
 # benchmark's horizons and of crosscheck on the committed directives, as
-# recorded before extraction read its graphs off the language
+# recorded before extraction read its graphs off the language; and of graph
+# at gap and bispecial orders and its refusals, as recorded before graph
+# read its reduced graph off the language
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_outputs.json").read_text())
 
 

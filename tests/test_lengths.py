@@ -8,12 +8,15 @@ arrival must equal what the brute-force reduced Rauzy graph measures.
 
 import pytest
 from hypothesis import given, strategies as st
+from test_rauzy import reduce_graph
 
+from rauzyadic import rauzy
+from rauzyadic.errors import RauzyadicError
 from rauzyadic.extraction import extract_directive
 from rauzyadic.lengths import (LengthState, common_prefix_len, common_suffix_len,
                                compute_length_state)
 from rauzyadic.morphism import bracket
-from rauzyadic.rauzy import measure_no_loops, measure_two_loops, right_special_chain
+from rauzyadic.rauzy import build_graph, measure_no_loops, measure_two_loops, right_special_chain
 from rauzyadic.sadic import DirectiveWord, language_horizon
 from rauzyadic.validator import APPROX_CASES
 
@@ -75,6 +78,30 @@ def test_length_state_equals_measurement(name):
                 (meas.u1, meas.u2, meas.v1, meas.v2, meas.K), (name, case)
         else:
             assert (state.p1, state.p2) == meas, (name, case)
+
+
+@pytest.mark.parametrize("name", sorted(LANGS))
+def test_measurements_match_the_condensed_order_n_graph(name, monkeypatch):
+    # the measurements read the reduced graph off the language; condensing
+    # the whole order-n graph measures the same, or refuses the same way,
+    # at every order up to 22 from every right special
+    oracle = language_horizon(LANGS[name], 72)
+
+    def outcomes():
+        out = []
+        for n in range(23):
+            for v in oracle.right_specials(n):
+                for measure in (measure_two_loops, measure_no_loops):
+                    try:
+                        out.append(measure(oracle, n, v))
+                    except RauzyadicError as exc:
+                        out.append(type(exc).__name__)
+        return out
+
+    got = outcomes()
+    assert any(not isinstance(x, str) for x in got), name
+    monkeypatch.setattr(rauzy, "reduced_graph", lambda o, n: reduce_graph(build_graph(o, n)))
+    assert outcomes() == got
 
 
 def test_entry_origin_coverage():

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rauzyadic.errors import AlphabetMismatch, NotInCatalog, NotRightProper
+from rauzyadic.errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
+                              NotRightProper, RauzyadicError)
 from rauzyadic.morphism import (
     D, DERIVED_EXPANSION, E, G, GEN_E01, GEN_E12, GEN_G, GEN_M, M, Morphism,
     bracket, classify, compose, compose_all, compose_generators, decompose,
-    derived, identity, left_conjugate, parse_rules, permutation,
+    derived, identity, left_conjugate, parse_generator_word, parse_rules, permutation,
 )
 from rauzyadic.words import LETTERS
 
@@ -66,6 +67,22 @@ def test_rule_string_round_trip():
     assert parse_rules("0 -> 01; 1 -> 0") == m
     with pytest.raises(ValueError, match="two rules for letter 0"):
         parse_rules("0->0;0->10;1->1")
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: parse_rules("01->0"), MalformedMorphism, "bad rule '01->0'"),
+    (lambda: parse_rules("0->0;0->10;1->1"), MalformedMorphism, "two rules for letter 0"),
+    (lambda: parse_rules("0->0;2->1"), MalformedMorphism,
+     r"rules do not cover a dense alphabet: \[0, 2\]"),
+    (lambda: compose_all([]), EmptyProduct, "empty product needs an alphabet size"),
+    (lambda: derived("D33"), MalformedMorphism, "unknown factor name 'D33'"),
+    (lambda: parse_generator_word("G D01"), MalformedMorphism, "unknown generator 'D01'"),
+])
+def test_morphism_refusals_are_typed(call, error, text):
+    with pytest.raises(error, match=f"^{text}$") as info:
+        call()
+    # still a ValueError for callers that caught it as one
+    assert isinstance(info.value, RauzyadicError) and isinstance(info.value, ValueError)
 
 
 def test_derived_expansions_hold():

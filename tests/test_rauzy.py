@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path as FilePath
 
 import pytest
@@ -7,15 +8,51 @@ from rauzyadic import rauzy
 from rauzyadic.errors import (BrokenPath, ChainBlocked, HorizonExceeded, OutOfClass,
                               RauzyadicError)
 from rauzyadic.rauzy import (
-    CIRCUIT_BUDGET, EvolvedEdge, Path, ReducedRauzyGraph, _single_cycle, _split_specials,
-    build_graph, circuits_from, classify_shape, measure_two_loops, psi_project,
-    reduce_and_classify, reduce_graph, reduced_graph, right_special_chain, special_vertices,
-    to_dot, walk,
+    CIRCUIT_BUDGET, EvolvedEdge, Path, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
+    circuits_from, classify_shape, measure_two_loops, psi_project, reduce_and_classify,
+    reduced_graph, right_special_chain, to_dot, walk,
 )
 from rauzyadic.sadic import language_horizon, parse_directive
 from rauzyadic.words import FactorOracle, is_primitive, named_oracle, return_words
 
 DIRECTIVES = FilePath(__file__).resolve().parents[1] / "directives"
+
+
+# -- the judge: the reduced graph condensed from the whole order-n graph
+
+
+def special_vertices(graph):
+    """Special or boundary vertices (for minimal subshifts, just the
+    specials): every vertex but those with one edge out and one edge in,
+    with the degrees counted over the edges."""
+    outs = Counter(e.src for e in graph.edges)
+    ins = Counter(e.dst for e in graph.edges)
+    return frozenset(v for v in graph.vertices if not outs[v] == ins[v] == 1)
+
+
+def reduce_graph(graph):
+    """Condense the maximal paths of the order-n graph whose interior
+    vertices are not special; the reference for ``reduced_graph``, which
+    reads the same graph off the language."""
+    keep = special_vertices(graph)
+    if not keep:
+        raise OutOfClass(f"order {graph.order}: no special vertex (periodic language)")
+    edges = []
+    for u in sorted(keep):
+        for first in graph.out_edges(u):
+            chain = [first]
+            while chain[-1].dst not in keep:
+                # a vertex that is not special has one edge out
+                chain.append(graph.out_edges(chain[-1].dst)[0])
+            edges.append(ReducedEdge(u, chain[-1].dst, u + "".join(e.right for e in chain)))
+    edges.sort(key=lambda e: (e.src, e.full_label))
+    return ReducedRauzyGraph(graph.order, keep, tuple(edges))
+
+
+def _not_special(g, oracle):
+    """The vertices of g that are neither right nor left special: the
+    boundary of a finite prefix, which is not bi-extendable."""
+    return {v for v in g.vertices if not (oracle.is_right_special(v) or oracle.is_left_special(v))}
 
 
 def test_figure_fibonacci_graphs(fib):
@@ -38,8 +75,9 @@ def test_figure_thue_morse_order_3(tm):
 
 
 def test_reduced_fibonacci_order_2(fib):
-    g = reduce_graph(build_graph(fib, 2), fib)
+    g = reduce_graph(build_graph(fib, 2))
     assert g.vertices == {"01", "10"}
+    assert reduced_graph(fib, 2) == g
     labels = sorted(e.full_label for e in g.edges)
     assert labels == ["010", "1001", "101"]
 
@@ -71,7 +109,7 @@ def test_special_vertices_by_degrees(fib, tm, trib):
             g = build_graph(o, n)
             want = {v for v in g.vertices
                     if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1}
-            assert special_vertices(g, o) == want, (o, n)
+            assert special_vertices(g) == want, (o, n)
 
 
 def test_circuits_fibonacci_g1(fib):
@@ -153,24 +191,24 @@ def test_chain_blocked_on_periodic():
 
 
 def test_classify_fibonacci(fib):
-    g, shape = reduce_and_classify(build_graph(fib, 2), fib)
+    g, shape = reduce_and_classify(fib, 2)
     assert shape.type_id == 1 and shape.gap == 1
     assert g.vertices == {"01", "10"}
     for n in (0, 1, 3):
-        _, shape = reduce_and_classify(build_graph(fib, n), fib)
+        _, shape = reduce_and_classify(fib, n)
         assert shape.type_id == 1 and shape.gap == 0
 
 
 def test_classify_tribonacci_type_2(trib):
     for n in range(0, 12):
         if trib.bispecials(n):
-            _, shape = reduce_and_classify(build_graph(trib, n), trib)
+            _, shape = reduce_and_classify(trib, n)
             assert shape.type_id == 2
 
 
 def test_classify_thue_morse_out_of_class(tm):
     with pytest.raises(OutOfClass):
-        reduce_and_classify(build_graph(tm, 3), tm)
+        reduce_and_classify(tm, 3)
 
 
 def test_circuit_count_bound(fib, trib):
@@ -210,7 +248,7 @@ def test_to_dot_deterministic(fib):
     d1, d2 = to_dot(g), to_dot(g)
     assert d1 == d2
     assert '"00" -> "01" [label="001"];' in d1
-    r = to_dot(reduce_graph(g, fib))
+    r = to_dot(reduced_graph(fib, 2))
     assert "penwidth=2" in r
 
 
@@ -251,13 +289,14 @@ def test_path_errors_are_typed(fib):
 
 
 def _rebuilt(graph, oracle):
-    """Reference for reduce_and_classify: the next bispecial order found by
-    scanning the bispecials of each order, and the shape of the reduced
-    graph built there.  Returns ((type, gap) or the error's type name, the
-    last order looked at)."""
+    """Reference for reduce_and_classify: the order-n graph condensed, the
+    next bispecial order found by scanning the bispecials of each order,
+    and the shape of the reduced graph built there.  Returns ((reduced
+    graph of order n, type, gap) or the error's type name, the last order
+    looked at)."""
     n = m = graph.order
     try:
-        reduce_graph(graph, oracle)
+        g = reduce_graph(graph)
         for k in (n, n + 1):
             if not 1 <= len(oracle.factors(k + 1)) - len(oracle.factors(k)) <= 2:
                 raise OutOfClass(f"order {k}: first difference outside [1, 2]")
@@ -265,19 +304,19 @@ def _rebuilt(graph, oracle):
             m += 1
             if m + 2 > oracle.horizon:
                 raise HorizonExceeded(f"no bispecial order found above {n} within horizon")
-        shape = classify_shape(reduce_graph(build_graph(oracle, m), oracle), oracle)
-        return (shape.type_id, m - n), m
+        shape = classify_shape(reduce_graph(build_graph(oracle, m)), oracle)
+        return (g, shape.type_id, m - n), m
     except RauzyadicError as exc:
         return type(exc).__name__, m
 
 
-def _evolved(graph, oracle):
+def _evolved(oracle, n):
     try:
-        shape = reduce_and_classify(graph, oracle)[1]
+        g, shape = reduce_and_classify(oracle, n)
     except RauzyadicError as exc:
         return type(exc).__name__
-    assert shape.order == graph.order
-    return shape.type_id, shape.gap
+    assert shape.order == n
+    return g, shape.type_id, shape.gap
 
 
 def _bi_extendable(oracle, lo, hi):
@@ -287,18 +326,25 @@ def _bi_extendable(oracle, lo, hi):
 
 
 def _outcomes(oracle, orders):
-    """(order, evolved outcome, rebuilt outcome, last order the rebuild read)."""
+    """(order, evolved outcome, rebuilt outcome, last order the rebuild
+    read); reduce_and_classify runs first, on the oracle as given."""
     for n in orders:
-        graph = build_graph(oracle, n)
-        want, last = _rebuilt(graph, oracle)
-        yield n, _evolved(graph, oracle), want, last
+        got = _evolved(oracle, n)
+        want, last = _rebuilt(build_graph(oracle, n), oracle)
+        yield n, got, want, last
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "thue-morse", "tribonacci"])
 def test_evolved_shapes_of_the_named_sources(name):
-    oracle = named_oracle(name, 62)
-    for n, got, want, _ in _outcomes(oracle, range(61)):
-        assert got == want, (name, n)
+    # each order on a fresh oracle, at horizons where the first difference
+    # at n + 1 or the scan for the next bispecial runs out, and one with room
+    seen = set()
+    for n in range(61):
+        for horizon in (n + 1, n + 2, n + 3, 2 * n + 10):
+            (_, got, want, _), = _outcomes(named_oracle(name, horizon), [n])
+            assert got == want, (name, n, horizon)
+            seen.add(got if isinstance(got, str) else "classified")
+    assert "classified" in seen and "HorizonExceeded" in seen
 
 
 # one valid directive each of C1, C3 and C4 from the benchmark's pools,
@@ -315,7 +361,7 @@ def test_evolved_shapes_of_directive_languages():
         oracle = language_horizon(parse_directive(text), 48)
         for n, got, want, _ in _outcomes(oracle, range(47)):
             assert got == want, (text, n)
-            seen.add(got[0] if isinstance(got, tuple) else got)
+            seen.add(got[1] if isinstance(got, tuple) else got)
     assert seen == {*range(1, 11), "OutOfClass", "HorizonExceeded"}
 
 
@@ -348,7 +394,7 @@ def test_evolved_shape_matches_a_rebuild(images, horizon, slack):
 
 
 @pytest.mark.parametrize("prefix, horizon, order, reason", [
-    ("01101001001101001101101", 23, 6, "non-special vertices"),
+    ("01101001001101001101101", 23, 6, "the walk from '001101' by '1' meets no special factor"),
     ("001001010000010010100000101000001001001", 14, 5, "'0010010' has 2 extensions"),
     ("001000010000001000010000100", 25, 10, "'00001000010000100' has 0 extensions"),
     ("0110000011011011011011000001100", 27, 5, "evolved vertices are not the special factors"),
@@ -361,23 +407,23 @@ def test_evolved_shape_matches_a_rebuild(images, horizon, slack):
 def test_evolution_refuses_prefix_languages_that_are_not_bi_extendable(prefix, horizon, order,
                                                                        reason):
     oracle = FactorOracle.from_prefix(prefix, horizon)
-    graph = build_graph(oracle, order)
-    _, last = _rebuilt(graph, oracle)
+    _, last = _rebuilt(build_graph(oracle, order), oracle)
     assert not _bi_extendable(oracle, order, last)
     with pytest.raises(OutOfClass, match=reason):
-        reduce_and_classify(graph, oracle)
+        reduce_and_classify(oracle, order)
 
 
 def test_bispecial_order_refuses_a_non_special_vertex():
     # '212', the prefix's last factor of length 3, has one edge in and none
     # out, so it is neither right nor left special; the order has a
-    # bispecial, and a gap order refuses such a vertex the same way
+    # bispecial, and the walk of the reduced graph stops on that vertex at
+    # a bispecial order as at a gap order
     oracle = FactorOracle.from_prefix("0110121012101101212", 13)
-    graph = build_graph(oracle, 3)
-    assert oracle.bispecials(3) and "212" in reduce_graph(graph, oracle).vertices
+    assert oracle.bispecials(3)
+    assert _not_special(reduce_graph(build_graph(oracle, 3)), oracle) == {"212"}
     assert not _bi_extendable(oracle, 3, 3)
-    with pytest.raises(OutOfClass, match=r"order 3: non-special vertices \['212'\]"):
-        reduce_and_classify(graph, oracle)
+    with pytest.raises(OutOfClass, match="order 3: the walk from '121' by '2' meets no special"):
+        reduce_and_classify(oracle, 3)
 
 
 # -- the reduced graph read off the language, and circuits over reduced
@@ -444,12 +490,10 @@ def _agree_with_the_order_n_graph(oracle, orders, budgets=False):
     seen = set()
     for n in orders:
         graph = build_graph(oracle, n)
-        want = _reduced_outcome(lambda: reduce_graph(graph, oracle))
+        want = _reduced_outcome(lambda: reduce_graph(graph))
         got = _reduced_outcome(lambda: reduced_graph(oracle, n))
         if got != want:
-            assert got == "OutOfClass", (oracle, n)
-            with pytest.raises(OutOfClass, match="non-special vertices"):
-                _split_specials(reduce_graph(graph, oracle), oracle)
+            assert got == "OutOfClass" and _not_special(reduce_graph(graph), oracle), (oracle, n)
             continue
         if isinstance(got, str):
             continue
@@ -501,12 +545,12 @@ def test_reduced_graph_refuses_a_prefix_that_is_not_bi_extendable():
     # '212', the last factor of length 3, has no edge out; the order-n
     # graph keeps it as a vertex, the language walk stops on it
     oracle = FactorOracle.from_prefix("0110121012101101212", 13)
-    assert "212" in reduce_graph(build_graph(oracle, 3), oracle).vertices
+    assert "212" in reduce_graph(build_graph(oracle, 3)).vertices
     with pytest.raises(OutOfClass, match="meets no special factor"):
         reduced_graph(oracle, 3)
     # '00100', the first factor of length 5, has no edge in, so no walk
     # from a special factor reads its edge out
     oracle = FactorOracle.from_prefix("00100101001", 11)
-    assert "00100" in reduce_graph(build_graph(oracle, 5), oracle).vertices
+    assert "00100" in reduce_graph(build_graph(oracle, 5)).vertices
     with pytest.raises(OutOfClass, match="cover 5 of the 6 factors of length 6"):
         reduced_graph(oracle, 5)

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rauzyadic.errors import (MalformedDirective, NonGrowing, NoStabilization, NotContractible,
+from rauzyadic.errors import (EmptyProduct, ErasingMorphism, MalformedDirective,
+                              MalformedMorphism, NonGrowing, NoStabilization, NotContractible,
                               RauzyadicError)
 from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
 from rauzyadic.sadic import (
@@ -184,6 +185,22 @@ _DIRECTIVE_LINES = st.one_of(
              min_size=1, max_size=3).map(" ".join),
     st.lists(_PIECES, max_size=8).map("".join),
 )
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: DirectiveWord(()), EmptyProduct, "empty directive word"),
+    (lambda: DirectiveWord((), (bracket("01", ""),)), ErasingMorphism,
+     "erasing morphism in directive word"),
+    (lambda: parse_morphism_spec("[0,10"), MalformedDirective,
+     r"'\[0,10': bracket not closed by '\]'"),
+])
+def test_directive_refusals_are_typed(call, error, text):
+    with pytest.raises(error, match=f"^{text}$") as info:
+        call()
+    assert isinstance(info.value, RauzyadicError) and isinstance(info.value, ValueError)
+    if error is MalformedDirective:
+        # the parser reports the morphism text's own refusal
+        assert isinstance(info.value.__cause__, MalformedMorphism)
 
 
 @pytest.mark.parametrize("text", sorted(MALFORMED))

@@ -5,12 +5,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, NegativeLength,
                               NoStabilization, NotInLanguage, NotProlongable, RauzyadicError)
-from rauzyadic.sadic import language_horizon, parse_directive
+from rauzyadic.morphism import compose_all
+from rauzyadic.sadic import _live_period, language_horizon, parse_directive, used_letters
 from rauzyadic.words import (
     LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
     eventual_support, extension_profile, factors_of, factors_text, is_primitive, named_oracle,
     return_words, return_words_by_scan, substitutive_language,
 )
+
+DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
 
 
 def test_factor_sets(fib, tm):
@@ -254,6 +257,69 @@ def test_kernel_refuses_non_primitive():
             substitutive_language(tau, 5)
 
 
+def _language_by_pairs(tau, n, lift=None):
+    """Reference for substitutive_language: the same construction, with L_n
+    the union of the factors of each whole concatenation mu tau^k(ab) over
+    ab in L_2.  Returns (L_n, certificate) or the NoStabilization text."""
+    letters = "".join(sorted(tau))
+    if not is_primitive(tau):
+        return f"substitution {tau} is not primitive on the letters {letters}"
+    pairs = frozenset(x + y for x in letters for y in letters
+                      if any(x + y in w for w in tau.values()))
+    frontier, rounds = pairs, 0
+    while frontier:
+        rounds += 1
+        frontier = frozenset(tau[ab[0]][-1] + tau[ab[1]][0] for ab in frontier) - pairs
+        pairs |= frontier
+    imgs = {a: lift[a] if lift else a for a in letters}
+    k = 0
+    while min(len(w) for w in imgs.values()) < n - 1:
+        imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
+        k += 1
+    top = frozenset().union(*(factors_of(imgs[ab[0]] + imgs[ab[1]], n) for ab in pairs))
+    return top, (letters, len(pairs), rounds, k)
+
+
+def _language_by_blocks(tau, n, lift=None):
+    try:
+        sets, cert = substitutive_language(tau, n, lift)
+    except NoStabilization as exc:
+        return str(exc)
+    assert list(sets) == [n]
+    return sets[n], (cert.letters, cert.pairs, cert.rounds, cert.k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 150])
+@pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
+def test_kernel_slices_blocks_and_junctions_as_the_pairs_do(name, n):
+    tau = NAMED_SOURCES[name]
+    assert _language_by_blocks(tau, n) == _language_by_pairs(tau, n)
+
+
+@pytest.mark.parametrize("path", sorted(DIRECTIVES.glob("*.dw")), ids=lambda f: f.stem)
+def test_kernel_of_a_directive_language_slices_as_the_pairs_do(path):
+    # tau and the lift mu as language_horizon takes them
+    dw = parse_directive(path.read_text())
+    tau = _live_period(dw, used_letters(dw))
+    mu = compose_all(dw.preperiod, dw.period[0].codomain).images
+    lift = {a: mu[int(a)] for a in tau}
+    got = _language_by_blocks(tau, 100, lift)
+    assert got == _language_by_pairs(tau, 100, lift)
+    if isinstance(got, str):
+        with pytest.raises(NoStabilization):
+            language_horizon(dw, 100)
+    else:
+        assert got[0] == language_horizon(dw, 100).factors(100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions(), st.booleans(), st.integers(0, 60), st.data())
+def test_kernel_slices_random_substitutions_as_the_pairs_do(tau, lifted, n, data):
+    lift = data.draw(st.fixed_dictionaries(
+        {a: st.text(alphabet=LETTERS[:3], min_size=1, max_size=3) for a in tau})) if lifted else None
+    assert _language_by_blocks(tau, n, lift) == _language_by_pairs(tau, n, lift)
+
+
 def _profile_per_factor(oracle, N):
     """The complexity profile from one extension profile per factor."""
     p = tuple(len(oracle.factors(n)) for n in range(N + 1))
@@ -380,9 +446,6 @@ def test_profile_of_a_named_source_matches_the_counts(name, horizon):
     for N in sorted({0, horizon // 2, horizon}):
         got = _counted_three_ways(lambda: named_oracle(name, horizon), N)
         assert isinstance(got, ComplexityProfile)
-
-
-DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
 
 
 @pytest.mark.parametrize("path", [f for f in sorted(DIRECTIVES.glob("*.dw"))

@@ -12,10 +12,6 @@ class RauzyadicError(Exception):
 class HorizonExceeded(RauzyadicError):
     """A factor-set query went past the oracle's certified horizon."""
 
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
-
 
 class IdentityViolation(RauzyadicError):
     """A complexity identity failed, signalling an inconsistent oracle."""
@@ -88,11 +84,6 @@ class UnwritableOutput(RauzyadicError):
     directory; names the path."""
 
 
-class BrokenPath(RauzyadicError, ValueError):
-    """Rauzy graph edges that do not chain into the path asked for.  A
-    ValueError too, as it was before it had a type of its own."""
-
-
 class MalformedDirective(RauzyadicError, ValueError):
     """Directive or morphism text that does not parse; names the offending
     line.  A ValueError too, for callers that catch parse errors as such."""
@@ -119,8 +110,8 @@ class NotInLanguage(RauzyadicError, ValueError):
 
 
 class MalformedMorphism(RauzyadicError, ValueError):
-    """Morphism text that does not parse (rules, brackets, factor or
-    generator names); the directive parser reports it as MalformedDirective."""
+    """Morphism text that does not parse (rules, brackets or factor names);
+    the directive parser reports it as MalformedDirective."""
 
 
 class EmptyProduct(RauzyadicError, ValueError):

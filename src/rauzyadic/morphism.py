@@ -80,17 +80,6 @@ class Morphism:
     def is_identity(self) -> bool:
         return all(w == LETTERS[i] for i, w in enumerate(self.images))
 
-    def is_letter_to_letter(self) -> bool:
-        return all(len(w) == 1 for w in self.images)
-
-    def occurrence_matrix(self) -> list[list[bool]]:
-        """occ[a][b] iff letter a occurs in the image of letter b."""
-        return [[LETTERS[a] in self.images[b] for b in range(self.domain)]
-                for a in range(self.codomain)]
-
-    def restrict(self, domain: int) -> "Morphism":
-        return Morphism(self.images[:domain], self.codomain)
-
     def rule_string(self) -> str:
         return ";".join(f"{LETTERS[i]}->{w}" for i, w in enumerate(self.images))
 
@@ -167,19 +156,14 @@ def compose_all(ms, n: int | None = None) -> Morphism:
 class ProperRecord:
     right_proper: bool
     ending: str | None
-    left_proper: bool
-    leading: str | None
-    letter_to_letter: bool
 
 
 def classify(m: Morphism) -> ProperRecord:
+    """Right properness: every image is non-empty and they all end with one
+    letter, the ending."""
     lasts = {w[-1] for w in m.images if w}
-    firsts = {w[0] for w in m.images if w}
     right = len(lasts) == 1 and not m.erasing
-    left = len(firsts) == 1 and not m.erasing
-    return ProperRecord(right, lasts.pop() if right else None,
-                        left, firsts.pop() if left else None,
-                        m.is_letter_to_letter())
+    return ProperRecord(right, lasts.pop() if right else None)
 
 
 def left_conjugate(m: Morphism) -> Morphism:
@@ -230,11 +214,6 @@ def E(x: int, y: int) -> Morphism:
     return Morphism(tuple(imgs), 3)
 
 
-def permutation(images: str) -> Morphism:
-    """Letter-to-letter permutation 0->images[0], ..."""
-    return Morphism(tuple(images), 3)
-
-
 _FAMILIES = {"D": D, "G": G, "M": M, "E": E}
 
 GeneratorWord = tuple[str, ...]
@@ -281,21 +260,8 @@ def derived(name: str) -> Morphism:
     return _FAMILIES[name[0]](int(name[1]), int(name[2]))
 
 
-def compose_generators(word: GeneratorWord, n: int = 3) -> Morphism:
-    """Compose a generator word (leftmost applied last) into a morphism."""
-    return compose_all([GENERATORS[name] for name in word], n)
-
-
 def generator_word_string(word: GeneratorWord) -> str:
     return " ".join(word)
-
-
-def parse_generator_word(text: str) -> GeneratorWord:
-    names = tuple(text.split())
-    for name in names:
-        if name not in GENERATORS:
-            raise MalformedMorphism(f"unknown generator {name!r}")
-    return names
 
 
 # -- decomposition by peeling ----------------------------------------

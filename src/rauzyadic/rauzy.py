@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (BrokenPath, ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
-                     OutOfClass)
+from .errors import ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded, OutOfClass
 from .words import FactorOracle, Word
 
 # edge expansions one circuit enumeration may make before it is refused
@@ -50,25 +49,16 @@ class RauzyGraph:
     edges: tuple[Edge, ...]
 
     def out_edges(self, u: Word) -> tuple[Edge, ...]:
-        return self._adj()[0].get(u, ())
-
-    def in_edges(self, v: Word) -> tuple[Edge, ...]:
-        return self._adj()[1].get(v, ())
+        return self._adj().get(u, ())
 
     def _adj(self):
         if not hasattr(self, "_adj_cache"):
             out: dict[Word, list[Edge]] = {}
-            inc: dict[Word, list[Edge]] = {}
             for e in self.edges:
                 out.setdefault(e.src, []).append(e)
-                inc.setdefault(e.dst, []).append(e)
             object.__setattr__(self, "_adj_cache",
-                               ({u: tuple(sorted(es, key=lambda e: e.right)) for u, es in out.items()},
-                                {v: tuple(sorted(es, key=lambda e: e.right)) for v, es in inc.items()}))
+                               {u: tuple(sorted(es, key=lambda e: e.right)) for u, es in out.items()})
         return self._adj_cache
-
-    def full_labels(self) -> frozenset[Word]:
-        return frozenset(e.full_label for e in self.edges)
 
 
 def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
@@ -81,67 +71,7 @@ def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
     return RauzyGraph(n, vertices, edges)
 
 
-# -- paths and circuits -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class Path:
-    """Edge path; empty paths are anchored at a vertex."""
-
-    order: int
-    start: Word
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        prev = self.start
-        for e in self.edges:
-            if e.src != prev:
-                raise BrokenPath("edges do not chain")
-            prev = e.dst
-
-    @property
-    def end(self) -> Word:
-        return self.edges[-1].dst if self.edges else self.start
-
-    def __len__(self):
-        return len(self.edges)
-
-    @property
-    def right_label(self) -> Word:
-        return "".join(e.right for e in self.edges)
-
-    @property
-    def left_label(self) -> Word:
-        return "".join(e.left for e in self.edges)
-
-    @property
-    def full_label(self) -> Word:
-        return self.start + self.right_label
-
-    @property
-    def vertices(self) -> tuple[Word, ...]:
-        return (self.start,) + tuple(e.dst for e in self.edges)
-
-    def visits(self, v: Word) -> int:
-        return self.vertices.count(v)
-
-    def concat(self, other: "Path") -> "Path":
-        if other.start != self.end:
-            raise BrokenPath("paths do not chain")
-        return Path(self.order, self.start, self.edges + other.edges)
-
-
-def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
-    """The unique path from start with the given right label."""
-    edges = []
-    cur = start
-    for b in right_label:
-        matches = [e for e in graph.out_edges(cur) if e.right == b]
-        if len(matches) != 1:
-            raise BrokenPath(f"no unique edge from {cur!r} with right label {b!r}")
-        edges.append(matches[0])
-        cur = matches[0].dst
-    return Path(graph.order, start, tuple(edges))
+# -- circuits ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -188,12 +118,6 @@ class Circuit:
     def visits(self, v: Word) -> int:
         """How often it passes the reduced-graph vertex v."""
         return self.stops.count(v)
-
-    @property
-    def path(self) -> Path:
-        """The same circuit as a path of order-n edges, one per letter."""
-        n, label = len(self.start), self.full_label
-        return Path(n, self.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(self))))
 
     def __len__(self):
         return sum(e.length for e in self.edges)
@@ -268,14 +192,6 @@ def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tu
     return tuple(sorted(out, key=lambda c: c.right_label))
 
 
-def psi_project(p: Path, lower: RauzyGraph) -> Path:
-    """The unique path in the order-(n-1) graph with the same right label
-    whose endpoints are suffixes of p's endpoints."""
-    if p.order != lower.order + 1:
-        raise BrokenPath("psi projects one order down")
-    return walk(lower, p.start[1:], p.right_label)
-
-
 # -- reduced graphs and shapes ----------------------------------------
 
 
@@ -299,9 +215,6 @@ class ReducedRauzyGraph:
     def out_edges(self, u: Word) -> tuple[ReducedEdge, ...]:
         return tuple(e for e in self.edges if e.src == u)
 
-    def in_edges(self, v: Word) -> tuple[ReducedEdge, ...]:
-        return tuple(e for e in self.edges if e.dst == v)
-
 
 def reduced_graph(oracle: FactorOracle, n: int) -> ReducedRauzyGraph:
     """The reduced graph of order n read off the language, with no order-n
@@ -322,7 +235,9 @@ def reduced_graph(oracle: FactorOracle, n: int) -> ReducedRauzyGraph:
 
 def _specials_of_order(oracle: FactorOracle, n: int) -> frozenset[Word]:
     """The right and left special factors of length n, the vertices of the
-    reduced graph of order n; there are none in a periodic language."""
+    reduced graph of order n.  There are none where the first difference
+    p(n+1) - p(n) is 0, in a periodic language, or below 0, where a finite
+    prefix is too short for the order."""
     if n + 1 > oracle.horizon:
         raise HorizonExceeded(f"graph of order {n} needs horizon {n + 1}")
     if n < 0:
@@ -330,7 +245,10 @@ def _specials_of_order(oracle: FactorOracle, n: int) -> frozenset[Word]:
         oracle.factors(n + 1)
     keep = frozenset(oracle.right_specials(n)) | frozenset(oracle.left_specials(n))
     if not keep:
-        raise OutOfClass(f"order {n}: no special vertex (periodic language)")
+        s = oracle.count(n + 1) - oracle.count(n)
+        why = "periodic language" if s == 0 else "prefix too short for the order"
+        raise OutOfClass(f"order {n}: no special vertex (first difference p({n + 1}) - p({n}) "
+                         f"= {s}: {why})")
     return keep
 
 
@@ -361,8 +279,7 @@ def _reduced_edges(oracle: FactorOracle, n: int, keep: frozenset[Word],
 class GraphShape:
     """One of the ten shapes.  ``gap`` is nonzero when the classified order
     had no bispecial factor and the type reported is the one of the next
-    bispecial order; the loop lengths are measured by ``measure_two_loops``
-    and ``measure_no_loops``."""
+    bispecial order."""
 
     type_id: int
     order: int
@@ -520,71 +437,6 @@ def right_special_chain(oracle: FactorOracle, N: int) -> list[Word]:
         best = max(depth[w] for w in kids)
         chain.append(next(w for w in kids if depth[w] == best))
     return chain
-
-
-# -- measurements for the length bookkeeping ---------------------------
-
-
-@dataclass(frozen=True)
-class LoopMeasurement:
-    """u_i, v_i and the maximal loop count K in a two-loop configuration,
-    with side 1 the chain side."""
-
-    u1: int
-    u2: int
-    v1: int
-    v2: int
-    K: int
-
-
-def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> LoopMeasurement:
-    """Direct measurement of |u1|, |u2|, |v1|, |v2| and K on the reduced graph."""
-    g = reduced_graph(oracle, order)
-    rs = [v for v in g.vertices if oracle.is_right_special(v)]
-    if len(rs) != 2 or chain_vertex not in rs:
-        raise OutOfClass(f"order {order}: not a two-right-special configuration")
-    r1 = chain_vertex
-    r2 = next(v for v in rs if v != r1)
-    sides = {}
-    for i, (ri, rj) in enumerate(((r1, r2), (r2, r1)), start=1):
-        cyc = _single_cycle(g, ri, avoid=rj)
-        if cyc is None:
-            raise OutOfClass(f"order {order}: no unique own cycle at {ri!r}")
-        if len(cyc) == 1:
-            sides[i] = (0, cyc[0].length)
-        elif len(cyc) == 2:
-            sides[i] = (cyc[1].length, cyc[0].length)
-        else:
-            raise OutOfClass(f"order {order}: own cycle through {len(cyc)} condensed edges")
-    circs = circuits_from(g, r1, oracle)
-    K = max((c.visits(r2) - 1 for c in circs if c.visits(r2)), default=0)
-    return LoopMeasurement(u1=sides[1][0], u2=sides[2][0], v1=sides[1][1], v2=sides[2][1], K=K)
-
-
-def measure_no_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> tuple[int, int]:
-    """|p1| (into the chain-side right special) and |p2| in the four-cycle
-    configuration of the 5/6 region."""
-    g = reduced_graph(oracle, order)
-    rs = [v for v in g.vertices if oracle.is_right_special(v)]
-    if len(rs) != 2 or chain_vertex not in rs:
-        raise OutOfClass(f"order {order}: not a two-right-special configuration")
-    r1 = chain_vertex
-    r2 = next(v for v in rs if v != r1)
-    out = {}
-    for i, ri in enumerate((r1, r2), start=1):
-        incoming = g.in_edges(ri)
-        srcs = {e.src for e in incoming}
-        if srcs == {ri} or not incoming:
-            raise OutOfClass(f"order {order}: loop at {ri!r}, not a 5/6 region")
-        plain = [e for e in incoming if e.src != ri]
-        if len({e.src for e in plain}) != 1:
-            raise OutOfClass(f"order {order}: several predecessors of {ri!r}")
-        src = plain[0].src
-        if oracle.is_left_special(src) and not oracle.is_right_special(src):
-            out[i] = plain[0].length
-        else:
-            out[i] = 0
-    return out[1], out[2]
 
 
 # -- DOT export --------------------------------------------------------

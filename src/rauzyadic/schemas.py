@@ -423,15 +423,6 @@ def evolution_rows(from_type: int, to_type: int | None = None,
     return out
 
 
-def gog_from_tables() -> dict[int, frozenset[int]]:
-    """The shape adjacency of the unrefined graph of graphs, read off the
-    evolution tables."""
-    adj: dict[int, set[int]] = {t: set() for t in range(1, 11)}
-    for er in EVOLUTION_TABLE:
-        adj[er.from_type] |= set(er.to_types)
-    return {t: frozenset(s) for t, s in adj.items()}
-
-
 # -- the refined graph ---------------------------------------------------
 
 # each vertex with its strongly connected component of the refined graph,

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
-                     NegativeLength, NoStabilization, NotInLanguage, NotProlongable)
+                     NegativeLength, NoStabilization, NotProlongable)
 
 Word = str
 
@@ -271,10 +271,6 @@ class FactorOracle:
         j = bisect_left(top, u)
         return top[j][len(u):] if j < len(top) and top[j].startswith(u) else ""
 
-    def is_aperiodic(self, upto: int) -> bool:
-        """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
-        return all(p >= n + 1 for n, p in enumerate(self.counts(upto)))
-
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -408,46 +404,6 @@ def named_oracle(name: str, horizon: int) -> FactorOracle:
 
 
 @dataclass(frozen=True)
-class ExtensionProfile:
-    """Right/left/bilateral extension data of one factor."""
-
-    word: Word
-    right: frozenset[str]
-    left: frozenset[str]
-    biext: frozenset[tuple[str, str]]
-    m: int
-
-    @property
-    def right_special(self) -> bool:
-        return len(self.right) >= 2
-
-    @property
-    def left_special(self) -> bool:
-        return len(self.left) >= 2
-
-    @property
-    def bispecial(self) -> bool:
-        return self.right_special and self.left_special
-
-    @property
-    def kind(self) -> str:
-        """weak / neutral / strong by the sign of the bilateral order."""
-        return "weak" if self.m < 0 else ("strong" if self.m > 0 else "neutral")
-
-
-def extension_profile(oracle: FactorOracle, u: Word) -> ExtensionProfile:
-    """Extensions and bilateral order m(u) = #biext - d+ - d- + 1."""
-    if len(u) + 2 > oracle.horizon:
-        raise HorizonExceeded(f"extension profile of {u!r} needs horizon {len(u) + 2}")
-    right = oracle.right_extensions(u)
-    left = oracle.left_extensions(u)
-    two = oracle.factors(len(u) + 2)
-    biext = frozenset((a, b) for a in left for b in right if a + u + b in two)
-    m = len(biext) - len(right) - len(left) + 1
-    return ExtensionProfile(u, right, left, biext, m)
-
-
-@dataclass(frozen=True)
 class ComplexityProfile:
     p: tuple[int, ...]
     s: tuple[int, ...]
@@ -505,66 +461,3 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
         if s[n + 1] - s[n] != (total_m := biext - degrees[n] + p[n]):
             raise IdentityViolation(f"second-difference identity fails at n={n}: ds={s[n + 1] - s[n]} sum m={total_m}")
     return ComplexityProfile(p, s)
-
-
-def return_words(oracle: FactorOracle, u: Word, max_length: int | None = None) -> frozenset[Word]:
-    """Return words to u: words r with ur in the language containing exactly
-    two occurrences of u, one as a prefix and one as a suffix.
-
-    Enumerated as first-return extensions pruned by language membership, so
-    the result is exact whenever every return word fits inside the horizon;
-    otherwise HorizonExceeded is raised with the words found so far attached
-    as ``partial``.
-    """
-    if not oracle.contains(u):
-        raise NotInLanguage(f"{u!r} not in the language")
-    room = oracle.horizon - len(u)
-    capped = max_length is not None and max_length <= room
-    limit = min(room, max_length) if max_length is not None else room
-    found: set[Word] = set()
-    overflow = False
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        for a in sorted(oracle.right_extensions(v)):
-            w = v + a
-            if not oracle.contains(w):
-                continue
-            if w[len(w) - len(u):] == u:
-                found.add(w[len(u):])
-                continue
-            if len(w) - len(u) >= limit:
-                overflow = True
-                continue
-            stack.append(w)
-    if overflow and not capped:
-        raise HorizonExceeded(f"return words to {u!r} exceed horizon {oracle.horizon}",
-                              partial=frozenset(found))
-    # under a caller-supplied cap the result is exactly the return words of
-    # length <= max_length
-    return frozenset(r for r in found if max_length is None or len(r) <= max_length)
-
-
-def factors_text(oracle: FactorOracle, n: int) -> str:
-    """Length-n factor set as sorted, newline-separated digit strings."""
-    return "\n".join(sorted(oracle.factors(n))) + "\n"
-
-
-def return_words_by_scan(witness: Word, u: Word) -> frozenset[Word]:
-    """Return words to u read off consecutive occurrences in a finite word.
-
-    A return word r is the piece between the ends of consecutive
-    occurrences, so that u.r has u as a prefix and as a suffix and no
-    occurrence in between.  Independent of the oracle machinery; used as
-    a cross-check.
-    """
-    occ = []
-    start = 0
-    while True:
-        i = witness.find(u, start)
-        if i < 0:
-            break
-        occ.append(i)
-        start = i + 1
-    k = len(u)
-    return frozenset(witness[i + k : j + k] for i, j in zip(occ, occ[1:]))

@@ -1,0 +1,265 @@
+"""Reference code that only the tests read: the judges of the pipeline.
+
+Each judge recomputes, by a plainer route, what a stage of the pipeline
+produces, or measures what that stage's bookkeeping claims:
+
+- return words judge the circuits (``rauzy.circuits_from``): the allowed
+  circuits from a right special of the chain are its return words;
+- the bilateral order judges the second-difference identity of
+  ``words.complexity_profile``, and ``is_aperiodic`` its counts;
+- order-n paths, ``walk``, ``circuit_path`` and the projection
+  ``psi_project`` judge the Rauzy graphs and the circuits over reduced
+  edges;
+- ``measure_two_loops`` and ``measure_no_loops`` judge the length
+  bookkeeping (``lengths.compute_length_state``) on the reduced graph;
+- ``occurrence_matrix`` judges ``sadic.weak_primitivity_check``,
+  ``left_proper`` judges ``sadic.proper_contraction``, and the generator
+  words (``compose_generators``, ``parse_generator_word``) judge
+  ``morphism.decompose``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from rauzyadic.errors import HorizonExceeded, MalformedMorphism, NotInLanguage, OutOfClass
+from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
+from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
+                             reduced_graph)
+from rauzyadic.words import LETTERS, FactorOracle, Word
+
+# -- factor languages ---------------------------------------------------
+
+
+def is_aperiodic(oracle: FactorOracle, upto: int) -> bool:
+    """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
+    return all(p >= n + 1 for n, p in enumerate(oracle.counts(upto)))
+
+
+def bilateral_order(oracle: FactorOracle, u: Word) -> int:
+    """m(u) = #biext - d+ - d- + 1, from the extensions of u."""
+    if len(u) + 2 > oracle.horizon:
+        raise HorizonExceeded(f"extension profile of {u!r} needs horizon {len(u) + 2}")
+    right = oracle.right_extensions(u)
+    left = oracle.left_extensions(u)
+    two = oracle.factors(len(u) + 2)
+    biext = sum(a + u + b in two for a in left for b in right)
+    return biext - len(right) - len(left) + 1
+
+
+def return_words(oracle: FactorOracle, u: Word, max_length: int | None = None) -> frozenset[Word]:
+    """Return words to u: words r with ur in the language containing exactly
+    two occurrences of u, one as a prefix and one as a suffix.
+
+    Enumerated as first-return extensions pruned by language membership, so
+    the result is exact whenever every return word fits inside the horizon;
+    otherwise HorizonExceeded is raised.
+    """
+    if not oracle.contains(u):
+        raise NotInLanguage(f"{u!r} not in the language")
+    room = oracle.horizon - len(u)
+    capped = max_length is not None and max_length <= room
+    limit = min(room, max_length) if max_length is not None else room
+    found: set[Word] = set()
+    overflow = False
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        for a in sorted(oracle.right_extensions(v)):
+            w = v + a
+            if not oracle.contains(w):
+                continue
+            if w[len(w) - len(u):] == u:
+                found.add(w[len(u):])
+                continue
+            if len(w) - len(u) >= limit:
+                overflow = True
+                continue
+            stack.append(w)
+    if overflow and not capped:
+        raise HorizonExceeded(f"return words to {u!r} exceed horizon {oracle.horizon}")
+    # under a caller-supplied cap the result is exactly the return words of
+    # length <= max_length
+    return frozenset(r for r in found if max_length is None or len(r) <= max_length)
+
+
+def return_words_by_scan(witness: Word, u: Word) -> frozenset[Word]:
+    """Return words to u read off consecutive occurrences in a finite word.
+
+    A return word r is the piece between the ends of consecutive
+    occurrences, so that u.r has u as a prefix and as a suffix and no
+    occurrence in between.  Independent of the oracle machinery; the judge
+    of ``return_words``.
+    """
+    occ = []
+    start = 0
+    while True:
+        i = witness.find(u, start)
+        if i < 0:
+            break
+        occ.append(i)
+        start = i + 1
+    k = len(u)
+    return frozenset(witness[i + k : j + k] for i, j in zip(occ, occ[1:]))
+
+
+# -- paths of the order-n graph ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Path:
+    """Edge path of the order-n graph; empty paths are anchored at a vertex."""
+
+    order: int
+    start: Word
+    edges: tuple[Edge, ...]
+
+    @property
+    def end(self) -> Word:
+        return self.edges[-1].dst if self.edges else self.start
+
+    def __len__(self):
+        return len(self.edges)
+
+    @property
+    def right_label(self) -> Word:
+        return "".join(e.right for e in self.edges)
+
+    @property
+    def left_label(self) -> Word:
+        return "".join(e.left for e in self.edges)
+
+    @property
+    def full_label(self) -> Word:
+        return self.start + self.right_label
+
+    @property
+    def vertices(self) -> tuple[Word, ...]:
+        return (self.start,) + tuple(e.dst for e in self.edges)
+
+
+def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
+    """The unique path from start with the given right label."""
+    edges = []
+    cur = start
+    for b in right_label:
+        matches = [e for e in graph.out_edges(cur) if e.right == b]
+        if len(matches) != 1:
+            raise ValueError(f"no unique edge from {cur!r} with right label {b!r}")
+        edges.append(matches[0])
+        cur = matches[0].dst
+    return Path(graph.order, start, tuple(edges))
+
+
+def circuit_path(c: Circuit) -> Path:
+    """The circuit as a path of order-n edges, one per letter."""
+    n, label = len(c.start), c.full_label
+    return Path(n, c.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(c))))
+
+
+def psi_project(p: Path, lower: RauzyGraph) -> Path:
+    """The unique path in the order-(n-1) graph with the same right label
+    whose endpoints are suffixes of p's endpoints."""
+    if p.order != lower.order + 1:
+        raise ValueError("psi projects one order down")
+    return walk(lower, p.start[1:], p.right_label)
+
+
+# -- measurements for the length bookkeeping ---------------------------
+
+
+@dataclass(frozen=True)
+class LoopMeasurement:
+    """u_i, v_i and the maximal loop count K in a two-loop configuration,
+    with side 1 the chain side."""
+
+    u1: int
+    u2: int
+    v1: int
+    v2: int
+    K: int
+
+
+def measure_two_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> LoopMeasurement:
+    """Direct measurement of |u1|, |u2|, |v1|, |v2| and K on the reduced graph."""
+    g = reduced_graph(oracle, order)
+    rs = [v for v in g.vertices if oracle.is_right_special(v)]
+    if len(rs) != 2 or chain_vertex not in rs:
+        raise OutOfClass(f"order {order}: not a two-right-special configuration")
+    r1 = chain_vertex
+    r2 = next(v for v in rs if v != r1)
+    sides = {}
+    for i, (ri, rj) in enumerate(((r1, r2), (r2, r1)), start=1):
+        cyc = _single_cycle(g, ri, avoid=rj)
+        if cyc is None:
+            raise OutOfClass(f"order {order}: no unique own cycle at {ri!r}")
+        if len(cyc) == 1:
+            sides[i] = (0, cyc[0].length)
+        elif len(cyc) == 2:
+            sides[i] = (cyc[1].length, cyc[0].length)
+        else:
+            raise OutOfClass(f"order {order}: own cycle through {len(cyc)} condensed edges")
+    circs = circuits_from(g, r1, oracle)
+    K = max((c.visits(r2) - 1 for c in circs if c.visits(r2)), default=0)
+    return LoopMeasurement(u1=sides[1][0], u2=sides[2][0], v1=sides[1][1], v2=sides[2][1], K=K)
+
+
+def measure_no_loops(oracle: FactorOracle, order: int, chain_vertex: Word) -> tuple[int, int]:
+    """|p1| (into the chain-side right special) and |p2| in the four-cycle
+    configuration of the 5/6 region."""
+    g = reduced_graph(oracle, order)
+    rs = [v for v in g.vertices if oracle.is_right_special(v)]
+    if len(rs) != 2 or chain_vertex not in rs:
+        raise OutOfClass(f"order {order}: not a two-right-special configuration")
+    r1 = chain_vertex
+    r2 = next(v for v in rs if v != r1)
+    out = {}
+    for i, ri in enumerate((r1, r2), start=1):
+        incoming = [e for e in g.edges if e.dst == ri]
+        srcs = {e.src for e in incoming}
+        if srcs == {ri} or not incoming:
+            raise OutOfClass(f"order {order}: loop at {ri!r}, not a 5/6 region")
+        plain = [e for e in incoming if e.src != ri]
+        if len({e.src for e in plain}) != 1:
+            raise OutOfClass(f"order {order}: several predecessors of {ri!r}")
+        src = plain[0].src
+        if oracle.is_left_special(src) and not oracle.is_right_special(src):
+            out[i] = plain[0].length
+        else:
+            out[i] = 0
+    return out[1], out[2]
+
+
+# -- morphisms ------------------------------------------------------------
+
+
+def occurrence_matrix(m: Morphism) -> list[list[bool]]:
+    """occ[a][b] iff letter a occurs in the image of letter b."""
+    return [[LETTERS[a] in m.images[b] for b in range(m.domain)] for a in range(m.codomain)]
+
+
+def left_proper(m: Morphism) -> bool:
+    """Every image is non-empty and they all begin with one letter."""
+    return not m.erasing and len({w[0] for w in m.images}) == 1
+
+
+def restrict(m: Morphism, domain: int) -> Morphism:
+    return Morphism(m.images[:domain], m.codomain)
+
+
+def permutation(images: str) -> Morphism:
+    """Letter-to-letter permutation 0->images[0], ... of three letters."""
+    return Morphism(tuple(images), 3)
+
+
+def compose_generators(word: GeneratorWord, n: int = 3) -> Morphism:
+    """Compose a generator word (leftmost applied last) into a morphism."""
+    return compose_all([GENERATORS[name] for name in word], n)
+
+
+def parse_generator_word(text: str) -> GeneratorWord:
+    names = tuple(text.split())
+    for name in names:
+        if name not in GENERATORS:
+            raise MalformedMorphism(f"unknown generator {name!r}")
+    return names

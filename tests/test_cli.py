@@ -114,7 +114,7 @@ def test_circuits_of_a_vertex_that_is_not_right_special(tmp_path, capsys):
 def test_decompose_command(capsys):
     code, out, _ = run(["decompose", "0->0;1->110;2->10"], capsys)
     assert code == 0
-    from rauzyadic.morphism import compose_generators, parse_generator_word
+    from judges import compose_generators, parse_generator_word
     assert compose_generators(parse_generator_word(out.strip())).images == ("0", "110", "10")
     code, out, err = run(["decompose", "0->0;0->10;1->1"], capsys)
     assert code == 3 and out == "" and "two rules for letter 0" in err

@@ -8,15 +8,15 @@ arrival must equal what the brute-force reduced Rauzy graph measures.
 
 import pytest
 from hypothesis import given, strategies as st
+from judges import measure_no_loops, measure_two_loops
 from test_rauzy import reduce_graph
 
-from rauzyadic import rauzy
 from rauzyadic.errors import RauzyadicError
 from rauzyadic.extraction import extract_directive
 from rauzyadic.lengths import (LengthState, common_prefix_len, common_suffix_len,
                                compute_length_state)
 from rauzyadic.morphism import bracket
-from rauzyadic.rauzy import build_graph, measure_no_loops, measure_two_loops, right_special_chain
+from rauzyadic.rauzy import build_graph, right_special_chain
 from rauzyadic.sadic import DirectiveWord, language_horizon
 from rauzyadic.validator import APPROX_CASES
 
@@ -100,7 +100,7 @@ def test_measurements_match_the_condensed_order_n_graph(name, monkeypatch):
 
     got = outcomes()
     assert any(not isinstance(x, str) for x in got), name
-    monkeypatch.setattr(rauzy, "reduced_graph", lambda o, n: reduce_graph(build_graph(o, n)))
+    monkeypatch.setattr("judges.reduced_graph", lambda o, n: reduce_graph(build_graph(o, n)))
     assert outcomes() == got
 
 

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from judges import compose_generators, left_proper, parse_generator_word, permutation, restrict
 
 from rauzyadic.errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
                               NotRightProper, RauzyadicError)
 from rauzyadic.morphism import (
     D, DERIVED_EXPANSION, E, G, GEN_E01, GEN_E12, GEN_G, GEN_M, M, Morphism,
-    bracket, classify, compose, compose_all, compose_generators, decompose,
-    derived, identity, left_conjugate, parse_generator_word, parse_rules, permutation,
+    bracket, classify, compose, compose_all, decompose, derived, identity, left_conjugate,
+    parse_rules,
 )
 from rauzyadic.words import LETTERS
 
@@ -45,12 +46,14 @@ def test_compose_alphabet_mismatch():
 
 
 def test_classify():
-    rec = classify(bracket("0", "10", "20"))
-    assert rec.right_proper and rec.ending == "0" and not rec.left_proper
+    m = bracket("0", "10", "20")
+    rec = classify(m)
+    assert rec.right_proper and rec.ending == "0" and not left_proper(m)
     rec = classify(GEN_E01)
-    assert rec.letter_to_letter and not rec.right_proper
-    rec = classify(bracket("01", "1"))
-    assert rec.right_proper and rec.ending == "1" and not rec.left_proper
+    assert all(len(w) == 1 for w in GEN_E01.images) and not rec.right_proper
+    m = bracket("01", "1")
+    rec = classify(m)
+    assert rec.right_proper and rec.ending == "1" and not left_proper(m)
 
 
 def test_left_conjugate():
@@ -181,7 +184,7 @@ def test_decompose_examples():
 def test_decompose_formula_instances():
     for m, _ in formula_instances(kmax=4):
         word = decompose(m)
-        assert compose_generators(word).restrict(m.domain).images == m.images, m
+        assert restrict(compose_generators(word), m.domain).images == m.images, m
 
 
 def test_decompose_two_letter():
@@ -213,8 +216,8 @@ def test_decompose_products_of_derived(a, b):
 def test_decompose_random_products(names, domain):
     # decompose then compose_generators is the identity on products of D, G
     # and E factors, restricted to 2 or 3 letters
-    m = compose_all([compose_generators(DERIVED_EXPANSION[n]) for n in names]).restrict(domain)
-    assert compose_generators(decompose(m)).restrict(domain) == m
+    m = restrict(compose_all([compose_generators(DERIVED_EXPANSION[n]) for n in names]), domain)
+    assert restrict(compose_generators(decompose(m)), domain) == m
 
 
 def test_left_conjugate_preserves_factor_sets():
@@ -425,7 +428,7 @@ def _ref_decompose(m):
     if factors is None:
         raise NotInCatalog(f"no decomposition found for {m}")
     word = tuple(g for name in factors for g in DERIVED_EXPANSION.get(name) or (name,))
-    if compose_generators(word).restrict(m.domain).images != m.images:
+    if restrict(compose_generators(word), m.domain).images != m.images:
         raise NotInCatalog(f"internal error: decomposition of {m} failed verification")
     return word
 
@@ -447,5 +450,5 @@ def test_decompose_agrees_with_per_character_peeling(images):
 @given(st.lists(st.sampled_from(sorted(DERIVED_EXPANSION)), min_size=1, max_size=6),
        st.sampled_from((2, 3)))
 def test_decompose_agrees_with_per_character_peeling_on_products(names, domain):
-    m = compose_all([derived(n) for n in names]).restrict(domain)
+    m = restrict(compose_all([derived(n) for n in names]), domain)
     assert _outcome(decompose, m) == _outcome(_ref_decompose, m)

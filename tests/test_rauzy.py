@@ -3,17 +3,17 @@ from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from judges import Path, circuit_path, measure_two_loops, psi_project, return_words, walk
 
 from rauzyadic import rauzy
-from rauzyadic.errors import (BrokenPath, ChainBlocked, HorizonExceeded, OutOfClass,
-                              RauzyadicError)
+from rauzyadic.errors import ChainBlocked, HorizonExceeded, OutOfClass, RauzyadicError
 from rauzyadic.rauzy import (
-    CIRCUIT_BUDGET, EvolvedEdge, Path, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
-    circuits_from, classify_shape, measure_two_loops, psi_project, reduce_and_classify,
-    reduced_graph, right_special_chain, to_dot, walk,
+    CIRCUIT_BUDGET, EvolvedEdge, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
+    circuits_from, classify_shape, reduce_and_classify, reduced_graph, right_special_chain,
+    to_dot,
 )
 from rauzyadic.sadic import language_horizon, parse_directive
-from rauzyadic.words import FactorOracle, is_primitive, named_oracle, return_words
+from rauzyadic.words import FactorOracle, is_primitive, named_oracle
 
 DIRECTIVES = FilePath(__file__).resolve().parents[1] / "directives"
 
@@ -58,20 +58,20 @@ def _not_special(g, oracle):
 def test_figure_fibonacci_graphs(fib):
     g0 = build_graph(fib, 0)
     assert g0.vertices == {""}
-    assert g0.full_labels() == {"0", "1"}
+    assert {e.full_label for e in g0.edges} == {"0", "1"}
     g1 = build_graph(fib, 1)
     assert g1.vertices == {"0", "1"}
-    assert g1.full_labels() == {"00", "01", "10"}
+    assert {e.full_label for e in g1.edges} == {"00", "01", "10"}
     g2 = build_graph(fib, 2)
     assert g2.vertices == {"00", "01", "10"}
-    assert g2.full_labels() == {"001", "010", "100", "101"}
+    assert {e.full_label for e in g2.edges} == {"001", "010", "100", "101"}
 
 
 def test_figure_thue_morse_order_3(tm):
     g3 = build_graph(tm, 3)
     assert g3.vertices == {"001", "011", "010", "101", "100", "110"}
-    assert g3.full_labels() == {"0010", "0011", "0100", "0101", "0110",
-                                "1001", "1010", "1011", "1100", "1101"}
+    assert {e.full_label for e in g3.edges} == {"0010", "0011", "0100", "0101", "0110",
+                                               "1001", "1010", "1011", "1100", "1101"}
 
 
 def test_reduced_fibonacci_order_2(fib):
@@ -108,7 +108,7 @@ def test_special_vertices_by_degrees(fib, tm, trib):
         for n in range(7):
             g = build_graph(o, n)
             want = {v for v in g.vertices
-                    if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1}
+                    if len(g.out_edges(v)) != 1 or sum(e.dst == v for e in g.edges) != 1}
             assert special_vertices(g) == want, (o, n)
 
 
@@ -145,6 +145,19 @@ def test_circuits_from_periodic():
         reduced_graph(o, 2)
 
 
+@pytest.mark.parametrize("prefix, horizon, order, reason", [
+    ("01" * 50, 10, 2, r"p\(3\) - p\(2\) = 0: periodic language"),
+    # p(10) = 4, p(11) = 3: the prefix runs out before the order, and is not periodic
+    ("0100101001001", 12, 10, r"p\(11\) - p\(10\) = -1: prefix too short for the order"),
+], ids=["periodic", "short-prefix"])
+def test_no_special_vertex_names_the_first_difference(prefix, horizon, order, reason):
+    oracle = FactorOracle.from_prefix(prefix, horizon)
+    for build in (reduced_graph, reduce_and_classify):
+        with pytest.raises(OutOfClass, match=rf"^order {order}: no special vertex "
+                                             rf"\(first difference {reason}\)$"):
+            build(oracle, order)
+
+
 def test_psi_projection_examples(fib):
     g2, g1 = build_graph(fib, 2), build_graph(fib, 1)
     e = next(e for e in g2.edges if e.src == "01" and e.right == "0")
@@ -156,21 +169,6 @@ def test_psi_projection_examples(fib):
     q = walk(g2, "10", "10")
     pr = psi_project(q, g1)
     assert pr.start == "0" and pr.end == "0" and pr.right_label == "10"
-
-
-def test_psi_bijection_without_bispecial(fib, trib):
-    for o in (fib, trib):
-        chain = right_special_chain(o, 16)
-        for n in range(15):
-            if o.bispecials(n):
-                continue
-            down = build_graph(o, n)
-            cu = circuits_from(reduced_graph(o, n + 1), chain[n + 1], o)
-            cd = circuits_from(reduced_graph(o, n), chain[n], o)
-            proj = [psi_project(c.path, down) for c in cu]
-            assert sorted(p.right_label for p in proj) == sorted(c.right_label for c in cd)
-            for p in proj:
-                assert p.start == chain[n] and p.end == chain[n]
 
 
 def test_right_special_chain(fib, trib):
@@ -267,22 +265,6 @@ def test_single_cycle_is_unique_or_none():
     assert _single_cycle(one, "r", avoid="b") == [out, back]
     two = ReducedRauzyGraph(1, frozenset("rlb"), (loop, out, back, to_b, from_b))
     assert _single_cycle(two, "r", avoid="b") is None
-
-
-def test_path_errors_are_typed(fib):
-    g2, g1 = build_graph(fib, 2), build_graph(fib, 1)
-    e = next(e for e in g2.edges if e.src == "01")
-    with pytest.raises(BrokenPath, match="edges do not chain"):
-        Path(2, "10", (e,))
-    with pytest.raises(BrokenPath, match="paths do not chain"):
-        Path(2, "01", (e,)).concat(Path(2, "01", ()))
-    with pytest.raises(BrokenPath, match="no unique edge from '00'"):
-        walk(g2, "00", "0")
-    with pytest.raises(BrokenPath, match="psi projects one order down"):
-        psi_project(Path(2, "01", ()), g2)
-    # still a ValueError for callers that caught it as one
-    with pytest.raises(ValueError):
-        walk(g1, "1", "1")
 
 
 # -- the evolution to the next bispecial order, against a rebuild there ----
@@ -475,8 +457,9 @@ def _circuits_outcome(graph, v, oracle):
     for c in circs:
         # the reduced edges chain, and pass exactly the special vertices
         # that the letter-level path does
-        assert c.path.full_label == c.full_label and len(c.path) == len(c)
-        assert tuple(u for u in c.path.vertices if u in graph.vertices) == c.stops
+        path = circuit_path(c)
+        assert path.full_label == c.full_label and len(path) == len(c)
+        assert tuple(u for u in path.vertices if u in graph.vertices) == c.stops
     return tuple(c.right_label for c in circs)
 
 

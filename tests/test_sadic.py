@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from judges import left_proper, occurrence_matrix
 
 from rauzyadic.errors import (EmptyProduct, ErasingMorphism, MalformedDirective,
                               MalformedMorphism, NonGrowing, NoStabilization, NotContractible,
@@ -103,7 +104,7 @@ def test_weak_primitivity_iff_primitive_contraction():
     for dw in (AR_CYCLE, STURMIAN_ALT, FIB_DW):
         assert weak_primitivity_check(dw).holds
         block = compose_all([dw.morphism(i) for i in range(2 * dw.known_levels() + 2)])
-        occ = block.occurrence_matrix()
+        occ = occurrence_matrix(block)
         assert all(all(row) for row in occ)
 
 
@@ -111,7 +112,7 @@ def test_proper_contraction_sturmian():
     t = proper_contraction(STURMIAN_ALT)
     for m in list(t.preperiod) + list(t.period):
         rec = classify(m)
-        assert rec.right_proper and rec.left_proper
+        assert rec.right_proper and left_proper(m)
     o1 = language_horizon(STURMIAN_ALT, 10)
     o2 = language_horizon(t, 10)
     for n in range(11):
@@ -122,7 +123,7 @@ def test_proper_contraction_ar():
     t = proper_contraction(AR_CYCLE)
     for m in list(t.preperiod) + list(t.period):
         rec = classify(m)
-        assert rec.right_proper and rec.left_proper
+        assert rec.right_proper and left_proper(m)
     o1 = language_horizon(AR_CYCLE, 8)
     o2 = language_horizon(t, 8)
     for n in range(9):
@@ -233,7 +234,7 @@ def test_non_primitive_word_has_no_primitive_contraction():
     dw = DirectiveWord((), (bracket("0", "10"),))
     for span in (2, 5, 9):
         block = compose_all([dw.morphism(i) for i in range(span)])
-        occ = block.occurrence_matrix()
+        occ = occurrence_matrix(block)
         assert not all(all(row) for row in occ)
 
 
@@ -243,7 +244,7 @@ def test_proper_contraction_with_preperiod():
     t = proper_contraction(dw)
     for m in list(t.preperiod) + list(t.period):
         rec = classify(m)
-        assert rec.right_proper and rec.left_proper
+        assert rec.right_proper and left_proper(m)
     o1 = language_horizon(dw, 8)
     o2 = language_horizon(t, 8)
     for n in range(9):
@@ -413,7 +414,7 @@ def _products_verdict(dw):
         return used[level] if level < p else used[p + (level - p) % T]
 
     def occ(m):
-        return tuple(map(tuple, m.occurrence_matrix()))
+        return tuple(map(tuple, occurrence_matrix(m)))
 
     for r in range(p + T):
         P, s, seen = occ(dw.morphism(r)), r, set()

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from judges import compose_generators, restrict
 
 from rauzyadic.errors import NoSchemaMatch
-from rauzyadic.morphism import D, bracket, compose, compose_generators, decompose, identity
+from rauzyadic.morphism import D, bracket, compose, decompose, identity
 from rauzyadic.schemas import (
     _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP,
-    Match, Row, _image, edge_step, evolution_rows, gog_from_tables, match_rows,
+    Match, Row, _image, edge_step, evolution_rows, match_rows,
     solve_lengths, unique_row_match,
 )
 from rauzyadic.validator import _EXCLUDED_CONFIGS
@@ -31,6 +32,15 @@ FIG8 = {
     9: {9, 1, 5, 6},
     10: {10, 1, 7, 8},
 }
+
+
+def gog_from_tables() -> dict[int, frozenset[int]]:
+    """The shape adjacency of the unrefined graph of graphs, read off the
+    evolution tables."""
+    adj: dict[int, set[int]] = {t: set() for t in range(1, 11)}
+    for er in EVOLUTION_TABLE:
+        adj[er.from_type] |= set(er.to_types)
+    return {t: frozenset(s) for t, s in adj.items()}
 
 
 def test_graph_of_graphs_fidelity():
@@ -62,7 +72,7 @@ def test_schema_soundness_decompose_and_rematch():
         rows_on_edge = GPRIME_EDGES[(row.src, row.dst)]
         for m, k, l in row_instances(row, pmax=3):
             word = decompose(m)
-            assert compose_generators(word).restrict(m.domain).images == m.images, (row.rid, m)
+            assert restrict(compose_generators(word), m.domain).images == m.images, (row.rid, m)
             got = unique_row_match(rows_on_edge, m, f"{row.src}->{row.dst}")
             assert got.row.rid == row.rid, (row.rid, got.row.rid, m)
             count += 1
@@ -195,7 +205,7 @@ def test_evolution_table_instances_decompose():
     for er in EVOLUTION_TABLE:
         for m, k, l in row_instances(er.row, pmax=3):
             word = decompose(m)
-            assert compose_generators(word).restrict(m.domain).images == m.images, (er.row.rid, m)
+            assert restrict(compose_generators(word), m.domain).images == m.images, (er.row.rid, m)
 
 
 def test_match_schema_examples():

@@ -1,0 +1,76 @@
+"""The library holds the pipeline and nothing else: every top-level
+function, class and method defined in ``src/rauzyadic`` is named somewhere
+in ``src/`` or ``scripts/`` outside its own definition, or is a name the
+benchmark's tracer wraps.  Reference code that only the tests read lives
+in ``tests/judges.py``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "rauzyadic").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
+
+# names kept with no caller yet, each with its reason
+EXCEPTIONS = {
+    "proper_contraction": "the proper S-adic representation of ROADMAP item 3(a) will use it",
+}
+
+
+def _traced_names() -> set[str]:
+    """The attribute names that ``TRACED`` in perfbench/tracer.py wraps,
+    read from the file's text: perfbench is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            traced = ast.literal_eval(node.value)
+            return {part for _, path in traced.values() for part in path.split(".")}
+    raise AssertionError("no TRACED table in perfbench/tracer.py")
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level function and class
+    and of each method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _uses(tree: ast.Module):
+    """(name, line) of each name and attribute read or written in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+
+
+def test_every_library_name_has_a_reader():
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    uses = {path: list(_uses(tree)) for path, tree in trees.items()}
+    traced = _traced_names()
+    unread = []
+    for path in LIBRARY:
+        for name, first, last in _definitions(trees[path]):
+            # dunder methods are called by the language, not by name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in traced or name in EXCEPTIONS:
+                continue
+            if not any(used == name and (other != path or not first <= line <= last)
+                       for other, found in uses.items() for used, line in found):
+                unread.append(f"{path.name}: {name}")
+    assert not unread, f"defined in src/ but read by no module of src/ or scripts/: {unread}"
+
+
+def test_exceptions_are_still_defined():
+    defined = {name for path in LIBRARY for name, _, _ in _definitions(ast.parse(path.read_text()))}
+    assert set(EXCEPTIONS) <= defined

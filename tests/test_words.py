@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from judges import bilateral_order, is_aperiodic, return_words, return_words_by_scan
 
 from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, NegativeLength,
                               NoStabilization, NotInLanguage, NotProlongable, RauzyadicError)
@@ -9,8 +10,7 @@ from rauzyadic.morphism import compose_all
 from rauzyadic.sadic import _live_period, language_horizon, parse_directive, used_letters
 from rauzyadic.words import (
     LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
-    eventual_support, extension_profile, factors_of, factors_text, is_primitive, named_oracle,
-    return_words, return_words_by_scan, substitutive_language,
+    eventual_support, factors_of, is_primitive, named_oracle, substitutive_language,
 )
 
 DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
@@ -36,15 +36,18 @@ def test_factorial_closure(fib, tm, trib):
             assert {w[:-1] for w in longer} <= shorter
 
 
+def _biext(oracle, u):
+    return {(a, b) for a in oracle.left_extensions(u) for b in oracle.right_extensions(u)
+            if oracle.contains(a + u + b)}
+
+
 def test_extension_profile_examples(fib):
-    ep = extension_profile(fib, "0")
-    assert ep.right == {"0", "1"} and ep.left == {"0", "1"}
-    assert ep.biext == {("0", "1"), ("1", "0"), ("1", "1")}
-    assert ep.m == 0
-    ep = extension_profile(fib, "")
-    assert ep.right == {"0", "1"} and len(ep.biext) == 3 and ep.m == 0
-    ep = extension_profile(fib, "00")
-    assert ep.right == {"1"} and not ep.right_special
+    assert fib.right_extensions("0") == {"0", "1"} and fib.left_extensions("0") == {"0", "1"}
+    assert _biext(fib, "0") == {("0", "1"), ("1", "0"), ("1", "1")}
+    assert bilateral_order(fib, "0") == 0
+    assert fib.right_extensions("") == {"0", "1"} and len(_biext(fib, "")) == 3
+    assert bilateral_order(fib, "") == 0
+    assert fib.right_extensions("00") == {"1"} and not fib.is_right_special("00")
 
 
 def test_suffix_of_right_special_is_right_special(fib, trib):
@@ -66,7 +69,7 @@ def test_complexity_periodic_word():
     o = FactorOracle.from_prefix("01" * 50, horizon=8, source="(01)^inf")
     prof = complexity_profile(o, 6)
     assert prof.p == (1, 2, 2, 2, 2, 2, 2)
-    assert not o.is_aperiodic(4)
+    assert not is_aperiodic(o, 4)
 
 
 def test_identity_violation_on_bogus_oracle():
@@ -111,8 +114,8 @@ def test_short_return_word_unique(fib, tm, trib):
 
 
 def test_aperiodicity(fib, trib):
-    assert fib.is_aperiodic(20)
-    assert trib.is_aperiodic(20)
+    assert is_aperiodic(fib, 20)
+    assert is_aperiodic(trib, 20)
 
 
 @settings(max_examples=20, deadline=None)
@@ -128,20 +131,9 @@ def test_factors_of():
     assert factors_of("0100", 0) == {""}
 
 
-def test_factors_text_export(fib):
-    assert factors_text(fib, 2) == "00\n01\n10\n"
-
-
-def test_return_words_horizon_partial():
-    o = named_oracle("fibonacci", 10)
-    with pytest.raises(HorizonExceeded) as exc:
-        return_words(o, "00100")
-    assert exc.value.partial is not None
-
-
 def test_extension_profile_horizon_refusal(fib):
     with pytest.raises(HorizonExceeded):
-        extension_profile(fib, "0" * (fib.horizon - 1))
+        bilateral_order(fib, "0" * (fib.horizon - 1))
 
 
 def test_substitution_requires_prolongable_seed():
@@ -321,7 +313,7 @@ def test_kernel_slices_random_substitutions_as_the_pairs_do(tau, lifted, n, data
 
 
 def _profile_per_factor(oracle, N):
-    """The complexity profile from one extension profile per factor."""
+    """The complexity profile from one bilateral order per factor."""
     p = tuple(len(oracle.factors(n)) for n in range(N + 1))
     s = tuple(p[n + 1] - p[n] for n in range(N))
     for n in range(N):
@@ -330,7 +322,7 @@ def _profile_per_factor(oracle, N):
         if not rs == ls == s[n]:
             raise IdentityViolation(f"first-difference identity fails at n={n}: s={s[n]} right={rs} left={ls}")
     for n in range(N - 1):
-        total_m = sum(extension_profile(oracle, u).m for u in oracle.factors(n))
+        total_m = sum(bilateral_order(oracle, u) for u in oracle.factors(n))
         if s[n + 1] - s[n] != total_m:
             raise IdentityViolation(f"second-difference identity fails at n={n}: "
                                     f"ds={s[n + 1] - s[n]} sum m={total_m}")
@@ -436,7 +428,7 @@ def _counted_three_ways(make, N):
     p = tuple(len(fresh.factors(n)) for n in range(N + 1))
     if isinstance(got, ComplexityProfile):
         assert got.p == p
-    assert make().is_aperiodic(N) == all(pn >= n + 1 for n, pn in enumerate(p))
+    assert is_aperiodic(make(), N) == all(pn >= n + 1 for n, pn in enumerate(p))
     return got
 
 
@@ -509,12 +501,12 @@ def test_aperiodicity_fails_at_the_first_short_count():
     word = "01" * 10
     for oracle in (FactorOracle.from_prefix(word, 6),
                    FactorOracle(Alphabet(2), {6: factors_of(word, 6)}, 6, "top set")):
-        assert oracle.is_aperiodic(1) and not oracle.is_aperiodic(2)
+        assert is_aperiodic(oracle, 1) and not is_aperiodic(oracle, 2)
 
 
 def test_profile_of_a_language_builds_no_shorter_set():
     oracle = named_oracle("tribonacci", 40)
-    assert complexity_profile(oracle, 40).p[-1] == 81 and oracle.is_aperiodic(40)
+    assert complexity_profile(oracle, 40).p[-1] == 81 and is_aperiodic(oracle, 40)
     assert set(oracle._factors) == {40}
 
 

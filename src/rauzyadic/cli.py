@@ -203,6 +203,8 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "crosscheck":
+        if args.window < 0:
+            raise RauzyadicError(f"crosscheck needs --window >= 0, got --window {args.window}")
         dw = _directive(args)
         rep = cross_validate(dw, horizon=args.window)
         sys.stdout.write(rep.serialize())

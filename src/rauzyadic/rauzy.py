@@ -48,18 +48,6 @@ class RauzyGraph:
     vertices: frozenset[Word]
     edges: tuple[Edge, ...]
 
-    def out_edges(self, u: Word) -> tuple[Edge, ...]:
-        return self._adj().get(u, ())
-
-    def _adj(self):
-        if not hasattr(self, "_adj_cache"):
-            out: dict[Word, list[Edge]] = {}
-            for e in self.edges:
-                out.setdefault(e.src, []).append(e)
-            object.__setattr__(self, "_adj_cache",
-                               {u: tuple(sorted(es, key=lambda e: e.right)) for u, es in out.items()})
-        return self._adj_cache
-
 
 def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
     """Vertices are the length-n factors, one edge per length-(n+1) factor."""

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, EmptyProduct, ErasingMorphism, MalformedDirective,
-                     MalformedMorphism, NoStabilization, NonGrowing, NotContractible)
+                     MalformedMorphism, NegativeLength, NoStabilization, NonGrowing,
+                     NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived,
                        left_conjugate, classify, parse_rules)
 from .words import (Alphabet, FactorOracle, Word, eventual_support, factors_of, is_primitive,
@@ -107,6 +108,8 @@ def generate_one_sided(dw: DirectiveWord, target_len: int,
                        max_levels: int = 200) -> GenerationResult:
     """Prefix of the limit word m_0 m_1 ... m_n(SEED^omega), truncated once
     two consecutive levels agree on it."""
+    if target_len < 0:
+        raise NegativeLength(f"negative prefix length {target_len}")
     if not dw.period:
         raise NonGrowing("a finite directive word has no limit word")
     window = 2 * max(4, dw.known_levels())
@@ -171,8 +174,8 @@ def language_horizon(dw: DirectiveWord, n: int) -> FactorOracle:
         raise NoStabilization("a finite directive word has no limit language")
     tau = _live_period(dw, used_letters(dw))
     mu = compose_all(dw.preperiod, dw.period[0].codomain).images
-    sets, cert = substitutive_language(tau, n, {a: mu[int(a)] for a in tau})
-    return FactorOracle(Alphabet(dw.alphabet_size), sets, n, f"directive {dw!r}",
+    top, cert = substitutive_language(tau, n, {a: mu[int(a)] for a in tau})
+    return FactorOracle(Alphabet(dw.alphabet_size), top, n, f"directive {dw!r}",
                         certificate=cert)
 
 

@@ -9,9 +9,12 @@ everything downstream is a pure function of factor sets.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
                      NegativeLength, NoStabilization, NotProlongable)
@@ -65,41 +68,33 @@ def factors_of(w: Word, n: int) -> frozenset[Word]:
 class FactorOracle:
     """Exact-up-to-horizon factor sets of an infinite word or subshift.
 
-    ``factors(n)`` is guaranteed exact for ``n <= horizon``; queries past
-    the horizon raise :class:`HorizonExceeded` instead of silently
-    truncating.  The guarantee depends on the constructor (see ``source``);
+    The oracle holds one set of top words over the alphabet, each at most
+    ``horizon`` letters long, and L_n, n <= horizon, is the set of the
+    n-prefixes of the top words of n letters or more.  A substitutive
+    language passes its L_horizon and an explicit prefix its suffixes cut to
+    the horizon, so each family is factorial.  ``factors(n)`` is exact for
+    ``n <= horizon`` as far as the constructor guarantees (see ``source``;
     a substitutive language records its :class:`LanguageCertificate` in
-    ``certificate``.
+    ``certificate``); queries past the horizon raise :class:`HorizonExceeded`.
 
-    A length missing from ``factor_sets`` is derived on first use as the
-    prefixes of the nearest longer set, which is exact for right-extendable
-    languages such as :func:`substitutive_language`'s; other sources must
-    pass every length.  Every derived L_n is the length-n prefixes of the
-    nearest longer *given* set, so ``contains`` and the extension queries
-    on a length not yet stored are a prefix search in that set, sorted
-    once, and build no set.
-
-    Special factors of length n come from one count of the extension
-    letters over L_{n+1}, memoized per length.  ``special_tables(N)`` gives
-    those of every order n <= N; when every L_n, n <= N + 1, is the
-    n-prefixes of one given set L_M over the alphabet (the oracles of
-    :func:`substitutive_language`, ``language_horizon`` and
-    :func:`named_oracle`), it reads them all from one pass over L_M sorted
-    instead: an adjacent pair whose longest common prefix has length k
-    makes that prefix right special, and in L_M sorted on ``w[1:]`` an
-    adjacent pair with different first letters makes every prefix of their
-    common key, up to its length, left special.
+    In the sorted top set the words that share an n-prefix are adjacent, so
+    ``contains`` and ``continuation`` are a prefix search, and ``counts``
+    reads every p(n) off the common prefixes of adjacent words.  The special
+    factors of one order n come from one count of the extension letters over
+    L_{n+1}; ``special_tables(N)`` reads those of every order n <= N from one
+    pass instead: an adjacent pair whose longest common prefix is shorter
+    than both words makes that prefix right special, and in the top set
+    sorted on ``w[1:]`` an adjacent pair with different first letters makes
+    every prefix of their common key left special.
     """
 
-    def __init__(self, alphabet: Alphabet, factor_sets: dict[int, frozenset[Word]],
-                 horizon: int, source: str, certificate: LanguageCertificate | None = None):
+    def __init__(self, alphabet: Alphabet, top: frozenset[Word], horizon: int, source: str,
+                 certificate: LanguageCertificate | None = None):
         self.alphabet = alphabet
-        self._factors = dict(factor_sets)
-        self._given = sorted(factor_sets)
-        self._sorted: dict[int, list[Word]] = {}
-        self._lcps: dict[int, tuple[list[int], list[int]]] = {}
+        self._top = sorted(top)
+        self._short = [w for w in self._top if len(w) < horizon]
+        self._factors: dict[int, frozenset[Word]] = {}
         self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
-        self._special_lists: dict[int, tuple[list[Word], ...]] = {}
         self.horizon = horizon
         self.source = source
         self.certificate = certificate
@@ -109,30 +104,25 @@ class FactorOracle:
 
     # -- core queries ------------------------------------------------
 
-    def factors(self, n: int) -> frozenset[Word]:
+    def _check_length(self, n: int) -> None:
         if n < 0:
             raise NegativeLength(f"negative factor length {n}")
         if n > self.horizon:
             raise HorizonExceeded(f"factors({n}) beyond horizon {self.horizon} ({self.source})")
-        try:
-            return self._factors[n]
-        except KeyError:
-            longer = [m for m in self._factors if m > n]
-            if not longer:
-                raise
-        self._factors[n] = prefixes = frozenset(w[:n] for w in self._factors[min(longer)])
-        return prefixes
+
+    def factors(self, n: int) -> frozenset[Word]:
+        if n not in self._factors:
+            self._check_length(n)
+            # a top word shorter than n is its own n-prefix, and no factor
+            prefixes = frozenset(map(itemgetter(slice(n)), self._top))
+            self._factors[n] = prefixes.difference(w for w in self._short if len(w) < n)
+        return self._factors[n]
 
     def contains(self, w: Word) -> bool:
-        n = len(w)
-        i = bisect_left(self._given, n + 1)
-        if n in self._factors or n > self.horizon or i == len(self._given):
-            return w in self.factors(n)
-        # w is a prefix of a longer given word iff it is a prefix of the
-        # first one not below it in sorted order
-        top = self._sorted_given(self._given[i])
-        j = bisect_left(top, w)
-        return j < len(top) and top[j].startswith(w)
+        # w is a prefix of a top word iff of the first one not below it
+        self._check_length(len(w))
+        j = bisect_left(self._top, w)
+        return j < len(self._top) and self._top[j].startswith(w)
 
     __contains__ = contains
 
@@ -146,9 +136,9 @@ class FactorOracle:
         """(right, left, bi): the words of length n with two or more right,
         two or more left, and both kinds of extension letters in L_{n+1}."""
         if n not in self._specials:
-            letters, longer = self.alphabet.letters, self.factors(n + 1)
-            right = Counter(w[:-1] for w in longer if w[-1] in letters)
-            left = Counter(w[1:] for w in longer if w[0] in letters)
+            longer = self.factors(n + 1)
+            right = Counter(w[:-1] for w in longer)
+            left = Counter(w[1:] for w in longer)
             rs = frozenset(u for u, d in right.items() if d >= 2)
             ls = frozenset(u for u, d in left.items() if d >= 2)
             self._specials[n] = (rs, ls, rs & ls)
@@ -156,29 +146,30 @@ class FactorOracle:
 
     def special_tables(self, N: int) -> list[tuple[list[Word], list[Word], list[Word]]]:
         """The right, left and bispecial factors of every order n <= N,
-        sorted; from one pass over the sorted top set where it applies (see
-        the class docstring), otherwise counted per order, longest first."""
-        m = self._top_length(N + 1)
-        if (m is not None and any(n not in self._specials for n in range(N + 1))
-                and set("".join(self._factors[m])) <= set(self.alphabet.letters)):
-            self._specials.update(self._special_pass(m, N))
+        sorted; from one pass over the sorted top set (see the class
+        docstring) where N is below the horizon."""
+        if N < self.horizon and any(n not in self._specials for n in range(N + 1)):
+            self._specials.update(self._special_pass(N))
         return [tuple(self._specials_in_factors(n, side) for side in range(3))
-                for n in range(N, -1, -1)][::-1]
+                for n in range(N + 1)]
 
-    def _special_pass(self, m: int, n: int) -> dict[int, tuple[frozenset[Word], ...]]:
-        """The special tables of every order k <= n, read off the given set
-        L_M (n < M) sorted, and sorted on ``w[1:]``; see the class docstring."""
+    def _special_pass(self, n: int) -> dict[int, tuple[frozenset[Word], ...]]:
+        """The special tables of every order k <= n, read off the top set
+        sorted, and sorted on ``w[1:]``; see the class docstring.  A pair
+        makes a factor of order k special only where both its words have
+        k + 1 letters or more."""
         right: list[set[Word]] = [set() for _ in range(n + 1)]
         left: list[set[Word]] = [set() for _ in range(n + 1)]
-        for u, k in zip(self._sorted_given(m), self._lcps_of(m)[0]):
-            if k <= n:
+        for u, k in zip(self._top, self._lcps):
+            # u sorts first, so k is shorter than the other word
+            if k <= n and k < len(u):
                 right[k].add(u[:k])
-        by_key = sorted(self._factors[m], key=lambda w: w[1:])
+        by_key = sorted(filter(None, self._top), key=lambda w: w[1:])
         for x, y in zip(by_key, by_key[1:]):
             if x[0] != y[0]:
                 # the left specials are prefix-closed: stop at the first
                 # prefix already marked, from the longest down
-                for k in range(_common_prefix_length(x[1:], y[1:], n), -1, -1):
+                for k in range(_common_prefix_length(x[1:], y[1:], min(n, len(x) - 1)), -1, -1):
                     if x[1:k + 1] in left[k]:
                         break
                     left[k].add(x[1:k + 1])
@@ -186,16 +177,8 @@ class FactorOracle:
                 for k, (rs, ls) in enumerate(zip(right, left))}
 
     def _specials_in_factors(self, n: int, side: int) -> list[Word]:
-        """The sorted factors in a special table of order n, memoized."""
-        if n not in self._special_lists:
-            m = self._top_length(n)
-            # an empty L_n needs no L_{n+1}, so it never exceeds the horizon
-            if not (self._factors[m] if m is not None else self.factors(n)):
-                self._special_lists[n] = ([], [], [])
-            else:
-                self._special_lists[n] = tuple(sorted(u for u in table if self.contains(u))
-                                               for table in self._special_table(n))
-        return list(self._special_lists[n][side])
+        """The sorted factors in a special table of order n."""
+        return sorted(self._special_table(n)[side])
 
     def is_right_special(self, u: Word) -> bool:
         return u in self._special_table(len(u))[0]
@@ -215,68 +198,48 @@ class FactorOracle:
     def bispecials(self, n: int) -> list[Word]:
         return self._specials_in_factors(n, 2)
 
-    def _sorted_given(self, m: int) -> list[Word]:
-        if m not in self._sorted:
-            self._sorted[m] = sorted(self._factors[m])
-        return self._sorted[m]
+    @cached_property
+    def _lcps(self) -> list[int]:
+        """The longest common prefix lengths of the adjacent top words."""
+        top = self._top
+        return [_common_prefix_length(u, v, len(u)) for u, v in zip(top, top[1:])]
 
-    def _lcps_of(self, m: int) -> tuple[list[int], list[int]]:
-        """The longest common prefix lengths of the adjacent words of the
-        given set L_M sorted, in that order and sorted; computed once."""
-        if m not in self._lcps:
-            top = self._sorted_given(m)
-            adjacent = [_common_prefix_length(u, v, m) for u, v in zip(top, top[1:])]
-            self._lcps[m] = adjacent, sorted(adjacent)
-        return self._lcps[m]
-
-    def _top_length(self, n: int) -> int | None:
-        """M, when every L_k with 0 <= k <= n is the k-prefixes of the given
-        set L_M: no length below M is given, and n <= M and the horizon."""
-        return (self._given[0] if self._given and 0 <= n <= min(self._given[0], self.horizon)
-                else None)
+    @cached_property
+    def _counts(self) -> list[int]:
+        diff = [0] * (self.horizon + 2)
+        for k, w in zip([-1, *self._lcps], self._top):
+            diff[k + 1] += 1
+            diff[len(w) + 1] -= 1
+        return list(accumulate(diff[:-1]))
 
     def counts(self, N: int) -> tuple[int, ...]:
-        """p(0..N), the sizes of L_0..L_N.
-
-        When every L_n is the n-prefixes of one given set L_M, they are
-        counted from one pass over L_M sorted, with no L_n built: the words
-        that share an n-prefix are adjacent there, so p(n) is one more than
-        the number of adjacent pairs whose longest common prefix is shorter
-        than n (and p = 0 if L_M is empty).  Otherwise the sets are read
-        longest first, so that each derived one is sliced from the next."""
-        if N > self.horizon:
-            raise HorizonExceeded(f"factors({N}) beyond horizon {self.horizon} ({self.source})")
-        m = self._top_length(N)
-        if m is None:
-            return tuple(len(self.factors(n)) for n in range(N, -1, -1))[::-1]
-        if not self._factors[m]:
-            return (0,) * (N + 1)
-        lcps = self._lcps_of(m)[1]
-        return tuple(1 + bisect_left(lcps, n) for n in range(N + 1))
+        """p(0..N), the sizes of L_0..L_N, counted from one pass over the
+        sorted top set with no L_n built: the words that share an n-prefix
+        are adjacent there, so p(n) is the number of top words w with
+        lcp(previous word, w) < n <= |w|, read off a difference array (the
+        first word's lcp is -1)."""
+        self._check_length(N)
+        return tuple(self._counts[:N + 1])
 
     def count(self, n: int) -> int:
-        """p(n), the size of L_n: of the stored set, or as ``counts`` reads it."""
+        """p(n), the size of L_n: of the built set, or as ``counts`` reads it."""
         return len(self._factors[n]) if n in self._factors else self.counts(n)[-1]
 
     def continuation(self, u: Word) -> Word:
         """Letters that follow u in one word of the language, empty when u
-        has no right extension: on an oracle whose L_{|u|+1} is a prefix
-        set of a given L_M, the rest of the first word of L_M with prefix u,
-        otherwise the least right extension letter.  Where u has only one
-        right extension, its first letter is that one."""
-        m = self._top_length(len(u) + 1)
-        if m is None:
-            return min(self.right_extensions(u), default="")
-        top = self._sorted_given(m)
-        j = bisect_left(top, u)
-        return top[j][len(u):] if j < len(top) and top[j].startswith(u) else ""
+        has no right extension: the rest of the first top word longer than
+        u that starts with u.  Its first letter is the least right extension
+        of u, so where u has only one, it is that one."""
+        j = bisect_right(self._top, u)
+        return self._top[j][len(u):] if j < len(self._top) and self._top[j].startswith(u) else ""
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_prefix(cls, prefix: Word, horizon: int, source: str = "explicit prefix",
                     alphabet: Alphabet | None = None) -> "FactorOracle":
-        """Oracle backed by an explicit prefix; exactness is the caller's claim."""
+        """Oracle backed by an explicit prefix, whose top words are its
+        suffixes cut to the horizon; exactness is the caller's claim."""
         if alphabet is None:
             if not set(prefix) <= set(LETTERS):
                 raise AlphabetMismatch(f"prefix letters {sorted(set(prefix) - set(LETTERS))} "
@@ -286,8 +249,8 @@ class FactorOracle:
         alphabet.check(prefix)
         if len(prefix) < horizon:
             raise HorizonExceeded(f"prefix of length {len(prefix)} shorter than horizon {horizon}")
-        sets = {n: factors_of(prefix, n) for n in range(horizon + 1)}
-        return cls(alphabet, sets, horizon, source)
+        top = frozenset(prefix[i:i + horizon] for i in range(len(prefix) + 1))
+        return cls(alphabet, top, horizon, source)
 
     @classmethod
     def from_substitution(cls, images: dict[str, Word], horizon: int,
@@ -302,8 +265,8 @@ class FactorOracle:
         if not images["0"].startswith("0"):
             raise NotProlongable("substitution not prolongable at seed '0'")
         size = max(int(c) for w in images.values() for c in w) + 1
-        sets, cert = substitutive_language(images, horizon)
-        return cls(Alphabet(size), sets, horizon, source or f"substitution fixed point {images}",
+        top, cert = substitutive_language(images, horizon)
+        return cls(Alphabet(size), top, horizon, source or f"substitution fixed point {images}",
                    certificate=cert)
 
 
@@ -342,7 +305,7 @@ def is_primitive(tau: dict[str, Word]) -> bool:
 
 
 def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | None = None
-                          ) -> tuple[dict[int, frozenset[Word]], LanguageCertificate]:
+                          ) -> tuple[frozenset[Word], LanguageCertificate]:
     """Exact factor set L_n of mu(X_tau) for a primitive substitution tau
     and a non-erasing lift mu (identity if None), after Queffelec (LNM 1294)
     and Pytheas Fogg (LNM 1794, ch. 1).
@@ -354,11 +317,10 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     mu tau^k(a), a a letter of L_2, and of each junction window, the last
     n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b).  The
     language is right-extendable, so each shorter L_m is the length-m
-    prefixes of L_n; :class:`FactorOracle` derives those when they are
-    read.  Returns ``{n: L_n}`` and the certificate; no witness word is
-    built.  Raises NoStabilization unless :func:`is_primitive` holds, which
-    follows the letter sets of tau^j to their cycle instead of bounding the
-    power.
+    prefixes of L_n, as :class:`FactorOracle` reads its top set.  Returns
+    L_n and the certificate; no witness word is built.  Raises
+    NoStabilization unless :func:`is_primitive` holds, which follows the
+    letter sets of tau^j to their cycle instead of bounding the power.
     """
     letters = "".join(sorted(tau))
     if not is_primitive(tau):
@@ -380,8 +342,8 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     blocks = (factors_of(imgs[a], n) for a in set("".join(pairs)))
     junctions = (factors_of(imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1], n)
                  for a, b in pairs)
-    sets = {n: frozenset().union(*blocks, *junctions)}
-    return sets, LanguageCertificate(letters, len(pairs), rounds, k)
+    cert = LanguageCertificate(letters, len(pairs), rounds, k)
+    return frozenset().union(*blocks, *junctions), cert
 
 
 # Built-in named substitutions.
@@ -428,26 +390,20 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
     is p(n+1) - p(n) = s(n), and every word of L_{n+2} is a bi-extension of
     its middle, so sum m(u) = p(n+2) - 2p(n+1) + p(n) = s(n+1) - s(n).
 
-    The counts are ``oracle.counts(N)``.  When every L_n, n <= N, is the
-    n-prefixes of one given set L_M, one comparison certifies that closure:
-    if P = {w[:-1]} equals S = {w[1:]} over L_M, then L_n, the n-prefixes of
-    L_M, is the prefix set of L_{n+1} and, as the n-prefixes of S = P, its
-    suffix set too, for every n < M.  Otherwise, or if P != S, each L_n is
-    built and the closure tested per length; only an oracle that fails that
-    test pays for the full count."""
+    The counts are ``oracle.counts(N)``.  When every top word has length
+    ``horizon``, one comparison certifies that closure: if P = {w[:-1]}
+    equals S = {w[1:]} over the top set, then L_n, the n-prefixes of the top
+    set, is the prefix set of L_{n+1} and, as the n-prefixes of S = P, its
+    suffix set too, for every n < horizon.  Otherwise, or if P != S, the
+    identities are counted."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
     p = oracle.counts(N)
     s = tuple(p[n + 1] - p[n] for n in range(N))
-    m = oracle._top_length(N)
-    if m is not None:
-        top = oracle._factors[m]
-        if {w[:-1] for w in top} == {w[1:] for w in top}:
-            return ComplexityProfile(p, s)
-    # longest first, so that each derived L_m is sliced from L_{m+1}
-    L = [oracle.factors(n) for n in range(N, -1, -1)][::-1]
-    if all(L[n] == {w[:-1] for w in L[n + 1]} == {w[1:] for w in L[n + 1]} for n in range(N)):
+    top = oracle._top
+    if not oracle._short and {w[:-1] for w in top} == {w[1:] for w in top}:
         return ComplexityProfile(p, s)
+    L = [oracle.factors(n) for n in range(N + 1)]
     degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)
     for n in range(N):
         right = Counter(w[:-1] for w in L[n + 1] if w[:-1] in L[n])

@@ -7,9 +7,9 @@ produces, or measures what that stage's bookkeeping claims:
   circuits from a right special of the chain are its return words;
 - the bilateral order judges the second-difference identity of
   ``words.complexity_profile``, and ``is_aperiodic`` its counts;
-- order-n paths, ``walk``, ``circuit_path`` and the projection
-  ``psi_project`` judge the Rauzy graphs and the circuits over reduced
-  edges;
+- order-n paths, ``out_edges``, ``walk``, ``circuit_path`` and the
+  projection ``psi_project`` judge the Rauzy graphs and the circuits over
+  reduced edges;
 - ``measure_two_loops`` and ``measure_no_loops`` judge the length
   bookkeeping (``lengths.compute_length_state``) on the reduced graph;
 - ``occurrence_matrix`` judges ``sadic.weak_primitivity_check``,
@@ -20,6 +20,7 @@ produces, or measures what that stage's bookkeeping claims:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from rauzyadic.errors import HorizonExceeded, MalformedMorphism, NotInLanguage, OutOfClass
@@ -138,12 +139,21 @@ class Path:
         return (self.start,) + tuple(e.dst for e in self.edges)
 
 
+def out_edges(graph: RauzyGraph, u: Word) -> tuple[Edge, ...]:
+    """The edges out of u, by right letter: ``build_graph`` sorts the edges
+    on their full labels, u and a letter, so they are adjacent."""
+    i = j = bisect_left(graph.edges, u, key=lambda e: e.full_label)
+    while j < len(graph.edges) and graph.edges[j].src == u:
+        j += 1
+    return graph.edges[i:j]
+
+
 def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
     """The unique path from start with the given right label."""
     edges = []
     cur = start
     for b in right_label:
-        matches = [e for e in graph.out_edges(cur) if e.right == b]
+        matches = [e for e in out_edges(graph, cur) if e.right == b]
         if len(matches) != 1:
             raise ValueError(f"no unique edge from {cur!r} with right label {b!r}")
         edges.append(matches[0])

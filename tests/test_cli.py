@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rauzyadic import sadic
 from rauzyadic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,11 +72,14 @@ def test_graph_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("args, name", [
     (["--source", "tribonacci", "--horizon", "40"], "tribonacci-12"),
     (["--directive-file", str(DW / "c4_osc.dw"), "--horizon", "48"], "c4_osc-12"),
+    (["--prefix-file", str(ROOT / "tests" / "data" / "fibonacci-3000.txt")],
+     "fibonacci-prefix-12"),
 ])
 def test_graph_dot_files_match_the_recorded_ones(tmp_path, capsys, args, name):
     # both files as written when the command still condensed the built
-    # order-n graph; order 12 is a gap order of tribonacci and a bispecial
-    # order of the C4 oscillation
+    # order-n graph, and for the Fibonacci prefix while an explicit prefix
+    # still gave its factor sets length by length; order 12 is a gap order
+    # of tribonacci and a bispecial order of the C4 oscillation
     dot = tmp_path / "g.dot"
     code, _, _ = run(["graph", *args, "--order", "12", "--dot", str(dot)], capsys)
     assert code == 0
@@ -269,6 +273,20 @@ def test_negative_order_is_a_typed_refusal(capsys, cmd):
     assert code == 3 and out == "" and err == "error: NegativeLength: negative factor length -1\n"
 
 
+def test_crosscheck_refuses_a_negative_window_before_reading_the_directive(capsys, tmp_path):
+    code, out, err = run(["crosscheck", str(tmp_path / "missing.dw"), "--window", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: RauzyadicError: crosscheck needs --window >= 0, got --window -1\n"
+
+
+def test_generate_refuses_a_negative_length_before_any_level(capsys, monkeypatch):
+    def compose(dw):
+        raise AssertionError("a level was composed")
+    monkeypatch.setattr(sadic, "_letter_images", compose)
+    code, out, err = run(["generate", str(DW / "fibonacci.dw"), "--length", "-3"], capsys)
+    assert code == 3 and out == "" and err == "error: NegativeLength: negative prefix length -3\n"
+
+
 def test_graph_refuses_an_order_below_minus_one_at_its_edge_length(capsys):
     # the edges of the order-n graph are the factors of length n + 1
     code, out, err = run(["graph", "--source", "fibonacci", "--order", "-3"], capsys)
@@ -279,13 +297,16 @@ def test_graph_refuses_an_order_below_minus_one_at_its_edge_length(capsys):
 # benchmark's horizons and of crosscheck on the committed directives, as
 # recorded before extraction read its graphs off the language; and of graph
 # at gap and bispecial orders and its refusals, as recorded before graph
-# read its reduced graph off the language
+# read its reduced graph off the language; and of complexity, graph,
+# circuits and extract on the prefix files of tests/data, as recorded while
+# an explicit prefix still gave its factor sets length by length
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_outputs.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_outputs_match_the_recorded_ones(capsys, case):
-    argv = [str(ROOT / a) if a.startswith("directives/") else a for a in case["argv"]]
+    argv = [str(ROOT / a) if a.startswith(("directives/", "tests/data/")) else a
+            for a in case["argv"]]
     code, out, err = run(argv, capsys)
     error = err.split(":")[1].strip() if err.startswith("error: ") else None
     assert (code, error, out) == (case["exit"], case["error"], case["stdout"])

@@ -3,7 +3,8 @@ from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from judges import Path, circuit_path, measure_two_loops, psi_project, return_words, walk
+from judges import (Path, circuit_path, measure_two_loops, out_edges, psi_project,
+                    return_words, walk)
 
 from rauzyadic import rauzy
 from rauzyadic.errors import ChainBlocked, HorizonExceeded, OutOfClass, RauzyadicError
@@ -39,11 +40,11 @@ def reduce_graph(graph):
         raise OutOfClass(f"order {graph.order}: no special vertex (periodic language)")
     edges = []
     for u in sorted(keep):
-        for first in graph.out_edges(u):
+        for first in out_edges(graph, u):
             chain = [first]
             while chain[-1].dst not in keep:
                 # a vertex that is not special has one edge out
-                chain.append(graph.out_edges(chain[-1].dst)[0])
+                chain.append(out_edges(graph, chain[-1].dst)[0])
             edges.append(ReducedEdge(u, chain[-1].dst, u + "".join(e.right for e in chain)))
     edges.sort(key=lambda e: (e.src, e.full_label))
     return ReducedRauzyGraph(graph.order, keep, tuple(edges))
@@ -93,7 +94,7 @@ def test_path_label_discipline(fib, trib):
                     p = stack.pop()
                     if len(p) >= n:
                         continue
-                    for e in g.out_edges(p.end):
+                    for e in out_edges(g, p.end):
                         q = Path(n, v, p.edges + (e,))
                         assert q.start.startswith(q.left_label)
                         assert q.end.endswith(q.right_label)
@@ -108,7 +109,7 @@ def test_special_vertices_by_degrees(fib, tm, trib):
         for n in range(7):
             g = build_graph(o, n)
             want = {v for v in g.vertices
-                    if len(g.out_edges(v)) != 1 or sum(e.dst == v for e in g.edges) != 1}
+                    if len(out_edges(g, v)) != 1 or sum(e.dst == v for e in g.edges) != 1}
             assert special_vertices(g) == want, (o, n)
 
 
@@ -433,7 +434,7 @@ def _circuits_letter_by_letter(graph, v, oracle, budget):
     stack = [(v, v)]
     while stack:
         end, label = stack.pop()
-        for e in graph.out_edges(end):
+        for e in out_edges(graph, end):
             expansions += 1
             if expansions > budget:
                 return "EnumerationBudgetExceeded", expansions

@@ -2,7 +2,11 @@
 function, class and method defined in ``src/rauzyadic`` is named somewhere
 in ``src/`` or ``scripts/`` outside its own definition, or is a name the
 benchmark's tracer wraps.  Reference code that only the tests read lives
-in ``tests/judges.py``."""
+in ``tests/judges.py``.
+
+The check matches names, not bindings: a method that shares its name with
+one that is read, such as a second class's ``out_edges``, passes although
+nothing calls it, so such a name needs a look by hand."""
 
 import ast
 from pathlib import Path

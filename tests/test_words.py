@@ -73,11 +73,10 @@ def test_complexity_periodic_word():
 
 
 def test_identity_violation_on_bogus_oracle():
-    # hand-built inconsistent factor sets: claims two factors of length 1
-    # but only one of length 2, with no special structure to pay for it
-    sets = {0: frozenset({""}), 1: frozenset({"0", "1"}), 2: frozenset({"01"}),
-            3: frozenset({"010"})}
-    o = FactorOracle(Alphabet(2), sets, 3, "bogus")
+    # a top set that claims two factors of length 1 but only one of length
+    # 2, with no special structure to pay for it
+    o = FactorOracle(Alphabet(2), frozenset({"010", "1"}), 3, "bogus")
+    assert [o.factors(n) for n in range(3)] == [{""}, {"0", "1"}, {"01"}]
     with pytest.raises(IdentityViolation):
         complexity_profile(o, 2)
 
@@ -188,8 +187,8 @@ def test_kernel_matches_long_word(tau, n):
         with pytest.raises(NoStabilization):
             substitutive_language(tau, n)
         return
-    sets, cert = substitutive_language(tau, n)
-    oracle = FactorOracle(Alphabet(len(tau)), sets, n, "kernel")
+    top, cert = substitutive_language(tau, n)
+    oracle = FactorOracle(Alphabet(len(tau)), top, n, "kernel")
     w = _fixed_point(tau, 20_000)
     for m in range(n + 1):
         assert oracle.factors(m) == factors_of(w, m)
@@ -215,9 +214,9 @@ def _l2_closure_by_factors(tau):
 def test_kernel_l2_closure_matches_factor_closure(tau):
     assume(is_primitive(tau))
     # at n = 2 every tau^0(a) is one letter, so L_2 is the closure itself
-    sets, cert = substitutive_language(tau, 2)
+    top, cert = substitutive_language(tau, 2)
     pairs, rounds = _l2_closure_by_factors(tau)
-    assert (sets[2], cert.pairs, cert.rounds) == (pairs, len(pairs), rounds)
+    assert (top, cert.pairs, cert.rounds) == (pairs, len(pairs), rounds)
 
 
 def test_finite_word_sets_are_not_derived():
@@ -274,11 +273,10 @@ def _language_by_pairs(tau, n, lift=None):
 
 def _language_by_blocks(tau, n, lift=None):
     try:
-        sets, cert = substitutive_language(tau, n, lift)
+        top, cert = substitutive_language(tau, n, lift)
     except NoStabilization as exc:
         return str(exc)
-    assert list(sets) == [n]
-    return sets[n], (cert.letters, cert.pairs, cert.rounds, cert.k)
+    return top, (cert.letters, cert.pairs, cert.rounds, cert.k)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 150])
@@ -341,8 +339,8 @@ _FIXED_POINTS = [_fixed_point(tau, 200) for tau in NAMED_SOURCES.values()]
 
 @st.composite
 def prefix_oracles(draw):
-    """Factor sets of a random word, a repeated root or a piece of a named
-    fixed point, with up to three words of some lengths toggled."""
+    """The oracle of a random word, a repeated root or a piece of a named
+    fixed point, and an N up to its horizon."""
     d = draw(st.integers(1, 3))
     text = st.text(alphabet=LETTERS[:d], min_size=1, max_size=40)
     word = draw(st.one_of(
@@ -352,24 +350,16 @@ def prefix_oracles(draw):
         st.builds(lambda w, i, k: w[i:i + k], st.sampled_from(_FIXED_POINTS),
                   st.integers(0, 60), st.integers(1, 120))))
     horizon = draw(st.integers(0, min(len(word), 14)))
-    oracle = FactorOracle.from_prefix(word, horizon)
-    # the factor sets of a finite word are factorial, and factorial sets
-    # always satisfy the second-difference identity; toggled words break that
-    sets = {n: set(oracle.factors(n)) for n in range(horizon + 1)}
-    for _ in range(draw(st.integers(0, 3)) if horizon else 0):
-        n = draw(st.integers(1, horizon))
-        sets[n] ^= {draw(st.text(alphabet=oracle.alphabet.letters, min_size=n, max_size=n))}
-    sets = {n: frozenset(f) for n, f in sets.items()}
-    return FactorOracle(oracle.alphabet, sets, horizon, "toggled"), draw(st.integers(0, horizon))
+    return FactorOracle.from_prefix(word, horizon), draw(st.integers(0, horizon))
 
 
 @st.composite
 def derived_sets(draw):
-    """(alphabet, sets, horizon) with only the longest factor set given, so
-    that every shorter one is derived: the kernel language of a random
-    primitive substitution on two or three letters, whose derived sets are
-    exact, or the top set of a random finite word, whose derived prefix sets
-    are not right-extendable and so usually fail the closure test."""
+    """(alphabet, top, horizon) with top words of length horizon alone: the
+    kernel language of a random primitive substitution on two or three
+    letters, whose shorter sets are exact, or the factors of one length of a
+    random finite word, whose prefix sets are not right-extendable and so
+    usually fail the closure test."""
     if draw(st.booleans()):
         tau = draw(substitutions(min_letters=2).filter(is_primitive))
         n = draw(st.integers(0, 12))
@@ -377,12 +367,12 @@ def derived_sets(draw):
     d = draw(st.integers(1, 3))
     word = draw(st.text(alphabet=LETTERS[:d], min_size=1, max_size=40))
     n = draw(st.integers(0, min(len(word), 14)))
-    return Alphabet(d), {n: factors_of(word, n)}, n
+    return Alphabet(d), factors_of(word, n), n
 
 
 def _fresh(drawn):
-    alphabet, sets, horizon = drawn
-    return FactorOracle(alphabet, sets, horizon, "derived")
+    alphabet, top, horizon = drawn
+    return FactorOracle(alphabet, top, horizon, "derived")
 
 
 def _with_length(drawn):
@@ -391,11 +381,6 @@ def _with_length(drawn):
 
 
 ORACLES = st.one_of(prefix_oracles(), derived_sets().flatmap(_with_length))
-
-
-def _toy_oracle(size, *sets):
-    return FactorOracle(Alphabet(size), dict(enumerate(map(frozenset, ({""}, *sets)))),
-                        len(sets), "toy"), len(sets)
 
 
 def _outcome(profile, oracle, N):
@@ -407,12 +392,11 @@ def _outcome(profile, oracle, N):
 
 @settings(max_examples=300, deadline=None)
 @given(ORACLES)
-# both first differences hold, and the second fails on a missing prefix or suffix
-@example(_toy_oracle(2, {"0"}, {"10"}))
-@example(_toy_oracle(3, {"2"}, {"21"}))
+# both first differences hold, and the second fails on a missing suffix
+@example((FactorOracle(Alphabet(3), frozenset({"21"}), 2, "toy"), 2))
 # L_1 is the suffix set of L_2 but not its prefix set, and the reverse
 @example((FactorOracle.from_prefix("0001", 2), 2))
-@example((_fresh((Alphabet(2), {2: factors_of("1000", 2)}, 2)), 2))
+@example((_fresh((Alphabet(2), factors_of("1000", 2), 2)), 2))
 def test_complexity_profile_matches_per_factor_sums(drawn):
     oracle, N = drawn
     assert _outcome(complexity_profile, oracle, N) == _outcome(_profile_per_factor, oracle, N)
@@ -462,9 +446,9 @@ def kernel_oracles(draw):
     lift = draw(st.none() | st.fixed_dictionaries(
         {a: st.text(alphabet=LETTERS[:3], min_size=1, max_size=3) for a in tau}))
     n = draw(st.integers(0, 30))
-    sets = substitutive_language(tau, n, lift)[0]
+    top = substitutive_language(tau, n, lift)[0]
     alphabet = Alphabet(len(tau) if lift is None else 3)
-    return (lambda: FactorOracle(alphabet, sets, n, "kernel")), draw(st.integers(0, n))
+    return (lambda: FactorOracle(alphabet, top, n, "kernel")), draw(st.integers(0, n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,38 +460,38 @@ def test_profile_of_a_kernel_language_matches_the_counts(drawn):
     assert isinstance(_counted_three_ways(make, N), ComplexityProfile)
 
 
-# single given sets of finite words whose top prefix and suffix sets
+# top sets of one length of finite words whose prefix and suffix sets
 # differ: the per-length test then fails just below the top, passes below
 # N < M, or fails further down
 @pytest.mark.parametrize("word, m, N", [("1000", 2, 2), ("0001", 3, 1), ("0001", 3, 3),
                                         ("01101", 4, 4), ("0010", 3, 2)])
 def test_profile_of_a_finite_top_set_falls_through(word, m, N):
     def make():
-        return FactorOracle(Alphabet(2), {m: factors_of(word, m)}, m, "finite top set")
+        return FactorOracle(Alphabet(2), factors_of(word, m), m, "finite top set")
     assert _top_differs(make())
     _counted_three_ways(make, N)
 
 
 def test_profile_of_an_empty_top_set():
     def make():
-        return FactorOracle(Alphabet(2), {3: frozenset()}, 3, "empty top set")
+        return FactorOracle(Alphabet(2), frozenset(), 3, "empty top set")
     for N in range(4):
         assert _counted_three_ways(make, N) == ComplexityProfile((0,) * (N + 1), (0,) * N)
 
 
 def test_aperiodicity_fails_at_the_first_short_count():
-    # (01)^inf has p = 1, 2, 2, ...: p(n) >= n + 1 first fails at n = 2, read
-    # from every given set or counted on the one top set
+    # (01)^inf has p = 1, 2, 2, ...: p(n) >= n + 1 first fails at n = 2, on
+    # the suffixes of a prefix or on its factors of one length
     word = "01" * 10
     for oracle in (FactorOracle.from_prefix(word, 6),
-                   FactorOracle(Alphabet(2), {6: factors_of(word, 6)}, 6, "top set")):
+                   FactorOracle(Alphabet(2), factors_of(word, 6), 6, "top set")):
         assert is_aperiodic(oracle, 1) and not is_aperiodic(oracle, 2)
 
 
 def test_profile_of_a_language_builds_no_shorter_set():
     oracle = named_oracle("tribonacci", 40)
     assert complexity_profile(oracle, 40).p[-1] == 81 and is_aperiodic(oracle, 40)
-    assert set(oracle._factors) == {40}
+    assert not oracle._factors
 
 
 def _special_by_probe(oracle, u):
@@ -533,8 +517,6 @@ def _raised_or(call):
 
 @settings(max_examples=200, deadline=None)
 @given(ORACLES)
-# letters outside the alphabet are not extensions
-@example(_toy_oracle(1, {"0", "1"}, {"00", "01", "10", "11"}))
 def test_special_table_matches_probe(drawn):
     oracle, _ = drawn
     for n in range(oracle.horizon + 1):
@@ -567,9 +549,8 @@ def _one_letter_mutations(w, letters):
 @settings(max_examples=150, deadline=None)
 @given(derived_sets(), st.booleans(), st.data())
 def test_derived_membership_matches_factor_sets(drawn, rising, data):
-    # the reference reads every L_n; the oracle under test stores L_n only
-    # after the queries of length n, so rising reads answer the extension
-    # queries by prefix search and falling reads from the stored L_{n+1}
+    # the reference reads every L_n; the oracle under test answers by a
+    # prefix search in its top set, before and after it builds L_n
     oracle, reference = _fresh(drawn), _fresh(drawn)
     letters = oracle.alphabet.letters
     lengths = range(oracle.horizon + 1)
@@ -594,14 +575,13 @@ def test_derived_membership_matches_factor_sets(drawn, rising, data):
 
 def _one_pass_matches_counting(make, N):
     """On a fresh oracle, special_tables(N) reads the tables of every order
-    up to N off the given top set, with no shorter set built; each equals
-    the per-order count of a single query on another fresh oracle, and the
+    up to N off the top set, with no factor set built; each equals the
+    per-order count of a single query on another fresh oracle, and the
     sorted special factors equal the probe's."""
     oracle, reference = make(), make()
-    assert oracle._top_length(N + 1) is not None
     tables = oracle.special_tables(N)
     assert set(oracle._specials) == set(range(N + 1))
-    assert set(oracle._factors) == {oracle.horizon}
+    assert not oracle._factors
     for n in range(N + 1):
         assert oracle._special_table(n) == reference._special_table(n), n
         assert tables[n] == _specials_by_probe(reference, n), n
@@ -622,16 +602,47 @@ def test_one_pass_special_tables_of_directive_languages(path):
 @settings(max_examples=60, deadline=None)
 @given(substitutions(min_letters=2).filter(is_primitive), st.integers(1, 30), st.data())
 def test_one_pass_special_tables_of_kernel_languages(tau, horizon, data):
-    sets = substitutive_language(tau, horizon)[0]
+    top = substitutive_language(tau, horizon)[0]
     N = data.draw(st.integers(0, horizon - 1))
-    _one_pass_matches_counting(lambda: FactorOracle(Alphabet(len(tau)), sets, horizon, "kernel"), N)
+    _one_pass_matches_counting(lambda: FactorOracle(Alphabet(len(tau)), top, horizon, "kernel"), N)
 
 
 @settings(max_examples=100, deadline=None)
 @given(derived_sets(), st.data())
 def test_one_pass_special_tables_of_finite_top_sets(drawn, data):
     # the top set of a finite word is neither factorial nor bi-extendable
-    alphabet, sets, horizon = drawn
+    alphabet, top, horizon = drawn
     assume(horizon >= 1)
     N = data.draw(st.integers(0, horizon - 1))
-    _one_pass_matches_counting(lambda: FactorOracle(alphabet, sets, horizon, "derived"), N)
+    _one_pass_matches_counting(lambda: FactorOracle(alphabet, top, horizon, "derived"), N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_oracles(), st.data())
+def test_one_pass_special_tables_of_prefix_oracles(drawn, data):
+    # the top words of a prefix are its suffixes cut to the horizon, so
+    # they have every length up to it
+    oracle, _ = drawn
+    assume(oracle.horizon >= 1)
+    N = data.draw(st.integers(0, oracle.horizon - 1))
+    top = frozenset(oracle._top)
+    _one_pass_matches_counting(
+        lambda: FactorOracle(oracle.alphabet, top, oracle.horizon, "prefix"), N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORACLES)
+def test_continuation_is_a_factor_led_by_the_least_extension(drawn):
+    oracle, _ = drawn
+    for n in range(oracle.horizon):
+        for u in oracle.factors(n):
+            run = oracle.continuation(u)
+            assert run[:1] == min(oracle.right_extensions(u), default="")
+            assert oracle.contains(u + run)
+
+
+def test_one_pass_special_tables_of_short_top_words_with_one_key():
+    # 01 and 11 differ in their first letter and share the key 1, shorter
+    # than the order 2: only the orders up to 1 see them
+    _one_pass_matches_counting(
+        lambda: FactorOracle(Alphabet(2), frozenset({"01", "11", "000"}), 3, "short tops"), 2)

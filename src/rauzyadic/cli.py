@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import cli_impl
-from .errors import NotInLanguage, RauzyadicError, UnreadableInput, UnwritableOutput
+from .errors import (NotInLanguage, OutOfMemory, RauzyadicError, UnreadableInput,
+                     UnwritableOutput)
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import decompose, generator_word_string
@@ -116,8 +117,15 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except RauzyadicError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _refuse(exc)
+    except MemoryError:
+        # exit 1 would read as "invalid"; running out of memory is a refusal
+        return _refuse(OutOfMemory(f"{args.cmd} ran out of memory"))
+
+
+def _refuse(exc: RauzyadicError) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
 
 
 def _run(args) -> int:

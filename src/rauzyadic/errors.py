@@ -75,6 +75,10 @@ class Mismatch(RauzyadicError):
     """Cross-validation divergence between generation and extraction."""
 
 
+class OutOfMemory(RauzyadicError):
+    """A command that ran out of memory; names the command."""
+
+
 class UnreadableInput(RauzyadicError):
     """An input file that is missing or cannot be read as text."""
 

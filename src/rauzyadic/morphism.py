@@ -9,13 +9,13 @@ generator set is
 on the three-letter alphabet, together with the derived one-parameter
 families D(x,y): x->xy, G(x,y): x->yx, M(x,y): x->y and the exchanges
 E(x,y), each of which expands into a fixed word over the generators.
-``decompose`` inverts products of these factors by peeling them off the
-left, with backtracking.
+``decompose`` decides membership in the monoid these generate: it peels
+factors off the right, each peel one suffix, prefix or equality test of
+two images, and backtracks over the peels that apply.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
@@ -57,7 +57,7 @@ class Morphism:
 
     @property
     def erasing(self) -> bool:
-        return any(w == "" for w in self.images)
+        return "" in self.images
 
     def image(self, letter: str) -> Word:
         i = int(letter)
@@ -219,38 +219,6 @@ _FAMILIES = {"D": D, "G": G, "M": M, "E": E}
 GeneratorWord = tuple[str, ...]
 
 
-def _build_derived_expansions() -> dict[str, GeneratorWord]:
-    """Expansion of each derived morphism into the five generators.
-
-    These are the identities of the decomposition table: each row below is
-    literally how the derived family is obtained from G, D, M, E01, E12.
-    """
-    e01, e12 = ("E01",), ("E12",)
-    e02 = e01 + e12 + e01                      # E(0,2) = E01 E12 E01
-    exp: dict[str, GeneratorWord] = {
-        "E01": e01, "E12": e12, "E02": e02,
-        "D01": ("D",), "G01": ("G",),
-        "D02": e12 + ("D",) + e12, "G02": e12 + ("G",) + e12,
-        "D10": e01 + ("D",) + e01, "G10": e01 + ("G",) + e01,
-    }
-    exp["D12"] = e01 + exp["D02"] + e01
-    exp["G12"] = e01 + exp["G02"] + e01
-    exp["D20"] = e02 + exp["D02"] + e02
-    exp["G20"] = e02 + exp["G02"] + e02
-    exp["D21"] = e12 + exp["D12"] + e12
-    exp["G21"] = e12 + exp["G12"] + e12
-    exp["M21"] = ("M",)
-    exp["M01"] = e02 + ("M",) + e02
-    exp["M10"] = e01 + exp["M01"]
-    exp["M02"] = e01 + e12 + ("M",) + e01
-    exp["M20"] = e02 + exp["M02"]
-    exp["M12"] = e12 + ("M",)
-    return exp
-
-
-DERIVED_EXPANSION = _build_derived_expansions()
-
-
 def derived(name: str) -> Morphism:
     """Morphism of a derived-family name such as "D12", "E02" or "G"."""
     if name in GENERATORS:
@@ -264,14 +232,13 @@ def generator_word_string(word: GeneratorWord) -> str:
     return " ".join(word)
 
 
-# -- decomposition by peeling ----------------------------------------
+# -- decomposition by right peels ------------------------------------
 #
-# The search works on one string: the images joined by commas, so that a
-# factor's condition and its removal are one count and one replace over
-# all images at once.  The commas keep an image's ends apart from its
-# neighbours'.
+# The search works on partial morphisms: a tuple of the three letter
+# images, where "" marks a free letter, whose image is not yet fixed.  A
+# peel is named like its derived family, "D10" for D(1,0).
 
-# A permutation of {0,1,2} written as its image string, with a fixed
+# A permutation of {0,1,2} written as its image string, with a shortest
 # expansion into exchanges.
 _PERM_EXPANSION = {
     "012": (),
@@ -282,91 +249,96 @@ _PERM_EXPANSION = {
     "201": ("E12", "E01"),
 }
 
-
-def _peel_D(w: str, x: int, y: int) -> str | None:
-    """If sigma = D(x,y) . tau, return tau's images, else None: every x of
-    sigma is followed by y, and tau drops those y."""
-    cx = LETTERS[x]
-    xy = cx + LETTERS[y]
-    n = w.count(cx)
-    return w.replace(xy, cx) if n and n == w.count(xy) else None
-
-
-def _peel_G(w: str, x: int, y: int) -> str | None:
-    """If sigma = G(x,y) . tau, return tau's images, else None: every x of
-    sigma is preceded by y, and tau drops those y."""
-    cx = LETTERS[x]
-    yx = LETTERS[y] + cx
-    n = w.count(cx)
-    return w.replace(yx, cx) if n and n == w.count(yx) else None
-
-
-def _m_candidates(w: str, x: int, y: int, cap: int = 4096):
-    """Reconstructions tau with sigma = M(x,y) . tau: rewrite some
-    occurrences of y back to x, at least one in total.  Each image takes
-    its subsets of y positions by size, then lexicographically, and the
-    images vary in itertools.product order."""
-    cy = LETTERS[y]
-    if 2 ** w.count(cy) > cap:
-        return
-    choices, start = [], 0
-    for part in w.split(","):
-        pos = [start + i for i, c in enumerate(part) if c == cy]
-        choices.append(list(itertools.chain.from_iterable(
-            itertools.combinations(pos, r) for r in range(len(pos) + 1))))
-        start += len(part) + 1
-    cx, chars = LETTERS[x], list(w)
-    for combo in itertools.product(*choices):
-        if not any(combo):
-            continue
-        t = chars.copy()
-        for chosen in combo:
-            for i in chosen:
-                t[i] = cx
-        yield "".join(t)
-
-
 _PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
+_FIXED_PEELS = [(x, y, f"D{x}{y}", f"G{x}{y}") for x, y in _PAIRS]
+# s(x) = s(y) is symmetric, and one M peel per pair of letters is enough
+_M_PEELS = ((1, 0, "M10"), (2, 0, "M20"), (2, 1, "M21"))
 
 
-def _finish_permutation(w: str) -> GeneratorWord | None:
-    """Complete a (possibly partial) letter-to-letter injective map to a
-    permutation of {0,1,2} and return its expansion."""
-    parts = w.split(",")
-    if any(len(p) != 1 for p in parts) or len(set(parts)) != len(parts):
+def _steps() -> dict[tuple[str, str], tuple[GeneratorWord, str]]:
+    """(p, peel) -> (word, q) for a permutation p and a peel kind(x,y).
+
+    kind(x,y) = c . g . c^-1 for the generator g = D = D(0,1), G = G(0,1)
+    or M = M(2,1) and the permutation c with c(0) = x, c(1) = y (D, G) or
+    c(2) = x, c(1) = y (M).  So p . kind(x,y) is the word of exchanges of
+    p c, then g, and it leaves q = c^-1 to the right of g."""
+    steps = {}
+    for kind in "DGM":
+        for x, y in _PAIRS:
+            z = 3 - x - y
+            c = f"{z}{y}{x}" if kind == "M" else f"{x}{y}{z}"
+            inverse = "".join(str(c.index(a)) for a in LETTERS[:3])
+            for p in _PERM_EXPANSION:
+                pc = "".join(p[int(a)] for a in c)
+                steps[p, f"{kind}{x}{y}"] = (_PERM_EXPANSION[pc] + (kind,), inverse)
+    return steps
+
+
+_STEPS = _steps()
+
+
+def _with(s: tuple[Word, ...], x: int, wx: Word, f: int | None = None,
+          wf: Word = "") -> tuple[Word, ...]:
+    """s with the image of x set to wx, and that of f to wf."""
+    t = list(s)
+    t[x] = wx
+    if f is not None:
+        t[f] = wf
+    return tuple(t)
+
+
+def _peel_search(s: tuple[Word, ...], seen: set) -> list[str] | None:
+    """DFS for a factorization of the partial morphism s: the image string
+    of a permutation, then the peels, leftmost applied last; or None.
+    seen holds the partial morphisms whose search failed.
+
+    An M peel is tried alone, since s and its tau are in the monoid
+    together.  Otherwise the D and G peels of two fixed letters come first,
+    then those that fix a free letter."""
+    if max(map(len, s)) < 2:
+        perm = "".join(s)
+        if len(set(perm)) == len(perm):
+            if len(perm) < 3:
+                # a partial permutation: the free letters take the unused ones
+                unused = iter([c for c in LETTERS[:3] if c not in perm])
+                perm = "".join(w or next(unused) for w in s)
+            return [perm]
+    if s in seen:
         return None
-    # the missing letters of the domain are the last ones, in order
-    free = "".join(c for c in "012" if c not in parts)
-    return _PERM_EXPANSION["".join(parts) + free]
-
-
-def _peel_search(w: str, m_budget: int, seen: set) -> list[str] | None:
-    """DFS for a factorization of the comma-joined images w; returns a
-    list of derived names, or None."""
-    done = _finish_permutation(w)
-    if done is not None:
-        return list(done)
-    if w in seen:
-        return None
-    seen.add(w)
-    for x, y in _PAIRS:
-        for kind, peel in (("D", _peel_D), ("G", _peel_G)):
-            nxt = peel(w, x, y)
-            if nxt is not None:
-                rest = _peel_search(nxt, m_budget, seen)
+    for x, y, name in _M_PEELS:
+        if s[x] and s[x] == s[y]:
+            rest = _peel_search(_with(s, x, ""), seen)
+            if rest is None:
+                seen.add(s)
+            else:
+                rest.append(name)
+            return rest
+    for x, y, d, g in _FIXED_PEELS:
+        a, b = s[x], s[y]
+        if b and len(a) > len(b):
+            if a.endswith(b):
+                rest = _peel_search(_with(s, x, a[:-len(b)]), seen)
                 if rest is not None:
-                    return [f"{kind}{x}{y}"] + rest
-    if m_budget > 0:
-        for x in range(3):
-            if LETTERS[x] in w:
-                continue
-            for y in range(3):
-                if y == x:
-                    continue
-                for cand in _m_candidates(w, x, y):
-                    rest = _peel_search(cand, m_budget - 1, seen)
+                    rest.append(d)
+                    return rest
+            if a.startswith(b):
+                rest = _peel_search(_with(s, x, a[len(b):]), seen)
+                if rest is not None:
+                    rest.append(g)
+                    return rest
+    if "" in s:
+        # two free letters are exchangeable, so only the first one is fixed
+        f = s.index("")
+        for u in range(3):
+            a = s[u]
+            for i in range(1, len(a)):
+                for name, tau in ((f"D{u}{f}", _with(s, u, a[:i], f, a[i:])),
+                                  (f"G{u}{f}", _with(s, u, a[-i:], f, a[:-i]))):
+                    rest = _peel_search(tau, seen)
                     if rest is not None:
-                        return [f"M{x}{y}"] + rest
+                        rest.append(name)
+                        return rest
+    seen.add(s)
     return None
 
 
@@ -375,24 +347,65 @@ def decompose(m: Morphism) -> GeneratorWord:
 
     For a two-letter-domain morphism the returned word composes to a
     three-letter morphism whose restriction to {0,1} is m.  Raises
-    NotInCatalog when the peeling search fails: only products of the
-    derived families are claimed to be decomposable.  The word is checked
-    by applying its generators, the rightmost first, to the images of the
-    identity.
+    NotInCatalog when m is not in the monoid the generators span.  The
+    word is checked by applying its generators, the rightmost first, to
+    the images of the identity.
+
+    The search peels factors off the right.  Its states are partial
+    morphisms s: the letters of the domain have fixed images, the other
+    letters are free, and s is in the monoid when some element of it
+    agrees with s on the fixed letters.  A two-letter m starts with the
+    letter 2 free.  Each peel s = tau . rho is one suffix, prefix or
+    equality test:
+
+    - rho = D(x,y) with x, y fixed exactly when s(y) is a proper suffix of
+      s(x); tau(x) is s(x) with that suffix removed;
+    - rho = G(x,y) likewise with a proper prefix;
+    - rho = M(x,y) with x, y fixed exactly when s(x) = s(y); x is free in
+      tau;
+    - rho = D(u,f) or G(u,f) with u fixed and f free sets tau(f) to a
+      proper suffix or prefix of s(u), and tau(u) to the rest.
+
+    The search backtracks over these peels and ends at a partial
+    permutation: fixed images of one letter each, all different.
+
+    Completeness.  Every element of the monoid is pi . rho_1 ... rho_k,
+    with pi a permutation and each rho_i a D, G or M of two letters: a
+    permutation moves left past such a factor and turns it into another
+    one.  Each peel shortens the fixed images in total, or keeps the total
+    and fixes a free letter, so the search ends, and the search from s
+    succeeds whenever s is in the monoid, by induction in that order:
+
+    - if s(x) = s(y), an element that agrees with s agrees with tau, and
+      e . M(x,y) agrees with s when e agrees with tau, so s and tau are in
+      the monoid together, and the search tries that one peel alone;
+    - otherwise take a product that agrees with s, with k least.  If
+      k = 0, s is a partial permutation.  Else let rho_k have letters
+      (x,y) and p = pi . rho_1 ... rho_(k-1).  If x is free in s, p agrees
+      with s; if rho_k = M(x,y) with y free, p . E(x,y) does; both have
+      k-1 factors.  rho_k = M(x,y) with y fixed gives s(x) = s(y).  So
+      rho_k is a D or G peel, and p agrees with its tau.  When it fixes a
+      free letter other than the first, exchanging the two free letters
+      turns it into a peel that the search tries.
+
+    A partial morphism in seen is thus not in the monoid.
     """
     if m.domain not in (2, 3) or m.codomain > 3:
         raise NotInCatalog(f"{m}: decomposition is defined over alphabets of size <= 3")
     if m.erasing:
         raise NotInCatalog(f"{m} is erasing")
-    factors = _peel_search(",".join(m.images), m_budget=2, seen=set())
+    factors = _peel_search((m.images + ("",))[:3], set())
     if factors is None:
         raise NotInCatalog(f"no decomposition found for {m}")
-    word: tuple[str, ...] = ()
-    for name in factors:
-        word += DERIVED_EXPANSION.get(name) or (name,)
+    perm, *peels = factors
+    word: list[str] = []
+    for peel in peels:
+        gens, perm = _STEPS[perm, peel]
+        word += gens
+    word += _PERM_EXPANSION[perm]
     check = "0,1,2"
     for name in reversed(word):
         check = check.translate(GENERATORS[name]._table)
     if tuple(check.split(",")[:m.domain]) != m.images:
         raise NotInCatalog(f"internal error: decomposition of {m} failed verification")
-    return word
+    return tuple(word)

@@ -14,7 +14,8 @@ produces, or measures what that stage's bookkeeping claims:
   bookkeeping (``lengths.compute_length_state``) on the reduced graph;
 - ``occurrence_matrix`` judges ``sadic.weak_primitivity_check``,
   ``left_proper`` judges ``sadic.proper_contraction``, and the generator
-  words (``compose_generators``, ``parse_generator_word``) judge
+  words (``compose_generators``, ``parse_generator_word`` and the
+  derived-family expansions ``DERIVED_EXPANSION``) judge
   ``morphism.decompose``.
 """
 
@@ -260,6 +261,38 @@ def restrict(m: Morphism, domain: int) -> Morphism:
 def permutation(images: str) -> Morphism:
     """Letter-to-letter permutation 0->images[0], ... of three letters."""
     return Morphism(tuple(images), 3)
+
+
+def _build_derived_expansions() -> dict[str, GeneratorWord]:
+    """Expansion of each derived morphism into the five generators.
+
+    These are the identities of the decomposition table: each row below is
+    literally how the derived family is obtained from G, D, M, E01, E12.
+    """
+    e01, e12 = ("E01",), ("E12",)
+    e02 = e01 + e12 + e01                      # E(0,2) = E01 E12 E01
+    exp: dict[str, GeneratorWord] = {
+        "E01": e01, "E12": e12, "E02": e02,
+        "D01": ("D",), "G01": ("G",),
+        "D02": e12 + ("D",) + e12, "G02": e12 + ("G",) + e12,
+        "D10": e01 + ("D",) + e01, "G10": e01 + ("G",) + e01,
+    }
+    exp["D12"] = e01 + exp["D02"] + e01
+    exp["G12"] = e01 + exp["G02"] + e01
+    exp["D20"] = e02 + exp["D02"] + e02
+    exp["G20"] = e02 + exp["G02"] + e02
+    exp["D21"] = e12 + exp["D12"] + e12
+    exp["G21"] = e12 + exp["G12"] + e12
+    exp["M21"] = ("M",)
+    exp["M01"] = e02 + ("M",) + e02
+    exp["M10"] = e01 + exp["M01"]
+    exp["M02"] = e01 + e12 + ("M",) + e01
+    exp["M20"] = e02 + exp["M02"]
+    exp["M12"] = e12 + ("M",)
+    return exp
+
+
+DERIVED_EXPANSION = _build_derived_expansions()
 
 
 def compose_generators(word: GeneratorWord, n: int = 3) -> Morphism:

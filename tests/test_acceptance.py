@@ -8,13 +8,14 @@ numerical ones).
 import itertools
 
 import pytest
-from judges import (bilateral_order, circuit_path, compose_generators, measure_no_loops,
-                    measure_two_loops, permutation, psi_project, restrict, return_words, walk)
+from judges import (DERIVED_EXPANSION, bilateral_order, circuit_path, compose_generators,
+                    measure_no_loops, measure_two_loops, permutation, psi_project, restrict,
+                    return_words, walk)
 
 from rauzyadic.extraction import extract_directive
 from rauzyadic.lengths import compute_length_state
 from rauzyadic.morphism import (bracket, decompose, compose_all, D, E, G, M, GEN_M, GEN_E01,
-                                DERIVED_EXPANSION, derived)
+                                derived)
 from rauzyadic.rauzy import build_graph, circuits_from, reduced_graph, right_special_chain
 from rauzyadic.sadic import DirectiveWord, generate_one_sided, language_horizon
 from rauzyadic.validator import APPROX_CASES, cross_validate, validate_directive

@@ -39,6 +39,21 @@ def test_generate_unsettled_prefix_refused_within_memory_cap(tmp_path):
     assert out.returncode == 3 and "error: NoStabilization" in out.stderr
 
 
+def test_validate_out_of_memory_is_a_typed_refusal(tmp_path):
+    # the exit-gate prefixes of this weakly primitive C4 directive outgrow an
+    # 800 MB address space; exit 1 would read as "invalid"
+    f = tmp_path / "c4.dw"
+    f.write_text("period:\n[01,2,02]\n[12220,22220,2220]\n[0221,21,021]\n[0,110,10]\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    out = subprocess.run([sys.executable, "-m", "rauzyadic.cli", "validate", str(f)],
+                         capture_output=True, text=True, preexec_fn=cap, timeout=300)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr == "error: OutOfMemory: validate ran out of memory\n"
+
+
 def test_complexity_csv(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     code, _, _ = run(["complexity", "--source", "fibonacci", "--horizon", "16",

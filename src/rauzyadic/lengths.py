@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import UnsupportedCase
 from .morphism import Morphism, compose_all
 from .schemas import GPRIME_ROW_BY_ID, Step
+from .words import common_prefix_len
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,6 @@ class LengthState:
         gate asks for it to be >= 0, and exact-slope mode for it to be 0."""
         u1, u2, v1, v2, K, h = self.u1, self.u2, self.v1, self.v2, self.K, self.h
         return (u1 + h * (u1 + v1)) - (u2 + (K - 1) * (u2 + v2))
-
-
-def common_prefix_len(a: str, b: str) -> int:
-    # bisect on the length of an equal prefix; each test is one slice
-    # comparison, so the per-character work stays in C
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def common_suffix_len(a: str, b: str) -> int:

@@ -16,6 +16,8 @@ two images, and backtracks over the peels that apply.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
@@ -166,6 +168,15 @@ def classify(m: Morphism) -> ProperRecord:
     return ProperRecord(right, lasts.pop() if right else None)
 
 
+def first_right_proper(ms) -> tuple[int, Morphism] | None:
+    """The first right proper running product m0 m1 ... mj of the
+    morphisms ms, with its number of factors j + 1; None if there is none."""
+    for j, product in enumerate(itertools.accumulate(ms, compose), 1):
+        if classify(product).right_proper:
+            return j, product
+    return None
+
+
 def left_conjugate(m: Morphism) -> Morphism:
     """Move the common final letter of a right proper morphism to the front."""
     rec = classify(m)
@@ -287,59 +298,63 @@ def _with(s: tuple[Word, ...], x: int, wx: Word, f: int | None = None,
     return tuple(t)
 
 
-def _peel_search(s: tuple[Word, ...], seen: set) -> list[str] | None:
-    """DFS for a factorization of the partial morphism s: the image string
-    of a permutation, then the peels, leftmost applied last; or None.
-    seen holds the partial morphisms whose search failed.
-
-    An M peel is tried alone, since s and its tau are in the monoid
-    together.  Otherwise the D and G peels of two fixed letters come first,
-    then those that fix a free letter."""
-    if max(map(len, s)) < 2:
-        perm = "".join(s)
-        if len(set(perm)) == len(perm):
-            if len(perm) < 3:
-                # a partial permutation: the free letters take the unused ones
-                unused = iter([c for c in LETTERS[:3] if c not in perm])
-                perm = "".join(w or next(unused) for w in s)
-            return [perm]
-    if s in seen:
-        return None
+def _peels(s: tuple[Word, ...]):
+    """The peels of the partial morphism s, as (name, tau) in the order the
+    search tries them.  An M peel is tried alone, since s and its tau are
+    in the monoid together.  Otherwise the D and G peels of two fixed
+    letters come first, then those that fix a free letter."""
     for x, y, name in _M_PEELS:
         if s[x] and s[x] == s[y]:
-            rest = _peel_search(_with(s, x, ""), seen)
-            if rest is None:
-                seen.add(s)
-            else:
-                rest.append(name)
-            return rest
+            yield name, _with(s, x, "")
+            return
     for x, y, d, g in _FIXED_PEELS:
         a, b = s[x], s[y]
         if b and len(a) > len(b):
             if a.endswith(b):
-                rest = _peel_search(_with(s, x, a[:-len(b)]), seen)
-                if rest is not None:
-                    rest.append(d)
-                    return rest
+                yield d, _with(s, x, a[:-len(b)])
             if a.startswith(b):
-                rest = _peel_search(_with(s, x, a[len(b):]), seen)
-                if rest is not None:
-                    rest.append(g)
-                    return rest
+                yield g, _with(s, x, a[len(b):])
     if "" in s:
         # two free letters are exchangeable, so only the first one is fixed
         f = s.index("")
         for u in range(3):
             a = s[u]
             for i in range(1, len(a)):
-                for name, tau in ((f"D{u}{f}", _with(s, u, a[:i], f, a[i:])),
-                                  (f"G{u}{f}", _with(s, u, a[-i:], f, a[:-i]))):
-                    rest = _peel_search(tau, seen)
-                    if rest is not None:
-                        rest.append(name)
-                        return rest
-    seen.add(s)
-    return None
+                yield f"D{u}{f}", _with(s, u, a[:i], f, a[i:])
+                yield f"G{u}{f}", _with(s, u, a[-i:], f, a[:-i])
+
+
+def _peel_search(s: tuple[Word, ...]) -> list[str] | None:
+    """Depth-first search for a factorization of the partial morphism s:
+    the image string of a permutation, then the peels, leftmost applied
+    last; or None.  The path is an explicit stack of states with their
+    untried peels, so its depth is not bounded by the recursion limit;
+    failed holds the states whose search failed."""
+    failed: set[tuple[Word, ...]] = set()
+    path: list[tuple[tuple[Word, ...], Iterator]] = []
+    names: list[str] = []       # names[i] leads from path[i] to the next state
+    while True:
+        if max(map(len, s)) < 2:
+            perm = "".join(s)
+            if len(set(perm)) == len(perm):
+                # a partial permutation: the free letters take the unused ones
+                unused = iter([c for c in LETTERS[:3] if c not in perm])
+                return ["".join(w or next(unused) for w in s), *reversed(names)]
+        if s in failed:
+            names.pop()
+        else:
+            path.append((s, _peels(s)))
+        while path:
+            peel = next(path[-1][1], None)
+            if peel is not None:
+                name, s = peel
+                names.append(name)
+                break
+            failed.add(path.pop()[0])
+            if names:
+                names.pop()
+        else:
+            return None
 
 
 def decompose(m: Morphism) -> GeneratorWord:
@@ -388,13 +403,15 @@ def decompose(m: Morphism) -> GeneratorWord:
       free letter other than the first, exchanging the two free letters
       turns it into a peel that the search tries.
 
-    A partial morphism in seen is thus not in the monoid.
+    A partial morphism whose search failed is thus not in the monoid.
     """
     if m.domain not in (2, 3) or m.codomain > 3:
-        raise NotInCatalog(f"{m}: decomposition is defined over alphabets of size <= 3")
+        raise NotInCatalog(f"{m}: decomposition needs a domain of 2 or 3 letters and a "
+                           f"codomain of at most 3, got domain {m.domain} and codomain "
+                           f"{m.codomain}")
     if m.erasing:
         raise NotInCatalog(f"{m} is erasing")
-    factors = _peel_search((m.images + ("",))[:3], set())
+    factors = _peel_search((m.images + ("",))[:3])
     if factors is None:
         raise NotInCatalog(f"no decomposition found for {m}")
     perm, *peels = factors

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded, OutOfClass
 from .words import FactorOracle, Word
 
-# edge expansions one circuit enumeration may make before it is refused
+# reduced edges one circuit enumeration may follow before it is refused
 CIRCUIT_BUDGET = 1_000_000
 
 
@@ -113,70 +113,37 @@ class Circuit:
 
 def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
     """All allowed circuits from v, by depth-first search over the reduced
-    edges with allowed-prefix pruning, within CIRCUIT_BUDGET expansions.
-    Sorted by right label.
+    edges, within CIRCUIT_BUDGET reduced edges followed.  Sorted by right
+    label.
 
     The language is factorial, so one ``contains`` on a partial circuit's
-    full label decides all its prefixes: a reduced edge needs one test,
-    and the letter-by-letter search prunes the same circuits.  Its
-    conditions are kept exactly: each letter of a reduced edge is one
-    expansion, up to the letter where that search stops, and
-    HorizonExceeded is raised when it reaches a letter past the horizon
-    with every prefix in the language."""
+    full label, cut at the horizon, decides all its prefixes: each edge
+    followed costs one test, which prunes it, or raises HorizonExceeded
+    when the label is longer than the horizon, or records or extends the
+    circuit."""
     if not oracle.is_right_special(v):
         return ()
     horizon = oracle.horizon
     out: list[Circuit] = []
-    expansions = 0
-
-    def expand(k: int) -> None:
-        nonlocal expansions
-        expansions += k
-        if expansions > CIRCUIT_BUDGET:
-            raise EnumerationBudgetExceeded(
-                f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
-
-    def grew_past_horizon() -> HorizonExceeded:
-        return HorizonExceeded(f"circuit from {v!r} grew past horizon {horizon}")
-
-    # the letter-by-letter search tries the first letter of every edge out
-    # of a special vertex, then follows one edge to its end before the next;
+    followed = 0
     # an entry is a partial circuit, its full label and the edge to follow
-    stack: list[tuple[tuple[ReducedEdge, ...], Word, ReducedEdge]] = []
-
-    def leave(edges: tuple[ReducedEdge, ...], label: Word, end: Word) -> None:
-        outs = graph.out_edges(end)
-        if outs:
-            expand(1)
-            if len(label) + 1 > horizon:
-                raise grew_past_horizon()
-            expand(len(outs) - 1)
-        stack.extend((edges, label, e) for e in outs)
-
-    leave((), v, v)
+    stack = [((), v, e) for e in graph.out_edges(v)]
     while stack:
         edges, label, e = stack.pop()
-        right = e.right_label
-        room = min(len(right), horizon - len(label))     # letters within the horizon
-        if not oracle.contains(label + right[:room]):
-            # the search stops at the first letter whose prefix is not a factor
-            lo, hi = 0, room     # a prefix of lo letters is one, of hi letters is not
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if oracle.contains(label + right[:mid]):
-                    lo = mid
-                else:
-                    hi = mid
-            expand(hi - 1)       # the first letter is counted by leave
+        followed += 1
+        if followed > CIRCUIT_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
+        label += e.right_label
+        if not oracle.contains(label[:horizon]):
             continue
-        if room < len(right):
-            expand(room)         # up to the first letter past the horizon
-            raise grew_past_horizon()
-        expand(room - 1)
+        if len(label) > horizon:
+            raise HorizonExceeded(f"circuit from {v!r} grew past horizon {horizon}")
+        edges += (e,)
         if e.dst == v:
-            out.append(Circuit(v, edges + (e,)))
+            out.append(Circuit(v, edges))
         else:
-            leave(edges + (e,), label + right, e.dst)
+            stack.extend((edges, label, f) for f in graph.out_edges(e.dst))
     return tuple(sorted(out, key=lambda c: c.right_label))
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import (AlphabetMismatch, EmptyProduct, ErasingMorphism, MalformedDirective,
                      MalformedMorphism, NegativeLength, NoStabilization, NonGrowing,
                      NotContractible)
-from .morphism import (Morphism, bracket, compose, compose_all, derived,
-                       left_conjugate, classify, parse_rules)
+from .morphism import (Morphism, bracket, compose, compose_all, derived, first_right_proper,
+                       left_conjugate, parse_rules)
 from .words import (Alphabet, FactorOracle, Word, eventual_support, factors_of, is_primitive,
                     substitutive_language)
 
@@ -60,12 +60,18 @@ class DirectiveWord:
     def eventually_periodic(self) -> bool:
         return bool(self.period)
 
-    def morphism(self, n: int) -> Morphism:
-        if n < len(self.preperiod):
-            return self.preperiod[n]
+    def level(self, n: int) -> int:
+        """The index in preperiod + period of the morphism at level n."""
+        p = len(self.preperiod)
+        if n < p:
+            return n
         if not self.period:
             raise IndexError(f"finite directive word has no level {n}")
-        return self.period[(n - len(self.preperiod)) % len(self.period)]
+        return p + (n - p) % len(self.period)
+
+    def morphism(self, n: int) -> Morphism:
+        i, p = self.level(n), len(self.preperiod)
+        return self.preperiod[i] if i < p else self.period[i - p]
 
     def known_levels(self) -> int:
         return len(self.preperiod) + len(self.period)
@@ -74,23 +80,10 @@ class DirectiveWord:
     def alphabet_size(self) -> int:
         return (self.preperiod or self.period)[0].codomain
 
-    def prefix(self, n: int) -> list[Morphism]:
-        return [self.morphism(i) for i in range(n)]
-
     def __repr__(self):
         pre = " ".join(m.bracket() for m in self.preperiod)
         per = " ".join(m.bracket() for m in self.period)
         return f"DirectiveWord({pre} | ({per})^w)" if per else f"DirectiveWord({pre})"
-
-
-def _letter_images(dw: DirectiveWord):
-    """Yields, for n = 0, 1, ..., imgs[a] = m_0 ... m_n (a) for the letters a
-    of level n+1."""
-    imgs = None
-    for n in itertools.count():
-        imgs = {str(a): w if imgs is None else "".join(imgs[c] for c in w)
-                for a, w in enumerate(dw.morphism(n).images)}
-        yield imgs
 
 
 # the letter whose limit word is generated
@@ -115,8 +108,10 @@ def generate_one_sided(dw: DirectiveWord, target_len: int,
     window = 2 * max(4, dw.known_levels())
     prev = None
     prev_len_hist: list[int] = []
-    for n, imgs in zip(range(max_levels), _letter_images(dw)):
-        u = imgs[SEED]
+    # the running products m_0 ... m_n, images of the letters of level n + 1
+    products = itertools.accumulate(map(dw.morphism, itertools.count()), compose)
+    for n, product in zip(range(max_levels), products):
+        u = product.images[int(SEED)]
         prev_len_hist.append(len(u))
         if len(prev_len_hist) > window and prev_len_hist[-1] <= prev_len_hist[-1 - window]:
             raise NonGrowing(f"|images(seed)| stuck at {len(u)} over {window} levels")
@@ -142,13 +137,13 @@ def _first_letters_meet(dw: DirectiveWord, n: int) -> bool:
     def first_letters(j):
         return tuple(int(w[0]) for w in dw.morphism(j).images)
 
-    p, T, a = len(dw.preperiod), len(dw.period), int(SEED)
+    a = int(SEED)
     F = first_letters(0)
     for j in range(1, n + 1):
         F = tuple(F[b] for b in first_letters(j))
     seen = set()
     for j in itertools.count(n + 1):
-        state = (j if j < p else p + (j - p) % T, F)
+        state = (dw.level(j), F)
         if state in seen:
             return False
         seen.add(state)
@@ -275,14 +270,12 @@ def proper_contraction(dw: DirectiveWord) -> DirectiveWord:
     d = dw.period[-1].domain
 
     def right_proper_block(start: int) -> tuple[int, Morphism]:
-        prod = dw.morphism(start)
-        end = start + 1
-        while not classify(prod).right_proper:
-            if end - start >= max(p - start, 0) + d * T:
-                raise NotContractible(f"no right proper block from level {start}")
-            prod = compose(prod, dw.morphism(end))
-            end += 1
-        return end, prod
+        levels = range(start, start + max(p - start, 0) + d * T)
+        found = first_right_proper(map(dw.morphism, levels))
+        if found is None:
+            raise NotContractible(f"no right proper block from level {start}")
+        j, prod = found
+        return start + j, prod
 
     taus: list[Morphism] = []
     start = 0
@@ -291,7 +284,7 @@ def proper_contraction(dw: DirectiveWord) -> DirectiveWord:
     per_count = None
     while True:
         if start >= p:
-            key = (start - p) % T
+            key = dw.level(start)
             if key in states:
                 pre_count = states[key]
                 per_count = len(taus) - pre_count

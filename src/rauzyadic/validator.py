@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import EnumerationBudgetExceeded, Mismatch, NotInCatalog, UnsupportedCase
 from .extraction import extract_directive
 from .lengths import compute_length_state
-from .morphism import Morphism, classify, compose, decompose
+from .morphism import Morphism, compose, decompose, first_right_proper
 from .sadic import DirectiveWord, language_horizon, used_letters, weak_primitivity_check
 from .schemas import (C4_CONFIG_B, C4_CONFIG_C, GPRIME_COMPONENT, GPRIME_VERTICES, Step,
                       match_rows, out_steps)
@@ -70,7 +70,7 @@ def start_vertex(dw: DirectiveWord) -> str:
 class BlockTable:
     """The block labels of one directive, each composed once: label
     (pos, j) is the product of the levels pos, ..., pos+j-1 for j <=
-    MAX_BLOCK, and past the preperiod a position is keyed by its phase.
+    MAX_BLOCK, keyed by the level of pos (``DirectiveWord.level``).
     Every routing search of one call reads the directive through one
     table; no table outlives its call."""
 
@@ -81,8 +81,7 @@ class BlockTable:
     def label(self, pos: int, j: int) -> Morphism:
         """Label (pos, j), composing the shorter labels of pos first if
         they are not in the table yet."""
-        p, T = len(self.dw.preperiod), len(self.dw.period)
-        got = self._labels.setdefault(pos if pos < p or not T else p + (pos - p) % T, [])
+        got = self._labels.setdefault(self.dw.level(pos), [])
         while len(got) < j:
             m = self.dw.morphism(pos + len(got))
             got.append(compose(got[-1], m) if got else m)
@@ -103,45 +102,40 @@ def _enumerate_routings(table: BlockTable, start: str, limit: int = 64) -> list[
     """Lassos from start through the refined graph whose labels read the
     table's directive.
 
-    The cycle part must consume whole periods so that verdict conditions
-    are read off one loop of it.  Raises EnumerationBudgetExceeded on
-    finding more than ``limit`` lassos, because a verdict read off a
-    truncated list could miss the valid routing.
+    A state is a vertex and the level of a position past the preperiod.
+    The search is depth-first, and it closes a lasso when it meets a state
+    already on its path: the cycle runs from there, and since both ends
+    have one level it consumes whole periods, so verdict conditions are
+    read off one loop of it.  Raises EnumerationBudgetExceeded on finding
+    more than ``limit`` lassos, because a verdict read off a truncated
+    list could miss the valid routing.
     """
-    p, T = len(table.dw.preperiod), len(table.dw.period)
-    if T == 0:
+    dw = table.dw
+    if not dw.period:
         return []
+    p = len(dw.preperiod)
     out: list[Routing] = []
+    steps: list[Step] = []
+    on_path: dict[tuple[str, int], int] = {}    # state -> the steps taken before it
 
-    def phase(pos):
-        return (pos - p) % T if pos >= p else None
-
-    # states: (vertex, pos) with pos absolute until it exceeds the preperiod,
-    # then phases repeat; search depth-first with a visited set on
-    # (vertex, phase, in_cycle_anchor)
-    def dfs(vertex, pos, steps, seen, anchors):
-        ph = phase(pos)
-        if ph is not None:
-            key = (vertex, ph)
-            if key in anchors:
-                first = anchors[key]
-                cyc = steps[first:]
-                if cyc and sum(s.blocks for s in cyc) % T == 0:
-                    if len(out) == limit:
-                        raise EnumerationBudgetExceeded(
-                            f"more than {limit} routings from vertex {start}")
-                    out.append(Routing(start, tuple(steps[:first]), tuple(cyc)))
-                return
-            anchors = dict(anchors)
-            anchors[key] = len(steps)
+    def dfs(vertex, pos):
+        key = (vertex, dw.level(pos)) if pos >= p else None
+        if key in on_path:
+            if len(out) == limit:
+                raise EnumerationBudgetExceeded(f"more than {limit} routings from vertex {start}")
+            first = on_path[key]
+            out.append(Routing(start, tuple(steps[:first]), tuple(steps[first:])))
+            return
+        if key:
+            on_path[key] = len(steps)
         for step in table.routed_steps(vertex, pos):
-            skey = (vertex, step.dst, pos if ph is None else ("c", ph), step.blocks,
-                    step.match.row.rid)
-            if skey in seen:
-                continue
-            dfs(step.dst, pos + step.blocks, steps + [step], seen | {skey}, anchors)
+            steps.append(step)
+            dfs(step.dst, pos + step.blocks)
+            steps.pop()
+        if key:
+            del on_path[key]
 
-    dfs(start, 0, [], frozenset(), {})
+    dfs(start, 0)
     # prefer routings with short cycles and short prefixes
     out.sort(key=lambda r: (len(r.cycle), len(r.prefix)))
     return out
@@ -160,15 +154,6 @@ def _route(dw: DirectiveWord) -> tuple[list[Routing], tuple[str, ...]]:
             return routings, (() if entry == start else
                               (f"validated as a suffix entered at vertex {entry}",))
     return [], ()
-
-
-def _window_right_proper(cycle_labels: list[Morphism]) -> bool:
-    """Some product of consecutive labels, at most two traversals long, is
-    right proper.  A product stays right proper when more non-erasing
-    labels are composed on either side, so the running product from the
-    first label decides it."""
-    return any(classify(acc).right_proper
-               for acc in itertools.accumulate(cycle_labels * 2, compose))
 
 
 # the configurations in the order they are checked
@@ -327,7 +312,10 @@ def _routing_verdict(dw: DirectiveWord, routing: Routing, strict2: bool):
     vertex names the component whose conditions apply."""
     component = GPRIME_COMPONENT[routing.cycle[0].src]
     condition = _RIGHT_PROPER_CONDITION.get(component)
-    if condition and not _window_right_proper([s.label for s in routing.cycle]):
+    # a product stays right proper when more non-erasing labels are
+    # composed on either side, so among the windows of at most two
+    # traversals, the running products from the first label decide it
+    if condition and first_right_proper([s.label for s in routing.cycle] * 2) is None:
         status, clause = "invalid", f"{condition}: no right proper contraction"
     elif component == "C4":
         status, clause = _check_c4(routing, strict2)

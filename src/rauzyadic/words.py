@@ -45,13 +45,16 @@ class Alphabet:
         return w
 
 
-def _common_prefix_length(u: Word, v: Word, cap: int) -> int:
+def common_prefix_len(u: Word, v: Word, cap: int | None = None) -> int:
     """The length of the longest common prefix of u and v, or cap if that
-    is longer; bisection on slices."""
-    lo, hi = 0, cap
+    is shorter.  Bisection on slices: each test compares only the letters
+    not yet known to agree, so the per-letter work stays in C."""
+    lo, hi = 0, min(len(u), len(v))
+    if cap is not None:
+        hi = min(hi, cap)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if u[:mid] == v[:mid]:
+        if u[lo:mid] == v[lo:mid]:
             lo = mid
         else:
             hi = mid - 1
@@ -169,7 +172,7 @@ class FactorOracle:
             if x[0] != y[0]:
                 # the left specials are prefix-closed: stop at the first
                 # prefix already marked, from the longest down
-                for k in range(_common_prefix_length(x[1:], y[1:], min(n, len(x) - 1)), -1, -1):
+                for k in range(common_prefix_len(x[1:], y[1:], n), -1, -1):
                     if x[1:k + 1] in left[k]:
                         break
                     left[k].add(x[1:k + 1])
@@ -202,7 +205,7 @@ class FactorOracle:
     def _lcps(self) -> list[int]:
         """The longest common prefix lengths of the adjacent top words."""
         top = self._top
-        return [_common_prefix_length(u, v, len(u)) for u, v in zip(top, top[1:])]
+        return [common_prefix_len(u, v) for u, v in zip(top, top[1:])]
 
     @cached_property
     def _counts(self) -> list[int]:

@@ -16,7 +16,9 @@ produces, or measures what that stage's bookkeeping claims:
   ``left_proper`` judges ``sadic.proper_contraction``, and the generator
   words (``compose_generators``, ``parse_generator_word`` and the
   derived-family expansions ``DERIVED_EXPANSION``) judge
-  ``morphism.decompose``.
+  ``morphism.decompose``;
+- ``lasso_routings``, the routing search with its step set and its
+  whole-period test, judges ``validator._enumerate_routings``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from rauzyadic.errors import HorizonExceeded, MalformedMorphism, NotInLanguage, OutOfClass
+from rauzyadic.errors import (EnumerationBudgetExceeded, HorizonExceeded, MalformedMorphism,
+                              NotInLanguage, OutOfClass)
 from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
 from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
                              reduced_graph)
+from rauzyadic.validator import BlockTable, Routing
 from rauzyadic.words import LETTERS, FactorOracle, Word
 
 # -- factor languages ---------------------------------------------------
@@ -306,3 +310,47 @@ def parse_generator_word(text: str) -> GeneratorWord:
         if name not in GENERATORS:
             raise MalformedMorphism(f"unknown generator {name!r}")
     return names
+
+
+# -- routing ----------------------------------------------------------------
+
+
+def lasso_routings(table: BlockTable, start: str, limit: int = 64) -> list[Routing]:
+    """The routings of ``validator._enumerate_routings`` by the search it
+    replaced: besides the states on the path, it keeps the set of steps
+    taken on the path, skips a step taken before, copies the states at
+    each call, and records a lasso only when its cycle is not empty and
+    consumes whole periods."""
+    p, T = len(table.dw.preperiod), len(table.dw.period)
+    if T == 0:
+        return []
+    out: list[Routing] = []
+
+    def phase(pos):
+        return (pos - p) % T if pos >= p else None
+
+    def dfs(vertex, pos, steps, seen, anchors):
+        ph = phase(pos)
+        if ph is not None:
+            key = (vertex, ph)
+            if key in anchors:
+                first = anchors[key]
+                cyc = steps[first:]
+                if cyc and sum(s.blocks for s in cyc) % T == 0:
+                    if len(out) == limit:
+                        raise EnumerationBudgetExceeded(
+                            f"more than {limit} routings from vertex {start}")
+                    out.append(Routing(start, tuple(steps[:first]), tuple(cyc)))
+                return
+            anchors = dict(anchors)
+            anchors[key] = len(steps)
+        for step in table.routed_steps(vertex, pos):
+            skey = (vertex, step.dst, pos if ph is None else ("c", ph), step.blocks,
+                    step.match.row.rid)
+            if skey in seen:
+                continue
+            dfs(step.dst, pos + step.blocks, steps + [step], seen | {skey}, anchors)
+
+    dfs(start, 0, [], frozenset(), {})
+    out.sort(key=lambda r: (len(r.cycle), len(r.prefix)))
+    return out

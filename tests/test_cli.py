@@ -54,6 +54,20 @@ def test_validate_out_of_memory_is_a_typed_refusal(tmp_path):
     assert out.stderr == "error: OutOfMemory: validate ran out of memory\n"
 
 
+def test_a_level_of_1500_peels_gets_an_answer(tmp_path, capsys):
+    # decomposing the level takes 1500 peels D10, more than Python's default
+    # recursion limit; exit 1 would read as "invalid"
+    long = "1" + "0" * 1500
+    code, out, err = run(["decompose", f"0->0;1->{long}"], capsys)
+    assert code == 0 and out.split().count("D") == 1500 and err == ""
+    f = tmp_path / "long.dw"
+    f.write_text(f"period:\n[0,{long}]\n")
+    code, out, err = run(["validate", str(f)], capsys)
+    assert code == 1 and err == ""
+    assert out == ("status: invalid\nclause: weak primitivity fails at level 0 (occurrence "
+                   "products never become positive)\n")
+
+
 def test_complexity_csv(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     code, _, _ = run(["complexity", "--source", "fibonacci", "--horizon", "16",
@@ -295,9 +309,10 @@ def test_crosscheck_refuses_a_negative_window_before_reading_the_directive(capsy
 
 
 def test_generate_refuses_a_negative_length_before_any_level(capsys, monkeypatch):
-    def compose(dw):
-        raise AssertionError("a level was composed")
-    monkeypatch.setattr(sadic, "_letter_images", compose)
+    def level(*args):
+        raise AssertionError("a level was read or composed")
+    monkeypatch.setattr(sadic.DirectiveWord, "morphism", level)
+    monkeypatch.setattr(sadic, "compose", level)
     code, out, err = run(["generate", str(DW / "fibonacci.dw"), "--length", "-3"], capsys)
     assert code == 3 and out == "" and err == "error: NegativeLength: negative prefix length -3\n"
 

@@ -13,12 +13,12 @@ from test_rauzy import reduce_graph
 
 from rauzyadic.errors import RauzyadicError
 from rauzyadic.extraction import extract_directive
-from rauzyadic.lengths import (LengthState, common_prefix_len, common_suffix_len,
-                               compute_length_state)
+from rauzyadic.lengths import LengthState, common_suffix_len, compute_length_state
 from rauzyadic.morphism import bracket
 from rauzyadic.rauzy import build_graph, right_special_chain
 from rauzyadic.sadic import DirectiveWord, language_horizon
 from rauzyadic.validator import APPROX_CASES
+from rauzyadic.words import common_prefix_len
 
 OSC = (bracket("1", "02", "2"), bracket("0", "120", "10"))
 
@@ -153,8 +153,10 @@ def _prefix_len_by_loop(a, b):
     return n
 
 
-@given(st.text("01", max_size=40), st.text("01", max_size=40), st.text("012", max_size=40))
-def test_common_prefix_len_matches_loop(u, a, b):
+@given(st.text("01", max_size=40), st.text("01", max_size=40), st.text("012", max_size=40),
+       st.integers(0, 90))
+def test_common_prefix_len_matches_loop(u, a, b, cap):
     # a shared prefix u makes long common prefixes likely
     for x, y in ((u + a, u + b), (u + a, u), (u, u + b), (a, b)):
         assert common_prefix_len(x, y) == _prefix_len_by_loop(x, y)
+        assert common_prefix_len(x, y, cap) == min(_prefix_len_by_loop(x, y), cap)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,30 @@ def test_decompose_product_with_many_letters_of_one_kind():
     assert compose_generators(decompose(m)) == m
 
 
+def test_decompose_peels_past_the_recursion_limit():
+    # 1500 peels D10, one per 0 of the second image: a search that recurses
+    # once per peel ends in RecursionError
+    long = "1" + "0" * 1500
+    word = decompose(bracket("0", long))
+    assert word.count("D") == 1500
+    assert restrict(compose_generators(word), 2).images == ("0", long)
+
+
+@pytest.mark.parametrize("images, codomain, sizes", [
+    (("0",), 1, "domain 1 and codomain 1"),
+    (("0", "1", "2", "3"), 4, "domain 4 and codomain 4"),
+    (("0", "13"), 4, "domain 2 and codomain 4"),
+])
+def test_decompose_refusal_names_the_alphabet_that_fails(images, codomain, sizes):
+    m = Morphism(images, codomain)
+    text = (f"{m}: decomposition needs a domain of 2 or 3 letters and a codomain of at most 3, "
+            f"got {sizes}")
+    with pytest.raises(NotInCatalog, match=f"^{re.escape(text)}$"):
+        decompose(m)
+    with pytest.raises(NotInCatalog, match=f"^{re.escape(text)}$"):
+        _ref_decompose(m)
+
+
 def test_left_conjugate_preserves_factor_sets():
     from rauzyadic.words import factors_of
     m = bracket("0", "110", "10", codomain=3)
@@ -445,7 +470,9 @@ def _ref_decompose(m):
     """decompose with per-image dicts, per-character peels and a
     verification by composing the generator word."""
     if m.domain not in (2, 3) or m.codomain > 3:
-        raise NotInCatalog(f"{m}: decomposition is defined over alphabets of size <= 3")
+        raise NotInCatalog(f"{m}: decomposition needs a domain of 2 or 3 letters and a "
+                           f"codomain of at most 3, got domain {m.domain} and codomain "
+                           f"{m.codomain}")
     if m.erasing:
         raise NotInCatalog(f"{m} is erasing")
     factors = _ref_peel_search(dict(enumerate(m.images)), 2, set())

@@ -9,7 +9,7 @@ from judges import (Path, circuit_path, measure_two_loops, out_edges, psi_projec
 from rauzyadic import rauzy
 from rauzyadic.errors import ChainBlocked, HorizonExceeded, OutOfClass, RauzyadicError
 from rauzyadic.rauzy import (
-    CIRCUIT_BUDGET, EvolvedEdge, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
+    EvolvedEdge, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
     circuits_from, classify_shape, reduce_and_classify, reduced_graph, right_special_chain,
     to_dot,
 )
@@ -423,31 +423,51 @@ def _reduced_outcome(make):
     return g.vertices, [(e.src, e.dst, e.full_label) for e in g.edges]
 
 
-def _circuits_letter_by_letter(graph, v, oracle, budget):
+def _circuits_letter_by_letter(graph, v, oracle):
     """Reference for circuits_from: depth-first search over the order-n
     edges, one letter at a time, pruned where a prefix is not a factor.
     Returns (sorted right labels of the circuits, or the error's type
-    name; the expansions made)."""
+    name; the edges taken out of special vertices, each the first letter
+    of a reduced edge)."""
     if not oracle.is_right_special(v):
         return (), 0
-    out, expansions = [], 0
+    out, first_letters = [], 0
     stack = [(v, v)]
     while stack:
         end, label = stack.pop()
+        special = oracle.is_right_special(end) or oracle.is_left_special(end)
         for e in out_edges(graph, end):
-            expansions += 1
-            if expansions > budget:
-                return "EnumerationBudgetExceeded", expansions
+            first_letters += special
             full = label + e.right
             if len(full) > oracle.horizon:
-                return "HorizonExceeded", expansions
+                return "HorizonExceeded", first_letters
             if not oracle.contains(full):
                 continue
             if e.dst == v:
                 out.append(full[len(v):])
             else:
                 stack.append((e.dst, full))
-    return tuple(sorted(out)), expansions
+    return tuple(sorted(out)), first_letters
+
+
+def _edges_followed(graph, v, oracle):
+    """The reduced edges that circuits_from follows, counted by their
+    ``contains`` tests, one each."""
+    calls = 0
+    contains = oracle.contains
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return contains(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "contains", counted)
+        try:
+            circuits_from(graph, v, oracle)
+        except RauzyadicError:
+            pass
+    return calls
 
 
 def _circuits_outcome(graph, v, oracle):
@@ -468,9 +488,11 @@ def _agree_with_the_order_n_graph(oracle, orders, budgets=False):
     """At each order, the reduced graph read off the language is the
     reduced order-n graph, or OutOfClass where that graph has a vertex that
     is not special; from each right special the reduced-edge circuits are
-    the letter-by-letter ones.  With ``budgets``, the expansion count is
-    exact: the budget that the letter-by-letter search just exhausts is
-    exhausted by circuits_from too.  Returns the outcomes seen."""
+    the letter-by-letter ones.  With ``budgets``, CIRCUIT_BUDGET counts the
+    reduced edges followed: a budget one below their number is exceeded
+    and that number is not; where the circuits are found, the number is
+    the letter-by-letter search's count of first letters of reduced
+    edges.  Returns the outcomes seen."""
     seen = set()
     for n in orders:
         graph = build_graph(oracle, n)
@@ -483,14 +505,16 @@ def _agree_with_the_order_n_graph(oracle, orders, budgets=False):
             continue
         g = reduced_graph(oracle, n)
         for v in oracle.right_specials(n):
-            letters, used = _circuits_letter_by_letter(graph, v, oracle, CIRCUIT_BUDGET)
+            letters, first_letters = _circuits_letter_by_letter(graph, v, oracle)
             assert _circuits_outcome(g, v, oracle) == letters, (oracle, n, v)
             seen.add(letters if isinstance(letters, str) else "circuits")
             if budgets:
+                followed = _edges_followed(g, v, oracle)
+                assert isinstance(letters, str) or followed == first_letters, (oracle, n, v)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(rauzy, "CIRCUIT_BUDGET", used - 1)
+                    mp.setattr(rauzy, "CIRCUIT_BUDGET", followed - 1)
                     assert _circuits_outcome(g, v, oracle) == "EnumerationBudgetExceeded"
-                    mp.setattr(rauzy, "CIRCUIT_BUDGET", used)
+                    mp.setattr(rauzy, "CIRCUIT_BUDGET", followed)
                     assert _circuits_outcome(g, v, oracle) == letters
     return seen
 

@@ -2,18 +2,19 @@ import itertools
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
+from judges import lasso_routings
 
 from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, RauzyadicError,
                               UnsupportedCase)
 from rauzyadic.lengths import compute_length_state
-from rauzyadic.morphism import D, Morphism, bracket, classify, compose
+from rauzyadic.morphism import D, Morphism, bracket, classify, compose, first_right_proper
 from rauzyadic.sadic import DirectiveWord, language_horizon, weak_primitivity_check
 from rauzyadic.schemas import (GPRIME_COMPONENT, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS,
                               GPRIME_VERTICES, LEN_CAP, _ASSIGNMENTS, Step, lengths_key,
                               match_rows)
 from rauzyadic.validator import (
     MAX_BLOCK, BlockTable, _enumerate_routings, _route, _routing_verdict,
-    _weak_primitivity_clause, _window_right_proper, cross_validate,
+    _weak_primitivity_clause, cross_validate,
     sequences_equal_mod_exchange, start_vertex, valid_routings, validate_directive,
 )
 from rauzyadic.words import complexity_profile
@@ -396,7 +397,8 @@ def morphism_cycles(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(label_cycles(), morphism_cycles()))
 def test_window_right_proper_matches_all_offsets(labels):
-    assert _window_right_proper(labels) == _window_right_proper_all_offsets(labels)
+    # the running products from the first label of two traversals
+    assert (first_right_proper(labels * 2) is not None) == _window_right_proper_all_offsets(labels)
 
 
 @st.composite
@@ -509,6 +511,36 @@ def test_routing_cap_is_a_typed_refusal():
         _enumerate_routings(table, start, limit=1)
 
 
+def _routings_outcome(search, dw, start, limit):
+    try:
+        return search(BlockTable(dw), start, limit)
+    except EnumerationBudgetExceeded as exc:
+        return str(exc)
+
+
+def _lassos_agree_with_the_judge(dw):
+    """From every vertex, at the default limit and at limits just below
+    and at the number found, the routings or the refusal of the judge."""
+    for v in GPRIME_VERTICES:
+        want = _routings_outcome(lasso_routings, dw, v, 64)
+        assert _routings_outcome(_enumerate_routings, dw, v, 64) == want, (dw, v)
+        n = len(want) if isinstance(want, list) else 64
+        for limit in {max(n - 1, 0), n}:
+            assert (_routings_outcome(_enumerate_routings, dw, v, limit)
+                    == _routings_outcome(lasso_routings, dw, v, limit)), (dw, v, limit)
+
+
+def test_lasso_search_equals_the_judge_on_the_suites():
+    for dw in [*VALID_SUITE.values(), *(dw for dw, _ in INVALID_SUITE.values())]:
+        _lassos_agree_with_the_judge(dw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eventually_periodic_directives())
+def test_lasso_search_equals_the_judge(dw):
+    _lassos_agree_with_the_judge(dw)
+
+
 def _scan_steps(dw, vertex, pos, end=None):
     """routed_steps by trying each composed label on every row out of the vertex."""
     steps, label = [], None
@@ -575,7 +607,7 @@ def test_routed_steps_equal_a_scan_of_every_out_edge():
                 assert list(table.routed_steps(v, pos)) == _scan_steps(dw, v, pos), (dw, v, pos)
     # a finite directive: no step at or past its end
     dw = VALID_SUITE["c4-10b-pre"]
-    prefix = DirectiveWord(tuple(dw.prefix(5)))
+    prefix = DirectiveWord(tuple(map(dw.morphism, range(5))))
     table = BlockTable(prefix)
     for pos in range(5):
         for v in GPRIME_VERTICES:

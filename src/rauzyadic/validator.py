@@ -98,44 +98,56 @@ class BlockTable:
             yield from out_steps(vertex, self.label(pos, j), j)
 
 
+def routed_paths(table: BlockTable, start: str, end: int | None = None):
+    """Every path of routed steps from start at position 0, depth first in
+    ``BlockTable.routed_steps`` order, as (steps, first): first is the
+    number of steps taken before the path's last state was first met on
+    it, or None, and a path that meets a state again is not extended.
+
+    A state is a vertex and the level of its position, or, walked up to
+    end, the position, so a preperiod state occurs at most once on a path.
+    steps is extended and cut in place, so a reader copies what it keeps.
+    """
+    level = table.dw.level if end is None else (lambda pos: pos)
+    steps: list[Step] = []
+    # state -> (steps taken before it, its position, its routed steps), in path order
+    path = {(start, level(0)): (0, 0, table.routed_steps(start, 0, end))}
+    yield steps, None
+    while path:
+        _, pos, out = path[next(reversed(path))]
+        step = next(out, None)
+        if step is None:
+            path.popitem()
+            if path:
+                steps.pop()
+            continue
+        steps.append(step)
+        pos += step.blocks
+        state = (step.dst, level(pos))
+        first = path[state][0] if state in path else None
+        yield steps, first
+        if first is None:
+            path[state] = (len(steps), pos, table.routed_steps(step.dst, pos, end))
+        else:
+            steps.pop()
+
+
 def _enumerate_routings(table: BlockTable, start: str, limit: int = 64) -> list[Routing]:
     """Lassos from start through the refined graph whose labels read the
-    table's directive.
-
-    A state is a vertex and the level of a position past the preperiod.
-    The search is depth-first, and it closes a lasso when it meets a state
-    already on its path: the cycle runs from there, and since both ends
-    have one level it consumes whole periods, so verdict conditions are
-    read off one loop of it.  Raises EnumerationBudgetExceeded on finding
-    more than ``limit`` lassos, because a verdict read off a truncated
-    list could miss the valid routing.
-    """
-    dw = table.dw
-    if not dw.period:
+    table's directive: the paths of ``routed_paths`` that meet a state
+    again, past the preperiod at one level, so the cycle consumes whole
+    periods and verdict conditions are read off one loop of it.  Raises
+    EnumerationBudgetExceeded on finding more than ``limit`` lassos, because
+    a verdict read off a truncated list could miss the valid routing."""
+    if not table.dw.period:
         return []
-    p = len(dw.preperiod)
     out: list[Routing] = []
-    steps: list[Step] = []
-    on_path: dict[tuple[str, int], int] = {}    # state -> the steps taken before it
-
-    def dfs(vertex, pos):
-        key = (vertex, dw.level(pos)) if pos >= p else None
-        if key in on_path:
-            if len(out) == limit:
-                raise EnumerationBudgetExceeded(f"more than {limit} routings from vertex {start}")
-            first = on_path[key]
-            out.append(Routing(start, tuple(steps[:first]), tuple(steps[first:])))
-            return
-        if key:
-            on_path[key] = len(steps)
-        for step in table.routed_steps(vertex, pos):
-            steps.append(step)
-            dfs(step.dst, pos + step.blocks)
-            steps.pop()
-        if key:
-            del on_path[key]
-
-    dfs(start, 0)
+    for steps, first in routed_paths(table, start):
+        if first is None:
+            continue
+        if len(out) == limit:
+            raise EnumerationBudgetExceeded(f"more than {limit} routings from vertex {start}")
+        out.append(Routing(start, tuple(steps[:first]), tuple(steps[first:])))
     # prefer routings with short cycles and short prefixes
     out.sort(key=lambda r: (len(r.cycle), len(r.prefix)))
     return out

@@ -17,8 +17,11 @@ produces, or measures what that stage's bookkeeping claims:
   words (``compose_generators``, ``parse_generator_word`` and the
   derived-family expansions ``DERIVED_EXPANSION``) judge
   ``morphism.decompose``;
-- ``lasso_routings``, the routing search with its step set and its
-  whole-period test, judges ``validator._enumerate_routings``.
+- the recursive routing searches that ``validator.routed_paths``
+  replaced judge its two readers: ``lasso_routings``, with its step set
+  and its whole-period test, judges ``validator._enumerate_routings``, and
+  ``prefix_routing``, which copies the path at every step, judges
+  ``cli_impl.route_prefix``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from rauzyadic.errors import (EnumerationBudgetExceeded, HorizonExceeded, MalformedMorphism,
-                              NotInLanguage, OutOfClass)
+                              NotInLanguage, OutOfClass, UnsupportedCase)
 from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
 from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
                              reduced_graph)
-from rauzyadic.validator import BlockTable, Routing
+from rauzyadic.sadic import DirectiveWord
+from rauzyadic.schemas import Step
+from rauzyadic.validator import BlockTable, Routing, start_vertex
 from rauzyadic.words import LETTERS, FactorOracle, Word
 
 # -- factor languages ---------------------------------------------------
@@ -354,3 +359,26 @@ def lasso_routings(table: BlockTable, start: str, limit: int = 64) -> list[Routi
     dfs(start, 0, [], frozenset(), {})
     out.sort(key=lambda r: (len(r.cycle), len(r.prefix)))
     return out
+
+
+def prefix_routing(dw: DirectiveWord) -> list[Step]:
+    """The routed prefix of ``cli_impl.route_prefix`` by the search it
+    replaced: one recursive call per routed step, each with a copy of the
+    path, up to the first path that reads every known level and lands in
+    the two-loop or no-loop region."""
+    end = dw.known_levels()
+    table = BlockTable(dw)
+
+    def dfs(vertex, pos, acc):
+        if pos == end:
+            return acc if acc[-1].dst in ("7/8", "5/6") else None
+        for step in table.routed_steps(vertex, pos, end):
+            found = dfs(step.dst, pos + step.blocks, acc + [step])
+            if found is not None:
+                return found
+        return None
+
+    best = dfs(start_vertex(dw), 0, [])
+    if best is None:
+        raise UnsupportedCase("prefix does not route to the two-loop or no-loop region")
+    return best

@@ -185,6 +185,12 @@ def test_lengths_command(tmp_path, capsys):
     assert code == 0 and "p1=" in out
 
 
+def test_lengths_reads_a_periodic_directive_as_preperiod_and_one_period(capsys):
+    # c4_osc has no preperiod and a period of two levels: the state after them
+    code, out, _ = run(["lengths", str(DW / "c4_osc.dw")], capsys)
+    assert code == 0 and out == "u1=0 u2=0 v1=1 v2=1 K=1 h=0 p1=None p2=None\n"
+
+
 def test_lengths_refuses_a_prefix_outside_the_loop_regions(tmp_path, capsys):
     # [0,10] [01,1] stays at vertex 1, so no state at 7/8 or 5/6 exists
     f = tmp_path / "p.dw"

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
-from judges import lasso_routings
+from judges import lasso_routings, prefix_routing
 
+from rauzyadic.cli_impl import route_prefix
 from rauzyadic.errors import (EnumerationBudgetExceeded, NotInCatalog, RauzyadicError,
                               UnsupportedCase)
 from rauzyadic.lengths import compute_length_state
@@ -90,7 +91,6 @@ def test_cross_validation_c2_example():
 def test_prefix_validity_is_monotone():
     # every prefix of a valid eventually periodic directive routes
     dw = VALID_SUITE["c4-10b-pre"]
-    from rauzyadic.cli_impl import route_prefix
     for cut in range(2, 6):
         ms = [dw.morphism(i) for i in range(cut)]
         pre = DirectiveWord(tuple(ms))
@@ -539,6 +539,70 @@ def test_lasso_search_equals_the_judge_on_the_suites():
 @given(eventually_periodic_directives())
 def test_lasso_search_equals_the_judge(dw):
     _lassos_agree_with_the_judge(dw)
+
+
+def _prefix_outcome(search, dw):
+    try:
+        return search(dw)
+    except UnsupportedCase as exc:
+        return str(exc)
+
+
+def _prefixes_agree_with_the_judge(dw):
+    """On every cut of 1 to p + 2T levels, the routed prefix or the refusal
+    of the judge; returns how many cuts route."""
+    routed = 0
+    for cut in range(1, len(dw.preperiod) + 2 * len(dw.period) + 1):
+        prefix = DirectiveWord(tuple(map(dw.morphism, range(cut))))
+        want = _prefix_outcome(prefix_routing, prefix)
+        assert _prefix_outcome(route_prefix, prefix) == want, (dw, cut)
+        routed += isinstance(want, list)
+    return routed
+
+
+def test_prefix_search_equals_the_judge_on_the_suites():
+    routed = sum(_prefixes_agree_with_the_judge(dw) for dw in
+                 [*VALID_SUITE.values(), *(dw for dw, _ in INVALID_SUITE.values())])
+    assert routed > 0
+
+
+@st.composite
+def label_walks(draw):
+    """The labels of a random walk of up to 6 edges from a start vertex, as
+    a finite directive."""
+    v = draw(st.sampled_from(("1", "2")))
+    labels = []
+    for _ in range(draw(st.integers(1, 6))):
+        dst = draw(st.sampled_from([dst for src, dst in GPRIME_EDGES
+                                    if src == v and EDGE_LABELS[(src, dst)]]))
+        labels.append(draw(st.sampled_from(EDGE_LABELS[(v, dst)])))
+        v = dst
+    try:
+        return DirectiveWord(tuple(labels))
+    except (ValueError, RauzyadicError):
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(eventually_periodic_directives(), label_walks()))
+def test_prefix_search_equals_the_judge(dw):
+    event(f"cuts routed: {_prefixes_agree_with_the_judge(dw) > 0}")
+
+
+# a search that takes one Python frame per routed step passes the
+# recursion limit on 1,200 levels
+
+
+def test_a_long_preperiod_gets_a_verdict():
+    period = VALID_SUITE["ar-cycle"].period
+    dw = DirectiveWord(tuple(period[i % 3] for i in range(1200)), period)
+    assert validate_directive(dw).status == "valid"
+
+
+def test_a_long_prefix_routes():
+    period = VALID_SUITE["c4-osc"].period
+    steps = route_prefix(DirectiveWord(tuple(period[i % 2] for i in range(1200))))
+    assert len(steps) == 1199 and steps[-1].dst == "7/8"
 
 
 def _scan_steps(dw, vertex, pos, end=None):

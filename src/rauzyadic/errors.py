@@ -29,10 +29,6 @@ class NotInCatalog(RauzyadicError):
     """Morphism matches no schema of the decomposition catalog."""
 
 
-class NonGrowing(RauzyadicError):
-    """Directive word fails to grow letter images."""
-
-
 class NoStabilization(RauzyadicError):
     """No exact language certificate: the substitution is not primitive on
     its letters, or the directive word is finite; or no generated prefix

@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (AlphabetMismatch, EmptyProduct, ErasingMorphism, MalformedDirective,
-                     MalformedMorphism, NegativeLength, NoStabilization, NonGrowing,
-                     NotContractible)
+                     MalformedMorphism, NegativeLength, NoStabilization, NotContractible)
 from .morphism import (Morphism, bracket, compose, compose_all, derived, first_right_proper,
                        left_conjugate, parse_rules)
 from .words import (Alphabet, FactorOracle, Word, eventual_support, factors_of, is_primitive,
@@ -100,31 +99,31 @@ class GenerationResult:
 def generate_one_sided(dw: DirectiveWord, target_len: int,
                        max_levels: int = 200) -> GenerationResult:
     """Prefix of the limit word m_0 m_1 ... m_n(SEED^omega), truncated once
-    two consecutive levels agree on it."""
+    two consecutive levels agree on it.  The certified horizon is the
+    largest h <= min(target_len // 2, 64) such that the prefix has the
+    factors of the directive's language (:func:`language_horizon`) at every
+    length up to h; a directive that the kernel refuses is refused."""
     if target_len < 0:
         raise NegativeLength(f"negative prefix length {target_len}")
-    if not dw.period:
-        raise NonGrowing("a finite directive word has no limit word")
-    window = 2 * max(4, dw.known_levels())
+    cap = min(target_len // 2, 64)
+    oracle = language_horizon(dw, cap)
     prev = None
-    prev_len_hist: list[int] = []
     # the running products m_0 ... m_n, images of the letters of level n + 1
     products = itertools.accumulate(map(dw.morphism, itertools.count()), compose)
     for n, product in zip(range(max_levels), products):
         u = product.images[int(SEED)]
-        prev_len_hist.append(len(u))
-        if len(prev_len_hist) > window and prev_len_hist[-1] <= prev_len_hist[-1 - window]:
-            raise NonGrowing(f"|images(seed)| stuck at {len(u)} over {window} levels")
-        cand = (u * (target_len // max(1, len(u)) + 1))[:target_len]
+        cand = (u * (target_len // len(u) + 1))[:target_len]
         if prev is not None and len(u) >= target_len and cand == prev:
-            certified = _certified_factor_horizon(prev, u)
-            return GenerationResult(cand, certified, n + 1)
+            h = 0
+            while h < cap and factors_of(cand, h + 1) == oracle.factors(h + 1):
+                h += 1
+            return GenerationResult(cand, h, n + 1)
         if len(u) >= target_len > 0 and not _first_letters_meet(dw, n):
             raise NoStabilization(
                 f"no prefix of length {target_len} settles: past level {n} the images "
                 f"of {SEED} at consecutive levels never begin with the same letter")
         prev = cand
-    raise NonGrowing(f"no stable prefix of length {target_len} within {max_levels} levels")
+    raise NoStabilization(f"no stable prefix of length {target_len} within {max_levels} levels")
 
 
 def _first_letters_meet(dw: DirectiveWord, n: int) -> bool:
@@ -150,14 +149,6 @@ def _first_letters_meet(dw: DirectiveWord, n: int) -> bool:
         before, F = F[a], tuple(F[b] for b in first_letters(j))
         if F[a] == before:
             return True
-
-
-def _certified_factor_horizon(prefix: Word, longer: Word) -> int:
-    h = 0
-    cap = min(len(prefix) // 2, 64)
-    while h + 1 <= cap and factors_of(prefix, h + 1) == factors_of(longer, h + 1):
-        h += 1
-    return h
 
 
 def language_horizon(dw: DirectiveWord, n: int) -> FactorOracle:

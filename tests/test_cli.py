@@ -293,7 +293,7 @@ def test_generate_finite_directive_refused(tmp_path, capsys):
     f = tmp_path / "finite.dw"
     f.write_text(FINITE_DW)
     code, out, err = run(["generate", str(f), "--length", "3"], capsys)
-    assert code == 3 and out == "" and "NonGrowing" in err
+    assert code == 3 and out == "" and "NoStabilization" in err
 
 
 def test_console_entry_point():

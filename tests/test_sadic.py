@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from judges import left_proper, occurrence_matrix
 
 from rauzyadic.errors import (EmptyProduct, ErasingMorphism, MalformedDirective,
-                              MalformedMorphism, NonGrowing, NoStabilization, NotContractible,
+                              MalformedMorphism, NoStabilization, NotContractible,
                               RauzyadicError)
 from rauzyadic.morphism import Morphism, bracket, classify, compose_all, identity
 from rauzyadic.sadic import (
@@ -35,12 +35,12 @@ def test_generate_prefix_stable():
 
 
 def test_generate_identity_non_growing():
-    with pytest.raises(NonGrowing):
+    with pytest.raises(NoStabilization):
         generate_one_sided(DirectiveWord((), (identity(2),)), 10)
 
 
 def test_generate_non_growing_seed():
-    with pytest.raises(NonGrowing):
+    with pytest.raises(NoStabilization):
         generate_one_sided(DirectiveWord((), (bracket("0", "10"),)), 10)
 
 
@@ -53,6 +53,29 @@ def test_generate_unsettled_prefix_is_refused():
     # one such level before a period that keeps first letters settles
     res = generate_one_sided(DirectiveWord((bracket("10", "01"),), (bracket("01", "10"),)), 1000)
     assert res.prefix.startswith("1001")
+
+
+# the seed letter 0 is dead: no level past the preperiod produces it
+DEAD_SEED = parse_directive("preperiod:\n[01,11]\n[100,111]\nperiod:\n[00,101]\n[1,111]\n[1,1]\n")
+
+
+def test_generate_sturmian_with_fixed_seed():
+    # the seed's image keeps one letter for whole periods, yet the period
+    # product is primitive: a Sturmian language, p(n) = n + 1
+    dw = parse_directive("period:\n[2,1,0]\n[2,2,1]\n[2,0,2]\n[0,10,1]\n")
+    res = generate_one_sided(dw, 60)
+    assert len(res.prefix) == 60 and res.certified_horizon >= 1
+    o = language_horizon(dw, 30)
+    assert complexity_profile(o, 28).p == tuple(n + 1 for n in range(29))
+    for j in range(res.certified_horizon + 1):
+        assert factors_of(res.prefix, j) == o.factors(j)
+
+
+def test_generate_dead_seed_certifies_the_language_only():
+    # 01110 is a factor of the prefix but not of the language
+    res = generate_one_sided(DEAD_SEED, 10)
+    assert res.prefix == "1101011101" and res.certified_horizon == 3
+    assert "01110" not in language_horizon(DEAD_SEED, 5)
 
 
 def test_sturmian_language_complexity():
@@ -329,6 +352,30 @@ def test_language_matches_long_word(dw, n):
             assert any(a + u in o.factors(m + 1) for a in letters)
 
 
+@settings(max_examples=150, deadline=None)
+@given(directives(), st.integers(0, 400))
+@example(DEAD_SEED, 10)
+def test_generate_certificate_is_the_kernels(dw, length):
+    # max_levels keeps the images of a prefix that never settles small
+    cap = min(length // 2, 64)
+    try:
+        o = language_horizon(dw, cap)
+    except NoStabilization:
+        with pytest.raises(NoStabilization):
+            generate_one_sided(dw, length, max_levels=12)
+        return
+    try:
+        res = generate_one_sided(dw, length, max_levels=12)
+    except NoStabilization:
+        return
+    h = res.certified_horizon
+    assert len(res.prefix) == length and 0 <= h <= cap
+    for j in range(h + 1):
+        assert factors_of(res.prefix, j) == o.factors(j)
+    if h < cap:
+        assert factors_of(res.prefix, h + 1) != o.factors(h + 1)
+
+
 POOL_CERTIFIED = parse_directive("preperiod:\n[0,10,120]\nperiod:\n[1,021,01]\n[0,10,20]\n[0,10,20]\n")
 POOL_NOT_PRIMITIVE = parse_directive("preperiod:\n[0,10,120]\nperiod:\n[1,01,021]\n")
 
@@ -356,7 +403,7 @@ def test_finite_directive_is_refused():
     dw = DirectiveWord((bracket("01", "0"), bracket("0", "10")))
     with pytest.raises(NoStabilization):
         language_horizon(dw, 6)
-    with pytest.raises(NonGrowing):
+    with pytest.raises(NoStabilization):
         generate_one_sided(dw, 3)
 
 

@@ -10,7 +10,8 @@ class RauzyadicError(Exception):
 
 
 class HorizonExceeded(RauzyadicError):
-    """A factor-set query went past the oracle's certified horizon."""
+    """A factor-set query went past the oracle's certified horizon, or a
+    crosscheck window is too small to extract a valid routing's steps."""
 
 
 class IdentityViolation(RauzyadicError):

@@ -19,7 +19,7 @@ reduced-edge labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoSchemaMatch, RuleViolation
 from .morphism import Morphism, bracket, compose_all, identity
@@ -38,8 +38,7 @@ def bispecial_orders(oracle: FactorOracle, N: int) -> list[int]:
 # -- theta assignment ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaAssignment:
+class ThetaAssignment(NamedTuple):
     order: int
     circuits: tuple[Circuit, ...]        # index = letter
     notes: tuple[str, ...] = ()
@@ -233,8 +232,7 @@ def assign_theta(graph: ReducedRauzyGraph, shape: GraphShape, circuits: tuple[Ci
 # -- step extraction -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvolutionRecord:
+class EvolutionRecord(NamedTuple):
     from_order: int
     to_order: int
     gamma: Morphism
@@ -276,8 +274,7 @@ def extract_gamma(oracle: FactorOracle, lower: ThetaAssignment, upper: ThetaAssi
     return bracket(*images, codomain=lower.alphabet_size)
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(NamedTuple):
     records: tuple[EvolutionRecord, ...]
     path: tuple[Step, ...]
     log: tuple[str, ...]

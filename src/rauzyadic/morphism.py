@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AlphabetMismatch, EmptyProduct, MalformedMorphism, NotInCatalog,
                      NotRightProper)
@@ -154,8 +155,7 @@ def compose_all(ms, n: int | None = None) -> Morphism:
 # -- properness -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProperRecord:
+class ProperRecord(NamedTuple):
     right_proper: bool
     ending: str | None
 

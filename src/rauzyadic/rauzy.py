@@ -12,7 +12,7 @@ Shape classification covers the ten types a minimal subshift with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -23,8 +23,7 @@ from .words import FactorOracle, Word
 CIRCUIT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Edge u -> v with u.right == left.v, the full label."""
 
     src: Word
@@ -42,8 +41,7 @@ def _edge(w: Word) -> Edge:
     return Edge(w[:-1], w[0], w[-1], w[1:])
 
 
-@dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     order: int
     vertices: frozenset[Word]
     edges: tuple[Edge, ...]
@@ -62,8 +60,7 @@ def build_graph(oracle: FactorOracle, n: int) -> RauzyGraph:
 # -- circuits ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedEdge:
+class ReducedEdge(NamedTuple):
     """A maximal path of the order-n graph whose interior vertices are not
     special, kept as its ends and its full label."""
 
@@ -158,8 +155,7 @@ class EvolvedEdge(NamedTuple):
     dst: Word
 
 
-@dataclass(frozen=True)
-class ReducedRauzyGraph:
+class ReducedRauzyGraph(NamedTuple):
     """Special vertices and the condensed paths between them; a graph
     evolved to a later order by ``reduce_and_classify`` has EvolvedEdges."""
 
@@ -230,8 +226,7 @@ def _reduced_edges(oracle: FactorOracle, n: int, keep: frozenset[Word],
     return ReducedRauzyGraph(n, keep, tuple(edges))
 
 
-@dataclass(frozen=True)
-class GraphShape:
+class GraphShape(NamedTuple):
     """One of the ten shapes.  ``gap`` is nonzero when the classified order
     had no bispecial factor and the type reported is the one of the next
     bispecial order."""
@@ -363,7 +358,7 @@ def reduce_and_classify(oracle: FactorOracle, n: int) -> tuple[ReducedRauzyGraph
     if oracle.bispecials(n):
         return g, classify_shape(g, oracle)
     gm = _evolve_to_bispecial(g, oracle)
-    return g, replace(classify_shape(gm, oracle, gap=gm.order - n), order=n)
+    return g, classify_shape(gm, oracle, gap=gm.order - n)._replace(order=n)
 
 
 # -- the right special chain ------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AlphabetMismatch, EmptyProduct, ErasingMorphism, MalformedDirective,
                      MalformedMorphism, NegativeLength, NoStabilization, NotContractible)
@@ -89,8 +90,7 @@ class DirectiveWord:
 SEED = "0"
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(NamedTuple):
     prefix: Word
     certified_horizon: int
     levels_used: int
@@ -118,36 +118,42 @@ def generate_one_sided(dw: DirectiveWord, target_len: int,
             while h < cap and factors_of(cand, h + 1) == oracle.factors(h + 1):
                 h += 1
             return GenerationResult(cand, h, n + 1)
-        if len(u) >= target_len > 0 and not _first_letters_meet(dw, n):
-            raise NoStabilization(
-                f"no prefix of length {target_len} settles: past level {n} the images "
-                f"of {SEED} at consecutive levels never begin with the same letter")
+        if len(u) >= target_len > 0 and not _prefixes_can_meet(dw, n, product, target_len):
+            agree = ("begin with the same letter" if not _prefixes_can_meet(dw, n, product, 1)
+                     else f"agree on their first {target_len} letters")
+            raise NoStabilization(f"no prefix of length {target_len} settles: past level {n} "
+                                  f"the images of {SEED} at consecutive levels never {agree}")
         prev = cand
     raise NoStabilization(f"no stable prefix of length {target_len} within {max_levels} levels")
 
 
-def _first_letters_meet(dw: DirectiveWord, n: int) -> bool:
-    """Whether m_0 ... m_j (SEED) and m_0 ... m_{j-1} (SEED) begin with the
-    same letter at some level j > n, as two equal prefixes must.
+def _prefixes_can_meet(dw: DirectiveWord, n: int, product: Morphism, L: int) -> bool:
+    """Whether m_0 ... m_j (SEED) and m_0 ... m_{j-1} (SEED) can agree on
+    their first L letters at some level j > n, as two equal prefixes must;
+    ``product`` is m_0 ... m_n.
 
-    The first letter of m_0 ... m_j (a) is F_j(a), for F_j the product of
-    the levels' first-letter maps.  F_j and the phase of j in the period
-    fix every later F, so the levels are walked until that pair repeats."""
-    def first_letters(j):
-        return tuple(int(w[0]) for w in dw.morphism(j).images)
+    The two words begin with product(b) and product(c), for b and c the
+    first letters of m_{n+1} ... m_j (SEED) and m_{n+1} ... m_{j-1} (SEED),
+    so those images must agree on min(L, their lengths) letters; once both
+    are L letters long, that agreement is exact.  b is G_j(SEED), for G_j
+    the product of the first-letter maps from level n + 1 on; G_{j-1} and
+    the phase of j in the period fix every later G, so the levels are
+    walked until that pair repeats."""
+    images, a = product.images, int(SEED)
 
-    a = int(SEED)
-    F = first_letters(0)
-    for j in range(1, n + 1):
-        F = tuple(F[b] for b in first_letters(j))
+    def agree(b, c):
+        k = min(L, len(images[b]), len(images[c]))
+        return images[b][:k] == images[c][:k]
+
+    G = tuple(range(len(images)))
     seen = set()
     for j in itertools.count(n + 1):
-        state = (dw.level(j), F)
+        state = (dw.level(j), G)
         if state in seen:
             return False
         seen.add(state)
-        before, F = F[a], tuple(F[b] for b in first_letters(j))
-        if F[a] == before:
+        before, G = G[a], tuple(G[int(w[0])] for w in dw.morphism(j).images)
+        if agree(G[a], before):
             return True
 
 
@@ -174,8 +180,7 @@ def _live_period(dw: DirectiveWord, used: list[frozenset[int]]) -> dict[str, Wor
 # -- weak primitivity -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimitivityVerdict:
+class PrimitivityVerdict(NamedTuple):
     status: str            # "holds" | "fails" | "undetermined"
     fails_at: int | None = None
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import AmbiguousMatch, NoSchemaMatch
 from .morphism import D, Morphism, bracket, compose
@@ -29,8 +30,7 @@ from .morphism import D, Morphism, bracket, compose
 # -- pattern language -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     sym: str                 # "x", "y", "z", "i", "0".."2", or a group like "xy"
     var: str | None = None   # exponent variable "k" / "l", or None for constant
     off: int = 1             # exponent offset (constant value when var is None)
@@ -92,8 +92,7 @@ _ASSIGNMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     row: "Row"
     assign: tuple[tuple[str, str], ...]
     k: int | None
@@ -230,8 +229,7 @@ def unique_row_match(rows, m: Morphism, where: str) -> Match:
 # u_from / u_to: role of the chain vertex before and after ('B', 'R' or '*').
 
 
-@dataclass(frozen=True)
-class EvolutionRow:
+class EvolutionRow(NamedTuple):
     from_type: int
     to_types: frozenset[int]
     u_from: str
@@ -802,8 +800,7 @@ for (_src, _), _rows in GPRIME_EDGES.items():
 del _hits
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One step of a refined-graph path: the edge src -> dst, its label and
     the row match that reads the label.  ``blocks`` counts the directive
     levels a routed label composes; ``entry_order`` is the first order of

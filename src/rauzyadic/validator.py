@@ -12,9 +12,10 @@ clause.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import EnumerationBudgetExceeded, Mismatch, NotInCatalog, UnsupportedCase
+from .errors import (EnumerationBudgetExceeded, HorizonExceeded, Mismatch, NotInCatalog,
+                     UnsupportedCase)
 from .extraction import extract_directive
 from .lengths import compute_length_state
 from .morphism import Morphism, compose, decompose, first_right_proper
@@ -31,15 +32,13 @@ TRAVERSALS = 6
 APPROX_CASES = {"c56_direct", "c56_loop"}
 
 
-@dataclass(frozen=True)
-class Routing:
+class Routing(NamedTuple):
     start: str
     prefix: tuple[Step, ...]   # consumes the preperiod plus alignment
     cycle: tuple[Step, ...]    # consumes whole periods
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
+class ValidityVerdict(NamedTuple):
     status: str                     # "valid" | "invalid" | "undetermined"
     clause: str | None = None       # binding condition, with citation text
     routing: Routing | None = None
@@ -387,8 +386,7 @@ def sequences_equal_mod_exchange(aa: list[Morphism], bb: list[Morphism]) -> list
     return None
 
 
-@dataclass(frozen=True)
-class CrossReport:
+class CrossReport(NamedTuple):
     verdict: ValidityVerdict
     lines: tuple[str, ...]
 
@@ -431,6 +429,11 @@ def cross_validate(dw: DirectiveWord, horizon: int = 20) -> CrossReport:
     ext = list(rep.path)
     found = next(_alignments(ext, valid), None)
     if found is None:
+        # a path shorter than every valid routing is a window too small, not a mismatch
+        shortest = min(len(r.prefix) + len(r.cycle) for r in valid)
+        if len(ext) < shortest:
+            raise HorizonExceeded(f"window {horizon} extracts {len(ext)} steps, fewer than the "
+                                  f"{shortest} of the shortest valid routing's prefix and cycle")
         raise Mismatch("extracted path never aligns with any valid routed cycle; first "
                        f"extracted steps: {[s.match.row.rid for s in ext[:6]]}")
     chosen, start, rot = found

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
                      NegativeLength, NoStabilization, NotProlongable)
@@ -273,8 +274,7 @@ class FactorOracle:
                    certificate=cert)
 
 
-@dataclass(frozen=True)
-class LanguageCertificate:
+class LanguageCertificate(NamedTuple):
     """tau is primitive on ``letters``, its 2-letter language has ``pairs``
     words after ``rounds`` closure rounds, and each mu tau^k(a) has length
     at least n-1."""
@@ -368,8 +368,7 @@ def named_oracle(name: str, horizon: int) -> FactorOracle:
 # -- analysis operations --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     p: tuple[int, ...]
     s: tuple[int, ...]
 

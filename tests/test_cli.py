@@ -39,6 +39,23 @@ def test_generate_unsettled_prefix_refused_within_memory_cap(tmp_path):
     assert out.returncode == 3 and "error: NoStabilization" in out.stderr
 
 
+def test_generate_prefix_that_never_settles_is_refused_within_memory_cap(tmp_path):
+    # the images of 0 begin with 1, 0, 0 in turn, so consecutive levels meet
+    # on first letters, but the images they begin with never agree on 1000
+    # letters; without the refusal the levels run out of memory
+    f = tmp_path / "unsettled.dw"
+    f.write_text("preperiod:\n[0,1,0]\n[0,2,1]\nperiod:\n[20,0,1]\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run([sys.executable, "-m", "rauzyadic.cli", "generate", str(f),
+                          "--length", "1000"], capture_output=True, text=True,
+                         preexec_fn=cap, timeout=300)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("error: NoStabilization: no prefix of length 1000 settles")
+
+
 def test_validate_out_of_memory_is_a_typed_refusal(tmp_path):
     # the exit-gate prefixes of this weakly primitive C4 directive outgrow an
     # 800 MB address space; exit 1 would read as "invalid"
@@ -203,6 +220,19 @@ def test_lengths_refuses_a_prefix_outside_the_loop_regions(tmp_path, capsys):
 
 def test_crosscheck_command(capsys):
     code, out, _ = run(["crosscheck", str(DW / "c4_osc.dw"), "--window", "12"], capsys)
+    assert code == 0 and "cycle matched" in out
+
+
+def test_crosscheck_blames_a_window_too_small_for_a_routing(capsys):
+    # the shortest valid routing of c4_osc has 1 + 2 steps; windows 0-5
+    # extract at most 2, and a window that extracts 3 aligns
+    for window in range(6):
+        code, out, err = run(["crosscheck", str(DW / "c4_osc.dw"), "--window", str(window)],
+                             capsys)
+        assert code == 3 and out == "" and "Mismatch" not in err, window
+        assert err.startswith(f"error: HorizonExceeded: window {window} extracts "), window
+        assert "fewer than the 3 " in err, window
+    code, out, _ = run(["crosscheck", str(DW / "c4_osc.dw"), "--window", "6"], capsys)
     assert code == 0 and "cycle matched" in out
 
 

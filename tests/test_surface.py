@@ -78,3 +78,27 @@ def test_every_library_name_has_a_reader():
 def test_exceptions_are_still_defined():
     defined = {name for path in LIBRARY for name, _, _ in _definitions(ast.parse(path.read_text()))}
     assert set(EXCEPTIONS) <= defined
+
+
+def _decorator_name(node: ast.expr) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_plain_records_are_named_tuples():
+    # a frozen dataclass exec-compiles its methods at import; a record that
+    # neither validates its fields in __post_init__ nor caches a
+    # cached_property is a NamedTuple, which costs nothing to define
+    plain = []
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)):
+                continue
+            names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            cached = any(_decorator_name(d) == "cached_property"
+                         for item in node.body if isinstance(item, ast.FunctionDef)
+                         for d in item.decorator_list)
+            if "__post_init__" not in names and not cached:
+                plain.append(f"{path.name}: {node.name}")
+    assert not plain, f"plain records defined as dataclasses: {plain}"

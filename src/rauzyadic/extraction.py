@@ -395,7 +395,8 @@ def _build_gprime_path(records: list[EvolutionRecord], kinds: list[str | None]) 
                     rest, loops = _divide_left(rest, _loop_morphism(rest)), loops + 1
                 if rest is None:
                     rest, loops = label, 0   # refused below on the whole label
-            path += [edge_step("7/8", "7/8", _loop_morphism(rest))] * loops
+            if loops:
+                path += [edge_step("7/8", "7/8", _loop_morphism(rest))] * loops
             path.append(edge_step(src, dst, rest, records[j - 1].from_order + 1))
         i = j
     return path

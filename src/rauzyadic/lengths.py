@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import UnsupportedCase
 from .morphism import Morphism, compose_all
-from .schemas import GPRIME_ROW_BY_ID, Step
+from .schemas import GPRIME_ROW_BY_ID, Match, Step
 from .words import common_prefix_len
 
 
@@ -80,97 +80,98 @@ def _type10_data(g: Morphism) -> tuple[int, int]:
     return order, q
 
 
-def _c1_values(kcase: str, g: Morphism, sub: dict[str, str],
-               entry: Morphism) -> tuple[int, int, int, int]:
-    """(u1, u2, v1, v2) of the arrival region per the entry case.
+def _region_values(kcase: str, g: Morphism, match: Match,
+                  entry: Morphism) -> tuple[int, int, int, int, int]:
+    """(u1, u2, v1, v2, K) of the arrival region per the entry case, K the
+    loop count of the entry: each case's formulas and K, stated once.
 
-    g is the composition of the steps before the entry; entry is the
-    morphism of the entry step itself (for composite rows, of its embedded
-    loop-region part)."""
+    g is the composition of the steps before the entry; match is the entry
+    step's row match, whose assignment and exponents the formulas read;
+    entry is the morphism of the entry step itself (for composite rows, of
+    its embedded loop-region part)."""
     L = lambda w: len(g(w))
-    x, y, z, i = (sub.get(c) for c in "xyzi")
+    x, y, z, i = (match.sub.get(c) for c in "xyzi")
+    k, l = match.k or 0, match.l or 0
     img0 = entry.images[0]
-    if kcase == "type1_entry":
-        return L(x) - 1, L(y) - 1, 1, 1
-    if kcase == "c2_two_seg":
-        return L(x) - 1, L(y) - 1, 1, 1
+    if kcase in ("type1_entry", "c2_two_seg"):
+        return L(x) - 1, L(y) - 1, 1, 1, k - 1
     if kcase == "c2_group":
-        return L(x) - 1, L(y + z) - 1, 1, 1
+        return L(x) - 1, L(y + z) - 1, 1, 1, k - 1
     if kcase == "c2_pairfirst":
-        return L(x + y) - 1, L(z) - 1, 1, 1
+        return L(x + y) - 1, L(z) - 1, 1, 1, k - 1
     if kcase == "c2_group_odd":
-        return L(x) - 1, L(y) - 1, 1, L(z) + 1
+        return L(x) - 1, L(y) - 1, 1, L(z) + 1, k
     if kcase == "c2_pairsplit":
-        return L(y) - 1, L(z) - 1, L(x) + 1, 1
+        return L(y) - 1, L(z) - 1, L(x) + 1, 1, k - 1
     if kcase in ("c2_4R_a", "c2_4R_b"):
         u1 = L(x) - common_prefix_len(g(z), g(x)) - 1
-        return u1, L(z) - 1, L(img0) - u1, 1
+        return u1, L(z) - 1, L(img0) - u1, 1, k - l - 1
     if kcase == "c2_10R_a":
         u1, u2 = L(z) - 1, L(x) - 1
-        return u1, u2, L(img0) - u1, L(x + y) - u2
+        return u1, u2, L(img0) - u1, L(x + y) - u2, k - l - 1
     if kcase == "c2_10R_b":
         u1, u2 = L(z) - 1, L(y) - 1
-        return u1, u2, L(img0) - u1, L(x) + 1
+        return u1, u2, L(img0) - u1, L(x) + 1, l - k
     if kcase == "v_top":
         q = _type3_q(g, i, x, y)
         u1, u2 = L(i) - 1, q - 1
-        return u1, u2, 1, L(y) - u2
+        return u1, u2, 1, L(y) - u2, k
     if kcase == "v_bottom":
         q = _type3_q(g, i, x, y)
         u1, u2 = q - 1, L(i) - 1
-        return u1, u2, L(x) - u1, 1
+        return u1, u2, L(x) - u1, 1, k - 1
     if kcase == "v_10R_a":
         q = _type3_q(g, i, x, y)
         u1, u2 = L(i) - 1, L(y) - q - 1
-        return u1, u2, L(img0) - u1, L(y) - u2
+        return u1, u2, L(img0) - u1, L(y) - u2, k - l - 1
     if kcase == "v_10R_b":
         q = _type3_q(g, i, x, y)
         u1, u2 = L(i) - 1, q - 1
-        return u1, u2, L(img0) - u1, L(y) - u2
+        return u1, u2, L(img0) - u1, L(y) - u2, l - k
     if kcase == "f4_direct":
         cp = common_prefix_len(g(x), g(y))
         u1, u2 = L("0") - 1, cp - 1
-        return u1, u2, 1, L(x) - u2
+        return u1, u2, 1, L(x) - u2, k
     if kcase == "f4_4R":
         cp = common_prefix_len(g(x), g(y))
         u1, u2 = L(y) - cp - 1, L(x) - 1
-        return u1, u2, L(img0) - u1, 1
+        return u1, u2, L(img0) - u1, 1, k - l - 1
     if kcase == "f4_10R_a":
         cp = common_prefix_len(g(x), g(y))
         u1, u2 = L(y) - cp - 1, L("0") - 1
-        return u1, u2, L(img0) - u1, L(x + "0") - u2
+        return u1, u2, L(img0) - u1, L(x + "0") - u2, k - l
     if kcase == "f4_10R_b":
         cp = common_prefix_len(g(x), g(y))
         u1, u2 = L(y) - cp - 1, L(x) - 1
-        return u1, u2, L(img0) - u1, L("0") + 1
+        return u1, u2, L(img0) - u1, L("0") + 1, l - k - 1
     if kcase in ("c56_direct", "c56_loop"):
         cp = common_prefix_len(g("0"), g("2"))
         u1, u2 = L("2") - cp - 1, cp - 1
-        return u1, u2, L(img0) - u1, L("0") - u2
+        return u1, u2, L(img0) - u1, L("0") - u2, k
     if kcase == "c56_10R_a":
         cp = common_prefix_len(g("0"), g("2"))
         q = _power_suffix(g, "1", "2") - min(_power_suffix(g, "0", "1"),
                                              _power_suffix(g, "0", "2"))
         u1, u2 = L("0") - cp - 1, q - 1
-        return u1, u2, L(img0) - u1, L("2") - u2
+        return u1, u2, L(img0) - u1, L("2") - u2, k - l
     if kcase == "c56_10R_b":
         cp = common_prefix_len(g("0"), g("2"))
         u1, u2 = L("0") - cp - 1, L("2") - cp - 1
-        return u1, u2, L(img0) - u1, cp + 1
+        return u1, u2, L(img0) - u1, cp + 1, l - k - 1
     if kcase in ("c10B_direct", "c10B_56"):
         cp = common_prefix_len(g("1"), g("2"))
         _, q = _type10_data(g)
         u1, u2 = q - 1, cp - 1
-        return u1, u2, L(img0) - u1, L("2") - u2
+        return u1, u2, L(img0) - u1, L("2") - u2, k
     if kcase == "c10B_10R_a":
         cp = common_prefix_len(g("1"), g("2"))
         _, q = _type10_data(g)
         u1, u2 = L("2") - cp - 1, q - 1
-        return u1, u2, L(img0) - u1, L("1") - u2
+        return u1, u2, L(img0) - u1, L("1") - u2, k - l
     if kcase == "c10B_10R_b":
         cp = common_prefix_len(g("1"), g("2"))
         u1, u2 = L("2") - cp - 1, L("0") - 1
-        return u1, u2, L(img0) - u1, L("1") - u2
+        return u1, u2, L(img0) - u1, L("1") - u2, l - k - 1
     raise UnsupportedCase(f"no length formulas for case {kcase!r}")
 
 
@@ -210,9 +211,7 @@ def compute_length_state(steps: Sequence[Step]) -> LengthState:
     g = compose_all([s.label for s in steps[:e]], n=step.label.codomain)
     entry = (GPRIME_ROW_BY_ID[_EMBEDDED_ENTRY[case]].instantiate({}, match.k)
              if case in _EMBEDDED_ENTRY else step.label)
-    u1, u2, v1, v2 = _c1_values(case, g, match.sub, entry)
-    st = LengthState(u1, u2, v1, v2, match.row.Kfun(match.k or 0, match.l or 0),
-                     h=top - e, case=case)
+    st = LengthState(*_region_values(case, g, match, entry), h=top - e, case=case)
     if last.dst == "5/6":
         # the accumulated images include the loop explosions before the exit
         gam = compose_all([g, entry] + [s.label for s in steps[e + 1 : -1]])

@@ -13,14 +13,14 @@ letters) with loop exponents k and l.  This module holds:
     (``edge_step``).
 
 Rows that enter the two-loop region carry the case key for the length
-bookkeeping and the loop-count formula for the exit gates.  The label
+bookkeeping, whose formulas and loop count live in ``lengths``.  The label
 configurations that component C4 excludes are tables of rows too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -115,7 +115,7 @@ class Row:
     opt3: bool = False
     cond: object = None            # callable (k, l) -> bool
     kcase: str | None = None       # length-bookkeeping case for 7/8 or 5/6 entries
-    Kfun: object = None            # callable (k, l) -> loop count of the entry
+    evolution: str | None = None   # the EVOLUTION_TABLE row a refined-graph row is read off
 
     @cached_property
     def atoms(self) -> tuple[tuple[Atom, ...], ...]:
@@ -430,9 +430,15 @@ GPRIME_COMPONENT = {"2": "C1", "V0": "C2", "V1": "C2", "V2": "C2", "4B": "C3",
 GPRIME_VERTICES = tuple(GPRIME_COMPONENT)
 
 
-def _row(rid, src, dst, imgs, vars="lit", opt3=False, cond=None, kcase=None, Kfun=None):
-    return Row(rid, src, dst, tuple(imgs), vars=vars, opt3=opt3, cond=cond,
-               kcase=kcase, Kfun=Kfun)
+_EVOLUTION_ROW_BY_ID = {er.row.rid: er.row for er in EVOLUTION_TABLE}
+
+
+def _read(rid, src, dst, evolution, kcase=None):
+    """The edge src -> dst labelled by one evolution: the EVOLUTION_TABLE
+    row ``evolution``, with its images, assignments, optional third image
+    and cond."""
+    return replace(_EVOLUTION_ROW_BY_ID[evolution], rid=rid, src=src, dst=dst,
+                   kcase=kcase, evolution=evolution)
 
 
 def _c2_rows() -> list[Row]:
@@ -447,259 +453,199 @@ def _c2_rows() -> list[Row]:
         loops = (compose(D(y, x), D(z, x)), compose(D(x, y), D(z, y)),
                  compose(D(x, z), D(y, z)))
         for j, m in enumerate(loops):
-            rows.append(_row(f"C2.V{x}.loop{j}", f"V{x}", f"V{x}",
+            rows.append(Row(f"C2.V{x}.loop{j}", f"V{x}", f"V{x}",
                              tuple(" ".join(w) for w in m.images)))
     for x, yv in itertools.permutations(range(3), 2):
         z = next(iter(set(range(3)) - {x, yv}))
         single = D(x, z)
         paired = compose(D(x, yv), D(z, x))
-        rows.append(_row(f"C2.V{x}{yv}.a", f"V{x}", f"V{yv}",
+        rows.append(Row(f"C2.V{x}{yv}.a", f"V{x}", f"V{yv}",
                          tuple(" ".join(w) for w in single.images)))
-        rows.append(_row(f"C2.V{x}{yv}.b", f"V{x}", f"V{yv}",
+        rows.append(Row(f"C2.V{x}{yv}.b", f"V{x}", f"V{yv}",
                          tuple(" ".join(w) for w in paired.images)))
     return rows
 
 
 def _gprime_rows() -> list[Row]:
+    """The refined-graph rows in GPRIME_EDGES order.  A row that is one
+    evolution of the graph of graphs is read off its EVOLUTION_TABLE row
+    (``_read``); the others are spelled here.  A cond states only what the
+    exponent offsets of the always-present images do not already force."""
     r = []
     # C1: the Arnoux-Rauzy loop on vertex 2
-    r += [_row("C1.a", "2", "2", ("0", "1 0", "2 0")),
-          _row("C1.b", "2", "2", ("0 1", "1", "2 1")),
-          _row("C1.c", "2", "2", ("0 2", "1 2", "2"))]
+    r += [_read(f"C1.{c}", "2", "2", f"A2.2{c}") for c in "abc"]
     # C2
     r += _c2_rows()
     # C3: the loop on 4B
-    r += [_row("C3.a", "4B", "4B", ("0", "1 0", "2 0")),
-          _row("C3.b", "4B", "4B", ("0", "2 0", "1 0"))]
+    r += [_read("C3.a", "4B", "4B", "A4.4b"),
+          _read("C3.b", "4B", "4B", "A4.4c")]
     for rid, imgs in (("C3.c", ("x^k-1 y", "0 x^k y", "0 x^k-1 y")),
                       ("C3.d", ("x^k-1 y", "0 x^k-1 y", "0 x^k y")),
                       ("C3.e", ("0 x^k-1 y", "x^k y", "x^k-1 y")),
                       ("C3.f", ("0 x^k-1 y", "x^k-1 y", "x^k y"))):
-        r.append(_row(rid, "4B", "4B", imgs, vars="xy12", cond=lambda k, l: k >= 1))
+        r.append(Row(rid, "4B", "4B", imgs, vars="xy12"))
     # C4, inner edges (table of labels within the last component)
-    r += [_row("C4.1.loopa", "1", "1", ("0", "1 0")),
-          _row("C4.1.loopb", "1", "1", ("0 1", "1")),
-          _row("C4.1.78", "1", "7/8", ("x", "y^k x", "y^k-1 x"), vars="xy01",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="type1_entry",
-               Kfun=lambda k, l: k - 1)]
-    r += [_row("C4.56.1a", "5/6", "1", ("x", "y x"), vars="xy01"),
-          _row("C4.56.1b", "5/6", "1", ("y x", "x"), vars="xy01"),
-          _row("C4.56.1c", "5/6", "1", ("1 2^k 0", "2^k 0"), cond=lambda k, l: k >= 1),
-          _row("C4.56.1d", "5/6", "1", ("2^k 0", "1 2^k 0"), cond=lambda k, l: k >= 1),
-          _row("C4.56.1e", "5/6", "1", ("1 2^k 0", "2^k+1 0"), cond=lambda k, l: k >= 0),
-          _row("C4.56.1f", "5/6", "1", ("2^k+1 0", "1 2^k 0"), cond=lambda k, l: k >= 0)]
-    r += [_row("C4.56.78a", "5/6", "7/8", ("1", "0^k 2", "0^k-1 2"), opt3=True,
-               cond=lambda k, l: k >= 1, kcase="c56_direct", Kfun=lambda k, l: k),
-          _row("C4.56.78b", "5/6", "7/8", ("x", "y^k x", "y^k-1 x"), vars="xy01",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="type1_entry",
-               Kfun=lambda k, l: k - 1),
-          _row("C4.56.78c", "5/6", "7/8", ("2^l 0", "1 2^k 0", "1 2^k-1 0"), opt3=True,
-               cond=lambda k, l: k > l >= 0, kcase="c56_10R_a",
-               Kfun=lambda k, l: k - l),
-          _row("C4.56.78d", "5/6", "7/8", ("1 2^k 0", "2^l 0", "2^l-1 0"), opt3=True,
-               cond=lambda k, l: l > k + 1 >= 1, kcase="c56_10R_b",
-               Kfun=lambda k, l: l - k - 1)]
-    r += [_row("C4.56.10a", "5/6", "10B", ("1", "0 1", "2")),
-          _row("C4.56.10b", "5/6", "10B", ("2^k 0", "1 2^k 0", "1 2^k-1 0"),
-               cond=lambda k, l: k >= 1),
-          _row("C4.56.10c", "5/6", "10B", ("1 2^k 0", "2^k+1 0", "2^k 0"),
-               cond=lambda k, l: k >= 0)]
-    r += [_row("C4.78.1a", "7/8", "1", ("0 1", "1")),
-          _row("C4.78.1b", "7/8", "1", ("1", "0 1")),
-          _row("C4.78.1c", "7/8", "1", ("x", "y"), vars="xy01"),
-          _row("C4.78.56a", "7/8", "5/6", ("0 x", "y", "0 y"), vars="xy12", opt3=True),
-          _row("C4.78.56b", "7/8", "5/6", ("x", "0 y", "y"), vars="xy12", opt3=True),
-          _row("C4.78.loop", "7/8", "7/8", ("0", "1 0", "2 0"), opt3=True)]
-    r += [_row("C4.10B.1a", "10B", "1", ("0 1^k 2", "1^k 2"), cond=lambda k, l: k >= 1),
-          _row("C4.10B.1b", "10B", "1", ("1^k 2", "0 1^k 2"), cond=lambda k, l: k >= 1),
-          _row("C4.10B.1c", "10B", "1", ("0 1^k 2", "1^k+1 2"), cond=lambda k, l: k >= 0),
-          _row("C4.10B.1d", "10B", "1", ("1^k+1 2", "0 1^k 2"), cond=lambda k, l: k >= 0)]
-    r += [_row("C4.10B.78a", "10B", "7/8", ("0", "2^k 1", "2^k-1 1"),
-               cond=lambda k, l: k >= 1, kcase="c10B_direct", Kfun=lambda k, l: k),
-          _row("C4.10B.78b", "10B", "7/8", ("1^l 2", "0 1^k 2", "0 1^k-1 2"), opt3=True,
-               cond=lambda k, l: k > l >= 0, kcase="c10B_10R_a",
-               Kfun=lambda k, l: k - l),
-          _row("C4.10B.78c", "10B", "7/8", ("0 1^k 2", "1^l 2", "1^l-1 2"), opt3=True,
-               cond=lambda k, l: l > k + 1 >= 1, kcase="c10B_10R_b",
-               Kfun=lambda k, l: l - k - 1)]
-    r += [_row("C4.10B.10a", "10B", "10B", ("0", "2 0", "1")),
-          _row("C4.10B.10b", "10B", "10B", ("1^k 2", "0 1^k 2", "0 1^k-1 2"),
-               cond=lambda k, l: k >= 1),
-          _row("C4.10B.10c", "10B", "10B", ("0 1^k 2", "1^k+1 2", "1^k 2"),
-               cond=lambda k, l: k >= 0)]
+    r += [Row("C4.1.loopa", "1", "1", ("0", "1 0")),
+          Row("C4.1.loopb", "1", "1", ("0 1", "1")),
+          _read("C4.1.78", "1", "7/8", "A1.78", kcase="type1_entry")]
+    r += [_read("C4.56.1a", "5/6", "1", "A6.1a"),
+          _read("C4.56.1b", "5/6", "1", "A6.1b"),
+          Row("C4.56.1c", "5/6", "1", ("1 2^k 0", "2^k 0"), cond=lambda k, l: k >= 1),
+          Row("C4.56.1d", "5/6", "1", ("2^k 0", "1 2^k 0"), cond=lambda k, l: k >= 1),
+          Row("C4.56.1e", "5/6", "1", ("1 2^k 0", "2^k+1 0")),
+          Row("C4.56.1f", "5/6", "1", ("2^k+1 0", "1 2^k 0"))]
+    r += [_read("C4.56.78a", "5/6", "7/8", "A6.78a", kcase="c56_direct"),
+          _read("C4.56.78b", "5/6", "7/8", "A6.78b", kcase="type1_entry"),
+          Row("C4.56.78c", "5/6", "7/8", ("2^l 0", "1 2^k 0", "1 2^k-1 0"), opt3=True,
+               cond=lambda k, l: k > l >= 0, kcase="c56_10R_a"),
+          Row("C4.56.78d", "5/6", "7/8", ("1 2^k 0", "2^l 0", "2^l-1 0"), opt3=True,
+               cond=lambda k, l: l > k + 1 >= 1, kcase="c56_10R_b")]
+    r += [_read("C4.56.10a", "5/6", "10B", "A6.10a"),
+          Row("C4.56.10b", "5/6", "10B", ("2^k 0", "1 2^k 0", "1 2^k-1 0")),
+          Row("C4.56.10c", "5/6", "10B", ("1 2^k 0", "2^k+1 0", "2^k 0"))]
+    r += [Row("C4.78.1a", "7/8", "1", ("0 1", "1")),
+          Row("C4.78.1b", "7/8", "1", ("1", "0 1")),
+          _read("C4.78.1c", "7/8", "1", "A7.1"),
+          _read("C4.78.56a", "7/8", "5/6", "A8.56a"),
+          _read("C4.78.56b", "7/8", "5/6", "A8.56b"),
+          _read("C4.78.loop", "7/8", "7/8", "A8.78a")]
+    r += [Row("C4.10B.1a", "10B", "1", ("0 1^k 2", "1^k 2"), cond=lambda k, l: k >= 1),
+          Row("C4.10B.1b", "10B", "1", ("1^k 2", "0 1^k 2"), cond=lambda k, l: k >= 1),
+          Row("C4.10B.1c", "10B", "1", ("0 1^k 2", "1^k+1 2")),
+          Row("C4.10B.1d", "10B", "1", ("1^k+1 2", "0 1^k 2"))]
+    r += [Row("C4.10B.78a", "10B", "7/8", ("0", "2^k 1", "2^k-1 1"), kcase="c10B_direct"),
+          Row("C4.10B.78b", "10B", "7/8", ("1^l 2", "0 1^k 2", "0 1^k-1 2"), opt3=True,
+               cond=lambda k, l: k > l >= 0, kcase="c10B_10R_a"),
+          Row("C4.10B.78c", "10B", "7/8", ("0 1^k 2", "1^l 2", "1^l-1 2"), opt3=True,
+               cond=lambda k, l: l > k + 1 >= 1, kcase="c10B_10R_b")]
+    r += [_read("C4.10B.10a", "10B", "10B", "A10.10b"),
+          Row("C4.10B.10b", "10B", "10B", ("1^k 2", "0 1^k 2", "0 1^k-1 2")),
+          Row("C4.10B.10c", "10B", "10B", ("0 1^k 2", "1^k+1 2", "1^k 2"))]
     # the two right-proper composite edges added to the component
-    r += [_row("C4.56.loopa", "5/6", "5/6", ("1 0^k 2", "0^k-1 2", "1 0^k-1 2"),
-               cond=lambda k, l: k >= 1, kcase="c56_loop", Kfun=lambda k, l: k),
-          _row("C4.56.loopb", "5/6", "5/6", ("1 0^k-1 2", "0^k 2", "1 0^k 2"),
-               cond=lambda k, l: k >= 1, kcase="c56_loop", Kfun=lambda k, l: k),
-          _row("C4.56.loopc", "5/6", "5/6", ("0^k 2", "1 0^k-1 2", "0^k-1 2"),
-               cond=lambda k, l: k >= 1, kcase="c56_loop", Kfun=lambda k, l: k),
-          _row("C4.56.loopd", "5/6", "5/6", ("0^k-1 2", "1 0^k 2", "0^k 2"),
-               cond=lambda k, l: k >= 1, kcase="c56_loop", Kfun=lambda k, l: k)]
-    r += [_row("C4.10B.56a", "10B", "5/6", ("0 2^k 1", "2^k-1 1", "0 2^k-1 1"),
-               cond=lambda k, l: k >= 1, kcase="c10B_56", Kfun=lambda k, l: k),
-          _row("C4.10B.56b", "10B", "5/6", ("0 2^k-1 1", "2^k 1", "0 2^k 1"),
-               cond=lambda k, l: k >= 1, kcase="c10B_56", Kfun=lambda k, l: k),
-          _row("C4.10B.56c", "10B", "5/6", ("2^k 1", "0 2^k-1 1", "2^k-1 1"),
-               cond=lambda k, l: k >= 1, kcase="c10B_56", Kfun=lambda k, l: k),
-          _row("C4.10B.56d", "10B", "5/6", ("2^k-1 1", "0 2^k 1", "2^k 1"),
-               cond=lambda k, l: k >= 1, kcase="c10B_56", Kfun=lambda k, l: k)]
+    r += [Row("C4.56.loopa", "5/6", "5/6", ("1 0^k 2", "0^k-1 2", "1 0^k-1 2"), kcase="c56_loop"),
+          Row("C4.56.loopb", "5/6", "5/6", ("1 0^k-1 2", "0^k 2", "1 0^k 2"), kcase="c56_loop"),
+          Row("C4.56.loopc", "5/6", "5/6", ("0^k 2", "1 0^k-1 2", "0^k-1 2"), kcase="c56_loop"),
+          Row("C4.56.loopd", "5/6", "5/6", ("0^k-1 2", "1 0^k 2", "0^k 2"), kcase="c56_loop")]
+    r += [Row("C4.10B.56a", "10B", "5/6", ("0 2^k 1", "2^k-1 1", "0 2^k-1 1"), kcase="c10B_56"),
+          Row("C4.10B.56b", "10B", "5/6", ("0 2^k-1 1", "2^k 1", "0 2^k 1"), kcase="c10B_56"),
+          Row("C4.10B.56c", "10B", "5/6", ("2^k 1", "0 2^k-1 1", "2^k-1 1"), kcase="c10B_56"),
+          Row("C4.10B.56d", "10B", "5/6", ("2^k-1 1", "0 2^k 1", "2^k 1"), kcase="c10B_56")]
     # black edges from 2
-    r += [_row("T2.1a", "2", "1", ("x", "y z x"), vars="xyz"),
-          _row("T2.1b", "2", "1", ("y z x", "x"), vars="xyz"),
-          _row("T2.1c", "2", "1", ("x y", "z y"), vars="xyz"),
-          _row("T2.1d", "2", "1", ("x y", "z x y"), vars="xyz"),
-          _row("T2.1e", "2", "1", ("z x y", "x y"), vars="xyz"),
-          _row("T2.1f", "2", "1", ("y z^k x", "z^k x"), vars="xyz",
+    r += [_read(f"T2.1{c}", "2", "1", f"A2.1{c}") for c in "abcde"]
+    r += [Row("T2.1f", "2", "1", ("y z^k x", "z^k x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1g", "2", "1", ("z^k x", "y z^k x"), vars="xyz",
+          Row("T2.1g", "2", "1", ("z^k x", "y z^k x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1h", "2", "1", ("y z^k x", "z^k-1 x"), vars="xyz",
+          Row("T2.1h", "2", "1", ("y z^k x", "z^k-1 x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1i", "2", "1", ("z^k-1 x", "y z^k x"), vars="xyz",
+          Row("T2.1i", "2", "1", ("z^k-1 x", "y z^k x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1j", "2", "1", ("y z^k-1 x", "z^k x"), vars="xyz",
+          Row("T2.1j", "2", "1", ("y z^k-1 x", "z^k x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1k", "2", "1", ("z^k x", "y z^k-1 x"), vars="xyz",
+          Row("T2.1k", "2", "1", ("z^k x", "y z^k-1 x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1l", "2", "1", ("(xy)^k z", "y (xy)^k z"), vars="xyz",
+          Row("T2.1l", "2", "1", ("(xy)^k z", "y (xy)^k z"), vars="xyz",
                cond=lambda k, l: k >= 1),
-          _row("T2.1m", "2", "1", ("y (xy)^k z", "(xy)^k z"), vars="xyz",
+          Row("T2.1m", "2", "1", ("y (xy)^k z", "(xy)^k z"), vars="xyz",
                cond=lambda k, l: k >= 1),
-          _row("T2.1n", "2", "1", ("(xy)^k z", "y (xy)^k-1 z"), vars="xyz",
+          Row("T2.1n", "2", "1", ("(xy)^k z", "y (xy)^k-1 z"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.1o", "2", "1", ("y (xy)^k-1 z", "(xy)^k z"), vars="xyz",
+          Row("T2.1o", "2", "1", ("y (xy)^k-1 z", "(xy)^k z"), vars="xyz",
                cond=lambda k, l: k >= 2)]
-    r += [_row("T2.4Ba", "2", "4B", ("x", "y x", "y z x"), vars="xyz"),
-          _row("T2.4Bb", "2", "4B", ("x", "y z x", "y x"), vars="xyz"),
-          _row("T2.4Bc", "2", "4B", ("y^k-1 z", "x y^k z", "x y^k-1 z"), vars="xyz",
+    r += [_read("T2.4Ba", "2", "4B", "A2.4c"),
+          _read("T2.4Bb", "2", "4B", "A2.4d"),
+          Row("T2.4Bc", "2", "4B", ("y^k-1 z", "x y^k z", "x y^k-1 z"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.4Bd", "2", "4B", ("y^k-1 z", "x y^k-1 z", "x y^k z"), vars="xyz",
+          Row("T2.4Bd", "2", "4B", ("y^k-1 z", "x y^k-1 z", "x y^k z"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.4Be", "2", "4B", ("x y^k-1 z", "y^k z", "y^k-1 z"), vars="xyz",
+          Row("T2.4Be", "2", "4B", ("x y^k-1 z", "y^k z", "y^k-1 z"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.4Bf", "2", "4B", ("x y^k-1 z", "y^k-1 z", "y^k z"), vars="xyz",
+          Row("T2.4Bf", "2", "4B", ("x y^k-1 z", "y^k-1 z", "y^k z"), vars="xyz",
                cond=lambda k, l: k >= 2)]
-    r += [_row("T2.V0a", "2", "V0", ("0", "1 2 0", "2 0")),
-          _row("T2.V0b", "2", "V0", ("0", "1 0", "2 1 0")),
-          _row("T2.V1a", "2", "V1", ("0 1", "1", "2 0 1")),
-          _row("T2.V1b", "2", "V1", ("0 2 1", "1", "2 1")),
-          _row("T2.V2a", "2", "V2", ("0 2", "1 0 2", "2")),
-          _row("T2.V2b", "2", "V2", ("0 1 2", "1 2", "2"))]
-    r += [_row("T2.78a", "2", "7/8", ("x", "y^k z x", "y^k-1 z x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="c2_two_seg",
-               Kfun=lambda k, l: k - 1),
-          _row("T2.78b", "2", "7/8", ("x", "z y^k x", "z y^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="c2_two_seg",
-               Kfun=lambda k, l: k - 1),
-          _row("T2.78c", "2", "7/8", ("x", "(yz)^k x", "(yz)^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="c2_group",
-               Kfun=lambda k, l: k - 1),
-          _row("T2.78d", "2", "7/8", ("x y", "z^k x y", "z^k-1 x y"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="c2_pairfirst",
-               Kfun=lambda k, l: k - 1),
-          _row("T2.78e", "2", "7/8", ("x", "(yz)^k y x", "(yz)^k-1 y x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 1, kcase="c2_group_odd",
-               Kfun=lambda k, l: k),
-          _row("T2.78f", "2", "7/8", ("x y", "z^k y", "z^k-1 y"), vars="xyz",
-               opt3=True, cond=lambda k, l: k >= 2, kcase="c2_pairsplit",
-               Kfun=lambda k, l: k - 1),
-          _row("T2.78g", "2", "7/8", ("z^l x", "y z^k x", "y z^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 1,
-               kcase="c2_4R_a", Kfun=lambda k, l: k - l - 1),
-          _row("T2.78h", "2", "7/8", ("y z^l x", "z^k x", "z^k-1 x"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 1,
-               kcase="c2_4R_b", Kfun=lambda k, l: k - l - 1),
-          _row("T2.78i", "2", "7/8", ("y (xy)^l z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
-               kcase="c2_10R_a", Kfun=lambda k, l: k - l - 1),
-          _row("T2.78j", "2", "7/8", ("(xy)^k z", "y (xy)^l z", "y (xy)^l-1 z"), vars="xyz",
-               opt3=True, cond=lambda k, l: l > k >= 1,
-               kcase="c2_10R_b", Kfun=lambda k, l: l - k)]
-    r += [_row("T2.10Ba", "2", "10B", ("x y", "z x y", "z y"), vars="xyz"),
-          _row("T2.10Bb", "2", "10B", ("z^k x", "y z^k x", "y z^k-1 x"), vars="xyz",
+    r += [_read("T2.V0a", "2", "V0", "A2.3b"),
+          _read("T2.V0b", "2", "V0", "A2.3a"),
+          _read("T2.V1a", "2", "V1", "A2.3c"),
+          _read("T2.V1b", "2", "V1", "A2.3d"),
+          _read("T2.V2a", "2", "V2", "A2.3e"),
+          _read("T2.V2b", "2", "V2", "A2.3f")]
+    r += [_read("T2.78a", "2", "7/8", "A2.78a", kcase="c2_two_seg"),
+          _read("T2.78b", "2", "7/8", "A2.78b", kcase="c2_two_seg"),
+          _read("T2.78c", "2", "7/8", "A2.78c", kcase="c2_group"),
+          _read("T2.78d", "2", "7/8", "A2.78e", kcase="c2_pairfirst"),
+          _read("T2.78e", "2", "7/8", "A2.78d", kcase="c2_group_odd"),
+          _read("T2.78f", "2", "7/8", "A2.78f", kcase="c2_pairsplit"),
+          Row("T2.78g", "2", "7/8", ("z^l x", "y z^k x", "y z^k-1 x"), vars="xyz",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 1, kcase="c2_4R_a"),
+          Row("T2.78h", "2", "7/8", ("y z^l x", "z^k x", "z^k-1 x"), vars="xyz",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 1, kcase="c2_4R_b"),
+          Row("T2.78i", "2", "7/8", ("y (xy)^l z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0, kcase="c2_10R_a"),
+          Row("T2.78j", "2", "7/8", ("(xy)^k z", "y (xy)^l z", "y (xy)^l-1 z"), vars="xyz",
+               opt3=True, cond=lambda k, l: l > k >= 1, kcase="c2_10R_b")]
+    r += [_read("T2.10Ba", "2", "10B", "A2.10d"),
+          Row("T2.10Bb", "2", "10B", ("z^k x", "y z^k x", "y z^k-1 x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.10Bc", "2", "10B", ("y z^k x", "z^k x", "z^k-1 x"), vars="xyz",
+          Row("T2.10Bc", "2", "10B", ("y z^k x", "z^k x", "z^k-1 x"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.10Bd", "2", "10B", ("y (xy)^k-1 z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
+          Row("T2.10Bd", "2", "10B", ("y (xy)^k-1 z", "(xy)^k z", "(xy)^k-1 z"), vars="xyz",
                cond=lambda k, l: k >= 2),
-          _row("T2.10Be", "2", "10B", ("(xy)^k z", "y (xy)^k z", "y (xy)^k-1 z"), vars="xyz",
-               cond=lambda k, l: k >= 1)]
+          Row("T2.10Be", "2", "10B", ("(xy)^k z", "y (xy)^k z", "y (xy)^k-1 z"), vars="xyz")]
     # black edges from V_i
     for i in range(3):
         v, dom = f"V{i}", f"ixy{i}"
-        r += [_row(f"T3.{i}.1a", v, "1", ("x", "i y"), vars=dom),
-              _row(f"T3.{i}.1b", v, "1", ("i y", "x"), vars=dom),
-              _row(f"T3.{i}.1c", v, "1", ("x i", "y i"), vars=dom),
-              _row(f"T3.{i}.1d", v, "1", ("x y^k i", "y^k i"), vars=dom,
+        r += [Row(f"T3.{i}.1a", v, "1", ("x", "i y"), vars=dom),
+              Row(f"T3.{i}.1b", v, "1", ("i y", "x"), vars=dom),
+              Row(f"T3.{i}.1c", v, "1", ("x i", "y i"), vars=dom),
+              Row(f"T3.{i}.1d", v, "1", ("x y^k i", "y^k i"), vars=dom,
                    cond=lambda k, l: k >= 1),
-              _row(f"T3.{i}.1e", v, "1", ("y^k i", "x y^k i"), vars=dom,
+              Row(f"T3.{i}.1e", v, "1", ("y^k i", "x y^k i"), vars=dom,
                    cond=lambda k, l: k >= 1),
-              _row(f"T3.{i}.1f", v, "1", ("x y^k i", "y^k-1 i"), vars=dom,
+              Row(f"T3.{i}.1f", v, "1", ("x y^k i", "y^k-1 i"), vars=dom,
                    cond=lambda k, l: k >= 2),
-              _row(f"T3.{i}.1g", v, "1", ("y^k-1 i", "x y^k i"), vars=dom,
+              Row(f"T3.{i}.1g", v, "1", ("y^k-1 i", "x y^k i"), vars=dom,
                    cond=lambda k, l: k >= 2),
-              _row(f"T3.{i}.78a", v, "7/8", ("i", "x y^k i", "x y^k-1 i"), vars=dom,
-                   opt3=True, cond=lambda k, l: k >= 1, kcase="v_top",
-                   Kfun=lambda k, l: k),
-              _row(f"T3.{i}.78b", v, "7/8", ("x", "i^k y", "i^k-1 y"), vars=dom,
-                   opt3=True, cond=lambda k, l: k >= 2, kcase="v_bottom",
-                   Kfun=lambda k, l: k - 1),
-              _row(f"T3.{i}.78c", v, "7/8", ("x y^l i", "y^k i", "y^k-1 i"), vars=dom,
-                   opt3=True, cond=lambda k, l: k - 1 > l >= 0,
-                   kcase="v_10R_a", Kfun=lambda k, l: k - l - 1),
-              _row(f"T3.{i}.78d", v, "7/8", ("y^k i", "x y^l i", "x y^l-1 i"), vars=dom,
-                   opt3=True, cond=lambda k, l: l > k >= 1,
-                   kcase="v_10R_b", Kfun=lambda k, l: l - k),
-              _row(f"T3.{i}.10Ba", v, "10B", ("x", "i x", "i y"), vars=dom),
-              _row(f"T3.{i}.10Bb", v, "10B", ("x y^k-1 i", "y^k i", "y^k-1 i"), vars=dom,
+              Row(f"T3.{i}.78a", v, "7/8", ("i", "x y^k i", "x y^k-1 i"), vars=dom,
+                   opt3=True, cond=lambda k, l: k >= 1, kcase="v_top"),
+              Row(f"T3.{i}.78b", v, "7/8", ("x", "i^k y", "i^k-1 y"), vars=dom,
+                   opt3=True, cond=lambda k, l: k >= 2, kcase="v_bottom"),
+              Row(f"T3.{i}.78c", v, "7/8", ("x y^l i", "y^k i", "y^k-1 i"), vars=dom,
+                   opt3=True, cond=lambda k, l: k - 1 > l >= 0, kcase="v_10R_a"),
+              Row(f"T3.{i}.78d", v, "7/8", ("y^k i", "x y^l i", "x y^l-1 i"), vars=dom,
+                   opt3=True, cond=lambda k, l: l > k >= 1, kcase="v_10R_b"),
+              Row(f"T3.{i}.10Ba", v, "10B", ("x", "i x", "i y"), vars=dom),
+              Row(f"T3.{i}.10Bb", v, "10B", ("x y^k-1 i", "y^k i", "y^k-1 i"), vars=dom,
                    cond=lambda k, l: k >= 2),
-              _row(f"T3.{i}.10Bc", v, "10B", ("y^k i", "x y^k i", "x y^k-1 i"), vars=dom,
-                   cond=lambda k, l: k >= 1)]
+              Row(f"T3.{i}.10Bc", v, "10B", ("y^k i", "x y^k i", "x y^k-1 i"), vars=dom)]
     # black edges from 4B
-    r += [_row("T4.1a", "4B", "1", ("x^k y", "0 x^k y"), vars="xy12",
+    r += [Row("T4.1a", "4B", "1", ("x^k y", "0 x^k y"), vars="xy12",
                cond=lambda k, l: k >= 1),
-          _row("T4.1b", "4B", "1", ("0 x^k y", "x^k y"), vars="xy12",
+          Row("T4.1b", "4B", "1", ("0 x^k y", "x^k y"), vars="xy12",
                cond=lambda k, l: k >= 1),
-          _row("T4.1c", "4B", "1", ("x^k-1 y", "0 x^k y"), vars="xy12",
+          Row("T4.1c", "4B", "1", ("x^k-1 y", "0 x^k y"), vars="xy12"),
+          Row("T4.1d", "4B", "1", ("0 x^k y", "x^k-1 y"), vars="xy12"),
+          Row("T4.1e", "4B", "1", ("x^k y", "0 x^k-1 y"), vars="xy12"),
+          Row("T4.1f", "4B", "1", ("0 x^k-1 y", "x^k y"), vars="xy12"),
+          Row("T4.1g", "4B", "1", ("0 (x0)^k y", "(x0)^k y"), vars="xy12",
                cond=lambda k, l: k >= 1),
-          _row("T4.1d", "4B", "1", ("0 x^k y", "x^k-1 y"), vars="xy12",
+          Row("T4.1h", "4B", "1", ("(x0)^k y", "0 (x0)^k y"), vars="xy12",
                cond=lambda k, l: k >= 1),
-          _row("T4.1e", "4B", "1", ("x^k y", "0 x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.1f", "4B", "1", ("0 x^k-1 y", "x^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.1g", "4B", "1", ("0 (x0)^k y", "(x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.1h", "4B", "1", ("(x0)^k y", "0 (x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.1i", "4B", "1", ("0 (x0)^k-1 y", "(x0)^k y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.1j", "4B", "1", ("(x0)^k y", "0 (x0)^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1)]
-    r += [_row("T4.78a", "4B", "7/8", ("0", "x^k y 0", "x^k-1 y 0"), vars="xy12",
-               opt3=True, cond=lambda k, l: k >= 1, kcase="f4_direct",
-               Kfun=lambda k, l: k),
-          _row("T4.78b", "4B", "7/8", ("x^l y", "0 x^k y", "0 x^k-1 y"), vars="xy12",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
-               kcase="f4_4R", Kfun=lambda k, l: k - 1 - l),
-          _row("T4.78c", "4B", "7/8", ("0 x^l y", "x^k y", "x^k-1 y"), vars="xy12",
-               opt3=True, cond=lambda k, l: k - 1 > l >= 0,
-               kcase="f4_4R", Kfun=lambda k, l: k - 1 - l),
-          _row("T4.78d", "4B", "7/8", ("(x0)^l y", "0 (x0)^k y", "0 (x0)^k-1 y"),
-               vars="xy12", opt3=True, cond=lambda k, l: k > l >= 0,
-               kcase="f4_10R_a", Kfun=lambda k, l: k - l),
-          _row("T4.78e", "4B", "7/8", ("0 (x0)^k y", "(x0)^l y", "(x0)^l-1 y"),
-               vars="xy12", opt3=True, cond=lambda k, l: l - 1 > k >= 0,
-               kcase="f4_10R_b", Kfun=lambda k, l: l - k - 1)]
-    r += [_row("T4.10Ba", "4B", "10B", ("x^k y", "0 x^k y", "0 x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.10Bb", "4B", "10B", ("0 x^k y", "x^k y", "x^k-1 y"), vars="xy12",
-               cond=lambda k, l: k >= 1),
-          _row("T4.10Bc", "4B", "10B", ("(x0)^k y", "0 (x0)^k y", "0 (x0)^k-1 y"),
-               vars="xy12", cond=lambda k, l: k >= 1),
-          _row("T4.10Bd", "4B", "10B", ("0 (x0)^k-1 y", "(x0)^k y", "(x0)^k-1 y"),
-               vars="xy12", cond=lambda k, l: k >= 1)]
+          Row("T4.1i", "4B", "1", ("0 (x0)^k-1 y", "(x0)^k y"), vars="xy12"),
+          Row("T4.1j", "4B", "1", ("(x0)^k y", "0 (x0)^k-1 y"), vars="xy12")]
+    r += [_read("T4.78a", "4B", "7/8", "A4.78b", kcase="f4_direct"),
+          Row("T4.78b", "4B", "7/8", ("x^l y", "0 x^k y", "0 x^k-1 y"), vars="xy12",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0, kcase="f4_4R"),
+          Row("T4.78c", "4B", "7/8", ("0 x^l y", "x^k y", "x^k-1 y"), vars="xy12",
+               opt3=True, cond=lambda k, l: k - 1 > l >= 0, kcase="f4_4R"),
+          Row("T4.78d", "4B", "7/8", ("(x0)^l y", "0 (x0)^k y", "0 (x0)^k-1 y"),
+               vars="xy12", opt3=True, cond=lambda k, l: k > l >= 0, kcase="f4_10R_a"),
+          Row("T4.78e", "4B", "7/8", ("0 (x0)^k y", "(x0)^l y", "(x0)^l-1 y"),
+               vars="xy12", opt3=True, cond=lambda k, l: l - 1 > k >= 0, kcase="f4_10R_b")]
+    r += [Row("T4.10Ba", "4B", "10B", ("x^k y", "0 x^k y", "0 x^k-1 y"), vars="xy12"),
+          Row("T4.10Bb", "4B", "10B", ("0 x^k y", "x^k y", "x^k-1 y"), vars="xy12"),
+          Row("T4.10Bc", "4B", "10B", ("(x0)^k y", "0 (x0)^k y", "0 (x0)^k-1 y"),
+               vars="xy12"),
+          Row("T4.10Bd", "4B", "10B", ("0 (x0)^k-1 y", "(x0)^k y", "(x0)^k-1 y"),
+               vars="xy12")]
     return r
 
 

@@ -365,7 +365,10 @@ def test_graph_refuses_an_order_below_minus_one_at_its_edge_length(capsys):
 # at gap and bispecial orders and its refusals, as recorded before graph
 # read its reduced graph off the language; and of complexity, graph,
 # circuits and extract on the prefix files of tests/data, as recorded while
-# an explicit prefix still gave its factor sets length by length
+# an explicit prefix still gave its factor sets length by length; and of
+# validate, validate --strict2 and lengths on the committed directives, as
+# recorded while the refined graph still spelled out its one-evolution rows
+# and kept each entry row's loop count on the row
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_outputs.json").read_text())
 
 

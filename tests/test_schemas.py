@@ -4,11 +4,12 @@ import pytest
 from judges import compose_generators, restrict
 
 from rauzyadic.errors import NoSchemaMatch
+from rauzyadic.lengths import _region_values
 from rauzyadic.morphism import D, bracket, compose, decompose, identity
 from rauzyadic.schemas import (
-    _ASSIGNMENTS, EVOLUTION_TABLE, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP,
-    Match, Row, _image, edge_step, evolution_rows, match_rows,
-    solve_lengths, unique_row_match,
+    _ASSIGNMENTS, _EVOLUTION_ROW_BY_ID, EVOLUTION_TABLE, GPRIME_COMPONENT, GPRIME_EDGES,
+    GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP, Match, Row, _image, edge_step, evolution_rows,
+    match_rows, solve_lengths, unique_row_match,
 )
 from rauzyadic.validator import _EXCLUDED_CONFIGS
 
@@ -183,8 +184,8 @@ def test_matcher_order_on_ambiguous_rows():
 
 
 def test_matcher_never_solves_a_negative_exponent():
-    # table rows with a "^k+1" image all bound k by cond; without one, the
-    # length of "1" would solve k = -1
+    # the table rows with a "^k+1" image have no cond to bound k, so the
+    # length solve itself must refuse the k = -1 that the length of "1" gives
     row = Row("neg", "", "", ("0^k+1 1", "1"))
     assert match_rows((row,), bracket("1", "1")) == brute_matches(row, bracket("1", "1")) == []
     assert [m.k for m in match_rows((row,), bracket("01", "1"))] == [0]
@@ -240,7 +241,96 @@ def test_evolution_rows_filter():
 
 
 def test_entry_rows_have_length_cases():
+    # every entry into the two-loop region carries a length case, and
+    # lengths.py gives each case's formulas with a loop count K >= 1 on
+    # every instance of every row that carries it
+    cases = set()
     for (src, dst), rows in GPRIME_EDGES.items():
         for row in rows:
             if dst == "7/8" and src != "7/8":
-                assert row.kcase is not None and row.Kfun is not None, row.rid
+                assert row.kcase is not None, row.rid
+            if row.kcase is None:
+                continue
+            cases.add(row.kcase)
+            for m, _, _ in row_instances(row):
+                match = unique_row_match((row,), m, row.rid)
+                K = _region_values(row.kcase, identity(3), match, m)[-1]
+                assert K >= 1, (row.rid, m, K)
+    assert len(cases) == 26
+
+
+# the Rauzy-graph types each refined-graph vertex stands for; type 9 is a
+# pass-through shape, on no vertex
+VERTEX_TYPES = {"2": {2}, "V0": {3}, "V1": {3}, "V2": {3}, "4B": {4}, "1": {1},
+                "5/6": {5, 6}, "7/8": {7, 8}, "10B": {10}}
+
+
+def type_consistent(er, src, dst):
+    return er.from_type in VERTEX_TYPES[src] and er.to_types <= VERTEX_TYPES[dst]
+
+
+def admitted(row):
+    """The (k, l) up to 8 that the row's cond admits."""
+    return [(k, l) for k in range(9) for l in range(9) if row.cond is None or row.cond(k, l)]
+
+
+def test_one_evolution_rows_are_read_off_the_evolution_table():
+    # a refined-graph row with the images, assignments, optional third image
+    # and cond of a one-evolution row of matching vertex types is built from
+    # that row, so the two tables cannot drift apart.  The C2 rows are
+    # computed from the generators (the paper's F_x and F_xy), not spelled
+    read = 0
+    for row in GPRIME_ROWS:
+        same = [er.row.rid for er in EVOLUTION_TABLE if type_consistent(er, row.src, row.dst)
+                and (er.row.imgs, er.row.vars, er.row.opt3) == (row.imgs, row.vars, row.opt3)
+                and admitted(er.row) == admitted(row)]
+        if row.evolution is None:
+            assert not same or GPRIME_COMPONENT[row.src] == "C2", (row.rid, same)
+        else:
+            assert row.evolution in same, (row.rid, row.evolution)
+            assert row.cond is _EVOLUTION_ROW_BY_ID[row.evolution].cond, row.rid
+            read += 1
+    assert read == 37
+
+
+def test_refined_graph_conds_add_to_the_offsets():
+    # a cond that only restates the lower bound the exponent offsets of the
+    # always-present images force is dead, since matching, _length_keys and
+    # instantiate already refuse a negative exponent.  A row read off an
+    # evolution row keeps that row's cond
+    for row in GPRIME_ROWS:
+        if row.cond is None or row.evolution is not None:
+            continue
+        atoms = row.atoms[:-1] if row.opt3 else row.atoms
+        low = {v: max([0] + [-a.off for p in atoms for a in p if a.var == v]) for v in "kl"}
+        forced = [(k, l) for k in range(9) for l in range(9) if k >= low["k"] and l >= low["l"]]
+        assert admitted(row) != forced, row.rid
+
+
+# the one-evolution instances that no refined-graph edge of matching vertex
+# types reads; ROADMAP item 7 holds them for a decision
+UNREAD = {
+    ("A1.1a", ("1", "01")), ("A1.1b", ("10", "0")),
+    ("A8.1a", ("0", "10")), ("A8.1b", ("10", "0")),
+    ("A8.78b", ("0", "110", "10")), ("A8.78b", ("0", "110")),
+    ("A8.78b", ("0", "1110", "110")), ("A8.78b", ("0", "1110")),
+    ("A8.78b", ("1", "001", "01")), ("A8.78b", ("1", "001")),
+    ("A8.78b", ("1", "0001", "001")), ("A8.78b", ("1", "0001")),
+    ("A10.78b", ("0", "21")), ("A10.78b", ("0", "221")), ("A10.78b", ("0", "2221")),
+}
+
+
+def test_one_evolution_instances_are_read_on_the_refined_graph():
+    # each instance (k, l <= 3) of an evolution row whose chain vertex is
+    # never R is read by some edge whose vertex types match, except UNREAD
+    on_vertices = set().union(*VERTEX_TYPES.values())
+    instances, unread = 0, set()
+    for er in EVOLUTION_TABLE:
+        if "R" in (er.u_from, er.u_to) or not {er.from_type, *er.to_types} <= on_vertices:
+            continue
+        edges = [rows for (src, dst), rows in GPRIME_EDGES.items() if type_consistent(er, src, dst)]
+        for m in {m for m, _, _ in row_instances(er.row)}:
+            instances += 1
+            if not any(match_rows(rows, m) for rows in edges):
+                unread.add((er.row.rid, m.images))
+    assert unread == UNREAD and instances == 382

@@ -92,10 +92,6 @@ class Circuit:
         return "".join(e.right_label for e in self.edges)
 
     @property
-    def full_label(self) -> Word:
-        return self.start + self.right_label
-
-    @property
     def stops(self) -> tuple[Word, ...]:
         """The special vertices it passes, the start at both ends."""
         return (self.start,) + tuple(e.dst for e in self.edges)

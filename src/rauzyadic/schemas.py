@@ -145,8 +145,10 @@ class Row:
         return frozenset({n, n - 1} if self.opt3 else {n})
 
     @cached_property
-    def lengths(self) -> tuple[tuple[str | None, int, int], ...]:
-        return tuple(map(_image_lengths, self.imgs))
+    def solver(self) -> tuple[frozenset[int], tuple[tuple[str | None, int, int], ...], object]:
+        """What solve_lengths reads of the row: its arities, the (var,
+        fixed, step) of each image (see _image_lengths) and cond."""
+        return self.arities, tuple(map(_image_lengths, self.imgs)), self.cond
 
     @cached_property
     def tables(self) -> tuple[tuple[tuple[tuple[str, str], ...], dict[int, str]], ...]:
@@ -155,17 +157,40 @@ class Row:
         return tuple((tuple(sorted(assign.items())), str.maketrans(assign))
                      for assign in _ASSIGNMENTS[self.vars])
 
+    @cached_property
+    def parts(self) -> tuple[tuple[str | None, object], ...]:
+        """Per image, what matches builds its pattern from, with the pattern
+        symbols left in: (None, the image) for a constant image, and for a
+        variable one (var, its atoms), each atom (symbol, offset), or
+        (its text, None) when its exponent is constant."""
+        out = []
+        for atoms in self.atoms:
+            var = next((a.var for a in atoms if a.var), None)
+            if var is None:
+                out.append((None, "".join(a.sym * a.off for a in atoms)))
+            else:
+                out.append((var, tuple((a.sym, a.off) if a.var else (a.sym * a.off, None)
+                                       for a in atoms)))
+        return tuple(out)
+
     def matches(self, m: Morphism, k: int, l: int) -> list[Match]:
         """The matches, in assignment order, under which the row's images
         at exponents k and l are m's; k and l are the ones solve_lengths
-        reads off m's image lengths (match_rows does both)."""
-        # the images with the pattern symbols left in: they depend on k and
-        # l alone, and an assignment's images are their translations.  A
-        # negative exponent gives an empty part, so that image is longer
-        # than the label's and matches under no assignment
-        pattern = ["".join(a.sym * (a.off if a.var is None else (k if a.var == "k" else l) + a.off)
-                           for a in p)
-                   for p in self.atoms[:len(m.images)]]
+        reads off m's image lengths (match_rows does both).
+
+        The images are built once with the pattern symbols left in, from
+        the per-image ``parts`` made on first use: they depend on k and l
+        alone, and an assignment's images are their translations.  A
+        negative exponent gives an empty part, so that image is longer
+        than the label's and matches under no assignment."""
+        pattern = []
+        for var, part in self.parts[:len(m.images)]:
+            if var is None:
+                pattern.append(part)
+            else:
+                e = k if var == "k" else l
+                pattern.append("".join(sym if off is None else sym * (e + off)
+                                       for sym, off in part))
         uses = self.uses
         out = []
         for assign, table in self.tables:
@@ -186,30 +211,49 @@ def solve_lengths(rows, ns: tuple[int, ...]) -> list[tuple[Row, int, int]]:
     Each image of a row holds at most one exponent variable, and every
     variable the row uses occurs in an image before the optional third, so
     the lengths fix k and l; an unused exponent is 0, and cond must hold.
+    A constant image must have its one length.  Each row is read through
+    its ``solver`` record, built on first use, and k and l are two locals.
     The loop over rows is written out here, not called per row, because
     routing runs it on every bucket it looks up."""
     n = len(ns)
     out = []
     for row in rows:
-        if n not in row.arities:
+        arities, images, cond = row.solver
+        if n not in arities:
             continue
-        vals: dict[str | None, int] = {None: 0}   # a constant image has e = 0
-        for (var, fixed, step), length in zip(row.lengths, ns):
+        k = l = None
+        for (var, fixed, step), length in zip(images, ns):
+            if var is None:
+                if length != fixed:
+                    break
+                continue
             e, r = divmod(length - fixed, step or 1)
-            if r or e < 0 or vals.setdefault(var, e) != e:
+            if r or e < 0:
+                break
+            if var == "k":
+                if k is None:
+                    k = e
+                elif k != e:
+                    break
+            elif l is None:
+                l = e
+            elif l != e:
                 break
         else:
-            k, l = vals.get("k", 0), vals.get("l", 0)
-            if row.cond is None or row.cond(k, l):
+            k, l = k or 0, l or 0
+            if cond is None or cond(k, l):
                 out.append((row, k, l))
     return out
 
 
-def match_rows(rows, m: Morphism) -> list[Match]:
+def match_rows(rows, m: Morphism, ns: tuple[int, ...] | None = None) -> list[Match]:
     """The matches of m on the rows, in order; only rows whose image
-    lengths solve are matched."""
+    lengths solve are matched.  ns, m's image lengths, is read off m unless
+    the caller has it."""
+    if ns is None:
+        ns = tuple(map(len, m.images))
     out = []
-    for row, k, l in solve_lengths(rows, tuple(map(len, m.images))):
+    for row, k, l in solve_lengths(rows, ns):
         out.extend(row.matches(m, k, l))
     return out
 
@@ -772,8 +816,12 @@ def out_steps(src: str, label: Morphism, blocks: int) -> list[Step]:
     The label's image lengths, clipped at LEN_CAP, pick the bucket of rows
     out of src; match_rows then solves k and l from the exact lengths and
     matches the patterns only on the rows whose lengths solve."""
-    rows = GPRIME_OUT_BY_LENGTHS[src].get(lengths_key(map(len, label.images)), ())
-    return [Step(src, match.row.dst, label, match, blocks) for match in match_rows(rows, label)]
+    ns = tuple(map(len, label.images))
+    rows = GPRIME_OUT_BY_LENGTHS[src].get(lengths_key(ns))
+    if rows is None:
+        return []
+    return [Step(src, match.row.dst, label, match, blocks)
+            for match in match_rows(rows, label, ns)]
 
 
 def edge_step(src: str, dst: str, label: Morphism, entry_order: int = -1) -> Step:

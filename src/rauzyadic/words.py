@@ -49,7 +49,11 @@ class Alphabet:
 def common_prefix_len(u: Word, v: Word, cap: int | None = None) -> int:
     """The length of the longest common prefix of u and v, or cap if that
     is shorter.  Bisection on slices: each test compares only the letters
-    not yet known to agree, so the per-letter work stays in C."""
+    not yet known to agree, so the per-letter work stays in C.  It serves
+    single pairs: the long composed images that ``lengths`` compares, where
+    encoding both words as integers would cost more than the few slices,
+    and the capped keys of the left-special pass.  ``FactorOracle._lcps``
+    reads the many short adjacent pairs of a top set from integers instead."""
     lo, hi = 0, min(len(u), len(v))
     if cap is not None:
         hi = min(hi, cap)
@@ -90,6 +94,11 @@ class FactorOracle:
     than both words makes that prefix right special, and in the top set
     sorted on ``w[1:]`` an adjacent pair with different first letters makes
     every prefix of their common key left special.
+
+    The adjacent lcps are read from one integer per top word (``_lcps``),
+    not by bisecting each pair with :func:`common_prefix_len`: the top
+    words are short and many, so one encoding per word and one XOR per
+    pair cost less than a bisection per pair.
     """
 
     def __init__(self, alphabet: Alphabet, top: frozenset[Word], horizon: int, source: str,
@@ -204,9 +213,29 @@ class FactorOracle:
 
     @cached_property
     def _lcps(self) -> list[int]:
-        """The longest common prefix lengths of the adjacent top words."""
+        """The longest common prefix lengths of the adjacent top words.
+
+        Each word is read once as a big-endian integer of its encoding, one
+        byte a letter, or four (UTF-32) when some letter is not ASCII, so
+        every letter has the same width.  For a pair, the longer word is
+        shifted down to the shorter length; the letters past the lcp are
+        then the bytes that the XOR of the two reaches."""
         top = self._top
-        return [common_prefix_len(u, v) for u, v in zip(top, top[1:])]
+        if all(map(str.isascii, top)):
+            encoding, bits = "ascii", 8
+        else:
+            encoding, bits = "utf-32-be", 32
+        nums = [int.from_bytes(w.encode(encoding), "big") for w in top]
+        lens = list(map(len, top))
+        out = []
+        for a, b, m, n in zip(nums, nums[1:], lens, lens[1:]):
+            if m > n:
+                a >>= bits * (m - n)
+                m = n
+            elif n > m:
+                b >>= bits * (n - m)
+            out.append(m - ((a ^ b).bit_length() + bits - 1) // bits)
+        return out
 
     @cached_property
     def _counts(self) -> list[int]:

@@ -17,6 +17,10 @@ produces, or measures what that stage's bookkeeping claims:
   words (``compose_generators``, ``parse_generator_word`` and the
   derived-family expansions ``DERIVED_EXPANSION``) judge
   ``morphism.decompose``;
+- ``solve_lengths_by_dict`` and ``row_matches_by_atoms``, the length
+  solve and the row matcher as they were before each row kept one record
+  of its lengths and one of its pattern parts, judge
+  ``schemas.match_rows`` (``matches_by_atoms`` runs the two);
 - the recursive routing searches that ``validator.routed_paths``
   replaced judge its two readers: ``lasso_routings``, with its step set
   and its whole-period test, judges ``validator._enumerate_routings``, and
@@ -35,7 +39,7 @@ from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
 from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
                              reduced_graph)
 from rauzyadic.sadic import DirectiveWord
-from rauzyadic.schemas import Step
+from rauzyadic.schemas import _ASSIGNMENTS, Match, Step, _image_lengths
 from rauzyadic.validator import BlockTable, Routing, start_vertex
 from rauzyadic.words import LETTERS, FactorOracle, Word
 
@@ -173,7 +177,7 @@ def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
 
 def circuit_path(c: Circuit) -> Path:
     """The circuit as a path of order-n edges, one per letter."""
-    n, label = len(c.start), c.full_label
+    n, label = len(c.start), c.start + c.right_label
     return Path(n, c.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(c))))
 
 
@@ -315,6 +319,53 @@ def parse_generator_word(text: str) -> GeneratorWord:
         if name not in GENERATORS:
             raise MalformedMorphism(f"unknown generator {name!r}")
     return names
+
+
+# -- schema matching --------------------------------------------------------
+
+
+def solve_lengths_by_dict(rows, ns: tuple[int, ...]) -> list[tuple[object, int, int]]:
+    """The rows, in order, with an image-length solution ns, each with its
+    k and l, solved through one dict of exponents per row; a constant image
+    solves for the exponent 0 of the variable None."""
+    n = len(ns)
+    out = []
+    for row in rows:
+        if n not in row.arities:
+            continue
+        vals: dict[str | None, int] = {None: 0}
+        for (var, fixed, step), length in zip(map(_image_lengths, row.imgs), ns):
+            e, r = divmod(length - fixed, step or 1)
+            if r or e < 0 or vals.setdefault(var, e) != e:
+                break
+        else:
+            k, l = vals.get("k", 0), vals.get("l", 0)
+            if row.cond is None or row.cond(k, l):
+                out.append((row, k, l))
+    return out
+
+
+def row_matches_by_atoms(row, m: Morphism, k: int, l: int) -> list[Match]:
+    """The row's matches of m at k and l, in assignment order: the images
+    built atom by atom with the pattern symbols left in, then translated
+    under each assignment."""
+    pattern = ["".join(a.sym * (a.off if a.var is None else (k if a.var == "k" else l) + a.off)
+                       for a in p)
+               for p in row.atoms[:len(m.images)]]
+    out = []
+    for assign in _ASSIGNMENTS[row.vars]:
+        table = str.maketrans(assign)
+        if all(s.translate(table) == w for s, w in zip(pattern, m.images)):
+            out.append(Match(row, tuple(sorted(assign.items())), k if "k" in row.uses else None,
+                             l if "l" in row.uses else None))
+    return out
+
+
+def matches_by_atoms(rows, m: Morphism) -> list[Match]:
+    """The matches of m on the rows, in order, by the two judges above."""
+    ns = tuple(map(len, m.images))
+    return [match for row, k, l in solve_lengths_by_dict(rows, ns)
+            for match in row_matches_by_atoms(row, m, k, l)]
 
 
 # -- routing ----------------------------------------------------------------

@@ -376,6 +376,28 @@ GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_outputs.json").read_text(
 def test_outputs_match_the_recorded_ones(capsys, case):
     argv = [str(ROOT / a) if a.startswith(("directives/", "tests/data/")) else a
             for a in case["argv"]]
+    assert_recorded(argv, capsys, case)
+
+
+def assert_recorded(argv, capsys, case):
     code, out, err = run(argv, capsys)
     error = err.split(":")[1].strip() if err.startswith("error: ") else None
     assert (code, error, out) == (case["exit"], case["error"], case["stdout"])
+
+
+# stdout, exit code and error type of every tenth job, by recorded cost, of
+# the benchmark's route validate and lengths pools and its crosscheck pool
+# (the entries of perfbench/data/pools.json under its cost caps), as
+# recorded while routing still solved each row's lengths through a dict and
+# the factor oracle bisected each adjacent pair of top words
+POOL_OUTPUTS = json.loads((ROOT / "tests" / "data" / "pool_outputs.json").read_text())
+POOLS = json.loads((ROOT / "perfbench" / "data" / "pools.json").read_text())
+
+
+@pytest.mark.parametrize("case", POOL_OUTPUTS,
+                         ids=lambda case: f"{case['argv'][0]}-{case['dw'].split()[-1]}")
+def test_pool_outputs_match_the_recorded_ones(capsys, tmp_path, case):
+    assert case["dw"] in [e["dw"] for e in POOLS[case["pool"]]]
+    path = tmp_path / "in.dw"
+    path.write_text(case["dw"])
+    assert_recorded([str(path) if a == "{in}" else a for a in case["argv"]], capsys, case)

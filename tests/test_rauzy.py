@@ -479,7 +479,7 @@ def _circuits_outcome(graph, v, oracle):
         # the reduced edges chain, and pass exactly the special vertices
         # that the letter-level path does
         path = circuit_path(c)
-        assert path.full_label == c.full_label and len(path) == len(c)
+        assert path.full_label == c.start + c.right_label and len(path) == len(c)
         assert tuple(u for u in path.vertices if u in graph.vertices) == c.stops
     return tuple(c.right_label for c in circs)
 

@@ -1,15 +1,16 @@
 import itertools
 
 import pytest
-from judges import compose_generators, restrict
+from hypothesis import given, settings, strategies as st
+from judges import compose_generators, matches_by_atoms, restrict
 
 from rauzyadic.errors import NoSchemaMatch
 from rauzyadic.lengths import _region_values
 from rauzyadic.morphism import D, bracket, compose, decompose, identity
 from rauzyadic.schemas import (
-    _ASSIGNMENTS, _EVOLUTION_ROW_BY_ID, EVOLUTION_TABLE, GPRIME_COMPONENT, GPRIME_EDGES,
-    GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP, Match, Row, _image, edge_step, evolution_rows,
-    match_rows, solve_lengths, unique_row_match,
+    _ASSIGNMENTS, _EVOLUTION_ROW_BY_ID, C4_CONFIG_B, C4_CONFIG_C, EVOLUTION_TABLE,
+    GPRIME_COMPONENT, GPRIME_EDGES, GPRIME_OUT_BY_LENGTHS, GPRIME_ROWS, LEN_CAP, Match, Row,
+    _image, edge_step, evolution_rows, match_rows, solve_lengths, unique_row_match,
 )
 from rauzyadic.validator import _EXCLUDED_CONFIGS
 
@@ -124,6 +125,52 @@ def test_matcher_agrees_with_brute_force():
                 counts[bool(want)] += 1
     # both outcomes are exercised on the off labels
     assert counts[True] > 400 and counts[False] > 10000
+
+
+# the row lists the library matches against, each in its own order: the
+# refined graph's edges, the whole evolution table, and the edges of the two
+# excluded C4 configurations; and rows with the constant exponents other
+# than 1 and the positive offsets that no table row has
+ROW_GROUPS = (list(GPRIME_EDGES.values()) + [tuple(er.row for er in EVOLUTION_TABLE)]
+              + list(C4_CONFIG_B.values()) + list(C4_CONFIG_C.values())
+              + [(Row("exp.a", "", "", ("x^2 y", "y^k+1 x", "z^0 (xy)^l"), vars="xyz", opt3=True),
+                  Row("exp.b", "", "", ("0^2", "0^k 1", "2^l+1 1^2")))])
+
+
+@st.composite
+def group_labels(draw):
+    """(rows, label): a row group and an instance of one of its rows at
+    k, l <= 5, with or without the optional third image, as it is or with
+    one letter changed, one letter dropped or one letter doubled."""
+    rows = draw(st.sampled_from(ROW_GROUPS))
+    row = draw(st.sampled_from(rows))
+    assign = draw(st.sampled_from(_ASSIGNMENTS[row.vars]))
+    k, l = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    with_third = not row.opt3 or draw(st.booleans())
+    # a negative exponent has no instance; k = l = 5 has one on every row
+    m = (row.instantiate(dict(assign), k, l, with_third)
+         or row.instantiate(dict(assign), 5, 5, with_third))
+    images = list(m.images)
+    i = draw(st.integers(0, len(images) - 1))
+    w = images[i]
+    change = draw(st.sampled_from(["none", "letter", "drop", "double"]) if w else st.just("none"))
+    j = draw(st.integers(0, max(len(w) - 1, 0)))
+    if change == "letter":
+        images[i] = w[:j] + draw(st.sampled_from("012".replace(w[j], ""))) + w[j + 1:]
+    elif change == "drop":
+        images[i] = w[:j] + w[j + 1:]
+    elif change == "double":
+        images[i] = w[:j] + w[j] + w[j:]
+    return rows, bracket(*images)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(group_labels())
+def test_matcher_agrees_with_the_dict_and_atom_judge(drawn):
+    # the same matches, in the same order, as the length solve through a
+    # dict per row and the patterns built atom by atom
+    rows, m = drawn
+    assert match_rows(rows, m) == matches_by_atoms(rows, m), m
 
 
 def test_table_rows_solve_their_exponents():

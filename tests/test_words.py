@@ -9,8 +9,9 @@ from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, N
 from rauzyadic.morphism import compose_all
 from rauzyadic.sadic import _live_period, language_horizon, parse_directive, used_letters
 from rauzyadic.words import (
-    LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, complexity_profile,
-    eventual_support, factors_of, is_primitive, named_oracle, substitutive_language,
+    LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, common_prefix_len,
+    complexity_profile, eventual_support, factors_of, is_primitive, named_oracle,
+    substitutive_language,
 )
 
 DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
@@ -646,3 +647,44 @@ def test_one_pass_special_tables_of_short_top_words_with_one_key():
     # than the order 2: only the orders up to 1 see them
     _one_pass_matches_counting(
         lambda: FactorOracle(Alphabet(2), frozenset({"01", "11", "000"}), 3, "short tops"), 2)
+
+
+def _pairwise_lcps(oracle):
+    top = oracle._top
+    return [common_prefix_len(u, v) for u, v in zip(top, top[1:])]
+
+
+# the Arabic-Indic digit one is a letter that is not ASCII, so a top set that
+# holds it is read four bytes a letter
+NON_ASCII = "\u0661"
+
+
+@st.composite
+def drawn_top_sets(draw):
+    """(top, horizon): words of mixed lengths up to the horizon over up to
+    three digits, and sometimes the non-ASCII digit one too."""
+    letters = LETTERS[:draw(st.integers(1, 3))] + draw(st.sampled_from(["", NON_ASCII]))
+    horizon = draw(st.integers(0, 70))
+    words = st.text(alphabet=letters, max_size=horizon)
+    return frozenset(draw(st.lists(words, min_size=1, max_size=40))), horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(prefix_oracles().map(lambda drawn: (frozenset(drawn[0]._top), drawn[0].horizon)),
+                 derived_sets().map(lambda drawn: drawn[1:]), drawn_top_sets()))
+@example((frozenset({"0120"}), 4))
+@example((frozenset({"", "0"}), 1))
+@example((frozenset({"01", "0" + NON_ASCII, "0" + NON_ASCII + "1", "1"}), 3))
+def test_adjacent_lcps_equal_the_pairwise_bisection(drawn):
+    # prefix oracles have short top words at the end of the prefix, derived
+    # sets words of one length, drawn sets any lengths and letters
+    top, horizon = drawn
+    oracle = FactorOracle(Alphabet(3), top, horizon, "drawn")
+    assert oracle._lcps == _pairwise_lcps(oracle)
+    assert len(oracle._lcps) == len(top) - 1
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
+def test_adjacent_lcps_of_a_named_source_equal_the_pairwise_bisection(name):
+    oracle = named_oracle(name, 60)
+    assert oracle._lcps == _pairwise_lcps(oracle)

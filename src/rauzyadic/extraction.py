@@ -10,11 +10,11 @@ non-pass-through shape is one edge to that shape's vertex, and no letters
 are renamed.
 
 Extraction builds no order-n Rauzy graph.  The chain and the bispecial
-orders come from the oracle's special tables, one sorted pass for every
-order; at each bispecial order the reduced graph is read off the language
-(``rauzy.reduced_graph``), its circuits are enumerated over reduced
-edges, and the type rules read only each circuit's special vertices and
-reduced-edge labels.
+orders come from the oracle's special tables, one pass over its sorted
+top set for every order; at each bispecial order the reduced graph is
+read off the language (``rauzy.reduced_graph``), its circuits are
+enumerated over reduced edges, and the type rules read only each
+circuit's special vertices and reduced-edge labels.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ class ThetaAssignment(NamedTuple):
     order: int
     circuits: tuple[Circuit, ...]        # index = letter
     notes: tuple[str, ...] = ()
-
-    def letter_of(self, right_label: Word) -> int:
-        for i, c in enumerate(self.circuits):
-            if c.right_label == right_label:
-                return i
-        raise KeyError(right_label)
 
     @property
     def alphabet_size(self) -> int:
@@ -251,26 +245,30 @@ class EvolutionRecord(NamedTuple):
                 f"schema {self.schema.row.rid} [{params}] {self.gamma.rule_string()}")
 
 
-def _factorize(label: Word, lower_u: Word, theta: ThetaAssignment) -> str:
+def _factorize(label: Word, lower_u: Word, letter: dict[Word, str]) -> str:
     """Split a return word to the upper vertex into return words to the
-    lower chain vertex and decode them as letters."""
-    letters = []
-    cur = lower_u
-    chunk = []
-    for b in label:
-        cur = (cur + b)[-len(lower_u):] if lower_u else ""
-        chunk.append(b)
-        if cur == lower_u:
-            letters.append(str(theta.letter_of("".join(chunk))))
-            chunk = []
-    if chunk:
+    lower chain vertex and decode them by ``letter``, which maps each lower
+    right label to its letter.  A piece ends where an occurrence of lower_u
+    in lower_u + label ends, so it is cut at each one that ``str.find``
+    meets past the start, or after every letter when lower_u is empty."""
+    text, cuts = lower_u + label, [0]
+    if lower_u:
+        while (i := text.find(lower_u, cuts[-1] + 1)) != -1:
+            cuts.append(i)
+    else:
+        cuts += range(1, len(label) + 1)
+    pieces = [label[i:j] for i, j in zip(cuts, cuts[1:])]
+    if not all(p in letter for p in pieces):
+        raise NoSchemaMatch(f"label {label!r} has a piece that is no return word to {lower_u!r}")
+    if cuts[-1] != len(label):
         raise NoSchemaMatch(f"label {label!r} does not factor over returns to {lower_u!r}")
-    return "".join(letters)
+    return "".join(map(letter.__getitem__, pieces))
 
 
 def extract_gamma(oracle: FactorOracle, lower: ThetaAssignment, upper: ThetaAssignment) -> Morphism:
-    images = tuple(_factorize(c.right_label, lower_u=lower.circuits[0].start,
-                              theta=lower) for c in upper.circuits)
+    letter = {c.right_label: str(i) for i, c in enumerate(lower.circuits)}
+    images = tuple(_factorize(c.right_label, lower.circuits[0].start, letter)
+                   for c in upper.circuits)
     return bracket(*images, codomain=lower.alphabet_size)
 
 

@@ -91,7 +91,7 @@ class Circuit:
     def right_label(self) -> Word:
         return "".join(e.right_label for e in self.edges)
 
-    @property
+    @cached_property
     def stops(self) -> tuple[Word, ...]:
         """The special vertices it passes, the start at both ends."""
         return (self.start,) + tuple(e.dst for e in self.edges)
@@ -190,7 +190,8 @@ def _specials_of_order(oracle: FactorOracle, n: int) -> frozenset[Word]:
     if n < 0:
         # the edges have length n + 1, so an order below -1 is refused there
         oracle.factors(n + 1)
-    keep = frozenset(oracle.right_specials(n)) | frozenset(oracle.left_specials(n))
+    right, left, _ = oracle.specials(n)
+    keep = right | left
     if not keep:
         s = oracle.count(n + 1) - oracle.count(n)
         why = "periodic language" if s == 0 else "prefix too short for the order"
@@ -304,7 +305,7 @@ def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedR
     merge.  A walker with no or several extensions, or evolved vertices
     other than the specials of order m are OutOfClass."""
     n = g.order
-    right, left = set(oracle.right_specials(n)), set(oracle.left_specials(n))
+    right, left, _ = oracle.specials(n)
     image = {v: v for v in g.vertices}
     m = n
     while True:
@@ -324,7 +325,8 @@ def _evolve_to_bispecial(g: ReducedRauzyGraph, oracle: FactorOracle) -> ReducedR
         for v, (b,) in rights.items():
             image[v] += b
     vertices = frozenset(image.values())
-    if vertices != {*oracle.right_specials(m), *oracle.left_specials(m)}:
+    right_m, left_m, _ = oracle.specials(m)
+    if vertices != right_m | left_m:
         raise OutOfClass(f"order {m}: evolved vertices are not the special factors")
     lengths = [e.length + (m - n) * ((e.src in right) + (e.dst in left) - 1) for e in g.edges]
     # in a bi-extendable language the evolved edges partition L_{m+1}
@@ -351,7 +353,7 @@ def reduce_and_classify(oracle: FactorOracle, n: int) -> tuple[ReducedRauzyGraph
         if not 1 <= p <= 2:
             raise OutOfClass(f"order {m}: first difference {p} outside [1, 2]")
     g = _reduced_edges(oracle, n, keep, len(oracle.factors(n + 1)))
-    if oracle.bispecials(n):
+    if oracle.specials(n)[2]:
         return g, classify_shape(g, oracle)
     gm = _evolve_to_bispecial(g, oracle)
     return g, classify_shape(gm, oracle, gap=gm.order - n)._replace(order=n)

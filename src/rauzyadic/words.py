@@ -87,13 +87,16 @@ class FactorOracle:
 
     In the sorted top set the words that share an n-prefix are adjacent, so
     ``contains`` and ``continuation`` are a prefix search, and ``counts``
-    reads every p(n) off the common prefixes of adjacent words.  The special
-    factors of one order n come from one count of the extension letters over
-    L_{n+1}; ``special_tables(N)`` reads those of every order n <= N from one
-    pass instead: an adjacent pair whose longest common prefix is shorter
-    than both words makes that prefix right special, and in the top set
-    sorted on ``w[1:]`` an adjacent pair with different first letters makes
-    every prefix of their common key left special.
+    reads every p(n) off the common prefixes of adjacent words.
+    ``specials(n)`` is the one special-factor query: the right, left and
+    bispecial factors of order n as frozensets, cached per order and never
+    sorted; a reader that needs an order sorts.  One order comes from one
+    count of the extension letters over L_{n+1}; ``special_tables(N)`` fills
+    every order n <= N from one pass instead: an adjacent pair whose longest
+    common prefix is shorter than both words makes that prefix right
+    special, and in the top set sorted on ``w[1:]`` an adjacent pair with
+    different first letters makes every prefix of their common key left
+    special.
 
     The adjacent lcps are read from one integer per top word (``_lcps``),
     not by bisecting each pair with :func:`common_prefix_len`: the top
@@ -145,26 +148,25 @@ class FactorOracle:
     def left_extensions(self, u: Word) -> frozenset[str]:
         return frozenset(a for a in self.alphabet.letters if self.contains(a + u))
 
-    def _special_table(self, n: int) -> tuple[frozenset[Word], ...]:
+    def specials(self, n: int) -> tuple[frozenset[Word], ...]:
         """(right, left, bi): the words of length n with two or more right,
         two or more left, and both kinds of extension letters in L_{n+1}."""
         if n not in self._specials:
             longer = self.factors(n + 1)
-            right = Counter(w[:-1] for w in longer)
-            left = Counter(w[1:] for w in longer)
+            right = Counter(map(itemgetter(slice(-1)), longer))
+            left = Counter(map(itemgetter(slice(1, None)), longer))
             rs = frozenset(u for u, d in right.items() if d >= 2)
             ls = frozenset(u for u, d in left.items() if d >= 2)
             self._specials[n] = (rs, ls, rs & ls)
         return self._specials[n]
 
-    def special_tables(self, N: int) -> list[tuple[list[Word], list[Word], list[Word]]]:
-        """The right, left and bispecial factors of every order n <= N,
-        sorted; from one pass over the sorted top set (see the class
-        docstring) where N is below the horizon."""
+    def special_tables(self, N: int) -> list[tuple[frozenset[Word], ...]]:
+        """``specials(n)`` for every order n <= N, from one pass over the
+        sorted top set (see the class docstring) where N is below the
+        horizon."""
         if N < self.horizon and any(n not in self._specials for n in range(N + 1)):
             self._specials.update(self._special_pass(N))
-        return [tuple(self._specials_in_factors(n, side) for side in range(3))
-                for n in range(N + 1)]
+        return [self.specials(n) for n in range(N + 1)]
 
     def _special_pass(self, n: int) -> dict[int, tuple[frozenset[Word], ...]]:
         """The special tables of every order k <= n, read off the top set
@@ -189,27 +191,14 @@ class FactorOracle:
         return {k: (frozenset(rs), frozenset(ls), frozenset(rs & ls))
                 for k, (rs, ls) in enumerate(zip(right, left))}
 
-    def _specials_in_factors(self, n: int, side: int) -> list[Word]:
-        """The sorted factors in a special table of order n."""
-        return sorted(self._special_table(n)[side])
-
     def is_right_special(self, u: Word) -> bool:
-        return u in self._special_table(len(u))[0]
+        return u in self.specials(len(u))[0]
 
     def is_left_special(self, u: Word) -> bool:
-        return u in self._special_table(len(u))[1]
+        return u in self.specials(len(u))[1]
 
     def is_bispecial(self, u: Word) -> bool:
-        return u in self._special_table(len(u))[2]
-
-    def right_specials(self, n: int) -> list[Word]:
-        return self._specials_in_factors(n, 0)
-
-    def left_specials(self, n: int) -> list[Word]:
-        return self._specials_in_factors(n, 1)
-
-    def bispecials(self, n: int) -> list[Word]:
-        return self._specials_in_factors(n, 2)
+        return u in self.specials(len(u))[2]
 
     @cached_property
     def _lcps(self) -> list[int]:
@@ -345,12 +334,14 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     L_2 is the closure of the 2-letter factors of the tau(a) under ab ->
     2-letter factors of tau(ab).  Once every mu tau^k(a) is n-1 letters or
     longer, a length-n factor of mu tau^k(ab), ab in L_2, lies in one block
-    or spans the junction: L_n is the union of ``factors_of`` each block
-    mu tau^k(a), a a letter of L_2, and of each junction window, the last
-    n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b).  The
-    language is right-extendable, so each shorter L_m is the length-m
-    prefixes of L_n, as :class:`FactorOracle` reads its top set.  Returns
-    L_n and the certificate; no witness word is built.  Raises
+    or spans the junction: L_n is the set of the length-n windows of each
+    block mu tau^k(a), a a letter of L_2, and of each junction, the last
+    n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b), all read
+    into one set.  The blocks grow by ``str.translate`` with the table of
+    the current ones, as a :class:`~rauzyadic.morphism.Morphism` applies
+    itself.  The language is right-extendable, so each shorter L_m is the
+    length-m prefixes of L_n, as :class:`FactorOracle` reads its top set.
+    Returns L_n and the certificate; no witness word is built.  Raises
     NoStabilization unless :func:`is_primitive` holds, which follows the
     letter sets of tau^j to their cycle instead of bounding the power.
     """
@@ -368,14 +359,14 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
         pairs |= frontier
     imgs = {a: lift[a] if lift else a for a in letters}
     k = 0
-    while min(len(w) for w in imgs.values()) < n - 1:
-        imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
+    while min(map(len, imgs.values())) < n - 1:
+        table = str.maketrans(imgs)
+        imgs = {a: tau[a].translate(table) for a in letters}
         k += 1
-    blocks = (factors_of(imgs[a], n) for a in set("".join(pairs)))
-    junctions = (factors_of(imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1], n)
-                 for a, b in pairs)
+    windows = [imgs[a] for a in set("".join(pairs))]
+    windows += [imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1] for a, b in pairs]
     cert = LanguageCertificate(letters, len(pairs), rounds, k)
-    return frozenset().union(*blocks, *junctions), cert
+    return frozenset(w[i:i + n] for w in windows for i in range(len(w) - n + 1)), cert
 
 
 # Built-in named substitutions.

@@ -3,8 +3,14 @@
 Each judge recomputes, by a plainer route, what a stage of the pipeline
 produces, or measures what that stage's bookkeeping claims:
 
+- ``language_by_block_sets``, the kernel as it was when each block and
+  each junction built its own factor set, judges
+  ``words.substitutive_language``;
 - return words judge the circuits (``rauzy.circuits_from``): the allowed
   circuits from a right special of the chain are its return words;
+- ``factorize_letter_by_letter``, which follows the last letters of the
+  label one at a time and scans the right labels for each piece, judges
+  ``extraction._factorize``;
 - the bilateral order judges the second-difference identity of
   ``words.complexity_profile``, and ``is_aperiodic`` its counts;
 - order-n paths, ``out_edges``, ``walk``, ``circuit_path`` and the
@@ -34,16 +40,46 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from rauzyadic.errors import (EnumerationBudgetExceeded, HorizonExceeded, MalformedMorphism,
-                              NotInLanguage, OutOfClass, UnsupportedCase)
+                              NoSchemaMatch, NoStabilization, NotInLanguage, OutOfClass,
+                              UnsupportedCase)
 from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
 from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
                              reduced_graph)
 from rauzyadic.sadic import DirectiveWord
 from rauzyadic.schemas import _ASSIGNMENTS, Match, Step, _image_lengths
 from rauzyadic.validator import BlockTable, Routing, start_vertex
-from rauzyadic.words import LETTERS, FactorOracle, Word
+from rauzyadic.words import (LETTERS, FactorOracle, LanguageCertificate, Word, factors_of,
+                             is_primitive)
 
 # -- factor languages ---------------------------------------------------
+
+
+def language_by_block_sets(tau: dict[str, Word], n: int, lift: dict[str, Word] | None = None
+                           ) -> tuple[frozenset[Word], LanguageCertificate]:
+    """L_n of mu(X_tau) and its certificate as ``substitutive_language``
+    gives them, with the blocks grown by joining images letter by letter
+    and L_n the union of ``factors_of`` each block mu tau^k(a) and of
+    ``factors_of`` each junction window."""
+    letters = "".join(sorted(tau))
+    if not is_primitive(tau):
+        raise NoStabilization(f"substitution {tau} is not primitive on the letters {letters}")
+    pairs = frozenset(x + y for x in letters for y in letters
+                      if any(x + y in w for w in tau.values()))
+    frontier, rounds = pairs, 0
+    while frontier:
+        rounds += 1
+        frontier = frozenset(tau[ab[0]][-1] + tau[ab[1]][0] for ab in frontier) - pairs
+        pairs |= frontier
+    imgs = {a: lift[a] if lift else a for a in letters}
+    k = 0
+    while min(len(w) for w in imgs.values()) < n - 1:
+        imgs = {a: "".join(imgs[c] for c in tau[a]) for a in letters}
+        k += 1
+    blocks = (factors_of(imgs[a], n) for a in set("".join(pairs)))
+    junctions = (factors_of(imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1], n)
+                 for a, b in pairs)
+    cert = LanguageCertificate(letters, len(pairs), rounds, k)
+    return frozenset().union(*blocks, *junctions), cert
 
 
 def is_aperiodic(oracle: FactorOracle, upto: int) -> bool:
@@ -116,6 +152,29 @@ def return_words_by_scan(witness: Word, u: Word) -> frozenset[Word]:
         start = i + 1
     k = len(u)
     return frozenset(witness[i + k : j + k] for i, j in zip(occ, occ[1:]))
+
+
+def factorize_letter_by_letter(label: Word, lower_u: Word, letter: dict[Word, str]) -> str:
+    """``extraction._factorize`` as it was: follow the last len(lower_u)
+    letters of lower_u + label one letter at a time, close a piece each
+    time they are lower_u, and find the piece's letter by a scan of the
+    right labels."""
+    letters = []
+    cur = lower_u
+    chunk = []
+    for b in label:
+        cur = (cur + b)[-len(lower_u):] if lower_u else ""
+        chunk.append(b)
+        if cur == lower_u:
+            found = [a for right, a in letter.items() if right == "".join(chunk)]
+            if not found:
+                raise NoSchemaMatch(f"label {label!r} has a piece that is no return word "
+                                    f"to {lower_u!r}")
+            letters.append(found[0])
+            chunk = []
+    if chunk:
+        raise NoSchemaMatch(f"label {label!r} does not factor over returns to {lower_u!r}")
+    return "".join(letters)
 
 
 # -- paths of the order-n graph ------------------------------------------

@@ -91,8 +91,9 @@ def test_criterion_3_complexity_identities(fib, trib):
     for oracle in (fib, trib, c4):
         prof = complexity_profile(oracle, 32)  # asserts Eq 1, Eq 2 internally
         for n in range(31):
-            rs = sum(len(oracle.right_extensions(u)) - 1 for u in oracle.right_specials(n))
-            ls = sum(len(oracle.left_extensions(u)) - 1 for u in oracle.left_specials(n))
+            right, left, _ = oracle.specials(n)
+            rs = sum(len(oracle.right_extensions(u)) - 1 for u in right)
+            ls = sum(len(oracle.left_extensions(u)) - 1 for u in left)
             assert rs == ls == prof.s[n]
         for n in range(30):
             total_m = sum(bilateral_order(oracle, u) for u in oracle.factors(n))
@@ -267,7 +268,7 @@ def test_criterion_10_psi_bijection(fib, trib):
     for oracle in (fib, trib):
         chain = right_special_chain(oracle, 16)
         for n in range(15):
-            if oracle.bispecials(n):
+            if oracle.specials(n)[2]:
                 continue
             down = build_graph(oracle, n)
             cu = circuits_from(reduced_graph(oracle, n + 1), chain[n + 1], oracle)

@@ -1,12 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from judges import factorize_letter_by_letter
 
+from rauzyadic import extraction
 from rauzyadic.cli import main
-from rauzyadic.errors import RuleViolation
-from rauzyadic.extraction import bispecial_orders, extract_directive
+from rauzyadic.errors import RauzyadicError, RuleViolation
+from rauzyadic.extraction import ExtractionReport, bispecial_orders, extract_directive
 from rauzyadic.morphism import bracket, compose_all
 from rauzyadic.sadic import DirectiveWord, language_horizon, parse_directive
+from rauzyadic.words import NAMED_SOURCES, named_oracle
 
 OSC_56_78 = DirectiveWord((), (bracket("1", "02", "2"), bracket("0", "120", "10")))
 LOOP_10B = DirectiveWord((), (bracket("0", "20", "1"), bracket("12", "012", "02")))
@@ -29,7 +33,7 @@ def test_bispecial_orders_tribonacci(trib):
     orders = bispecial_orders(trib, 10)
     assert orders[:2] == [0, 1]
     for n in orders:
-        assert trib.bispecials(n)
+        assert trib.specials(n)[2]
 
 
 def test_extract_fibonacci_stays_at_vertex_1(fib):
@@ -143,3 +147,39 @@ def test_path_reads_a_prefix_of_the_records(fib, trib):
         prefixes = [compose_all(r.gamma for r in rep.records[:p]).images
                     for p in range(1, len(rep.records) + 1)]
         assert product in prefixes, name
+
+
+# -- return words cut by substring search, against the letter-by-letter walk --
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RauzyadicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01", max_size=3), st.text(alphabet="01", max_size=12),
+       st.lists(st.text(alphabet="01", min_size=1, max_size=5), max_size=4))
+@example("", "", [])
+@example("0", "10", ["10"])
+@example("00", "000", ["0"])
+@example("010", "10101", ["10", "101"])
+def test_substring_cuts_factorize_as_the_letter_walk(lower_u, label, rights):
+    letter = {r: str(i) for i, r in enumerate(dict.fromkeys(rights))}
+    assert (_outcome(lambda: extraction._factorize(label, lower_u, letter))
+            == _outcome(lambda: factorize_letter_by_letter(label, lower_u, letter)))
+
+
+@pytest.mark.parametrize("name", [*sorted(NAMED_SOURCES),
+                                  *(f.stem for f in sorted(COMMITTED.glob("*.dw"))
+                                    if f.stem != "not_valid")])
+def test_extraction_reports_match_the_letter_walk(name, monkeypatch):
+    # Thue-Morse is refused at its first type-6 order; the others extract
+    oracle = (named_oracle(name, 80) if name in NAMED_SOURCES
+              else language_horizon(parse_directive((COMMITTED / f"{name}.dw").read_text()), 80))
+    got = _outcome(lambda: extract_directive(oracle, 20))
+    assert isinstance(got, ExtractionReport) == (name != "thue-morse")
+    monkeypatch.setattr(extraction, "_factorize", factorize_letter_by_letter)
+    assert got == _outcome(lambda: extract_directive(oracle, 20))

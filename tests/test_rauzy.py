@@ -180,7 +180,7 @@ def test_right_special_chain(fib, trib):
         assert chain[n + 1][1:] == chain[n]
     # AR words have a unique right special factor of each length
     for n in range(1, 10):
-        assert len(trib.right_specials(n)) == 1
+        assert len(trib.specials(n)[0]) == 1
 
 
 def test_chain_blocked_on_periodic():
@@ -200,7 +200,7 @@ def test_classify_fibonacci(fib):
 
 def test_classify_tribonacci_type_2(trib):
     for n in range(0, 12):
-        if trib.bispecials(n):
+        if trib.specials(n)[2]:
             _, shape = reduce_and_classify(trib, n)
             assert shape.type_id == 2
 
@@ -283,7 +283,7 @@ def _rebuilt(graph, oracle):
         for k in (n, n + 1):
             if not 1 <= len(oracle.factors(k + 1)) - len(oracle.factors(k)) <= 2:
                 raise OutOfClass(f"order {k}: first difference outside [1, 2]")
-        while not oracle.bispecials(m):
+        while not oracle.specials(m)[2]:
             m += 1
             if m + 2 > oracle.horizon:
                 raise HorizonExceeded(f"no bispecial order found above {n} within horizon")
@@ -402,7 +402,7 @@ def test_bispecial_order_refuses_a_non_special_vertex():
     # bispecial, and the walk of the reduced graph stops on that vertex at
     # a bispecial order as at a gap order
     oracle = FactorOracle.from_prefix("0110121012101101212", 13)
-    assert oracle.bispecials(3)
+    assert oracle.specials(3)[2]
     assert _not_special(reduce_graph(build_graph(oracle, 3)), oracle) == {"212"}
     assert not _bi_extendable(oracle, 3, 3)
     with pytest.raises(OutOfClass, match="order 3: the walk from '121' by '2' meets no special"):
@@ -504,7 +504,7 @@ def _agree_with_the_order_n_graph(oracle, orders, budgets=False):
         if isinstance(got, str):
             continue
         g = reduced_graph(oracle, n)
-        for v in oracle.right_specials(n):
+        for v in sorted(oracle.specials(n)[0]):
             letters, first_letters = _circuits_letter_by_letter(graph, v, oracle)
             assert _circuits_outcome(g, v, oracle) == letters, (oracle, n, v)
             seen.add(letters if isinstance(letters, str) else "circuits")

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from judges import bilateral_order, is_aperiodic, return_words, return_words_by_scan
+from judges import (bilateral_order, is_aperiodic, language_by_block_sets, return_words,
+                    return_words_by_scan)
 
 from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, NegativeLength,
                               NoStabilization, NotInLanguage, NotProlongable, RauzyadicError)
@@ -54,7 +55,7 @@ def test_extension_profile_examples(fib):
 def test_suffix_of_right_special_is_right_special(fib, trib):
     for o in (fib, trib):
         for n in range(1, 15):
-            for u in o.right_specials(n):
+            for u in o.specials(n)[0]:
                 assert o.is_right_special(u[1:])
 
 
@@ -311,13 +312,35 @@ def test_kernel_slices_random_substitutions_as_the_pairs_do(tau, lifted, n, data
     assert _language_by_blocks(tau, n, lift) == _language_by_pairs(tau, n, lift)
 
 
+def lifted_substitutions():
+    """A primitive substitution on two or three letters, and a non-erasing
+    lift of it into three letters or None."""
+    return substitutions(min_letters=2).filter(is_primitive).flatmap(lambda tau: st.tuples(
+        st.just(tau), st.none() | st.fixed_dictionaries(
+            {a: st.text(alphabet=LETTERS[:3], min_size=1, max_size=3) for a in tau})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_substitutions(), st.integers(0, 40))
+@example(({"0": "01", "1": "0"}, None), 0)
+@example(({"0": "01", "1": "0"}, None), 1)
+@example(({"0": "01", "1": "02", "2": "0"}, {"0": "1", "1": "20", "2": "0"}), 0)
+@example(({"0": "01", "1": "02", "2": "0"}, {"0": "1", "1": "20", "2": "0"}), 1)
+def test_kernel_reads_the_windows_the_block_sets_hold(drawn, n):
+    # n = 0 reads only the empty window and n = 1 only the letters; the
+    # junction windows add nothing there
+    tau, lift = drawn
+    assert substitutive_language(tau, n, lift) == language_by_block_sets(tau, n, lift)
+
+
 def _profile_per_factor(oracle, N):
     """The complexity profile from one bilateral order per factor."""
     p = tuple(len(oracle.factors(n)) for n in range(N + 1))
     s = tuple(p[n + 1] - p[n] for n in range(N))
     for n in range(N):
-        rs = sum(len(oracle.right_extensions(u)) - 1 for u in oracle.right_specials(n))
-        ls = sum(len(oracle.left_extensions(u)) - 1 for u in oracle.left_specials(n))
+        right, left, _ = oracle.specials(n)
+        rs = sum(len(oracle.right_extensions(u)) - 1 for u in right)
+        ls = sum(len(oracle.left_extensions(u)) - 1 for u in left)
         if not rs == ls == s[n]:
             raise IdentityViolation(f"first-difference identity fails at n={n}: s={s[n]} right={rs} left={ls}")
     for n in range(N - 1):
@@ -505,8 +528,8 @@ def _special_by_probe(oracle, u):
 
 
 def _specials_by_probe(oracle, n):
-    kinds = {u: _special_by_probe(oracle, u) for u in sorted(oracle.factors(n))}
-    return tuple([u for u, k in kinds.items() if k[side]] for side in range(3))
+    kinds = {u: _special_by_probe(oracle, u) for u in oracle.factors(n)}
+    return tuple(frozenset(u for u, k in kinds.items() if k[side]) for side in range(3))
 
 
 def _raised_or(call):
@@ -522,8 +545,7 @@ def test_special_table_matches_probe(drawn):
     oracle, _ = drawn
     for n in range(oracle.horizon + 1):
         probe = _raised_or(lambda: _specials_by_probe(oracle, n))
-        assert _raised_or(lambda: (oracle.right_specials(n), oracle.left_specials(n),
-                                   oracle.bispecials(n))) == probe
+        assert _raised_or(lambda: oracle.specials(n)) == probe
         if n == oracle.horizon:
             continue
         # every word that can have an extension in L_{n+1}, factor or not
@@ -538,7 +560,7 @@ def test_special_queries_at_the_horizon_raise(fib):
     for query in (fib.is_right_special, fib.is_left_special, fib.is_bispecial):
         with pytest.raises(HorizonExceeded):
             query(u)
-    for query in (fib.right_specials, fib.left_specials, fib.bispecials):
+    for query in (fib.specials, fib.special_tables):
         with pytest.raises(HorizonExceeded):
             query(fib.horizon)
 
@@ -577,14 +599,16 @@ def test_derived_membership_matches_factor_sets(drawn, rising, data):
 def _one_pass_matches_counting(make, N):
     """On a fresh oracle, special_tables(N) reads the tables of every order
     up to N off the top set, with no factor set built; each equals the
-    per-order count of a single query on another fresh oracle, and the
-    sorted special factors equal the probe's."""
+    per-order count of a single query on another fresh oracle and the
+    probe's special factors, as sets.  A second call returns the same
+    tables, not rebuilt ones."""
     oracle, reference = make(), make()
     tables = oracle.special_tables(N)
     assert set(oracle._specials) == set(range(N + 1))
     assert not oracle._factors
+    assert all(a is b for a, b in zip(oracle.special_tables(N), tables, strict=True))
     for n in range(N + 1):
-        assert oracle._special_table(n) == reference._special_table(n), n
+        assert oracle.specials(n) == reference.specials(n), n
         assert tables[n] == _specials_by_probe(reference, n), n
 
 

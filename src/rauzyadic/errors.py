@@ -91,9 +91,8 @@ class MalformedDirective(RauzyadicError, ValueError):
 
 
 class BadAlphabet(RauzyadicError, ValueError):
-    """An alphabet size outside 1..10, or a word with a letter outside its
-    alphabet.  A ValueError too, as were the refusals below, before they had
-    types of their own."""
+    """An alphabet size outside 1..10.  A ValueError too, as were the
+    refusals below, before they had types of their own."""
 
 
 class NegativeLength(RauzyadicError, ValueError):

@@ -37,22 +37,14 @@ class Morphism:
 
     def __post_init__(self):
         letters = LETTERS[:max(self.codomain, 0)]
-        plain = True
-        for w in self.images:
-            # the letter test runs per letter only when some letter is not a
-            # digit of the codomain; it raises on the first that is out of range
-            if w.lstrip(letters):
-                plain = False
-                for c in w:
-                    if int(c) >= self.codomain:
-                        raise AlphabetMismatch(f"image letter {c} outside codomain {self.codomain}")
+        # a letter is an ASCII digit below the codomain: lstrip stops at the
+        # first letter that is not
+        if rest := "".join(self.images).lstrip(letters):
+            raise AlphabetMismatch(f"image letter {rest[0]} outside codomain {self.codomain}")
         # the str.translate table of the images, built at once: nearly every
         # morphism built is applied, and before Python 3.12 a cached_property
-        # takes a lock on each first read.  _plain records that every image
-        # letter is an ASCII digit of the codomain, which lets compose skip
-        # the letter test of its product
+        # takes a lock on each first read
         object.__setattr__(self, "_table", dict(zip(_ORDS, self.images)))
-        object.__setattr__(self, "_plain", plain)
 
     @property
     def domain(self) -> int:
@@ -62,17 +54,9 @@ class Morphism:
     def erasing(self) -> bool:
         return "" in self.images
 
-    def image(self, letter: str) -> Word:
-        i = int(letter)
-        if i >= self.domain:
-            raise AlphabetMismatch(f"letter {letter} outside domain {self.domain}")
-        return self.images[i]
-
     def __call__(self, w: Word) -> Word:
-        if w.lstrip(LETTERS[:len(self.images)]):
-            # some letter is not a digit of the domain: apply letter by
-            # letter, which raises on the first out-of-range letter
-            return "".join(self.image(c) for c in w)
+        if rest := w.lstrip(LETTERS[:len(self.images)]):
+            raise AlphabetMismatch(f"letter {rest[0]} outside domain {self.domain}")
         return w.translate(self._table)
 
     def __repr__(self):
@@ -91,10 +75,13 @@ class Morphism:
 
 
 def bracket(*images: Word, codomain: int | None = None) -> Morphism:
-    """[u,v] / [u,v,w] constructor; codomain inferred from the letters used."""
+    """[u,v] / [u,v,w] constructor; codomain inferred from the letters used,
+    which must then be ASCII digits."""
     if codomain is None:
-        codomain = max((int(c) for w in images for c in w), default=-1) + 1
-        codomain = max(codomain, 1)
+        letters = "".join(images)
+        if rest := letters.lstrip(LETTERS):
+            raise MalformedMorphism(f"letter {rest[0]!r} is not a digit 0-9")
+        codomain = int(max(letters, default="0")) + 1
     return Morphism(tuple(images), codomain)
 
 
@@ -122,20 +109,15 @@ def parse_rules(text: str) -> Morphism:
 def compose(sigma: Morphism, tau: Morphism) -> Morphism:
     """compose(s, t)(a) = s(t(a)); in products the leftmost factor applies last.
 
-    When the images of both factors are ASCII digits of their codomains,
-    tau's letters are digits of sigma's domain, so the product is tau's
-    images translated by sigma's table, its letters are digits of sigma's
-    codomain, and it is built without the letter test.  A factor with any
-    other letter, such as a non-ASCII digit, takes the checked path."""
+    tau's image letters are digits of its codomain, which is sigma's domain,
+    so the product is tau's images translated by sigma's table; its letters
+    are digits of sigma's codomain, and it is built without the letter test."""
     if tau.codomain != sigma.domain:
         raise AlphabetMismatch(f"cannot compose: inner codomain {tau.codomain} != outer domain {sigma.domain}")
-    if not (sigma._plain and tau._plain):
-        return Morphism(tuple(sigma(w) for w in tau.images), sigma.codomain)
     table = sigma._table
     images = tuple(w.translate(table) for w in tau.images)
     product = object.__new__(Morphism)
-    product.__dict__.update(images=images, codomain=sigma.codomain,
-                            _table=dict(zip(_ORDS, images)), _plain=True)
+    product.__dict__.update(images=images, codomain=sigma.codomain, _table=dict(zip(_ORDS, images)))
     return product
 
 

@@ -1,6 +1,6 @@
 """Finite words, factor languages, complexity and special-factor analysis.
 
-Words are plain ``str`` over the digit letters ``'0'..'9'`` (dense integer
+Words are plain ``str`` over the ASCII digits ``'0'..'9'`` (dense integer
 letters, lexicographic order of the string equals lexicographic order of
 the letter sequence).  A :class:`FactorOracle` provides the exact factor
 sets of an infinite word or subshift language up to a certified horizon;
@@ -39,12 +39,6 @@ class Alphabet:
     def letters(self) -> str:
         return LETTERS[: self.size]
 
-    def check(self, w: Word) -> Word:
-        for c in w:
-            if c not in self.letters:
-                raise BadAlphabet(f"letter {c!r} not in alphabet of size {self.size}")
-        return w
-
 
 def common_prefix_len(u: Word, v: Word, cap: int | None = None) -> int:
     """The length of the longest common prefix of u and v, or cap if that
@@ -77,8 +71,9 @@ class FactorOracle:
     """Exact-up-to-horizon factor sets of an infinite word or subshift.
 
     The oracle holds one set of top words over the alphabet, each at most
-    ``horizon`` letters long, and L_n, n <= horizon, is the set of the
-    n-prefixes of the top words of n letters or more.  A substitutive
+    ``horizon`` letters long and each letter an ASCII digit, and L_n,
+    n <= horizon, is the set of the n-prefixes of the top words of n
+    letters or more.  A substitutive
     language passes its L_horizon and an explicit prefix its suffixes cut to
     the horizon, so each family is factorial.  ``factors(n)`` is exact for
     ``n <= horizon`` as far as the constructor guarantees (see ``source``;
@@ -98,10 +93,11 @@ class FactorOracle:
     different first letters makes every prefix of their common key left
     special.
 
-    The adjacent lcps are read from one integer per top word (``_lcps``),
-    not by bisecting each pair with :func:`common_prefix_len`: the top
-    words are short and many, so one encoding per word and one XOR per
-    pair cost less than a bisection per pair.
+    The adjacent lcps are read from one integer per top word, its ASCII
+    bytes (``_lcps``), not by bisecting each pair with
+    :func:`common_prefix_len`: the top words are short and many, so one
+    encoding per word and one XOR per pair cost less than a bisection per
+    pair.
     """
 
     def __init__(self, alphabet: Alphabet, top: frozenset[Word], horizon: int, source: str,
@@ -204,26 +200,22 @@ class FactorOracle:
     def _lcps(self) -> list[int]:
         """The longest common prefix lengths of the adjacent top words.
 
-        Each word is read once as a big-endian integer of its encoding, one
-        byte a letter, or four (UTF-32) when some letter is not ASCII, so
-        every letter has the same width.  For a pair, the longer word is
-        shifted down to the shorter length; the letters past the lcp are
-        then the bytes that the XOR of the two reaches."""
+        Each word is read once as a big-endian integer of its ASCII bytes,
+        one byte a letter; a letter that is not ASCII fails the encoding.
+        For a pair, the longer word is shifted down to the shorter length;
+        the letters past the lcp are then the bytes that the XOR of the two
+        reaches."""
         top = self._top
-        if all(map(str.isascii, top)):
-            encoding, bits = "ascii", 8
-        else:
-            encoding, bits = "utf-32-be", 32
-        nums = [int.from_bytes(w.encode(encoding), "big") for w in top]
+        nums = [int.from_bytes(w.encode("ascii"), "big") for w in top]
         lens = list(map(len, top))
         out = []
         for a, b, m, n in zip(nums, nums[1:], lens, lens[1:]):
             if m > n:
-                a >>= bits * (m - n)
+                a >>= 8 * (m - n)
                 m = n
             elif n > m:
-                b >>= bits * (n - m)
-            out.append(m - ((a ^ b).bit_length() + bits - 1) // bits)
+                b >>= 8 * (n - m)
+            out.append(m - ((a ^ b).bit_length() + 7) // 8)
         return out
 
     @cached_property
@@ -258,21 +250,18 @@ class FactorOracle:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_prefix(cls, prefix: Word, horizon: int, source: str = "explicit prefix",
-                    alphabet: Alphabet | None = None) -> "FactorOracle":
+    def from_prefix(cls, prefix: Word, horizon: int,
+                    source: str = "explicit prefix") -> "FactorOracle":
         """Oracle backed by an explicit prefix, whose top words are its
-        suffixes cut to the horizon; exactness is the caller's claim."""
-        if alphabet is None:
-            if not set(prefix) <= set(LETTERS):
-                raise AlphabetMismatch(f"prefix letters {sorted(set(prefix) - set(LETTERS))} "
-                                       "are not digits 0-9")
-            size = max((int(c) for c in prefix), default=0) + 1
-            alphabet = Alphabet(size)
-        alphabet.check(prefix)
+        suffixes cut to the horizon; exactness is the caller's claim.  The
+        alphabet is the least one that holds the prefix's digits."""
+        if prefix.lstrip(LETTERS):
+            raise AlphabetMismatch(f"prefix letters {sorted(set(prefix) - set(LETTERS))} "
+                                   "are not digits 0-9")
         if len(prefix) < horizon:
             raise HorizonExceeded(f"prefix of length {len(prefix)} shorter than horizon {horizon}")
         top = frozenset(prefix[i:i + horizon] for i in range(len(prefix) + 1))
-        return cls(alphabet, top, horizon, source)
+        return cls(Alphabet(int(max(prefix, default="0")) + 1), top, horizon, source)
 
     @classmethod
     def from_substitution(cls, images: dict[str, Word], horizon: int,

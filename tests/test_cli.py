@@ -8,6 +8,9 @@ import pytest
 
 from rauzyadic import sadic
 from rauzyadic.cli import main
+from rauzyadic.errors import MalformedDirective, RauzyadicError
+from rauzyadic.morphism import Morphism, compose, parse_rules
+from rauzyadic.words import FactorOracle
 
 ROOT = Path(__file__).resolve().parents[1]
 DW = ROOT / "directives"
@@ -283,6 +286,44 @@ def test_prefix_file_letters_outside_the_digits_refused(tmp_path, capsys, prefix
     f.write_text(prefix)
     code, out, err = run(["complexity", "--prefix-file", str(f), "--horizon", "1"], capsys)
     assert code == 3 and out == "" and err.startswith("error: AlphabetMismatch: prefix letters ")
+
+
+# the Arabic-Indic three and one: int() reads them as 3 and 1, but a letter
+# is an ASCII digit, so each is refused where it enters
+NON_ASCII_DIGITS = ["\u0663", "\u0661"]
+PERIOD = "preperiod:\nperiod:\n[01,2,{},0]\n"
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS)
+def test_a_non_ascii_digit_is_refused_at_every_boundary(tmp_path, capsys, digit):
+    plain = Morphism(("01", "2", "3", "0"), 4)
+    for call in (lambda: Morphism(("01", "2", digit, "0"), 4),
+                 lambda: compose(plain, Morphism((digit, "0", "1", "2"), 4)),
+                 lambda: plain("0" + digit),
+                 lambda: parse_rules(f"0->01;1->2;2->{digit};3->0"),
+                 lambda: FactorOracle.from_prefix("01" + digit + "0", 2)):
+        with pytest.raises(RauzyadicError):
+            call()
+    with pytest.raises(MalformedDirective, match="^line 3: "):
+        sadic.parse_directive(PERIOD.format(digit))
+    f = tmp_path / "letter.dw"
+    f.write_text(PERIOD.format(digit))
+    for argv, where in ((["validate", str(f)], "line 3: "),
+                        (["generate", str(f), "--length", "20"], "line 3: "),
+                        (["complexity", "--directive-file", str(f), "--horizon", "10"], "line 3: "),
+                        (["decompose", f"0->0{digit};1->1"], "")):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "") and err.startswith(f"error: MalformedDirective: {where}")
+
+
+def test_the_two_spellings_of_a_period():
+    # [01,2,3,0] has p(n) = 3n+1; spelled with the Arabic-Indic three it is
+    # refused where it is parsed, not later as a substitution that is not
+    # primitive
+    dw = sadic.parse_directive(PERIOD.format("3"))
+    assert sadic.language_horizon(dw, 8).counts(8) == tuple(3 * n + 1 for n in range(9))
+    with pytest.raises(MalformedDirective, match="^line 3: .*not a digit"):
+        sadic.parse_directive(PERIOD.format("\u0663"))
 
 
 FINITE_DW = "preperiod:\n[01,0]\n[0,10]\nperiod:\n"

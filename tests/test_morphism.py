@@ -294,14 +294,16 @@ def test_left_conjugate_preserves_factor_sets():
 
 # -- translate-based application against a per-letter reference ------------
 
-# non-digits, and an Arabic-Indic three, which int() reads as 3
+# non-digits, and an Arabic-Indic three: int() reads it as 3, but it is not
+# an ASCII digit, so it is refused like the others
 OTHER = "a -٣"
 
 
 def _ref_check(images, codomain):
+    letters = LETTERS[:max(codomain, 0)]
     for w in images:
         for c in w:
-            if int(c) >= codomain:
+            if c not in letters:
                 raise AlphabetMismatch(f"image letter {c} outside codomain {codomain}")
     return images
 
@@ -309,7 +311,7 @@ def _ref_check(images, codomain):
 def _ref_apply(images, w):
     out = []
     for c in w:
-        if int(c) >= len(images):
+        if c not in LETTERS[:len(images)]:
             raise AlphabetMismatch(f"letter {c} outside domain {len(images)}")
         out.append(images[int(c)])
     return "".join(out)
@@ -338,11 +340,9 @@ def _words(n):
 
 @st.composite
 def _morphisms(draw, codomain=None):
-    """Valid morphisms on 1 to 10 letters; an image may use the Arabic-Indic
-    three when the codomain has a letter 3."""
+    """Valid morphisms on 1 to 10 letters."""
     codomain = codomain or draw(st.integers(1, 10))
-    letters = LETTERS[:codomain] + ("٣" if codomain > 3 else "")
-    images = draw(st.lists(st.text(st.sampled_from(letters), min_size=1, max_size=4),
+    images = draw(st.lists(st.text(st.sampled_from(LETTERS[:codomain]), min_size=1, max_size=4),
                            min_size=1, max_size=10))
     return Morphism(tuple(images), codomain)
 
@@ -364,20 +364,6 @@ def test_apply_agrees_with_per_letter_reference(m, data):
 def test_compose_agrees_with_per_letter_reference(sigma, data):
     tau = data.draw(_morphisms(codomain=sigma.domain) | _morphisms())
     assert _outcome(lambda: compose(sigma, tau).images) == _outcome(_ref_compose, sigma, tau)
-
-
-def test_compose_with_a_non_ascii_digit_factor():
-    # int() reads the Arabic-Indic three as 3, so a four-letter morphism may
-    # use it; a product with such a factor, or with a product of one, must
-    # still apply "٣" as letter 3
-    plain = Morphism(("01", "3", "2", "30"), 4)
-    arabic = Morphism(("0٣", "1", "٣2", "3"), 4)
-    assert compose(plain, arabic).images == ("0130", "3", "302", "30")
-    for a, b, c in itertools.product((plain, arabic), repeat=3):
-        assert compose(a, b).images == _ref_compose(a, b)
-        assert compose(compose(a, b), c).images == compose(a, compose(b, c)).images \
-            == _ref_compose(Morphism(_ref_compose(a, b), 4), c)
-        assert compose(a, b) == Morphism(compose(a, b).images, 4)
 
 
 # -- right peels against a left, per-character peel search ----------------

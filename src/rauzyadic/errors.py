@@ -37,7 +37,7 @@ class NoStabilization(RauzyadicError):
 
 
 class EnumerationBudgetExceeded(RauzyadicError):
-    """Circuit or routing enumeration hit its budget."""
+    """Routing enumeration hit its budget."""
 
 
 class OutOfClass(RauzyadicError):

@@ -12,9 +12,9 @@ are renamed.
 Extraction builds no order-n Rauzy graph.  The chain and the bispecial
 orders come from the oracle's special tables, one pass over its sorted
 top set for every order; at each bispecial order the reduced graph is
-read off the language (``rauzy.reduced_graph``), its circuits are
-enumerated over reduced edges, and the type rules read only each
-circuit's special vertices and reduced-edge labels.
+read off the language (``rauzy.reduced_graph``), its circuits are the
+return words to the chain vertex, cut at the special factors, and the
+type rules read only each circuit's special vertices and reduced-edge labels.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ length-(n+1) factor; the reduced graph condenses non-special interior
 vertices.  ``reduced_graph`` reads the reduced graph straight off the
 language, walking from each special factor by forced letters, so no
 order-n graph is built; ``build_graph`` builds the whole graph, to draw
-it.  Circuits are enumerated over reduced edges.
+it.  Circuits are return words, cut at the special factors.
 Shape classification covers the ten types a minimal subshift with
 1 <= p(n+1)-p(n) <= 2 can exhibit at a bispecial order.
 """
@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded, OutOfClass
+from .errors import ChainBlocked, HorizonExceeded, OutOfClass
 from .words import FactorOracle, Word
-
-# reduced edges one circuit enumeration may follow before it is refused
-CIRCUIT_BUDGET = 1_000_000
 
 
 class Edge(NamedTuple):
@@ -105,39 +102,19 @@ class Circuit:
 
 
 def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
-    """All allowed circuits from v, by depth-first search over the reduced
-    edges, within CIRCUIT_BUDGET reduced edges followed.  Sorted by right
-    label.
-
-    The language is factorial, so one ``contains`` on a partial circuit's
-    full label, cut at the horizon, decides all its prefixes: each edge
-    followed costs one test, which prunes it, or raises HorizonExceeded
-    when the label is longer than the horizon, or records or extends the
-    circuit."""
+    """All allowed circuits from v, sorted by right label.  A path spells
+    the word whose windows are the vertices it passes, so a circuit from v
+    that is allowed, a factor, is a complete return word to v, as
+    ``FactorOracle.complete_return_words`` reads them, cut into reduced
+    edges at its windows in ``graph.vertices``."""
     if not oracle.is_right_special(v):
         return ()
-    horizon = oracle.horizon
-    out: list[Circuit] = []
-    followed = 0
-    # an entry is a partial circuit, its full label and the edge to follow
-    stack = [((), v, e) for e in graph.out_edges(v)]
-    while stack:
-        edges, label, e = stack.pop()
-        followed += 1
-        if followed > CIRCUIT_BUDGET:
-            raise EnumerationBudgetExceeded(
-                f"circuit enumeration from {v!r} exceeded {CIRCUIT_BUDGET}")
-        label += e.right_label
-        if not oracle.contains(label[:horizon]):
-            continue
-        if len(label) > horizon:
-            raise HorizonExceeded(f"circuit from {v!r} grew past horizon {horizon}")
-        edges += (e,)
-        if e.dst == v:
-            out.append(Circuit(v, edges))
-        else:
-            stack.extend((edges, label, f) for f in graph.out_edges(e.dst))
-    return tuple(sorted(out, key=lambda c: c.right_label))
+    n, out = len(v), []
+    for r in oracle.complete_return_words(v):
+        cuts = [0, *(i for i in range(1, len(r) - n) if r[i:i + n] in graph.vertices), len(r) - n]
+        out.append(Circuit(v, tuple(ReducedEdge(r[a:a + n], r[b:b + n], r[a:b + n])
+                                    for a, b in zip(cuts, cuts[1:]))))
+    return tuple(out)
 
 
 # -- reduced graphs and shapes ----------------------------------------
@@ -365,26 +342,18 @@ def reduce_and_classify(oracle: FactorOracle, n: int) -> tuple[ReducedRauzyGraph
 def right_special_chain(oracle: FactorOracle, N: int) -> list[Word]:
     """U_0..U_N with U_n right special of length n and a suffix of U_{n+1}.
 
-    The chain is the branch of the right-special suffix tree that reaches
-    order N; where several do, the lexicographically smallest extension is
-    taken at each step.
-    """
+    A suffix of a right special is right special, so the chain is the
+    suffixes of a right special of the deepest order M <= N that has one,
+    the least read from the right, or ChainBlocked where M < N.  U_0 is the
+    empty word, right special or not."""
     if N + 1 > oracle.horizon:
         raise HorizonExceeded(f"chain to {N} needs horizon {N + 1}")
-    levels = [right for right, _, _ in oracle.special_tables(N)]
-    depth: dict[Word, int] = {}
-    for n in range(N, -1, -1):
-        for u in levels[n]:
-            kids = [w for w in levels[n + 1] if w[1:] == u] if n < N else []
-            depth[u] = 1 + max((depth[w] for w in kids), default=0)
-    chain = [""]
-    for n in range(N):
-        kids = sorted(w for w in levels[n + 1] if w[1:] == chain[-1])
-        if not kids:
-            raise ChainBlocked(f"no right special extension of {chain[-1]!r} at order {n + 1}")
-        best = max(depth[w] for w in kids)
-        chain.append(next(w for w in kids if depth[w] == best))
-    return chain
+    levels = [{""}, *(right for right, _, _ in oracle.special_tables(N)[1:])]
+    M = max(n for n, right in enumerate(levels) if right)
+    deepest = min(levels[M], key=lambda w: w[::-1])
+    if M < N:
+        raise ChainBlocked(f"no right special extension of {deepest!r} at order {M + 1}")
+    return [deepest[M - n:] for n in range(M + 1)]
 
 
 # -- DOT export --------------------------------------------------------

@@ -73,16 +73,15 @@ class FactorOracle:
     The oracle holds one set of top words over the alphabet, each at most
     ``horizon`` letters long and each letter an ASCII digit, and L_n,
     n <= horizon, is the set of the n-prefixes of the top words of n
-    letters or more.  A substitutive
-    language passes its L_horizon and an explicit prefix its suffixes cut to
-    the horizon, so each family is factorial.  ``factors(n)`` is exact for
+    letters or more.  A substitutive language passes its L_horizon and an
+    explicit prefix its suffixes cut to the horizon, so each is factorial.  ``factors(n)`` is exact for
     ``n <= horizon`` as far as the constructor guarantees (see ``source``;
     a substitutive language records its :class:`LanguageCertificate` in
     ``certificate``); queries past the horizon raise :class:`HorizonExceeded`.
 
     In the sorted top set the words that share an n-prefix are adjacent, so
-    ``contains`` and ``continuation`` are a prefix search, and ``counts``
-    reads every p(n) off the common prefixes of adjacent words.
+    ``contains``, ``continuation`` and ``complete_return_words`` are prefix
+    searches, and ``counts`` reads every p(n) off the adjacent common prefixes.
     ``specials(n)`` is the one special-factor query: the right, left and
     bispecial factors of order n as frozensets, cached per order and never
     sorted; a reader that needs an order sorts.  One order comes from one
@@ -247,6 +246,25 @@ class FactorOracle:
         j = bisect_right(self._top, u)
         return self._top[j][len(u):] if j < len(self._top) and self._top[j].startswith(u) else ""
 
+    def complete_return_words(self, u: Word) -> list[Word]:
+        """The complete return words to u, sorted: the factors that start and
+        end with u and hold no other u, each the first return of the top
+        words that start with it, which one bisect passes over.  A top word
+        of ``horizon`` letters with no second u raises HorizonExceeded, as
+        its return may be longer; a shorter one ends the language there."""
+        top, out = self._top, []
+        j = bisect_left(top, u)
+        while j < len(top) and top[j].startswith(u):
+            i = top[j].find(u, 1)
+            if i >= 0:
+                out.append(r := top[j][:i + len(u)])
+                j = bisect_left(top, r[:-1] + chr(ord(r[-1]) + 1), j)
+            elif len(top[j]) < self.horizon:
+                j += 1
+            else:
+                raise HorizonExceeded(f"return word to {u!r} grew past horizon {self.horizon}")
+        return out
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -273,9 +291,12 @@ class FactorOracle:
         factor sets come from :func:`substitutive_language`, which is exact
         and raises NoStabilization unless the substitution is primitive.
         """
+        if (letters := "".join(images.values())).lstrip(LETTERS):
+            raise AlphabetMismatch(f"image letters {sorted(set(letters) - set(LETTERS))} "
+                                   "are not digits 0-9")
         if not images["0"].startswith("0"):
             raise NotProlongable("substitution not prolongable at seed '0'")
-        size = max(int(c) for w in images.values() for c in w) + 1
+        size = int(max(letters)) + 1
         top, cert = substitutive_language(images, horizon)
         return cls(Alphabet(size), top, horizon, source or f"substitution fixed point {images}",
                    certificate=cert)

@@ -6,8 +6,12 @@ produces, or measures what that stage's bookkeeping claims:
 - ``language_by_block_sets``, the kernel as it was when each block and
   each junction built its own factor set, judges
   ``words.substitutive_language``;
-- return words judge the circuits (``rauzy.circuits_from``): the allowed
-  circuits from a right special of the chain are its return words;
+- return words, found letter by letter, judge the circuits
+  (``rauzy.circuits_from``): the allowed circuits from a right special of
+  the chain are its return words;
+- ``chain_by_depth_table``, the right-special chain as it was, walked up
+  from the empty word over a table of depths, judges
+  ``rauzy.right_special_chain``;
 - ``factorize_letter_by_letter``, which follows the last letters of the
   label one at a time and scans the right labels for each piece, judges
   ``extraction._factorize``;
@@ -39,9 +43,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from rauzyadic.errors import (EnumerationBudgetExceeded, HorizonExceeded, MalformedMorphism,
-                              NoSchemaMatch, NoStabilization, NotInLanguage, OutOfClass,
-                              UnsupportedCase)
+from rauzyadic.errors import (ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
+                              MalformedMorphism, NoSchemaMatch, NoStabilization, NotInLanguage,
+                              OutOfClass, UnsupportedCase)
 from rauzyadic.morphism import GENERATORS, GeneratorWord, Morphism, compose_all
 from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, circuits_from,
                              reduced_graph)
@@ -175,6 +179,31 @@ def factorize_letter_by_letter(label: Word, lower_u: Word, letter: dict[Word, st
     if chunk:
         raise NoSchemaMatch(f"label {label!r} does not factor over returns to {lower_u!r}")
     return "".join(letters)
+
+
+def chain_by_depth_table(oracle: FactorOracle, N: int) -> list[Word]:
+    """``rauzy.right_special_chain`` as it was, on the specials counted
+    order by order: the depth of each right special, the longest run of
+    right specials above it up to order N, read from order N down, then a
+    walk up from the empty word that takes, of the right specials one
+    letter longer that end with the last word taken, the least among those
+    that reach deepest."""
+    if N + 1 > oracle.horizon:
+        raise HorizonExceeded(f"chain to {N} needs horizon {N + 1}")
+    levels = [oracle.specials(n)[0] for n in range(N + 1)]
+    depth: dict[Word, int] = {}
+    for n in range(N, -1, -1):
+        for u in levels[n]:
+            kids = [w for w in levels[n + 1] if w[1:] == u] if n < N else []
+            depth[u] = 1 + max((depth[w] for w in kids), default=0)
+    chain = [""]
+    for n in range(N):
+        kids = sorted(w for w in levels[n + 1] if w[1:] == chain[-1])
+        if not kids:
+            raise ChainBlocked(f"no right special extension of {chain[-1]!r} at order {n + 1}")
+        best = max(depth[w] for w in kids)
+        chain.append(next(w for w in kids if depth[w] == best))
+    return chain
 
 
 # -- paths of the order-n graph ------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from judges import (bilateral_order, is_aperiodic, language_by_block_sets, return_words,
                     return_words_by_scan)
 
-from rauzyadic.errors import (BadAlphabet, HorizonExceeded, IdentityViolation, NegativeLength,
-                              NoStabilization, NotInLanguage, NotProlongable, RauzyadicError)
+from rauzyadic.errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
+                              NegativeLength, NoStabilization, NotInLanguage, NotProlongable,
+                              RauzyadicError)
 from rauzyadic.morphism import compose_all
 from rauzyadic.sadic import _live_period, language_horizon, parse_directive, used_letters
 from rauzyadic.words import (
@@ -149,12 +150,21 @@ def test_substitution_requires_prolongable_seed():
     (lambda fib: FactorOracle.from_substitution({"0": "10", "1": "0"}, 6), NotProlongable,
      "not prolongable at seed '0'"),
     (lambda fib: return_words(fib, "11"), NotInLanguage, "'11' not in the language"),
+    # an image letter that is not an ASCII digit is refused before the
+    # alphabet is sized: int() fails on 'a' and reads the Arabic-Indic
+    # one as 1
+    (lambda fib: FactorOracle.from_substitution({"0": "0a", "1": "0"}, 6), AlphabetMismatch,
+     r"image letters \['a'\] are not digits 0-9"),
+    (lambda fib: FactorOracle.from_substitution({"0": "0١", "1": "0"}, 6), AlphabetMismatch,
+     r"image letters \['١'\] are not digits 0-9"),
 ])
 def test_word_refusals_are_typed(fib, call, error, text):
     with pytest.raises(error, match=text) as exc:
         call(fib)
-    # still a ValueError for callers that caught it as one
-    assert isinstance(exc.value, RauzyadicError) and isinstance(exc.value, ValueError)
+    # still a ValueError for callers that caught it as one; a letter that
+    # is not a digit is AlphabetMismatch, which is not one, wherever it enters
+    assert isinstance(exc.value, RauzyadicError)
+    assert isinstance(exc.value, ValueError) or error is AlphabetMismatch
 
 
 def _apply(tau, w):

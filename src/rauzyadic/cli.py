@@ -178,7 +178,7 @@ def _run(args) -> int:
         if oracle.is_right_special(args.vertex):
             g = reduced_graph(oracle, args.order)
             for c in circuits_from(g, args.vertex, oracle):
-                print(f"{c.right_label}  length={len(c)} allowed={c.allowed}")
+                print(f"{c.right_label}  length={len(c.right_label)} allowed={c.allowed}")
         return 0
 
     if args.cmd == "extract":

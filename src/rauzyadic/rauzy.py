@@ -12,8 +12,6 @@ Shape classification covers the ten types a minimal subshift with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ChainBlocked, HorizonExceeded, OutOfClass
@@ -74,31 +72,24 @@ class ReducedEdge(NamedTuple):
         return self.full_label[len(self.src):]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Path from a right special vertex back to itself with no interior
     visit of the start, kept as its reduced edges; allowed iff its full
-    label is in the language."""
+    label is in the language.  A circuit is read off a complete return
+    word r to its start v: its right label, the letters its edges add, is
+    r without its first len(v) letters, and its length is that label's;
+    its stops are the reduced-graph vertices it passes, the windows of r
+    where its edges meet, the start at both ends."""
 
     start: Word
     edges: tuple[ReducedEdge, ...]
+    right_label: Word
+    stops: tuple[Word, ...]
     allowed: bool = True
-
-    @cached_property
-    def right_label(self) -> Word:
-        return "".join(e.right_label for e in self.edges)
-
-    @cached_property
-    def stops(self) -> tuple[Word, ...]:
-        """The special vertices it passes, the start at both ends."""
-        return (self.start,) + tuple(e.dst for e in self.edges)
 
     def visits(self, v: Word) -> int:
         """How often it passes the reduced-graph vertex v."""
         return self.stops.count(v)
-
-    def __len__(self):
-        return sum(e.length for e in self.edges)
 
 
 def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tuple[Circuit, ...]:
@@ -112,8 +103,10 @@ def circuits_from(graph: ReducedRauzyGraph, v: Word, oracle: FactorOracle) -> tu
     n, out = len(v), []
     for r in oracle.complete_return_words(v):
         cuts = [0, *(i for i in range(1, len(r) - n) if r[i:i + n] in graph.vertices), len(r) - n]
-        out.append(Circuit(v, tuple(ReducedEdge(r[a:a + n], r[b:b + n], r[a:b + n])
-                                    for a, b in zip(cuts, cuts[1:]))))
+        stops = tuple(r[a:a + n] for a in cuts)
+        edges = tuple(ReducedEdge(u, x, r[a:b + n])
+                      for a, b, u, x in zip(cuts, cuts[1:], stops, stops[1:]))
+        out.append(Circuit(v, edges, r[n:], stops))
     return tuple(out)
 
 

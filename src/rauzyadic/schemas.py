@@ -451,12 +451,16 @@ EVOLUTION_TABLE: tuple[EvolutionRow, ...] = (
 )
 
 
+# the rows of each from_type, in table order
+_EVOLUTION_ROWS_FROM: dict[int, list[EvolutionRow]] = {}
+for _er in EVOLUTION_TABLE:
+    _EVOLUTION_ROWS_FROM.setdefault(_er.from_type, []).append(_er)
+
+
 def evolution_rows(from_type: int, to_type: int | None = None,
                    u_from: str | None = None) -> list[EvolutionRow]:
     out = []
-    for er in EVOLUTION_TABLE:
-        if er.from_type != from_type:
-            continue
+    for er in _EVOLUTION_ROWS_FROM.get(from_type, ()):
         if to_type is not None and to_type not in er.to_types:
             continue
         if u_from is not None and er.u_from not in ("*", u_from):

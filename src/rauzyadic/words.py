@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
@@ -46,7 +45,7 @@ def common_prefix_len(u: Word, v: Word, cap: int | None = None) -> int:
     not yet known to agree, so the per-letter work stays in C.  It serves
     single pairs: the long composed images that ``lengths`` compares, where
     encoding both words as integers would cost more than the few slices,
-    and the capped keys of the left-special pass.  ``FactorOracle._lcps``
+    and the capped keys of the left-special pass.  :func:`adjacent_lcps`
     reads the many short adjacent pairs of a top set from integers instead."""
     lo, hi = 0, min(len(u), len(v))
     if cap is not None:
@@ -58,6 +57,28 @@ def common_prefix_len(u: Word, v: Word, cap: int | None = None) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+def adjacent_lcps(words: list[Word]) -> list[int]:
+    """The longest common prefix lengths of the adjacent words of a list.
+
+    Each word is read once as a big-endian integer of its ASCII bytes, one
+    byte a letter; a letter that is not ASCII fails the encoding.  For a
+    pair, the longer word is shifted down to the shorter length; the
+    letters past the lcp are then the bytes that the XOR of the two
+    reaches.  The words of a top set are short and many, so one encoding
+    per word and one XOR per pair cost less than a bisection per pair."""
+    nums = [int.from_bytes(w.encode("ascii"), "big") for w in words]
+    lens = list(map(len, words))
+    out = []
+    for a, b, m, n in zip(nums, nums[1:], lens, lens[1:]):
+        if m > n:
+            a >>= 8 * (m - n)
+            m = n
+        elif n > m:
+            b >>= 8 * (n - m)
+        out.append(m - ((a ^ b).bit_length() + 7) // 8)
+    return out
 
 
 def factors_of(w: Word, n: int) -> frozenset[Word]:
@@ -81,22 +102,22 @@ class FactorOracle:
 
     In the sorted top set the words that share an n-prefix are adjacent, so
     ``contains``, ``continuation`` and ``complete_return_words`` are prefix
-    searches, and ``counts`` reads every p(n) off the adjacent common prefixes.
-    ``specials(n)`` is the one special-factor query: the right, left and
-    bispecial factors of order n as frozensets, cached per order and never
-    sorted; a reader that needs an order sorts.  One order comes from one
-    count of the extension letters over L_{n+1}; ``special_tables(N)`` fills
-    every order n <= N from one pass instead: an adjacent pair whose longest
+    searches.  ``specials(n)`` is the one special-factor query: the right,
+    left and bispecial factors of order n as frozensets, cached per order
+    and never sorted; a reader that needs an order sorts.  One order comes
+    from one count of the extension letters over L_{n+1}.
+
+    The counts p(0..N+1), ``special_tables(N)`` and the closure certificate
+    of ``complexity_profile(N)`` read L_0..L_{N+1} only, so they read the
+    top set cut to N + 1 letters, sorted and deduplicated, and its adjacent
+    lcps (:func:`adjacent_lcps`), built once and kept for the largest
+    length asked, which a shorter one reads too (``_top_cut``).  ``counts``
+    reads every p(n) off those lcps, and ``special_tables(N)`` fills every
+    order n <= N in one pass over the cut: an adjacent pair whose longest
     common prefix is shorter than both words makes that prefix right
-    special, and in the top set sorted on ``w[1:]`` an adjacent pair with
+    special, and in the cut sorted on ``w[1:]`` an adjacent pair with
     different first letters makes every prefix of their common key left
     special.
-
-    The adjacent lcps are read from one integer per top word, its ASCII
-    bytes (``_lcps``), not by bisecting each pair with
-    :func:`common_prefix_len`: the top words are short and many, so one
-    encoding per word and one XOR per pair cost less than a bisection per
-    pair.
     """
 
     def __init__(self, alphabet: Alphabet, top: frozenset[Word], horizon: int, source: str,
@@ -106,6 +127,7 @@ class FactorOracle:
         self._short = [w for w in self._top if len(w) < horizon]
         self._factors: dict[int, frozenset[Word]] = {}
         self._specials: dict[int, tuple[frozenset[Word], ...]] = {}
+        self._cut: tuple[int, list[Word], list[int], list[int]] = (-1, [], [], [])
         self.horizon = horizon
         self.source = source
         self.certificate = certificate
@@ -126,7 +148,9 @@ class FactorOracle:
             self._check_length(n)
             # a top word shorter than n is its own n-prefix, and no factor
             prefixes = frozenset(map(itemgetter(slice(n)), self._top))
-            self._factors[n] = prefixes.difference(w for w in self._short if len(w) < n)
+            if shorter := [w for w in self._short if len(w) < n]:
+                prefixes = prefixes.difference(shorter)
+            self._factors[n] = prefixes
         return self._factors[n]
 
     def contains(self, w: Word) -> bool:
@@ -157,24 +181,25 @@ class FactorOracle:
 
     def special_tables(self, N: int) -> list[tuple[frozenset[Word], ...]]:
         """``specials(n)`` for every order n <= N, from one pass over the
-        sorted top set (see the class docstring) where N is below the
-        horizon."""
+        top set cut to N + 1 letters (see the class docstring) where N is
+        below the horizon."""
         if N < self.horizon and any(n not in self._specials for n in range(N + 1)):
             self._specials.update(self._special_pass(N))
         return [self.specials(n) for n in range(N + 1)]
 
     def _special_pass(self, n: int) -> dict[int, tuple[frozenset[Word], ...]]:
         """The special tables of every order k <= n, read off the top set
-        sorted, and sorted on ``w[1:]``; see the class docstring.  A pair
-        makes a factor of order k special only where both its words have
-        k + 1 letters or more."""
+        cut to n + 1 letters or more, sorted, and sorted on ``w[1:]``; see
+        the class docstring.  A pair makes a factor of order k special only
+        where both its words have k + 1 letters or more."""
+        words, lcps, _ = self._top_cut(n + 1)
         right: list[set[Word]] = [set() for _ in range(n + 1)]
         left: list[set[Word]] = [set() for _ in range(n + 1)]
-        for u, k in zip(self._top, self._lcps):
+        for u, k in zip(words, lcps):
             # u sorts first, so k is shorter than the other word
             if k <= n and k < len(u):
                 right[k].add(u[:k])
-        by_key = sorted(filter(None, self._top), key=lambda w: w[1:])
+        by_key = sorted(filter(None, words), key=lambda w: w[1:])
         for x, y in zip(by_key, by_key[1:]):
             if x[0] != y[0]:
                 # the left specials are prefix-closed: stop at the first
@@ -195,48 +220,40 @@ class FactorOracle:
     def is_bispecial(self, u: Word) -> bool:
         return u in self.specials(len(u))[2]
 
-    @cached_property
-    def _lcps(self) -> list[int]:
-        """The longest common prefix lengths of the adjacent top words.
+    def _top_cut(self, m: int) -> tuple[list[Word], list[int], list[int]]:
+        """(words, lcps, p): the top words cut to m letters or more, sorted
+        and deduplicated, their adjacent lcps, and p(0..m) counted off them.
 
-        Each word is read once as a big-endian integer of its ASCII bytes,
-        one byte a letter; a letter that is not ASCII fails the encoding.
-        For a pair, the longer word is shifted down to the shorter length;
-        the letters past the lcp are then the bytes that the XOR of the two
-        reaches."""
-        top = self._top
-        nums = [int.from_bytes(w.encode("ascii"), "big") for w in top]
-        lens = list(map(len, top))
-        out = []
-        for a, b, m, n in zip(nums, nums[1:], lens, lens[1:]):
-            if m > n:
-                a >>= 8 * (m - n)
-                m = n
-            elif n > m:
-                b >>= 8 * (n - m)
-            out.append(m - ((a ^ b).bit_length() + 7) // 8)
-        return out
-
-    @cached_property
-    def _counts(self) -> list[int]:
-        diff = [0] * (self.horizon + 2)
-        for k, w in zip([-1, *self._lcps], self._top):
-            diff[k + 1] += 1
-            diff[len(w) + 1] -= 1
-        return list(accumulate(diff[:-1]))
+        For n <= m, L_n is the n-prefixes of the cut words as of the top
+        words, so one cut serves every order up to m: it is kept for the
+        largest m asked, and a smaller m reads it.  p(n) is the number of
+        cut words w with lcp(previous word, w) < n <= |w|, read off a
+        difference array (the first word's lcp is -1)."""
+        if self._cut[0] < m:
+            # cutting keeps the order, so equal cuts are adjacent
+            words = list(dict.fromkeys(map(itemgetter(slice(m)), self._top)))
+            lcps = adjacent_lcps(words)
+            diff = [0] * (m + 2)
+            for k, w in zip([-1, *lcps], words):
+                diff[k + 1] += 1
+                diff[len(w) + 1] -= 1
+            self._cut = (m, words, lcps, list(accumulate(diff[:-1])))
+        return self._cut[1:]
 
     def counts(self, N: int) -> tuple[int, ...]:
-        """p(0..N), the sizes of L_0..L_N, counted from one pass over the
-        sorted top set with no L_n built: the words that share an n-prefix
-        are adjacent there, so p(n) is the number of top words w with
-        lcp(previous word, w) < n <= |w|, read off a difference array (the
-        first word's lcp is -1)."""
+        """p(0..N), the sizes of L_0..L_N, read off the top set cut to
+        N + 1 letters, the cut that ``special_tables(N)`` and
+        ``complexity_profile`` read, with no L_n built (see ``_top_cut``)."""
         self._check_length(N)
-        return tuple(self._counts[:N + 1])
+        return tuple(self._top_cut(min(N + 1, self.horizon))[2][:N + 1])
 
     def count(self, n: int) -> int:
-        """p(n), the size of L_n: of the built set, or as ``counts`` reads it."""
-        return len(self._factors[n]) if n in self._factors else self.counts(n)[-1]
+        """p(n), the size of L_n: of the built set, or read off the kept
+        cut if it has n letters or more, else off the top set cut to n."""
+        if n in self._factors:
+            return len(self._factors[n])
+        self._check_length(n)
+        return self._top_cut(n)[2][n]
 
     def continuation(self, u: Word) -> Word:
         """Letters that follow u in one word of the language, empty when u
@@ -344,12 +361,14 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
     L_2 is the closure of the 2-letter factors of the tau(a) under ab ->
     2-letter factors of tau(ab).  Once every mu tau^k(a) is n-1 letters or
     longer, a length-n factor of mu tau^k(ab), ab in L_2, lies in one block
-    or spans the junction: L_n is the set of the length-n windows of each
-    block mu tau^k(a), a a letter of L_2, and of each junction, the last
-    n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b), all read
-    into one set.  The blocks grow by ``str.translate`` with the table of
-    the current ones, as a :class:`~rauzyadic.morphism.Morphism` applies
-    itself.  The language is right-extendable, so each shorter L_m is the
+    or spans the junction: L_n is the set of the length-n windows of the
+    sources, each block mu tau^k(a), a a letter of L_2, and each junction,
+    the last n-1 letters of mu tau^k(a) then the first n-1 of mu tau^k(b),
+    all read into one set.  A source that is a factor of a longer one, or
+    of an equal one kept before it, has no window the other lacks, so its
+    windows are not read.  The blocks grow by ``str.translate`` with the
+    table of the current ones, as a :class:`~rauzyadic.morphism.Morphism`
+    applies itself.  The language is right-extendable, so each shorter L_m is the
     length-m prefixes of L_n, as :class:`FactorOracle` reads its top set.
     Returns L_n and the certificate; no witness word is built.  Raises
     NoStabilization unless :func:`is_primitive` holds, which follows the
@@ -373,8 +392,14 @@ def substitutive_language(tau: dict[str, Word], n: int, lift: dict[str, Word] | 
         table = str.maketrans(imgs)
         imgs = {a: tau[a].translate(table) for a in letters}
         k += 1
-    windows = [imgs[a] for a in set("".join(pairs))]
-    windows += [imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1] for a, b in pairs]
+    sources = [imgs[a] for a in set("".join(pairs))]
+    sources += [imgs[a][len(imgs[a]) - n + 1:] + imgs[b][:n - 1] for a, b in pairs]
+    # F_n(x) is in F_n(y) when x is a factor of y: longest first, a source
+    # inside one kept before it adds no window
+    windows: list[Word] = []
+    for w in sorted(sources, key=len, reverse=True):
+        if not any(w in v for v in windows):
+            windows.append(w)
     cert = LanguageCertificate(letters, len(pairs), rounds, k)
     return frozenset(w[i:i + n] for w in windows for i in range(len(w) - n + 1)), cert
 
@@ -422,18 +447,22 @@ def complexity_profile(oracle: FactorOracle, N: int) -> ComplexityProfile:
     is p(n+1) - p(n) = s(n), and every word of L_{n+2} is a bi-extension of
     its middle, so sum m(u) = p(n+2) - 2p(n+1) + p(n) = s(n+1) - s(n).
 
-    The counts are ``oracle.counts(N)``.  When every top word has length
-    ``horizon``, one comparison certifies that closure: if P = {w[:-1]}
-    equals S = {w[1:]} over the top set, then L_n, the n-prefixes of the top
-    set, is the prefix set of L_{n+1} and, as the n-prefixes of S = P, its
-    suffix set too, for every n < horizon.  Otherwise, or if P != S, the
-    identities are counted."""
+    The counts are ``oracle.counts(N)``, read off the top set cut to
+    m = min(N + 1, horizon) letters.  When every cut word has m letters,
+    that is L_m, and one comparison certifies the closure: if P = {w[:-1]}
+    equals S = {w[1:]} over L_m, then L_n, the n-prefixes of L_m, is the
+    prefix set of L_{n+1} and, as the n-prefixes of S = P, its suffix set
+    too, for every n < m.  Otherwise, or if P != S, the identities are
+    counted."""
     if N > oracle.horizon:
         raise HorizonExceeded(f"complexity to {N} beyond horizon {oracle.horizon}")
     p = oracle.counts(N)
     s = tuple(p[n + 1] - p[n] for n in range(N))
-    top = oracle._top
-    if not oracle._short and {w[:-1] for w in top} == {w[1:] for w in top}:
+    # the cut that the counts read, or a longer one: the comparison cuts it to m
+    m = min(N + 1, oracle.horizon)
+    cut = oracle._top_cut(m)[0]
+    if (all(len(w) >= m for w in cut)
+            and {w[:m - 1] for w in cut} == {w[1:m] for w in cut}):
         return ComplexityProfile(p, s)
     L = [oracle.factors(n) for n in range(N + 1)]
     degrees = []    # d+(u) + d-(u) summed over L_n: sum m(u) = #biext - degrees + p(n)

@@ -17,6 +17,11 @@ produces, or measures what that stage's bookkeeping claims:
   ``extraction._factorize``;
 - the bilateral order judges the second-difference identity of
   ``words.complexity_profile``, and ``is_aperiodic`` its counts;
+- ``counts_by_top_set``, ``special_pass_by_top_set`` and
+  ``certified_by_top_set``, the counts, the one-pass special tables and
+  the closure certificate as they were when each read the whole top set,
+  judge ``FactorOracle.counts``, ``count``, ``special_tables`` and
+  ``complexity_profile``, which read the top set cut to the order asked;
 - order-n paths, ``out_edges``, ``walk``, ``circuit_path`` and the
   projection ``psi_project`` judge the Rauzy graphs and the circuits over
   reduced edges;
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from rauzyadic.errors import (ChainBlocked, EnumerationBudgetExceeded, HorizonExceeded,
                               MalformedMorphism, NoSchemaMatch, NoStabilization, NotInLanguage,
@@ -52,8 +58,8 @@ from rauzyadic.rauzy import (Circuit, Edge, RauzyGraph, _edge, _single_cycle, ci
 from rauzyadic.sadic import DirectiveWord
 from rauzyadic.schemas import _ASSIGNMENTS, Match, Step, _image_lengths
 from rauzyadic.validator import BlockTable, Routing, start_vertex
-from rauzyadic.words import (LETTERS, FactorOracle, LanguageCertificate, Word, factors_of,
-                             is_primitive)
+from rauzyadic.words import (LETTERS, FactorOracle, LanguageCertificate, Word, common_prefix_len,
+                             factors_of, is_primitive)
 
 # -- factor languages ---------------------------------------------------
 
@@ -89,6 +95,50 @@ def language_by_block_sets(tau: dict[str, Word], n: int, lift: dict[str, Word] |
 def is_aperiodic(oracle: FactorOracle, upto: int) -> bool:
     """p(n) >= n+1 for n <= upto, equivalently a right special of each length."""
     return all(p >= n + 1 for n, p in enumerate(oracle.counts(upto)))
+
+
+def _top_set_lcps(oracle: FactorOracle) -> list[int]:
+    """The lcps of the adjacent words of the whole sorted top set, each
+    pair bisected."""
+    top = oracle._top
+    return [common_prefix_len(u, v) for u, v in zip(top, top[1:])]
+
+
+def counts_by_top_set(oracle: FactorOracle) -> list[int]:
+    """p(0..horizon) off the whole sorted top set: p(n) is the number of
+    top words w with lcp(previous word, w) < n <= |w|, read off a
+    difference array (the first word's lcp is -1)."""
+    diff = [0] * (oracle.horizon + 2)
+    for k, w in zip([-1, *_top_set_lcps(oracle)], oracle._top):
+        diff[k + 1] += 1
+        diff[len(w) + 1] -= 1
+    return list(accumulate(diff[:-1]))
+
+
+def special_pass_by_top_set(oracle: FactorOracle, n: int) -> list[tuple[frozenset[Word], ...]]:
+    """The (right, left, bi) special tables of every order k <= n, in one
+    pass over the whole top set sorted, and sorted on ``w[1:]``."""
+    top = oracle._top
+    right: list[set[Word]] = [set() for _ in range(n + 1)]
+    left: list[set[Word]] = [set() for _ in range(n + 1)]
+    for u, k in zip(top, _top_set_lcps(oracle)):
+        if k <= n and k < len(u):
+            right[k].add(u[:k])
+    by_key = sorted(filter(None, top), key=lambda w: w[1:])
+    for x, y in zip(by_key, by_key[1:]):
+        if x[0] != y[0]:
+            for k in range(common_prefix_len(x[1:], y[1:], n) + 1):
+                left[k].add(x[1:k + 1])
+    return [(frozenset(rs), frozenset(ls), frozenset(rs & ls)) for rs, ls in zip(right, left)]
+
+
+def certified_by_top_set(oracle: FactorOracle) -> bool:
+    """Every top word has ``horizon`` letters and P = {w[:-1]} equals
+    S = {w[1:]} over the whole top set, which certifies the identities of
+    ``complexity_profile`` at every order."""
+    top = oracle._top
+    return (all(len(w) == oracle.horizon for w in top)
+            and {w[:-1] for w in top} == {w[1:] for w in top})
 
 
 def bilateral_order(oracle: FactorOracle, u: Word) -> int:
@@ -266,7 +316,7 @@ def walk(graph: RauzyGraph, start: Word, right_label: Word) -> Path:
 def circuit_path(c: Circuit) -> Path:
     """The circuit as a path of order-n edges, one per letter."""
     n, label = len(c.start), c.start + c.right_label
-    return Path(n, c.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(c))))
+    return Path(n, c.start, tuple(_edge(label[i:i + n + 1]) for i in range(len(c.right_label))))
 
 
 def psi_project(p: Path, lower: RauzyGraph) -> Path:

@@ -7,6 +7,7 @@ from judges import (Path, chain_by_depth_table, circuit_path, measure_two_loops,
                     psi_project, return_words, walk)
 
 from rauzyadic.errors import ChainBlocked, HorizonExceeded, OutOfClass, RauzyadicError
+from rauzyadic.extraction import bispecial_orders
 from rauzyadic.rauzy import (
     EvolvedEdge, ReducedEdge, ReducedRauzyGraph, _single_cycle, build_graph,
     circuits_from, classify_shape, reduce_and_classify, reduced_graph, right_special_chain,
@@ -124,6 +125,26 @@ def test_circuit_return_word_correspondence(fib, trib):
         for n in range(1, 9):
             circs = circuits_from(reduced_graph(o, n), chain[n], o)
             assert {c.right_label for c in circs} == return_words(o, chain[n])
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue-morse", "tribonacci",
+                                  *(f.name for f in sorted(DIRECTIVES.glob("*.dw"))
+                                    if f.stem != "not_valid")])
+def test_circuit_labels_and_stops_are_read_off_the_return_word(name):
+    # at every bispecial order up to crosscheck's window 16, at its horizon
+    # 60, each circuit from the chain vertex keeps the right label, stops
+    # and length that its reduced edges give
+    oracle = (language_horizon(parse_directive((DIRECTIVES / name).read_text()), 60)
+              if name.endswith(".dw") else named_oracle(name, 60))
+    chain = right_special_chain(oracle, 16)
+    seen = 0
+    for n in bispecial_orders(oracle, 16):
+        for c in circuits_from(reduced_graph(oracle, n), chain[n], oracle):
+            assert c.right_label == "".join(e.right_label for e in c.edges)
+            assert c.stops == (c.start, *(e.dst for e in c.edges))
+            assert len(c.right_label) == sum(e.length for e in c.edges)
+            seen += 1
+    assert seen >= 10
 
 
 def test_thue_morse_disallowed_circuit(tm):
@@ -304,7 +325,7 @@ def test_min_circuit_length_grows(fib):
     mins = []
     for n in range(0, 16, 3):
         circs = circuits_from(reduced_graph(fib, n), chain[n], fib)
-        mins.append(min(len(c) for c in circs))
+        mins.append(min(len(c.right_label) for c in circs))
     assert mins == sorted(mins) and mins[-1] > mins[0]
 
 
@@ -536,7 +557,7 @@ def _circuits_outcome(graph, v, oracle):
         # the reduced edges chain, are edges of the graph, and pass exactly
         # the special vertices that the letter-level path does
         path = circuit_path(c)
-        assert path.full_label == c.start + c.right_label and len(path) == len(c)
+        assert path.full_label == c.start + c.right_label and len(path) == len(c.right_label)
         assert tuple(u for u in path.vertices if u in graph.vertices) == c.stops
         assert set(c.edges) <= set(graph.edges)
     return tuple(c.right_label for c in circs)

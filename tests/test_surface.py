@@ -84,15 +84,13 @@ def test_exceptions_are_still_defined():
 # the method names, other than dunders, that more than one class of src/
 # defines, with those classes.  Each class's own method was found read in
 # src/: DirectiveWord.alphabet_size by the oracle and the validator and
-# ThetaAssignment.alphabet_size by extract_gamma; ReducedEdge.right_label by
-# Circuit.right_label and the theta assignment, and Circuit.right_label by
-# the circuit sort, extraction and the circuits command; EvolutionRecord.line
-# and Step.line by ExtractionReport.serialize; and the three serialize
-# methods by the extract, validate and crosscheck commands
+# ThetaAssignment.alphabet_size by extract_gamma; EvolutionRecord.line and
+# Step.line by ExtractionReport.serialize; and the three serialize methods
+# by the extract, validate and crosscheck commands.  Circuit.right_label is
+# a field, not a method, so ReducedEdge.right_label is no longer shared
 SHARED_METHODS = {
     "alphabet_size": {"DirectiveWord", "ThetaAssignment"},
     "line": {"EvolutionRecord", "Step"},
-    "right_label": {"Circuit", "ReducedEdge"},
     "serialize": {"CrossReport", "ExtractionReport", "ValidityVerdict"},
 }
 

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from judges import (bilateral_order, is_aperiodic, language_by_block_sets, return_words,
-                    return_words_by_scan)
+from judges import (bilateral_order, certified_by_top_set, counts_by_top_set, is_aperiodic,
+                    language_by_block_sets, return_words, return_words_by_scan,
+                    special_pass_by_top_set)
 
 from rauzyadic.errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, IdentityViolation,
                               NegativeLength, NoStabilization, NotInLanguage, NotProlongable,
@@ -11,9 +12,9 @@ from rauzyadic.errors import (AlphabetMismatch, BadAlphabet, HorizonExceeded, Id
 from rauzyadic.morphism import compose_all
 from rauzyadic.sadic import _live_period, language_horizon, parse_directive, used_letters
 from rauzyadic.words import (
-    LETTERS, NAMED_SOURCES, Alphabet, ComplexityProfile, FactorOracle, common_prefix_len,
-    complexity_profile, eventual_support, factors_of, is_primitive, named_oracle,
-    substitutive_language,
+    FIBONACCI, LETTERS, NAMED_SOURCES, TRIBONACCI, Alphabet, ComplexityProfile, FactorOracle,
+    adjacent_lcps, common_prefix_len, complexity_profile, eventual_support, factors_of,
+    is_primitive, named_oracle, substitutive_language,
 )
 
 DIRECTIVES = Path(__file__).resolve().parents[1] / "directives"
@@ -317,6 +318,36 @@ def test_kernel_slices_random_substitutions_as_the_pairs_do(tau, lifted, n, data
     lift = data.draw(st.fixed_dictionaries(
         {a: st.text(alphabet=LETTERS[:3], min_size=1, max_size=3) for a in tau})) if lifted else None
     assert _language_by_blocks(tau, n, lift) == _language_by_pairs(tau, n, lift)
+
+
+def _blocks(tau, n):
+    """tau^k(a) for each letter a, at the k of the kernel's certificate."""
+    k = substitutive_language(tau, n)[1].k
+    blocks = {}
+    for a in tau:
+        w = a
+        for _ in range(k):
+            w = _apply(tau, w)
+        blocks[a] = w
+    return blocks
+
+
+def test_kernel_skips_a_junction_inside_a_block():
+    # tribonacci at n = 4: the junction of the pair 20, the last 3 letters
+    # of tau^3(2) then the first 3 of tau^3(0), lies inside tau^3(0)
+    tau, n = TRIBONACCI, 4
+    blocks = _blocks(tau, n)
+    junction = blocks["2"][-(n - 1):] + blocks["0"][:n - 1]
+    assert junction in blocks["0"] and len(junction) < len(blocks["0"])
+    assert _language_by_blocks(tau, n) == _language_by_pairs(tau, n)
+
+
+def test_kernel_skips_a_block_inside_a_longer_block():
+    # fibonacci at n = 5: tau^4(1) = tau^3(0) is a prefix of tau^4(0)
+    tau, n = FIBONACCI, 5
+    blocks = _blocks(tau, n)
+    assert blocks["0"].startswith(blocks["1"]) and len(blocks["1"]) < len(blocks["0"])
+    assert _language_by_blocks(tau, n) == _language_by_pairs(tau, n)
 
 
 def lifted_substitutions():
@@ -705,11 +736,68 @@ def test_adjacent_lcps_equal_the_pairwise_bisection(drawn):
     # sets words of one length, drawn sets any lengths and letters
     top, horizon = drawn
     oracle = FactorOracle(Alphabet(3), top, horizon, "drawn")
-    assert oracle._lcps == _pairwise_lcps(oracle)
-    assert len(oracle._lcps) == len(top) - 1
+    assert adjacent_lcps(oracle._top) == _pairwise_lcps(oracle)
+    assert len(adjacent_lcps(oracle._top)) == len(top) - 1
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
 def test_adjacent_lcps_of_a_named_source_equal_the_pairwise_bisection(name):
     oracle = named_oracle(name, 60)
-    assert oracle._lcps == _pairwise_lcps(oracle)
+    assert adjacent_lcps(oracle._top) == _pairwise_lcps(oracle)
+
+
+# -- the tables bounded by the order asked, against the whole top set --
+
+
+def _bounded_tables_match_the_top_set(oracle, reference, orders):
+    """Asked at each N of ``orders`` in turn, one oracle's counts(N),
+    count(k) for k <= N + 1, special_tables(N) and complexity_profile(N)
+    equal what the judges read off the whole top set of a second oracle
+    with the same top set.  The first oracle keeps the top set cut for the
+    longest N asked, so a later N may read a longer cut."""
+    p = counts_by_top_set(reference)
+    certified = certified_by_top_set(reference)
+    for N in orders:
+        assert oracle.counts(N) == tuple(p[:N + 1]), N
+        m = min(N + 1, oracle.horizon)
+        assert [oracle.count(k) for k in range(m + 1)] == p[:m + 1], N
+        if N < oracle.horizon:
+            assert oracle.special_tables(N) == special_pass_by_top_set(reference, N), N
+        want = (ComplexityProfile(tuple(p[:N + 1]), tuple(p[n + 1] - p[n] for n in range(N)))
+                if certified else _outcome(_profile_per_factor, reference, N))
+        assert _outcome(complexity_profile, oracle, N) == want, N
+
+
+def _asked_in(order, orders):
+    return sorted(orders, reverse=order == "falling") if order != "drawn" else orders
+
+
+LANGUAGES = [*sorted(NAMED_SOURCES),
+             *(f.name for f in sorted(DIRECTIVES.glob("*.dw")) if f.stem != "not_valid")]
+
+
+def _language(name):
+    """A fresh oracle at horizon 60 for a named source or a committed
+    directive file."""
+    if name.endswith(".dw"):
+        return language_horizon(parse_directive((DIRECTIVES / name).read_text()), 60)
+    return named_oracle(name, 60)
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "drawn"])
+@pytest.mark.parametrize("name", LANGUAGES)
+def test_bounded_tables_of_languages_match_the_whole_top_set(name, order):
+    # crosscheck's window 16 asks 17 letters; the drawn order is fixed
+    orders = [16, 3, 60, 0, 17, 41, 59, 1, 16]
+    _bounded_tables_match_the_top_set(_language(name), _language(name), _asked_in(order, orders))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(prefix_oracles().map(lambda drawn: drawn[0]), derived_sets().map(_fresh)),
+       st.sampled_from(["rising", "falling", "drawn"]), st.data())
+def test_bounded_tables_of_top_sets_match_the_whole_top_set(oracle, order, data):
+    # a prefix oracle has top words shorter than its horizon, the suffixes
+    # at the end of the prefix; a derived set has words of one length
+    orders = data.draw(st.lists(st.integers(0, oracle.horizon), min_size=1, max_size=6))
+    reference = FactorOracle(oracle.alphabet, frozenset(oracle._top), oracle.horizon, "reference")
+    _bounded_tables_match_the_top_set(oracle, reference, _asked_in(order, orders))
